@@ -2,13 +2,16 @@
 
      test/golden/<fixture>.model.json   (test-support fixtures)
      examples/itua.model.json           (small ITUA configuration)
+     test/golden/itua_small.check.json  (its check certificate)
 
    Run from the repository root after an intentional format change:
 
      dune exec tools/gen_golden.exe
 
    The fixture parameters and the ITUA topology must stay in sync with
-   test/test_serial.ml and the CI golden gate. *)
+   test/test_serial.ml and the CI golden gate. The certificate is what
+   [itua_sim check --strict --invariants --symmetry --json] writes for
+   that configuration. *)
 
 let write path doc =
   Serial.save path doc;
@@ -41,4 +44,26 @@ let () =
     (Serial.to_json
        ~composition:h.Itua.Model.composition
        ~annotations:[ ("params", Itua.Params.to_json p) ]
-       h.Itua.Model.model)
+       h.Itua.Model.model);
+  let report =
+    Analysis.Check.run ~composition:h.Itua.Model.composition
+      ~laws:(Itua.Invariant.conservation_laws h)
+      h.Itua.Model.model
+  in
+  let orbits =
+    Analysis.Orbit.analyse h.Itua.Model.model h.Itua.Model.composition
+  in
+  let report =
+    {
+      report with
+      Analysis.Check.diagnostics =
+        List.sort Analysis.Diagnostic.compare
+          (report.Analysis.Check.diagnostics @ Analysis.Orbit.diagnostics orbits);
+    }
+  in
+  match Analysis.Check.to_json report with
+  | Report.Json.Obj fields ->
+      write "test/golden/itua_small.check.json"
+        (Report.Json.Obj
+           (fields @ [ ("symmetry", Analysis.Orbit.to_json orbits) ]))
+  | _ -> assert false
