@@ -55,16 +55,16 @@ let print_panels panels =
 let bench_two_state () =
   let b = San.Model.Builder.create "two_state" in
   let up = San.Model.Builder.int_place b ~init:1 "up" in
-  San.Model.Builder.timed_exp b ~name:"fail"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m up = 1)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark up, Eq, Int 1))
     ~reads:[ San.Place.P up ]
-    (fun _ m -> San.Marking.set m up 0);
-  San.Model.Builder.timed_exp b ~name:"repair"
-    ~rate:(fun _ -> 10.0)
-    ~enabled:(fun m -> San.Marking.get m up = 0)
+    San.Effect.(Ops [ Set (up, Int 0) ]);
+  San.Model.Builder.timed_exp_rate_ir b ~name:"repair"
+    ~rate:(San.Effect.RConst 10.0)
+    ~guard:San.Effect.(Cmp (Mark up, Eq, Int 0))
     ~reads:[ San.Place.P up ]
-    (fun _ m -> San.Marking.set m up 1);
+    San.Effect.(Ops [ Set (up, Int 1) ]);
   San.Model.Builder.build b
 
 let perf_tests () =
@@ -213,61 +213,6 @@ let run_throughput () =
         m.Sim.Metrics.events m.Sim.Metrics.wall_seconds)
     records;
   records
-
-(* --- compiled-IR propagate speedup --- *)
-
-type ir_bench = {
-  ib_runs : int;
-  ib_events : int;
-  ib_closure_wall : float;
-  ib_compiled_wall : float;
-}
-
-(* Same model, same seeds, the only difference being the executor's
-   effect path: interpreted IR terms (closure dispatch per node) vs the
-   compiled flat delta programs ([San.Effect.run_prog]). Trajectories
-   are pinned bit-identical by the test suite; here we record the
-   speedup so later engine work is judged against it. *)
-let run_ir_speedup () =
-  let handles = Itua.Model.build Itua.Params.default in
-  let model = handles.Itua.Model.model in
-  let runs = 50 in
-  let measure ~compile =
-    let config =
-      Sim.Executor.config ~compile_effects:compile ~horizon:10.0 ()
-    in
-    let events = ref 0 in
-    let t0 = now () in
-    for i = 1 to runs do
-      let out =
-        Sim.Executor.run ~model ~config
-          ~stream:(Prng.Stream.create ~seed:(Int64.of_int i))
-          ~observer:Sim.Observer.nop ()
-      in
-      events := !events + out.Sim.Executor.events
-    done;
-    (now () -. t0, !events)
-  in
-  let closure_wall, ev_closure = measure ~compile:false in
-  let compiled_wall, ev_compiled = measure ~compile:true in
-  if ev_closure <> ev_compiled then
-    Format.eprintf
-      "  [warn] ir-speedup event counts differ: %d interpreted vs %d \
-       compiled@."
-      ev_closure ev_compiled;
-  Format.printf
-    "@.Compiled-IR effect path (ITUA default, %d runs to 10h):@." runs;
-  Format.printf "  %-45s %10.3fs@." "interpreted (closure dispatch)"
-    closure_wall;
-  Format.printf "  %-45s %10.3fs (%.2fx)@." "compiled (flat delta arrays)"
-    compiled_wall
-    (closure_wall /. compiled_wall);
-  {
-    ib_runs = runs;
-    ib_events = ev_compiled;
-    ib_closure_wall = closure_wall;
-    ib_compiled_wall = compiled_wall;
-  }
 
 (* --- rare-event tail: crude MC vs importance splitting --- *)
 
@@ -515,7 +460,7 @@ let throughput_metrics_json metrics profile =
   Obs.Profile.export profile ~into:reg;
   Report.Json.to_string (Obs.Registry.to_json reg)
 
-let write_bench_json ~reps ~micro ~throughput ~ir ~rare ~lumping ~lumping_hetero
+let write_bench_json ~reps ~micro ~throughput ~rare ~lumping ~lumping_hetero
     ~figures =
   let buf = Buffer.create 2048 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -548,15 +493,6 @@ let write_bench_json ~reps ~micro ~throughput ~ir ~rare ~lumping ~lumping_hetero
         (json_num "%.2f" (Sim.Metrics.mean_heap_depth m))
         (throughput_metrics_json m profile));
   addf "\n  ],\n";
-  addf "  \"ir_compilation\": {\n";
-  addf "    \"model\": \"itua_default_10h\",\n";
-  addf "    \"runs\": %d,\n" ir.ib_runs;
-  addf "    \"events\": %d,\n" ir.ib_events;
-  addf "    \"closure_wall_seconds\": %.4f,\n" ir.ib_closure_wall;
-  addf "    \"compiled_wall_seconds\": %.4f,\n" ir.ib_compiled_wall;
-  addf "    \"speedup\": %s\n"
-    (json_num "%.3f" (ir.ib_closure_wall /. ir.ib_compiled_wall));
-  addf "  },\n";
   (match rare with
   | None -> ()
   | Some r ->
@@ -672,7 +608,6 @@ let () =
      to empty arrays (the CI gate rejects such a record). *)
   let micro = run_perf () in
   let throughput = run_throughput () in
-  let ir = run_ir_speedup () in
   if List.mem "rare" args then
     print_panels (timed "fig4b_rare" (Itua.Study.fig4b_rare ~config:cfg));
   let rare =
@@ -693,7 +628,7 @@ let () =
     fig3_point_times ~reps:point_reps ~seed:cfg.Itua.Study.seed
       ~domains:cfg.Itua.Study.domains
   in
-  write_bench_json ~reps:cfg.Itua.Study.reps ~micro ~throughput ~ir ~rare
+  write_bench_json ~reps:cfg.Itua.Study.reps ~micro ~throughput ~rare
     ~lumping ~lumping_hetero ~figures:(!figure_times @ fig3_points);
   (* Record-completeness gate: an empty micro-benchmark or throughput
      array means the record is useless as a perf baseline. *)

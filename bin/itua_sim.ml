@@ -971,16 +971,14 @@ let check_cmd =
 
 let mtta_lump_arg =
   Arg.(value
-       & opt (enum [ ("auto", `Auto); ("off", `Off); ("full", `Full) ]) `Off
+       & opt (enum [ ("auto", `Auto); ("off", `Off) ]) `Off
        & info [ "lump" ] ~docv:"MODE"
            ~doc:"State-space lumping before the exact solve. $(b,off) \
                  (default) explores the flat chain. $(b,auto) quotients \
                  by the automorphism orbits the $(b,check --symmetry) \
                  pass certifies — sound for heterogeneous fleets, with \
                  the exploration audit cross-checking every merge \
-                 (raises on an unsound canon). $(b,full) uses the \
-                 whole-family canonical sort, which assumes every \
-                 replicate family is fully exchangeable.")
+                 (raises on an unsound canon).")
 
 let mtta_cmd =
   let run multiplier scale model lump metrics_out =
@@ -1008,12 +1006,6 @@ let mtta_cmd =
           in
           Format.printf "%s@." (Analysis.Orbit.describe rep);
           (Some (Analysis.Orbit.canon rep), true)
-      | `Full ->
-          let groups =
-            Analysis.Symmetry.detect h.Itua.Model.model
-              h.Itua.Model.composition
-          in
-          (Some (Analysis.Symmetry.canon groups), false)
     in
     let obs = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in
     let profile = Option.map (fun _ -> Obs.Profile.create ()) metrics_out in

@@ -9,25 +9,25 @@
    (repair) or, with small probability, escalates to a permanent breach
    (absorbing). *)
 
+module E = San.Effect
+
+let is_state p k = E.Cmp (E.Mark p, E.Eq, E.Int k)
+let set_state p k = E.Ops [ E.Set (p, E.Int k) ]
+
 let build () =
   let b = San.Model.Builder.create "response_loop" in
   (* 0 = clean, 1 = compromised, 2 = breached (absorbing).  Keep the
      state space finite: no unbounded counters (the CTMC path explores
      every reachable marking). *)
   let state = San.Model.Builder.int_place b "state" in
-  San.Model.Builder.timed_exp b ~name:"compromise"
-    ~rate:(fun _ -> 0.5)
-    ~enabled:(fun m -> San.Marking.get m state = 0)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"compromise" ~rate:(E.RConst 0.5)
+    ~guard:(is_state state 0)
     ~reads:[ San.Place.P state ]
-    (fun _ m -> San.Marking.set m state 1);
-  San.Model.Builder.timed_exp_cases b ~name:"respond"
-    ~rate:(fun _ -> 2.0)
-    ~enabled:(fun m -> San.Marking.get m state = 1)
+    (set_state state 1);
+  San.Model.Builder.timed_exp_cases_rate_ir b ~name:"respond"
+    ~rate:(E.RConst 2.0) ~guard:(is_state state 1)
     ~reads:[ San.Place.P state ]
-    [
-      (0.92, fun _ m -> San.Marking.set m state 0);
-      (0.08, fun _ m -> San.Marking.set m state 2);
-    ];
+    [ (0.92, set_state state 0); (0.08, set_state state 2) ];
   (San.Model.Builder.build b, state)
 
 let () =
@@ -61,16 +61,14 @@ let () =
      repairable variant (no breach case). *)
   let b = San.Model.Builder.create "repair_only" in
   let st = San.Model.Builder.int_place b "state" in
-  San.Model.Builder.timed_exp b ~name:"compromise"
-    ~rate:(fun _ -> 0.5)
-    ~enabled:(fun m -> San.Marking.get m st = 0)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"compromise" ~rate:(E.RConst 0.5)
+    ~guard:(is_state st 0)
     ~reads:[ San.Place.P st ]
-    (fun _ m -> San.Marking.set m st 1);
-  San.Model.Builder.timed_exp b ~name:"respond"
-    ~rate:(fun _ -> 2.0)
-    ~enabled:(fun m -> San.Marking.get m st = 1)
+    (set_state st 1);
+  San.Model.Builder.timed_exp_rate_ir b ~name:"respond" ~rate:(E.RConst 2.0)
+    ~guard:(is_state st 1)
     ~reads:[ San.Place.P st ]
-    (fun _ m -> San.Marking.set m st 0);
+    (set_state st 0);
   let repairable = San.Model.Builder.build b in
   let result =
     Sim.Steady.estimate ~model:repairable

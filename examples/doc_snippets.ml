@@ -15,18 +15,17 @@
 let _modeling_pair () =
   let b = San.Model.Builder.create "pair" in
   let working = San.Model.Builder.int_place b ~init:2 "working" in
-  San.Model.Builder.timed_exp b ~name:"fail"
-    ~rate:(fun m -> 0.1 *. float_of_int (San.Marking.get m working))
-    ~enabled:(fun m -> San.Marking.get m working > 0)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
+    ~rate:San.Effect.(RExpr (FMul (Flt 0.1, OfInt (Mark working))))
+    ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
     ~reads:[ San.Place.P working ]
-    (fun _ctx m -> San.Marking.add m working (-1));
-  let enabled m = San.Marking.get m working > 0 in
+    San.Effect.(Ops [ Inc (working, Int (-1)) ]);
+  let guard = San.Effect.(Cmp (Mark working, Gt, Int 0)) in
   let reads = [ San.Place.P working ] in
-  let convict m = San.Marking.add m working (-1) in
-  let miss _m = () in
-  San.Model.Builder.timed_exp_cases b ~name:"detect"
-    ~rate:(fun _ -> 4.0) ~enabled ~reads
-    [ (0.8, fun _ m -> convict m); (0.2, fun _ m -> miss m) ];
+  let convict = San.Effect.(Ops [ Inc (working, Int (-1)) ]) in
+  San.Model.Builder.timed_exp_cases_rate_ir b ~name:"detect"
+    ~rate:(San.Effect.RConst 4.0) ~guard ~reads
+    [ (0.8, convict); (0.2, San.Effect.Skip) ];
   let model = San.Model.Builder.build b in
   let rewards =
     let up m = San.Marking.get m working > 0 in
@@ -178,16 +177,7 @@ let _analysis_certificate () =
   Format.printf "%a@." Analysis.Structure.pp report.Analysis.Check.structure;
   exit (Analysis.Check.exit_code report)
 
-let _analysis_lumping ~model ~root () =
-  let groups = Analysis.Symmetry.detect model (Compose.info root) in
-  let full = Ctmc.Explore.explore model in
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Symmetry.canon groups) model
-  in
-  Format.printf "%d -> %d states@." (Ctmc.Explore.n_states full)
-    (Ctmc.Explore.n_states lumped)
-
-let _analysis_orbit model root =
+let _analysis_orbit model root ~my_canon =
   let rep = Analysis.Orbit.analyse model (Compose.info root) in
   List.iter
     (fun d -> Format.printf "%a@." Analysis.Diagnostic.pp d)
@@ -197,9 +187,8 @@ let _analysis_orbit model root =
   let lumped =
     Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) ~audit:true model
   in
-  (* A019 probe: would the legacy whole-family sort be sound here? *)
-  let groups = Analysis.Symmetry.detect model (Compose.info root) in
-  let a019 = Analysis.Orbit.check_canon rep (Analysis.Symmetry.canon groups) in
+  (* A019 probe: is a caller-supplied canon sound here? *)
+  let a019 = Analysis.Orbit.check_canon rep my_canon in
   ignore (lumped, a019)
 
 let _analysis_guard ~config ~stream ~observer () =
@@ -215,29 +204,20 @@ let _analysis_guard ~config ~stream ~observer () =
   in
   ()
 
-let _analysis_ir_migration b =
+let _analysis_closure_rate b =
   let working = San.Model.Builder.int_place b ~init:2 "working" in
-  (* before: opaque closure — analysis can only observe it *)
-  San.Model.Builder.timed_exp b ~name:"fail"
-    ~rate:(fun _ -> 0.1)
-    ~enabled:(fun m -> San.Marking.get m working > 0)
-    ~reads:[ San.Place.P working ]
-    (fun _ctx m -> San.Marking.add m working (-1));
-  (* after: declarative IR — guard and delta read off the syntax tree *)
+  (* closure rate: simulates, but cannot be serialized or lumped *)
   San.Model.Builder.timed_exp_ir b ~name:"fail"
     ~rate:(fun _ -> 0.1)
     ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
     ~reads:[ San.Place.P working ]
+    San.Effect.(Ops [ Inc (working, Int (-1)) ]);
+  (* declarative rate: guard, rate and delta are all data *)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
+    ~rate:(San.Effect.RConst 0.1)
+    ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
+    ~reads:[ San.Place.P working ]
     San.Effect.(Ops [ Inc (working, Int (-1)) ])
-
-let _analysis_ir_checked working =
-  San.Effect.Checked
-    {
-      ir = San.Effect.(Ops [ Inc (working, Int (-1)) ]);
-      reference =
-        { oname = "fail/legacy";
-          run = (fun _ctx m -> San.Marking.add m working (-1)) };
-    }
 
 (* --- doc/FORMAT.md --- *)
 

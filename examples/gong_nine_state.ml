@@ -45,11 +45,11 @@ let build () =
   let state = San.Model.Builder.int_place b ~init:g "state" in
   List.iter
     (fun (src, dst, rate, label) ->
-      San.Model.Builder.timed_exp b ~name:label
-        ~rate:(fun _ -> rate)
-        ~enabled:(fun m -> San.Marking.get m state = src)
+      San.Model.Builder.timed_exp_rate_ir b ~name:label
+        ~rate:(San.Effect.RConst rate)
+        ~guard:San.Effect.(Cmp (Mark state, Eq, Int src))
         ~reads:[ San.Place.P state ]
-        (fun _ m -> San.Marking.set m state dst))
+        San.Effect.(Ops [ Set (state, Int dst) ]))
     transitions;
   (San.Model.Builder.build b, state)
 

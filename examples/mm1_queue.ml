@@ -8,25 +8,24 @@ let lambda = 4.0 (* arrivals per hour *)
 let mu = 5.0 (* services per hour *)
 let k = 8 (* waiting room bound *)
 
+module E = San.Effect
+
 let build () =
   let b = San.Model.Builder.create "mm1k" in
   let customers = San.Model.Builder.int_place b "customers" in
   let served = San.Model.Builder.int_place b "served" in
   let blocked = San.Model.Builder.int_place b "blocked" in
-  San.Model.Builder.timed_exp b ~name:"arrive"
-    ~rate:(fun _ -> lambda)
-    ~enabled:(fun _ -> true)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"arrive" ~rate:(E.RConst lambda)
+    ~guard:(E.Const true)
     ~reads:[ San.Place.P customers ]
-    (fun _ m ->
-      if San.Marking.get m customers < k then San.Marking.add m customers 1
-      else San.Marking.add m blocked 1);
-  San.Model.Builder.timed_exp b ~name:"serve"
-    ~rate:(fun _ -> mu)
-    ~enabled:(fun m -> San.Marking.get m customers > 0)
+    (E.If
+       ( E.Cmp (E.Mark customers, E.Lt, E.Int k),
+         E.Ops [ E.Inc (customers, E.Int 1) ],
+         E.Ops [ E.Inc (blocked, E.Int 1) ] ));
+  San.Model.Builder.timed_exp_rate_ir b ~name:"serve" ~rate:(E.RConst mu)
+    ~guard:(E.Cmp (E.Mark customers, E.Gt, E.Int 0))
     ~reads:[ San.Place.P customers ]
-    (fun _ m ->
-      San.Marking.add m customers (-1);
-      San.Marking.add m served 1);
+    (E.Ops [ E.Inc (customers, E.Int (-1)); E.Inc (served, E.Int 1) ]);
   (San.Model.Builder.build b, customers, served, blocked)
 
 let () =
@@ -75,16 +74,14 @@ let () =
      variant without them. *)
   let b = San.Model.Builder.create "mm1k_core" in
   let c2 = San.Model.Builder.int_place b "customers" in
-  San.Model.Builder.timed_exp b ~name:"arrive"
-    ~rate:(fun _ -> lambda)
-    ~enabled:(fun m -> San.Marking.get m c2 < k)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"arrive" ~rate:(E.RConst lambda)
+    ~guard:(E.Cmp (E.Mark c2, E.Lt, E.Int k))
     ~reads:[ San.Place.P c2 ]
-    (fun _ m -> San.Marking.add m c2 1);
-  San.Model.Builder.timed_exp b ~name:"serve"
-    ~rate:(fun _ -> mu)
-    ~enabled:(fun m -> San.Marking.get m c2 > 0)
+    (E.Ops [ E.Inc (c2, E.Int 1) ]);
+  San.Model.Builder.timed_exp_rate_ir b ~name:"serve" ~rate:(E.RConst mu)
+    ~guard:(E.Cmp (E.Mark c2, E.Gt, E.Int 0))
     ~reads:[ San.Place.P c2 ]
-    (fun _ m -> San.Marking.add m c2 (-1));
+    (E.Ops [ E.Inc (c2, E.Int (-1)) ]);
   let core = San.Model.Builder.build b in
   let chain = Ctmc.Explore.explore core in
   let exact_at_1 =

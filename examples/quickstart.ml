@@ -8,20 +8,22 @@
    repair crew fixes one failed component at a time at rate 1.0/h. Service
    is up while at least one component works. *)
 
+module E = San.Effect
+
 let () =
-  (* 1. Build the SAN: one int place, two timed activities. *)
+  (* 1. Build the SAN: one int place, two timed activities. Guards, rates
+     and effects are declarative expressions over the marking. *)
   let b = San.Model.Builder.create "repairable_pair" in
   let working = San.Model.Builder.int_place b ~init:2 "working" in
-  San.Model.Builder.timed_exp b ~name:"fail"
-    ~rate:(fun m -> 0.1 *. float_of_int (San.Marking.get m working))
-    ~enabled:(fun m -> San.Marking.get m working > 0)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
+    ~rate:(E.RExpr (E.FMul (E.Flt 0.1, E.OfInt (E.Mark working))))
+    ~guard:(E.Cmp (E.Mark working, E.Gt, E.Int 0))
     ~reads:[ San.Place.P working ]
-    (fun _ m -> San.Marking.add m working (-1));
-  San.Model.Builder.timed_exp b ~name:"repair"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m working < 2)
+    (E.Ops [ E.Inc (working, E.Int (-1)) ]);
+  San.Model.Builder.timed_exp_rate_ir b ~name:"repair" ~rate:(E.RConst 1.0)
+    ~guard:(E.Cmp (E.Mark working, E.Lt, E.Int 2))
     ~reads:[ San.Place.P working ]
-    (fun _ m -> San.Marking.add m working 1);
+    (E.Ops [ E.Inc (working, E.Int 1) ]);
   let model = San.Model.Builder.build b in
   Format.printf "%a@.@." San.Model.pp_summary model;
 

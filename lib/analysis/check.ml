@@ -7,10 +7,8 @@ type t = {
   fallback : string option;
   diagnostics : Diagnostic.t list;
   structure : Structure.t;
-  incidence : string;  (** ["exact"] or ["observed"] *)
+  incidence : string;
   sampled_fallbacks : string list;
-      (** {!Structure.sampled_fallbacks}: empty iff the incidence and
-          every law verdict are exact *)
 }
 
 let run ?composition ?laws ?max_states ?runs ?horizon ?max_markings ?seed
@@ -33,10 +31,7 @@ let run ?composition ?laws ?max_states ?runs ?horizon ?max_markings ?seed
     fallback = space.Space.fallback;
     diagnostics;
     structure;
-    incidence =
-      (match structure.Structure.incidence with
-      | Structure.Exact -> "exact"
-      | Structure.Observed -> "observed");
+    incidence = Structure.incidence_name structure.Structure.incidence;
     sampled_fallbacks = Structure.sampled_fallbacks structure;
   }
 

@@ -22,11 +22,12 @@ type t = {
           declared-law verdicts, bounds) — always computed; the CLI
           prints it only under [--invariants] *)
   incidence : string;
-      (** ["exact"] (delta rows read symbolically off the effect IR) or
-          ["observed"] (closure effects fired on sampled markings) *)
+      (** always ["exact"]: delta rows read symbolically off the effect
+          IR ({!Structure.incidence}; ["observed"] is no longer
+          produced) *)
   sampled_fallbacks : string list;
       (** {!Structure.sampled_fallbacks} — the exactness gate: empty
-          iff the incidence and every declared-law verdict are exact *)
+          iff every declared-law verdict is exact *)
 }
 
 val run :

@@ -66,7 +66,6 @@ let to_json d =
     ]
 
 let undeclared_read = "A001-undeclared-read"
-let undeclared_write = "A002-undeclared-write"
 let negative_write = "A003-negative-write"
 let dead_activity = "A004-dead-activity"
 let never_written_place = "A005-never-written-place"
@@ -80,7 +79,6 @@ let invariant_violated = "A012-invariant-violated"
 let ir_mismatch = "A013-ir-declaration-mismatch"
 let dead_branch = "A014-dead-branch"
 let negative_capable = "A015-negative-capable-delta"
-let ir_divergence = "A016-ir-divergence"
 let orbit_report = "A017-orbit-report"
 let broken_symmetry = "A018-broken-symmetry"
 let unsound_canon = "A019-unsound-canon"
@@ -89,8 +87,6 @@ let catalogue =
   [
     ( undeclared_read,
       "an activity function reads a place missing from its reads list" );
-    ( undeclared_write,
-      "an effect writes a place some activity reads without declaring it" );
     (negative_write, "an effect drives an int place negative");
     (dead_activity, "an activity is never enabled in any visited marking");
     (never_written_place, "no effect ever writes this place");
@@ -105,17 +101,14 @@ let catalogue =
     (dead_effect, "a fired activity never changes the marking");
     (invariant_violated, "an effect breaks a declared conservation law");
     ( ir_mismatch,
-      "an IR activity's declared reads/writes disagree with its effect \
-       syntax (exact; subsumes A001/A002 for IR effects)" );
+      "an activity's declared reads disagree with its guard or effect \
+       syntax (exact)" );
     ( dead_branch,
       "an If/Pick branch is statically dead under the dominating guards \
        (informational: guarded cascade helpers legitimately specialize)" );
     ( negative_capable,
       "a resolved IR delta can drive a place negative under its \
        guard-pinned value or structural bound" );
-    ( ir_divergence,
-      "a Checked effect's IR and reference closure disagree on some \
-       marking (differential replay)" );
     ( orbit_report,
       "automorphism-orbit certificate for a Replicate family: the \
        exchangeable copy classes, with verified transposition witnesses" );

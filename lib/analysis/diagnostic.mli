@@ -50,10 +50,11 @@ val to_json : t -> Report.Json.t
 (** {2 Codes}
 
     One constant per diagnostic code, so passes and tests never spell
-    the strings twice. *)
+    the strings twice. A002 and A016 are retired: their checks were
+    subsumed by A013 and by the removal of closure effects, and the
+    codes are never reused. *)
 
 val undeclared_read : string
-val undeclared_write : string
 val negative_write : string
 val dead_activity : string
 val never_written_place : string
@@ -67,7 +68,6 @@ val invariant_violated : string
 val ir_mismatch : string
 val dead_branch : string
 val negative_capable : string
-val ir_divergence : string
 val orbit_report : string
 val broken_symmetry : string
 val unsound_canon : string

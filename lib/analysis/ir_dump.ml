@@ -3,15 +3,14 @@ type case_dump = {
   cd_rows : (string * int) list list;
   cd_unresolved : string list;
   cd_float : bool;
-  cd_opaque : bool;
 }
 
 type activity_dump = {
   ad_name : string;
   ad_timing : string;  (** ["timed"] or ["instantaneous"] *)
   ad_guard_reads : string list;
-  ad_reads : string list option;
-  ad_writes : string list option;
+  ad_reads : string list;
+  ad_writes : string list;
   ad_cases : case_dump list;
 }
 
@@ -28,17 +27,8 @@ let dump model =
   let acts =
     Array.to_list (San.Model.activities model)
     |> List.map (fun (a : San.Activity.t) ->
-           let guard_reads =
-             match a.San.Activity.guard with
-             | None -> []
-             | Some c -> names (San.Effect.cond_reads c)
-           in
-           let merge acc l =
-             match (acc, l) with
-             | Some acc, Some l -> Some (List.sort_uniq compare (acc @ l))
-             | _ -> None
-           in
-           let all_reads = ref (Some []) and all_writes = ref (Some []) in
+           let merge acc l = List.sort_uniq compare (acc @ l) in
+           let all_reads = ref [] and all_writes = ref [] in
            let cases =
              Array.to_list a.San.Activity.cases
              |> List.mapi (fun i (c : San.Activity.case) ->
@@ -57,7 +47,6 @@ let dump model =
                           ir.Symbolic.ci_deltas;
                       cd_unresolved = names ir.Symbolic.ci_unresolved;
                       cd_float = ir.Symbolic.ci_float;
-                      cd_opaque = not (San.Effect.is_pure eff);
                     })
            in
            {
@@ -66,9 +55,10 @@ let dump model =
                (match a.San.Activity.timing with
                | San.Activity.Instantaneous -> "instantaneous"
                | San.Activity.Timed _ -> "timed");
-             ad_guard_reads = guard_reads;
-             ad_reads = Option.map names !all_reads;
-             ad_writes = Option.map names !all_writes;
+             ad_guard_reads =
+               names (San.Effect.cond_reads a.San.Activity.guard);
+             ad_reads = names !all_reads;
+             ad_writes = names !all_writes;
              ad_cases = cases;
            })
   in
@@ -88,20 +78,12 @@ let pp ppf t =
       | [] -> ()
       | l ->
           Format.fprintf ppf "    guard reads: %s@." (String.concat ", " l));
-      (match ad.ad_reads with
-      | Some l ->
-          Format.fprintf ppf "    effect reads: %s@."
-            (if l = [] then "-" else String.concat ", " l)
-      | None -> Format.fprintf ppf "    effect reads: opaque@.");
-      (match ad.ad_writes with
-      | Some l ->
-          Format.fprintf ppf "    effect writes: %s@."
-            (if l = [] then "-" else String.concat ", " l)
-      | None -> Format.fprintf ppf "    effect writes: opaque@.");
+      let set l = if l = [] then "-" else String.concat ", " l in
+      Format.fprintf ppf "    effect reads: %s@." (set ad.ad_reads);
+      Format.fprintf ppf "    effect writes: %s@." (set ad.ad_writes);
       List.iter
         (fun cd ->
-          Format.fprintf ppf "    case %d:%s%s@." cd.cd_index
-            (if cd.cd_opaque then " [opaque]" else "")
+          Format.fprintf ppf "    case %d:%s@." cd.cd_index
             (if cd.cd_float then " [float writes]" else "");
           List.iter
             (fun row -> Format.fprintf ppf "      delta %a@." pp_row row)
@@ -117,7 +99,6 @@ let pp ppf t =
 let to_json t =
   let open Report.Json in
   let strs l = Arr (List.map (fun s -> Str s) l) in
-  let opt_strs = function None -> Null | Some l -> strs l in
   Obj
     [
       ("schema", Str "itua-analysis/1");
@@ -131,8 +112,8 @@ let to_json t =
                    ("name", Str ad.ad_name);
                    ("timing", Str ad.ad_timing);
                    ("guard_reads", strs ad.ad_guard_reads);
-                   ("effect_reads", opt_strs ad.ad_reads);
-                   ("effect_writes", opt_strs ad.ad_writes);
+                   ("effect_reads", strs ad.ad_reads);
+                   ("effect_writes", strs ad.ad_writes);
                    ( "cases",
                      Arr
                        (List.map
@@ -140,7 +121,6 @@ let to_json t =
                             Obj
                               [
                                 ("case", int cd.cd_index);
-                                ("opaque", Bool cd.cd_opaque);
                                 ("float_writes", Bool cd.cd_float);
                                 ( "deltas",
                                   Arr

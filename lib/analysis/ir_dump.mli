@@ -4,8 +4,7 @@
     structure the exact analysis reads off the syntax tree: guard reads,
     static effect read/write sets, and — per case — the exact delta
     rows {!Symbolic.read_case} extracts (the same atoms the incidence
-    matrix is built from), with unresolved places and opaque escapes
-    marked. The output is deterministic for a fixed model: activities
+    matrix is built from), with unresolved places marked. The output is deterministic for a fixed model: activities
     in declaration order, places by name, rows in extraction order. *)
 
 type case_dump = {
@@ -15,17 +14,14 @@ type case_dump = {
   cd_unresolved : string list;
       (** places written with statically unresolvable deltas *)
   cd_float : bool;  (** the case writes float places *)
-  cd_opaque : bool;  (** the case effect contains an [Opaque] closure *)
 }
 
 type activity_dump = {
   ad_name : string;
   ad_timing : string;  (** ["timed"] or ["instantaneous"] *)
   ad_guard_reads : string list;  (** places the IR guard reads *)
-  ad_reads : string list option;
-      (** static effect read set over all cases; [None] if any case is
-          opaque *)
-  ad_writes : string list option;  (** likewise for writes *)
+  ad_reads : string list;  (** static effect read set over all cases *)
+  ad_writes : string list;  (** likewise for writes *)
   ad_cases : case_dump list;
 }
 

@@ -44,8 +44,9 @@ let strip_prefix prefix s =
 
 (* ------------------------------------------------------------------ *)
 (* Declarative-readability scan: the verification below can only reason
-   about what it can read. One closure anywhere and every certificate
-   would be a guess, so the whole model must be pure IR. *)
+   about what it can read. One closure distribution or weight anywhere
+   and every certificate would be a guess, so the whole model must be
+   declarative. *)
 
 let blockers_of model =
   let out = ref [] in
@@ -57,18 +58,55 @@ let blockers_of model =
       | A.Timed { dist_ir = None; _ } ->
           add a.A.name "closure-only timing distribution"
       | A.Timed { dist_ir = Some _; _ } -> ());
-      (match a.A.guard with
-      | None -> add a.A.name "closure-only enabling predicate"
-      | Some _ -> ());
       Array.iter
         (fun (c : A.case) ->
-          (match c.A.weight_ir with
+          match c.A.weight_ir with
           | None -> add a.A.name "closure-only case weight"
-          | Some _ -> ());
-          if not (E.is_pure c.A.effect) then add a.A.name "opaque effect closure")
+          | Some _ -> ())
         a.A.cases)
     (San.Model.activities model);
   List.sort_uniq Stdlib.compare !out
+
+(* ------------------------------------------------------------------ *)
+(* A copy's structural signature: relative place names with kind and
+   initial value, in declaration order, plus relative activity names.
+   Two copies with equal signatures hold the same state shape, so their
+   sub-state vectors are comparable slot by slot — the slots being the
+   marking-array indices of the copy's places, in declaration order. *)
+
+let rec places_of (n : Compose.info) =
+  n.Compose.places @ List.concat_map places_of n.Compose.children
+
+let rec acts_of (n : Compose.info) =
+  n.Compose.activities @ List.concat_map acts_of n.Compose.children
+
+let copy_signature m0 (copy : Compose.info) =
+  let prefix = copy.Compose.path ^ "." in
+  let places =
+    List.map
+      (fun p ->
+        match p with
+        | P.P ip ->
+            Printf.sprintf "I:%s=%d"
+              (strip_prefix prefix (P.name ip))
+              (San.Marking.get m0 ip)
+        | P.F fp ->
+            Printf.sprintf "F:%s=%h"
+              (strip_prefix prefix (P.fname fp))
+              (San.Marking.fget m0 fp))
+      (places_of copy)
+  in
+  (places, List.map (strip_prefix prefix) (acts_of copy))
+
+let copy_slots copy =
+  let ints = ref [] and floats = ref [] in
+  List.iter
+    (fun p ->
+      match p with
+      | P.P ip -> ints := P.index ip :: !ints
+      | P.F fp -> floats := P.findex fp :: !floats)
+    (places_of copy);
+  (Array.of_list (List.rev !ints), Array.of_list (List.rev !floats))
 
 (* ------------------------------------------------------------------ *)
 (* Per-copy parameter signature: every Ctx.note binding in the copy's
@@ -151,8 +189,6 @@ let rec r_eff sub (t : E.t) : E.t =
   | E.Seq ts -> E.Seq (List.map (r_eff sub) ts)
   | E.If (c, a, b) -> E.If (r_cond sub c, r_eff sub a, r_eff sub b)
   | E.Pick bs -> E.Pick (List.map (fun (c, t) -> (r_cond sub c, r_eff sub t)) bs)
-  | E.Checked { ir; _ } -> r_eff sub ir
-  | E.Opaque o -> raise (Unverifiable ("opaque effect " ^ o.E.oname))
 
 (* ------------------------------------------------------------------ *)
 (* Normalization: canonicalize commutative structure so that two terms
@@ -236,8 +272,7 @@ let n_op (op : E.op) : E.op =
 let independent_ops ops =
   let rw op =
     let t = E.Ops [ op ] in
-    ( Option.value (E.static_reads t) ~default:[],
-      Option.value (E.static_writes t) ~default:[] )
+    (E.static_reads t, E.static_writes t)
   in
   let rws = List.mapi (fun i op -> (i, rw op)) ops in
   let disjoint a b = List.for_all (fun x -> not (List.mem x b)) a in
@@ -268,8 +303,6 @@ let rec n_eff (t : E.t) : E.t =
       E.Pick
         (List.map (fun (c, t) -> (n_cond c, n_eff t)) bs
         |> List.sort Stdlib.compare)
-  | E.Checked { ir; _ } -> n_eff ir
-  | E.Opaque o -> raise (Unverifiable ("opaque effect " ^ o.E.oname))
 
 (* ------------------------------------------------------------------ *)
 (* Shapes: an activity's renamed-and-normalized content rendered to
@@ -309,11 +342,7 @@ let shape_of sub (a : A.t) : (string * string) list =
     | A.Timed { dist_ir = None; _ } ->
         raise (Unverifiable ("closure-only timing of " ^ a.A.name))
   in
-  let guard =
-    match a.A.guard with
-    | Some g -> render E.pp_cond (n_cond (r_cond sub g))
-    | None -> raise (Unverifiable ("closure-only guard of " ^ a.A.name))
-  in
+  let guard = render E.pp_cond (n_cond (r_cond sub a.A.guard)) in
   let reads =
     List.map
       (function
@@ -468,6 +497,7 @@ let analyse model (root : Compose.info) =
     Array.iter
       (fun (a : A.t) -> Hashtbl.replace id_shapes a.A.name (shape_of id_sub a))
       (San.Model.activities model);
+  let m0 = San.Model.initial_marking model in
   let families = ref [] in
   let rec walk depth (n : Compose.info) =
     List.iter
@@ -481,10 +511,8 @@ let analyse model (root : Compose.info) =
             in
             let members = Array.of_list members in
             let ncopies = Array.length members in
-            let sigs =
-              Array.map (fun c -> Symmetry.copy_signature model c) members
-            in
-            let slots = Array.map Symmetry.copy_slots members in
+            let sigs = Array.map (copy_signature m0) members in
+            let slots = Array.map copy_slots members in
             let prms = Array.map params_sig members in
             let orbits : (int * int list ref) list ref = ref [] in
             let witnesses = ref [] and breaks = ref [] in

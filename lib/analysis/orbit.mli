@@ -1,25 +1,23 @@
 (** Automorphism orbits of Replicate families: partial-symmetry
     detection with machine-checkable certificates.
 
-    {!Analysis.Symmetry} lumps a Rep family only when {e all} of its
-    copies are exchangeable, and its static check stops at structural
-    shape — behavioral asymmetries (a per-copy rate multiplier, an
-    identity coupling like the ITUA model's [on_host] host ids) are
-    invisible to it, so its whole-family sort silently assumes what it
-    cannot see. This pass closes both gaps for pure-IR models, in the
-    spirit of non-anonymous replication (Chiaradonna, Di Giandomenico &
-    Masetti, arXiv:1608.05874): it computes the {e orbits} of the
-    model's automorphism group restricted to copy permutations, so a
-    partially symmetric family (five hosts at one attack rate, five at
-    another) still lumps within each orbit.
+    Sorting every copy of a Rep family into one canonical order assumes
+    {e all} copies are exchangeable, and a structural-shape check cannot
+    see behavioral asymmetries (a per-copy rate multiplier, an identity
+    coupling like the ITUA model's [on_host] host ids). This pass closes
+    both gaps, in the spirit of non-anonymous replication (Chiaradonna,
+    Di Giandomenico & Masetti, arXiv:1608.05874): it computes the
+    {e orbits} of the model's automorphism group restricted to copy
+    permutations, so a partially symmetric family (five hosts at one
+    attack rate, five at another) still lumps within each orbit.
 
     The algorithm is a partition refinement over the colored
     place/activity incidence structure read off the effect IR:
 
     {ol
     {- {b Initial coloring.} Copies of a family are partitioned by
-       structural signature ({!Symmetry.copy_signature}: relative place
-       layout, kinds, initial markings, relative activity names) and by
+       structural signature (relative place layout, kinds, initial
+       markings, relative activity names) and by
        the per-copy parameters recorded with {!Compose.Ctx.note}. Copies
        with different colors can never share an orbit.}
     {- {b Refinement by certificate.} Within a color class, copy [c]
@@ -50,8 +48,7 @@
     lumpability on every encountered state). {!check_canon} audits a
     {e caller-supplied} canon against the computed orbits and returns
     A019 errors when it merges states the refinement distinguishes —
-    e.g. {!Symmetry.canon}'s whole-family sort applied to a
-    heterogeneous family. *)
+    e.g. a whole-family sort applied to a heterogeneous family. *)
 
 (** One orbit of exchangeable copies within a family. *)
 type orbit = {
@@ -88,9 +85,9 @@ type family = {
 type report = {
   families : family list;  (** deepest first — the {!canon} order *)
   pure : bool;
-      (** the whole model is declaratively readable (pure IR, no closure
-          guards/dists/weights); orbits of an impure model are all
-          singletons *)
+      (** the whole model is declaratively readable (no closure
+          distributions or case weights); orbits of an impure model are
+          all singletons *)
   blockers : string list;
       (** when not {!pure}: which activities block static reading *)
   n_int : int;
@@ -110,9 +107,9 @@ val canon :
     deepest first, each orbit's member sub-vectors are sorted
     lexicographically. Pure — input arrays are not mutated. Sound by
     construction: only verified exchangeability is exploited, so it can
-    be fed to {!Ctmc.Explore.explore} without the lumped-vs-unlumped
-    validation {!Symmetry.canon} requires (running it anyway, as the
-    bench gate does, validates this module instead). *)
+    be fed to {!Ctmc.Explore.explore} without a lumped-vs-unlumped
+    validation (running one anyway, as the bench gate does, validates
+    this module instead). *)
 
 val trivial : report -> bool
 (** No family has an orbit with two or more members — {!canon} is the

@@ -16,12 +16,10 @@ type facts = {
   place_name : string array;  (* place uid -> name *)
   declared : Bytes.t array;  (* activity id -> declared-reads uid set *)
   traced_reads : Bytes.t array;  (* 4 * id + via_index -> traced uid set *)
-  traced_writes : Bytes.t array;  (* activity id -> attempted-write uid set *)
+  writes : Bytes.t array;  (* activity id -> static write uid set *)
   ever_enabled : bool array;
   negative : (int * int * string) list;  (* activity id, case, message *)
   ties : string list list;  (* distinct simultaneous-enabled name sets *)
-  has_guard : bool array;  (* activity id -> declarative guard present *)
-  ir_all : bool array;  (* activity id -> every case effect is pure IR *)
 }
 
 let space f = f.space
@@ -50,45 +48,27 @@ let gather (space : Space.t) =
   let traced_reads =
     Array.init (4 * n_acts) (fun _ -> Bytes.make n_uids '\000')
   in
-  let traced_writes = Array.init n_acts (fun _ -> Bytes.make n_uids '\000') in
+  let writes = Array.init n_acts (fun _ -> Bytes.make n_uids '\000') in
   let ever_enabled = Array.make n_acts false in
   let negative = Hashtbl.create 8 in
   let ties = Hashtbl.create 8 in
   let record set uids =
     List.iter (fun uid -> Bytes.set set uid '\001') uids
   in
-  let has_guard =
-    Array.map (fun (a : San.Activity.t) -> a.guard <> None) acts
-  in
-  let ir_all =
-    Array.map
-      (fun (a : San.Activity.t) ->
-        Array.for_all
-          (fun (c : San.Activity.case) -> San.Effect.is_pure c.effect)
-          a.cases)
-      acts
-  in
-  (* Static prefill: what the IR syntax proves is read or written counts
-     as traced even if sampling never reaches a marking exercising it —
-     liveness (A005/A006) and composition coverage become exact for IR
-     activities. *)
+  (* Guard and effect reads and effect writes come from the IR syntax:
+     a superset of what any firing can touch, so liveness (A005/A006)
+     and composition coverage are exact. Only the closure forms —
+     distributions and case weights — are traced on the markings. *)
   Array.iter
     (fun (a : San.Activity.t) ->
-      (match a.guard with
-      | Some g ->
-          record traced_reads.((4 * a.id) + via_index Enabled)
-            (San.Effect.cond_reads g)
-      | None -> ());
+      record traced_reads.((4 * a.id) + via_index Enabled)
+        (San.Effect.cond_reads a.guard);
       Array.iter
         (fun (c : San.Activity.case) ->
-          match
-            ( San.Effect.static_reads c.effect,
-              San.Effect.static_writes c.effect )
-          with
-          | Some reads, Some writes ->
-              record traced_reads.((4 * a.id) + via_index Effect) reads;
-              record traced_writes.(a.id) writes
-          | _ -> ())
+          record
+            traced_reads.((4 * a.id) + via_index Effect)
+            (San.Effect.static_reads c.effect);
+          record writes.(a.id) (San.Effect.static_writes c.effect))
         a.cases)
     acts;
   let ctx = space.Space.ctx in
@@ -106,9 +86,7 @@ let gather (space : Space.t) =
       let stable = inst = [] in
       Array.iter
         (fun (a : San.Activity.t) ->
-          let en, reads = San.Marking.trace_reads m (fun () -> a.enabled m) in
-          record traced_reads.((4 * a.id) + via_index Enabled) reads;
-          if en then begin
+          if a.enabled m then begin
             ever_enabled.(a.id) <- true;
             (match a.timing with
             | San.Activity.Instantaneous -> ()
@@ -136,27 +114,20 @@ let gather (space : Space.t) =
             if stable || San.Activity.is_instantaneous a then
               Array.iteri
                 (fun case (c : San.Activity.case) ->
-                  if weights.(case) > 0.0 then begin
-                    let mc = San.Marking.copy m in
+                  if weights.(case) > 0.0 then
                     match
-                      San.Marking.trace_writes mc (fun () ->
-                          San.Marking.trace_reads mc (fun () ->
-                              San.Effect.apply ctx c.San.Activity.effect mc))
+                      San.Effect.apply ctx c.San.Activity.effect
+                        (San.Marking.copy m)
                     with
-                    | ((), reads), writes ->
-                        record traced_reads.((4 * a.id) + via_index Effect)
-                          reads;
-                        record traced_writes.(a.id) writes
+                    | () -> ()
                     | exception Invalid_argument msg ->
                         if not (Hashtbl.mem negative (a.id, case)) then
                           Hashtbl.add negative (a.id, case) msg
                     | exception Failure _ ->
                         (* The effect needed randomness the space's ctx
                            cannot supply (e.g. a wide Pick during an
-                           exhaustive walk); the static prefill already
-                           recorded its reads and writes. *)
-                        ()
-                  end)
+                           exhaustive walk). *)
+                        ())
                 a.cases
           end)
         acts)
@@ -178,12 +149,10 @@ let gather (space : Space.t) =
     place_name;
     declared;
     traced_reads;
-    traced_writes;
+    writes;
     ever_enabled;
     negative;
     ties;
-    has_guard;
-    ir_all;
   }
 
 let traced f id via uid =
@@ -191,68 +160,24 @@ let traced f id via uid =
 
 let is_declared f id uid = Bytes.get f.declared.(id) uid = '\001'
 
+(* Guard and effect reads are checked exactly by A013; only the closure
+   forms are left to the trace. *)
 let undeclared_reads f =
   let out = ref [] in
   for id = 0 to f.n_acts - 1 do
     List.iter
       (fun via ->
-        (* A013 subsumes the sampled trace with an exact static check:
-           guard reads when a declarative guard is present, effect reads
-           when every case is IR. *)
-        let subsumed =
-          match via with
-          | Enabled -> f.has_guard.(id)
-          | Effect -> f.ir_all.(id)
-          | Dist | Weight -> false
-        in
-        if not subsumed then
-          for uid = 0 to f.n_uids - 1 do
-            if traced f id via uid && not (is_declared f id uid) then begin
-              let severity =
-                match via with
-                | Effect -> Diagnostic.Warning
-                | Enabled | Dist | Weight -> Diagnostic.Error
-              in
-              out :=
-                Diagnostic.v ~code:Diagnostic.undeclared_read ~severity
-                  ~source:(Diagnostic.Activity f.act_name.(id))
-                  (Printf.sprintf "%s reads undeclared place %S"
-                     (via_name via) f.place_name.(uid))
-                :: !out
-            end
-          done)
-      [ Enabled; Dist; Weight; Effect ]
-  done;
-  !out
-
-let undeclared_writes f =
-  let out = ref [] in
-  for w = 0 to f.n_acts - 1 do
-    (* IR writers are covered exactly by the A013 stale-wake-up check. *)
-    if not f.ir_all.(w) then
-    for uid = 0 to f.n_uids - 1 do
-      if Bytes.get f.traced_writes.(w) uid = '\001' then begin
-        let readers = ref [] in
-        for r = f.n_acts - 1 downto 0 do
-          if
-            (not (is_declared f r uid))
-            && (traced f r Enabled uid || traced f r Dist uid
-              || traced f r Weight uid)
-          then readers := f.act_name.(r) :: !readers
-        done;
-        if !readers <> [] then
-          out :=
-            Diagnostic.v ~code:Diagnostic.undeclared_write
-              ~severity:Diagnostic.Error
-              ~source:(Diagnostic.Activity f.act_name.(w))
-              (Printf.sprintf
-                 "effect writes %S, which %s read(s) without declaring — \
-                  this firing cannot wake them"
-                 f.place_name.(uid)
-                 (String.concat ", " !readers))
-            :: !out
-      end
-    done
+        for uid = 0 to f.n_uids - 1 do
+          if traced f id via uid && not (is_declared f id uid) then
+            out :=
+              Diagnostic.v ~code:Diagnostic.undeclared_read
+                ~severity:Diagnostic.Error
+                ~source:(Diagnostic.Activity f.act_name.(id))
+                (Printf.sprintf "%s reads undeclared place %S" (via_name via)
+                   f.place_name.(uid))
+              :: !out
+        done)
+      [ Dist; Weight ]
   done;
   !out
 
@@ -267,20 +192,17 @@ let negative_writes f =
 
 (* {2 A013: exact IR declaration checks}
 
-   For activities with a declarative guard and/or pure-IR effects the
-   declared-reads contract is checked against the syntax tree itself —
-   exact, no sampling. Three findings:
+   The declared-reads contract is checked against the syntax tree
+   itself — exact, no sampling. Three findings:
 
    - a guard reading an undeclared place is an {e Error}: the executor
      re-evaluates [enabled] only when a declared read changes, so the
-     guard can go stale (same failure mode as A001 via [enabled], but
-     proven rather than observed);
+     guard can go stale;
    - effect reads beyond the declared list are one aggregated {e Info}
      per activity: effect reads cannot cause missed wake-ups (effects
      run at firing time), so per-place warnings would be noise;
    - a write to a place some other activity reads without declaring is
-     an {e Error} (stale wake-up), computed from the static write sets —
-     the exact replacement for A002 on IR writers. *)
+     an {e Error} (stale wake-up), computed from the static write sets. *)
 
 let ir_decls f =
   let model = f.space.Space.model in
@@ -289,192 +211,83 @@ let ir_decls f =
   Array.iter
     (fun (a : San.Activity.t) ->
       let id = a.San.Activity.id in
-      (match a.guard with
-      | None -> ()
-      | Some g ->
-          List.iter
-            (fun uid ->
-              if not (is_declared f id uid) then
-                out :=
-                  Diagnostic.v ~code:Diagnostic.ir_mismatch
-                    ~severity:Diagnostic.Error
-                    ~source:(Diagnostic.Activity f.act_name.(id))
-                    (Printf.sprintf
-                       "guard reads place %S, which is missing from the \
-                        declared reads list (exact: marking changes there \
-                        cannot wake the activity)"
-                       f.place_name.(uid))
-                  :: !out)
-            (San.Effect.cond_reads g));
-      if f.ir_all.(id) then begin
-        let extra = Hashtbl.create 8 in
-        Array.iter
-          (fun (c : San.Activity.case) ->
-            match San.Effect.static_reads c.effect with
-            | Some reads ->
-                List.iter
-                  (fun uid ->
-                    if not (is_declared f id uid) then
-                      Hashtbl.replace extra uid ())
-                  reads
-            | None -> ())
-          a.cases;
-        let extra =
-          Hashtbl.fold (fun uid () acc -> uid :: acc) extra []
-          |> List.sort Int.compare
-        in
-        (match extra with
-        | [] -> ()
-        | uids ->
-            let n = List.length uids in
-            let shown = List.filteri (fun k _ -> k < 12) uids in
-            let names =
-              String.concat ", "
-                (List.map (fun uid -> f.place_name.(uid)) shown)
-            in
-            let names =
-              if n > List.length shown then
-                Printf.sprintf "%s, ... and %d more" names
-                  (n - List.length shown)
-              else names
-            in
+      List.iter
+        (fun uid ->
+          if not (is_declared f id uid) then
             out :=
               Diagnostic.v ~code:Diagnostic.ir_mismatch
-                ~severity:Diagnostic.Info
+                ~severity:Diagnostic.Error
                 ~source:(Diagnostic.Activity f.act_name.(id))
                 (Printf.sprintf
-                   "IR effects read %d place(s) beyond the declared reads \
-                    list: %s (exact; effect reads run at firing time and \
-                    cannot miss wake-ups)"
-                   n names)
-              :: !out);
-        (* Stale-wake-up writes, from the static write sets. *)
-        for uid = 0 to f.n_uids - 1 do
-          if Bytes.get f.traced_writes.(id) uid = '\001' then begin
-            let readers = ref [] in
-            for r = f.n_acts - 1 downto 0 do
-              if
-                (not (is_declared f r uid))
-                && (traced f r Enabled uid || traced f r Dist uid
-                  || traced f r Weight uid)
-              then readers := f.act_name.(r) :: !readers
-            done;
-            if !readers <> [] then
-              out :=
-                Diagnostic.v ~code:Diagnostic.ir_mismatch
-                  ~severity:Diagnostic.Error
-                  ~source:(Diagnostic.Activity f.act_name.(id))
-                  (Printf.sprintf
-                     "IR effect writes %S, which %s read(s) without \
-                      declaring — this firing cannot wake them (exact)"
-                     f.place_name.(uid)
-                     (String.concat ", " !readers))
-                :: !out
-          end
-        done
-      end)
+                   "guard reads place %S, which is missing from the declared \
+                    reads list (exact: marking changes there cannot wake the \
+                    activity)"
+                   f.place_name.(uid))
+              :: !out)
+        (San.Effect.cond_reads a.guard);
+      let extra = Hashtbl.create 8 in
+      Array.iter
+        (fun (c : San.Activity.case) ->
+          List.iter
+            (fun uid ->
+              if not (is_declared f id uid) then Hashtbl.replace extra uid ())
+            (San.Effect.static_reads c.effect))
+        a.cases;
+      let extra =
+        Hashtbl.fold (fun uid () acc -> uid :: acc) extra []
+        |> List.sort Int.compare
+      in
+      (match extra with
+      | [] -> ()
+      | uids ->
+          let n = List.length uids in
+          let shown = List.filteri (fun k _ -> k < 12) uids in
+          let names =
+            String.concat ", "
+              (List.map (fun uid -> f.place_name.(uid)) shown)
+          in
+          let names =
+            if n > List.length shown then
+              Printf.sprintf "%s, ... and %d more" names
+                (n - List.length shown)
+            else names
+          in
+          out :=
+            Diagnostic.v ~code:Diagnostic.ir_mismatch
+              ~severity:Diagnostic.Info
+              ~source:(Diagnostic.Activity f.act_name.(id))
+              (Printf.sprintf
+                 "IR effects read %d place(s) beyond the declared reads \
+                  list: %s (exact; effect reads run at firing time and \
+                  cannot miss wake-ups)"
+                 n names)
+            :: !out);
+      (* Stale-wake-up writes, from the static write sets. *)
+      for uid = 0 to f.n_uids - 1 do
+        if Bytes.get f.writes.(id) uid = '\001' then begin
+          let readers = ref [] in
+          for r = f.n_acts - 1 downto 0 do
+            if
+              (not (is_declared f r uid))
+              && (traced f r Enabled uid || traced f r Dist uid
+                || traced f r Weight uid)
+            then readers := f.act_name.(r) :: !readers
+          done;
+          if !readers <> [] then
+            out :=
+              Diagnostic.v ~code:Diagnostic.ir_mismatch
+                ~severity:Diagnostic.Error
+                ~source:(Diagnostic.Activity f.act_name.(id))
+                (Printf.sprintf
+                   "IR effect writes %S, which %s read(s) without \
+                    declaring — this firing cannot wake them (exact)"
+                   f.place_name.(uid)
+                   (String.concat ", " !readers))
+              :: !out
+        end
+      done)
     acts;
   !out
-
-(* {2 A016: IR / reference-closure divergence}
-
-   [Checked] pairs an IR term with the closure it was migrated from.
-   Differential replay: on every collected marking, run the case effect
-   once with IR semantics and once with each [Checked] node replaced by
-   its reference closure, driving both from freshly created streams with
-   the same seed — identical draws, so any snapshot difference (or a
-   one-sided exception) is a real semantic divergence. *)
-
-let checked_divergence f =
-  let model = f.space.Space.model in
-  let acts = San.Model.activities model in
-  let rec has_checked (e : San.Effect.t) =
-    match e with
-    | San.Effect.Skip | San.Effect.Ops _ | San.Effect.Opaque _ -> false
-    | San.Effect.Seq es -> List.exists has_checked es
-    | San.Effect.If (_, a, b) -> has_checked a || has_checked b
-    | San.Effect.Pick bs -> List.exists (fun (_, e) -> has_checked e) bs
-    | San.Effect.Checked _ -> true
-  in
-  let rec to_reference (e : San.Effect.t) : San.Effect.t =
-    match e with
-    | San.Effect.Skip | San.Effect.Ops _ | San.Effect.Opaque _ -> e
-    | San.Effect.Seq es -> San.Effect.Seq (List.map to_reference es)
-    | San.Effect.If (c, a, b) ->
-        San.Effect.If (c, to_reference a, to_reference b)
-    | San.Effect.Pick bs ->
-        San.Effect.Pick (List.map (fun (c, e) -> (c, to_reference e)) bs)
-    | San.Effect.Checked { reference; _ } -> San.Effect.Opaque reference
-  in
-  let watched =
-    Array.to_list acts
-    |> List.concat_map (fun (a : San.Activity.t) ->
-           Array.to_list
-             (Array.mapi
-                (fun case (c : San.Activity.case) -> (a, case, c))
-                a.cases)
-           |> List.filter (fun (_, _, c) ->
-                  has_checked c.San.Activity.effect))
-  in
-  if watched = [] then []
-  else begin
-    let diverged = Hashtbl.create 4 in
-    List.iteri
-      (fun mi m ->
-        List.iter
-          (fun ((a : San.Activity.t), case, (c : San.Activity.case)) ->
-            if (not (Hashtbl.mem diverged (a.id, case))) && a.enabled m then begin
-              let seed = (((mi * 8191) + (a.id * 127) + case) * 2) + 1 in
-              let run eff =
-                let mc = San.Marking.copy m in
-                let ctx =
-                  {
-                    San.Effect.time = 0.0;
-                    stream = Some (Prng.Stream.of_int_seed seed);
-                  }
-                in
-                match San.Effect.apply ctx eff mc with
-                | () -> Ok mc
-                | exception e -> Error (Printexc.to_string e)
-              in
-              let ir = run c.effect
-              and ref_ = run (to_reference c.effect) in
-              let divergence =
-                match (ir, ref_) with
-                | Ok m1, Ok m2 ->
-                    if
-                      San.Marking.diff ~before:m1 m2 <> []
-                      || San.Marking.float_changed ~before:m1 m2
-                    then Some "the final markings differ"
-                    else None
-                | Error e, Ok _ ->
-                    Some (Printf.sprintf "only the IR path raised (%s)" e)
-                | Ok _, Error e ->
-                    Some
-                      (Printf.sprintf "only the reference path raised (%s)" e)
-                | Error e1, Error e2 ->
-                    if e1 = e2 then None
-                    else
-                      Some
-                        (Printf.sprintf "both paths raised differently \
-                                         (%s vs %s)" e1 e2)
-              in
-              match divergence with
-              | Some why ->
-                  Hashtbl.replace diverged (a.id, case)
-                    (Diagnostic.v ~code:Diagnostic.ir_divergence
-                       ~severity:Diagnostic.Error
-                       ~source:(Diagnostic.Activity a.San.Activity.name)
-                       (Printf.sprintf
-                          "case %d: IR and reference closure diverge under \
-                           differential replay — %s"
-                          case why))
-              | None -> ()
-            end)
-          watched)
-      f.space.Space.markings;
-    Hashtbl.fold (fun _ d acc -> d :: acc) diverged []
-  end
 
 let liveness f =
   let severity =
@@ -504,7 +317,7 @@ let liveness f =
   let read = Bytes.make f.n_uids '\000' in
   for id = 0 to f.n_acts - 1 do
     for uid = 0 to f.n_uids - 1 do
-      if Bytes.get f.traced_writes.(id) uid = '\001' then
+      if Bytes.get f.writes.(id) uid = '\001' then
         Bytes.set written uid '\001';
       if
         traced f id Enabled uid || traced f id Dist uid
@@ -558,7 +371,7 @@ let composition f (root : Compose.info) =
   let model = f.space.Space.model in
   let touched id uid =
     is_declared f id uid
-    || Bytes.get f.traced_writes.(id) uid = '\001'
+    || Bytes.get f.writes.(id) uid = '\001'
     || traced f id Enabled uid || traced f id Dist uid
     || traced f id Weight uid || traced f id Effect uid
   in
@@ -609,10 +422,8 @@ let all ?composition:tree f =
   List.concat
     [
       undeclared_reads f;
-      undeclared_writes f;
       negative_writes f;
       ir_decls f;
-      checked_divergence f;
       liveness f;
       instantaneous f;
       (match tree with None -> [] | Some info -> composition f info);

@@ -1,18 +1,20 @@
 (** Checking passes over a marking space.
 
-    The passes share one {e facts sweep} ({!gather}): every activity
-    function — enabling predicate, firing distribution, case weights,
-    case effects — is evaluated on every marking in the {!Space.t} under
-    {!San.Marking.trace_reads} and {!San.Marking.trace_writes}, and the
-    traces are accumulated into dense per-activity bitsets (place uids
-    are dense, so a set of places is a [Bytes.t]). Each pass is then a
-    pure scan over the facts.
+    The passes share one {e facts sweep} ({!gather}). Guard reads,
+    effect reads and effect writes are read off the IR syntax
+    ({!San.Effect.cond_reads}, {!San.Effect.static_reads},
+    {!San.Effect.static_writes}); the closure forms — firing
+    distributions and case weights — are evaluated on every marking in
+    the {!Space.t} under {!San.Marking.trace_reads}. Both are
+    accumulated into dense per-activity bitsets (place uids are dense,
+    so a set of places is a [Bytes.t]). Each pass is then a pure scan
+    over the facts.
 
-    Effects are evaluated on scratch copies, for every case with
-    positive weight, but only where the executor could actually fire
-    them: timed activities at stable markings, instantaneous activities
-    at vanishing ones. An effect that raises [Invalid_argument]
-    (negative marking) is recorded as a fact rather than propagated. *)
+    Effects are fired on scratch copies, for every case with positive
+    weight, but only where the executor could actually fire them: timed
+    activities at stable markings, instantaneous activities at vanishing
+    ones. An effect that raises [Invalid_argument] (negative marking) is
+    recorded as a fact rather than propagated. *)
 
 type facts
 
@@ -23,20 +25,10 @@ val gather : Space.t -> facts
 val space : facts -> Space.t
 
 val undeclared_reads : facts -> Diagnostic.t list
-(** [A001]: an activity function read a place not in the activity's
-    [reads] list. [Error] for reads from [enabled], the firing
-    distribution, or a case weight — the executor will miss wake-ups.
-    [Warning] for reads from an effect: firing-time reads are always
-    current, but the omission breaks the input-gate discipline and
-    hides the dependency from {!undeclared_writes}. *)
-
-val undeclared_writes : facts -> Diagnostic.t list
-(** [A002]: some effect of activity [W] writes a place that another
-    activity reads — from [enabled], its distribution, or a weight —
-    {e without declaring it}. [W]'s firings will not wake the reader:
-    the staleness [A001] reports from the reader's side, pinpointed to
-    the writes that trigger it. Needs the write traces, hence the
-    {!San.Marking.trace_writes} hook. *)
+(** [A001]: a firing-distribution or case-weight closure read a place
+    not in the activity's [reads] list — the executor will miss
+    wake-ups. Always [Error]. Guards and effects are checked exactly by
+    {!ir_decls}. *)
 
 val negative_writes : facts -> Diagnostic.t list
 (** [A003]: an effect drove an int place negative ([Invalid_argument]
@@ -44,21 +36,12 @@ val negative_writes : facts -> Diagnostic.t list
     could have fired it. Always [Error]. *)
 
 val ir_decls : facts -> Diagnostic.t list
-(** [A013]: exact declaration checking for IR activities, subsuming
-    A001/A002 where the syntax tree is available. A guard reading an
-    undeclared place and an IR write that cannot wake an undeclaring
-    reader are [Error]s; effect reads beyond the declared list are one
-    aggregated [Info] per activity (firing-time reads cannot miss
-    wake-ups). For these activities the corresponding sampled A001/A002
-    findings are suppressed. *)
-
-val checked_divergence : facts -> Diagnostic.t list
-(** [A016]: differential replay of [San.Effect.Checked] nodes. On every
-    collected marking where the activity is enabled, the case effect
-    runs once with IR semantics and once with each [Checked] node
-    replaced by its reference closure, both driven by fresh same-seeded
-    streams; any marking difference or one-sided exception is an
-    [Error], at most one per (activity, case). *)
+(** [A013]: exact declaration checking against the IR syntax. A guard
+    reading an undeclared place and an effect write that cannot wake a
+    reader that uses the place without declaring it (in its guard,
+    distribution or a weight) are [Error]s; effect reads beyond the
+    declared list are one aggregated [Info] per activity (firing-time
+    reads cannot miss wake-ups). *)
 
 val liveness : facts -> Diagnostic.t list
 (** [A004] dead activity (never enabled), [A005] never-written place,

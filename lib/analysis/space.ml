@@ -6,7 +6,7 @@ type t = {
   markings : San.Marking.t list;
   n_stable : int;
   n_vanishing : int;
-  ctx : San.Activity.ctx;
+  ctx : San.Effect.ctx;
   loop : string option;
   truncated : bool;
   fallback : string option;
@@ -61,7 +61,7 @@ let sampled ~runs ~horizon ~max_markings ~seed ~fallback ~loop model =
     n_stable = !count;
     n_vanishing = 0;
     ctx =
-      { San.Activity.time = 0.0; stream = Some (Prng.Stream.substream root runs) };
+      { San.Effect.time = 0.0; stream = Some (Prng.Stream.substream root runs) };
     loop = !loop_msg;
     truncated = !count >= max_markings;
     fallback = Some fallback;
@@ -96,13 +96,13 @@ let build ?(max_states = 200_000) ?(max_work = 25_000) ?(runs = 3)
         markings = stable @ List.rev !vanishing;
         n_stable = Array.length keys;
         n_vanishing = !n_vanishing;
-        ctx = Ctmc.Walker.default_ctx;
+        ctx = San.Effect.null_ctx;
         loop = None;
         truncated = false;
         fallback = None;
       }
   | exception Failure msg ->
-      fall (Printf.sprintf "an effect draws randomness (%s)" msg) None
+      fall (Printf.sprintf "an effect failed (%s)" msg) None
   | exception Ctmc.Walker.Too_many_states n ->
       fall (Printf.sprintf "state space exceeds %d markings" n) None
   | exception Ctmc.Walker.Work_budget n ->

@@ -9,11 +9,10 @@
        [on_vanishing] hook additionally collects every {e vanishing}
        marking (instantaneous activity enabled) crossed on the way.
        Works for any timing distributions — reachability never looks at
-       rates — but requires effects that are deterministic functions of
-       the marking and a state space below [max_states].}
-    {- {b Sampled}: when the exhaustive walk fails (an effect draws
-       randomness, the space is too large, or instantaneous firings
-       loop), fall back to collecting the distinct markings visited by a
+       rates — but requires a state space below [max_states].}
+    {- {b Sampled}: when the exhaustive walk fails (an effect fails,
+       the space is too large, or instantaneous firings loop), fall
+       back to collecting the distinct markings visited by a
        few short simulation runs. Coverage is then partial, which is why
        liveness-style passes downgrade their findings to [Info] in this
        mode.}}
@@ -35,10 +34,10 @@ type t = {
       (** Exhaustive: stable-marking (CTMC state) count. Sampled: total
           distinct markings collected. *)
   n_vanishing : int;  (** Exhaustive only; [0] in sampled mode. *)
-  ctx : San.Activity.ctx;
+  ctx : San.Effect.ctx;
       (** Evaluation context for effects: no stream in exhaustive mode,
-          a dedicated stream in sampled mode (so stream-drawing effects
-          still run). *)
+          a dedicated stream in sampled mode (so a [Pick] with several
+          feasible branches still runs). *)
   loop : string option;
       (** Evidence that instantaneous firings failed to stabilize,
           from either the exhaustive walk or a diverged sample run. *)

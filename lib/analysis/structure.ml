@@ -52,116 +52,14 @@ type t = {
 
 exception Invariant_violation of string
 
+let incidence_name = function Exact -> "exact" | Observed -> "observed"
+
 let rec igcd a b = if b = 0 then a else igcd b (a mod b)
 
 (* {2 Mode extraction}
 
-   Fire every enabled (activity, case) pair on a copy of every marking
-   in the space — the same firing discipline as [Passes.gather] — and
-   collect the distinct net deltas. *)
-
-let extract_modes (space : Space.t) =
-  let model = space.Space.model in
-  let acts = San.Model.activities model in
-  let n_acts = Array.length acts in
-  let fired = Array.make n_acts false in
-  let seen = Hashtbl.create 64 in
-  let ctx = space.Space.ctx in
-  List.iter
-    (fun m ->
-      let stable = Ctmc.Walker.enabled_instantaneous model m = [] in
-      Array.iter
-        (fun (a : San.Activity.t) ->
-          if
-            a.enabled m && (stable || San.Activity.is_instantaneous a)
-          then begin
-            let weights =
-              if Array.length a.cases > 1 then
-                Array.map
-                  (fun (c : San.Activity.case) -> c.case_weight m)
-                  a.cases
-              else [| 1.0 |]
-            in
-            Array.iteri
-              (fun case (c : San.Activity.case) ->
-                if weights.(case) > 0.0 then begin
-                  let record m' =
-                    fired.(a.id) <- true;
-                    let delta = San.Marking.diff ~before:m m' in
-                    let fd = San.Marking.float_changed ~before:m m' in
-                    Hashtbl.replace seen (a.id, case, delta, fd) ()
-                  in
-                  let mc = San.Marking.copy m in
-                  match
-                    San.Effect.outcomes ~ctx c.San.Activity.effect mc
-                  with
-                  | outs -> List.iter (fun (_, m') -> record m') outs
-                  | exception Invalid_argument _ ->
-                      (* Negative marking: an A003, reported by the
-                         negative-write pass; no mode to record. *)
-                      ()
-                  | exception San.Effect.Too_many_outcomes -> (
-                      (* Fork tree too wide to enumerate: record the one
-                         outcome a sampled application produces. *)
-                      let mc = San.Marking.copy m in
-                      match San.Effect.apply ctx c.San.Activity.effect mc with
-                      | () -> record mc
-                      | exception Invalid_argument _ -> ()
-                      | exception Failure _ -> ())
-                end)
-              a.cases
-          end)
-        acts)
-    space.Space.markings;
-  let keys =
-    Hashtbl.fold (fun k () acc -> k :: acc) seen []
-    |> List.sort Stdlib.compare
-  in
-  (* Label modes uniquely: activity name, "/cN" when the activity has
-     several cases, "/vN" when one case produced several deltas. *)
-  let variants = Hashtbl.create 16 in
-  List.iter
-    (fun (id, case, _, _) ->
-      let n = Option.value ~default:0 (Hashtbl.find_opt variants (id, case)) in
-      Hashtbl.replace variants (id, case) (n + 1))
-    keys;
-  let ordinal = Hashtbl.create 16 in
-  let modes =
-    List.map
-      (fun (id, case, delta, fd) ->
-        let a = acts.(id) in
-        let label = a.San.Activity.name in
-        let label =
-          if Array.length a.San.Activity.cases > 1 then
-            Printf.sprintf "%s/c%d" label case
-          else label
-        in
-        let label =
-          if Hashtbl.find variants (id, case) > 1 then begin
-            let n =
-              Option.value ~default:0 (Hashtbl.find_opt ordinal (id, case))
-            in
-            Hashtbl.replace ordinal (id, case) (n + 1);
-            Printf.sprintf "%s/v%d" label n
-          end
-          else label
-        in
-        {
-          act_id = id;
-          activity = a.San.Activity.name;
-          case;
-          label;
-          delta;
-          float_delta = fd;
-        })
-      keys
-  in
-  (Array.of_list modes, fired)
-
-(* {2 Exact mode extraction}
-
-   For pure-IR models the delta rows are read off the effect syntax
-   trees: one row per guard-specialized [Ops] block ([Symbolic.read_case]).
+   The delta rows are read off the effect syntax trees: one row per
+   guard-specialized [Ops] block ([Symbolic.read_case]).
    No marking is fired. Alongside the rows we collect everything the
    traversal proves statically: unresolved places, per-row completeness
    (for T-semiflow soundness), dead branches (A014) and resolved
@@ -175,7 +73,7 @@ type exact_extra = {
       (** activity, case, place, delta < 0, guard-pinned prior *)
 }
 
-let extract_modes_exact (space : Space.t) =
+let read_modes (space : Space.t) =
   let model = space.Space.model in
   let acts = San.Model.activities model in
   let n_int =
@@ -458,20 +356,7 @@ let farkas ~n_cols ~max_rows rows =
 let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
     ?(max_basis_places = 64) (space : Space.t) =
   let model = space.Space.model in
-  let exact = San.Model.pure_ir model in
-  let modes, fired, extra =
-    if exact then extract_modes_exact space
-    else
-      let modes, fired = extract_modes space in
-      ( modes,
-        fired,
-        {
-          ex_unresolved = [];
-          ex_incomplete = Array.make (Array.length modes) false;
-          ex_dead = [];
-          ex_decs = [];
-        } )
-  in
+  let modes, fired, extra = read_modes space in
   let initial =
     San.Marking.int_snapshot (San.Model.initial_marking model)
   in
@@ -551,9 +436,9 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
       in
       (* T-semiflows: one row per marking-changing mode over the active
          place columns. Modes with an empty delta are trivially
-         repetitive and excluded as noise; in exact mode, rows of a
-         case with unresolved writes are incomplete and excluded —
-         a firing-count claim over them would be unsound. *)
+         repetitive and excluded as noise; rows of a case with
+         unresolved writes are incomplete and excluded — a firing-count
+         claim over them would be unsound. *)
       let trows = ref [] in
       Array.iteri
         (fun pos md ->
@@ -581,37 +466,16 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
                 })
               ps
           in
-          (* Under observed sampling the mode set may be incomplete, so
-             a computed semiflow can be spurious: require every flow to
-             hold on every collected (reachable) marking, which refutes
-             and drops the spurious ones. Exact rows cover every firing
-             by construction, so exact-mode flows need no filtering. *)
-          let flows =
-            if exact then flows
-            else
-              List.filter
-                (fun f ->
-                  List.for_all
-                    (fun snap ->
-                      List.fold_left
-                        (fun s (i, k) -> s + (k * snap.(i)))
-                        0 f.flow_terms
-                      = f.flow_value)
-                    snapshots)
-                flows
-          in
           (None, flows, ts)
       | Error why, _ | _, Error why -> (Some why, [], [])
     end
   in
   (* {3 Declared laws}
 
-     Exact path: a law already implied by the computed invariant basis
-     needs no second pass (satellite fix — the certificate says so);
-     otherwise the symbolic drift interpreter proves it per case, and
-     only if some case defeats the interpreter do we fall back to
-     validating on the space's markings. Observed path: the historical
-     per-mode drift check. *)
+     A law already implied by the computed invariant basis needs no
+     second pass (the certificate says so); otherwise the symbolic drift
+     interpreter proves it per case, and only if some case defeats the
+     interpreter do we fall back to validating on the space's markings. *)
   let law_terms_of l =
     List.map (fun (p, k) -> (San.Place.index p, k)) l.law_terms
     |> List.sort Stdlib.compare
@@ -660,135 +524,95 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
              candidate law_rat
   in
   let laws =
-    if exact then begin
-      let reports =
-        List.map
-          (fun l ->
-            let terms = law_terms_of l in
-            let value =
-              List.fold_left (fun s (i, k) -> s + (k * initial.(i))) 0 terms
-            in
-            (l, terms, value, implied_by_basis terms))
-          laws
-      in
-      (* One symbolic sweep proves every not-yet-implied law at once. *)
-      let pending =
-        List.filter (fun (_, _, _, implied) -> not implied) reports
-      in
-      let pending_terms =
-        Array.of_list (List.map (fun (_, t, _, _) -> t) pending)
-      in
-      let violations = Array.make (List.length pending) [] in
-      let unproven = Array.make (List.length pending) [] in
-      if pending <> [] then
-        Array.iter
-          (fun (a : San.Activity.t) ->
-            Array.iteri
-              (fun case (c : San.Activity.case) ->
-                let verdicts =
-                  Symbolic.case_drifts ~n_int ~guard:a.San.Activity.guard
-                    pending_terms c.San.Activity.effect
-                in
-                Array.iteri
-                  (fun li v ->
-                    match v with
-                    | Symbolic.Proven -> ()
-                    | Symbolic.Drift d ->
-                        violations.(li) <-
-                          (a.San.Activity.name, case, d) :: violations.(li)
-                    | Symbolic.Unproven why ->
-                        unproven.(li) <-
-                          (a.San.Activity.name, case, why) :: unproven.(li))
-                  verdicts)
-              a.San.Activity.cases)
-          (San.Model.activities model);
-      let li = ref (-1) in
-      List.map
-        (fun (l, terms, value, implied) ->
-          if implied then
-            {
-              lr_name = l.law_name;
-              lr_terms = terms;
-              lr_value = value;
-              lr_violations = [];
-              lr_how = "implied by the invariant basis; re-validation skipped";
-              lr_unproven = [];
-            }
-          else begin
-            incr li;
-            let vs = List.rev violations.(!li) in
-            let unp = List.rev unproven.(!li) in
-            let vs, how =
-              if unp = [] then
-                (vs, "proven symbolically over the effect IR")
-              else begin
-                (* Backstop: the symbolic engine gave up on some case —
-                   validate the law on every collected marking so a
-                   plainly broken law is still reported. *)
-                let marking_bad =
-                  List.exists
-                    (fun snap ->
-                      List.fold_left
-                        (fun s (i, k) -> s + (k * snap.(i)))
-                        0 terms
-                      <> value)
-                    snapshots
-                in
-                ( (if marking_bad then vs @ [ ("(marking)", 0, 0) ] else vs),
-                  Printf.sprintf
-                    "symbolic proof incomplete; validated on %d markings"
-                    (List.length snapshots) )
-              end
-            in
-            {
-              lr_name = l.law_name;
-              lr_terms = terms;
-              lr_value = value;
-              lr_violations = vs;
-              lr_how = how;
-              lr_unproven = unp;
-            }
-          end)
-        reports
-    end
-    else
+    let reports =
       List.map
         (fun l ->
           let terms = law_terms_of l in
           let value =
             List.fold_left (fun s (i, k) -> s + (k * initial.(i))) 0 terms
           in
-          let violations =
-            Array.fold_left
-              (fun acc md ->
-                let drift =
-                  List.fold_left
-                    (fun s (i, d) ->
-                      match List.assoc_opt i terms with
-                      | Some k -> s + (k * d)
-                      | None -> s)
-                    0 md.delta
-                in
-                if drift = 0 then acc
-                else (md.activity, md.case, drift) :: acc)
-              [] modes
-            |> List.sort_uniq Stdlib.compare
+          (l, terms, value, implied_by_basis terms))
+        laws
+    in
+    (* One symbolic sweep proves every not-yet-implied law at once. *)
+    let pending =
+      List.filter (fun (_, _, _, implied) -> not implied) reports
+    in
+    let pending_terms =
+      Array.of_list (List.map (fun (_, t, _, _) -> t) pending)
+    in
+    let violations = Array.make (List.length pending) [] in
+    let unproven = Array.make (List.length pending) [] in
+    if pending <> [] then
+      Array.iter
+        (fun (a : San.Activity.t) ->
+          Array.iteri
+            (fun case (c : San.Activity.case) ->
+              let verdicts =
+                Symbolic.case_drifts ~n_int ~guard:a.San.Activity.guard
+                  pending_terms c.San.Activity.effect
+              in
+              Array.iteri
+                (fun li v ->
+                  match v with
+                  | Symbolic.Proven -> ()
+                  | Symbolic.Drift d ->
+                      violations.(li) <-
+                        (a.San.Activity.name, case, d) :: violations.(li)
+                  | Symbolic.Unproven why ->
+                      unproven.(li) <-
+                        (a.San.Activity.name, case, why) :: unproven.(li))
+                verdicts)
+            a.San.Activity.cases)
+        (San.Model.activities model);
+    let li = ref (-1) in
+    List.map
+      (fun (l, terms, value, implied) ->
+        if implied then
+          {
+            lr_name = l.law_name;
+            lr_terms = terms;
+            lr_value = value;
+            lr_violations = [];
+            lr_how = "implied by the invariant basis; re-validation skipped";
+            lr_unproven = [];
+          }
+        else begin
+          incr li;
+          let vs = List.rev violations.(!li) in
+          let unp = List.rev unproven.(!li) in
+          let vs, how =
+            if unp = [] then
+              (vs, "proven symbolically over the effect IR")
+            else begin
+              (* Backstop: the symbolic engine gave up on some case —
+                 validate the law on every collected marking so a
+                 plainly broken law is still reported. *)
+              let marking_bad =
+                List.exists
+                  (fun snap ->
+                    List.fold_left
+                      (fun s (i, k) -> s + (k * snap.(i)))
+                      0 terms
+                    <> value)
+                  snapshots
+              in
+              ( (if marking_bad then vs @ [ ("(marking)", 0, 0) ] else vs),
+                Printf.sprintf
+                  "symbolic proof incomplete; validated on %d markings"
+                  (List.length snapshots) )
+            end
           in
           {
             lr_name = l.law_name;
             lr_terms = terms;
             lr_value = value;
-            lr_violations = violations;
-            lr_how =
-              (match space.Space.mode with
-              | Space.Exhaustive -> "proven over the exhaustive mode set"
-              | Space.Sampled ->
-                  Printf.sprintf "validated against modes observed on %d \
-                                  markings"
-                    (List.length snapshots));
-            lr_unproven = [];
-          })
-        laws
+            lr_violations = vs;
+            lr_how = how;
+            lr_unproven = unp;
+          }
+        end)
+      reports
   in
   let structural_bound = Array.make n_int None in
   let apply_flow terms value =
@@ -812,18 +636,15 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
         && List.for_all (fun (_, k) -> k >= 0) lr.lr_terms
       then apply_flow lr.lr_terms lr.lr_value)
     laws;
-  if exact then
-    Array.iteri
-      (fun i b ->
-        match b with
-        | None -> ()
-        | Some b ->
-            structural_bound.(i) <-
-              Some
-                (match structural_bound.(i) with
-                | None -> b
-                | Some x -> min x b))
-      (Symbolic.set_only_bounds model);
+  Array.iteri
+    (fun i b ->
+      match b with
+      | None -> ()
+      | Some b ->
+          structural_bound.(i) <-
+            Some
+              (match structural_bound.(i) with None -> b | Some x -> min x b))
+    (Symbolic.set_only_bounds model);
   (* A015: a resolved decrement that provably under-runs its place —
      the guard-pinned prior already goes negative, or the delta exceeds
      what the structural bound allows the place to hold. *)
@@ -854,7 +675,7 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
       extra.ex_decs
   in
   {
-    incidence = (if exact then Exact else Observed);
+    incidence = Exact;
     space_mode = space.Space.mode;
     n_markings = Space.n_markings space;
     n_int;
@@ -894,22 +715,15 @@ let covered t i =
        t.laws
 
 let sampled_fallbacks t =
-  let incid =
-    match t.incidence with
-    | Exact -> []
-    | Observed ->
-        [ "incidence observed by firing closure effects on sampled markings" ]
-  in
-  incid
-  @ List.filter_map
-      (fun lr ->
-        if lr.lr_unproven = [] then None
-        else
-          Some
-            (Printf.sprintf
-               "law %S: symbolic proof incomplete, validated on markings only"
-               lr.lr_name))
-      t.laws
+  List.filter_map
+    (fun lr ->
+      if lr.lr_unproven = [] then None
+      else
+        Some
+          (Printf.sprintf
+             "law %S: symbolic proof incomplete, validated on markings only"
+             lr.lr_name))
+    t.laws
 
 (* {2 Diagnostics} *)
 
@@ -949,9 +763,9 @@ let diagnostics t =
         lr.lr_violations)
     t.laws;
   (* A010: never in exhaustive space mode — the walk itself bounds
-     every place. In exact mode an uncovered place warns only when the
-     IR proves an increasing delta; a place that is merely written with
-     an unresolved delta gets an informational note. *)
+     every place. An uncovered place warns only when the IR proves an
+     increasing delta; a place that is merely written with an
+     unresolved delta gets an informational note. *)
   if t.space_mode = Space.Sampled && t.flows_skipped = None then
     List.iter
       (fun i ->
@@ -961,35 +775,22 @@ let diagnostics t =
               (fun md -> List.exists (fun (j, d) -> j = i && d > 0) md.delta)
               t.modes
           in
-          match t.incidence with
-          | Observed ->
-              if increasing then
-                out :=
-                  Diagnostic.v ~code:Diagnostic.unbounded_place
-                    ~severity:Diagnostic.Warning
-                    ~source:(Diagnostic.Place t.place_names.(i))
-                    "no covering P-semiflow and some effect increases it; \
-                     sampled exploration cannot bound it (potentially \
-                     unbounded)"
-                  :: !out
-          | Exact ->
-              if increasing then
-                out :=
-                  Diagnostic.v ~code:Diagnostic.unbounded_place
-                    ~severity:Diagnostic.Warning
-                    ~source:(Diagnostic.Place t.place_names.(i))
-                    "no covering P-semiflow or structural bound and the \
-                     effect IR shows an increasing delta (potentially \
-                     unbounded)"
-                  :: !out
-              else if List.mem i t.unresolved then
-                out :=
-                  Diagnostic.v ~code:Diagnostic.unbounded_place
-                    ~severity:Diagnostic.Info
-                    ~source:(Diagnostic.Place t.place_names.(i))
-                    "written with a statically unresolved delta and not \
-                     covered by any semiflow or bound; boundedness unknown"
-                  :: !out
+          if increasing then
+            out :=
+              Diagnostic.v ~code:Diagnostic.unbounded_place
+                ~severity:Diagnostic.Warning
+                ~source:(Diagnostic.Place t.place_names.(i))
+                "no covering P-semiflow or structural bound and the effect \
+                 IR shows an increasing delta (potentially unbounded)"
+              :: !out
+          else if List.mem i t.unresolved then
+            out :=
+              Diagnostic.v ~code:Diagnostic.unbounded_place
+                ~severity:Diagnostic.Info
+                ~source:(Diagnostic.Place t.place_names.(i))
+                "written with a statically unresolved delta and not covered \
+                 by any semiflow or bound; boundedness unknown"
+              :: !out
         end)
       t.active;
   t.ir_diags @ !out
@@ -1005,21 +806,10 @@ let pp_terms ppf (names, terms) =
     terms
 
 let pp ppf t =
-  (match t.incidence with
-  | Exact ->
-      Format.fprintf ppf
-        "structural certificate (exact: incidence derived symbolically \
-         from the effect IR; %d markings sampled for validation)@."
-        t.n_markings
-  | Observed ->
-      let mode_s, verb =
-        match t.space_mode with
-        | Space.Exhaustive -> ("exhaustive", "proven over all")
-        | Space.Sampled -> ("sampled", "validated on")
-      in
-      Format.fprintf ppf
-        "structural certificate (%s: incidence %s %d markings)@." mode_s verb
-        t.n_markings);
+  Format.fprintf ppf
+    "structural certificate (exact: incidence derived symbolically from \
+     the effect IR; %d markings sampled for validation)@."
+    t.n_markings;
   (match t.unresolved with
   | [] -> ()
   | us ->
@@ -1129,9 +919,7 @@ let to_json t =
   let labels = Array.map (fun md -> md.label) t.modes in
   Obj
     [
-      ( "incidence",
-        Str (match t.incidence with Exact -> "exact" | Observed -> "observed")
-      );
+      ("incidence", Str (incidence_name t.incidence));
       ( "mode",
         Str
           (match t.space_mode with

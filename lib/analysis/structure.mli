@@ -2,30 +2,17 @@
     certificates, boundedness.
 
     Classic Petri-net structure theory applied to SAN models. The
-    incidence matrix is obtained one of two ways, recorded in
-    {!incidence}:
-
-    {ul
-    {- {b Exact} — for {!San.Model.pure_ir} models the delta rows are
-       read off the effect IR syntax trees by {!Symbolic.read_case}:
-       one row per guard-specialized [Ops] block, covering {e every}
-       marking change any firing can produce, with no marking
-       enumeration and no sampling. Places whose delta cannot be
-       resolved statically are listed in [unresolved] and receive a
-       synthetic unit row, which soundly forces their coefficient to
-       zero in every semiflow. Declared laws are verified symbolically
-       ({!Symbolic.case_drifts}) or recognized as implied by the
-       computed invariant basis, in which case the redundant
-       re-validation pass is skipped and the certificate says so.}
-    {- {b Observed} — models containing [Opaque] closure effects fall
-       back to the historical scheme: every enabled (activity, case)
-       pair is fired on a copy of every marking in a {!Space.t} and
-       the distinct net marking changes — the {e modes} of the
-       high-level net — are collected via {!San.Marking.diff}. On an
-       {!Space.Exhaustive} space the mode set is complete for the
-       reachable behavior; on a {!Space.Sampled} space certificates
-       are validated against the observed sample only, and the report
-       says so.}}
+    incidence matrix is read off the effect IR syntax trees by
+    {!Symbolic.read_case}: one delta row — a {e mode} of the high-level
+    net — per guard-specialized [Ops] block, covering {e every} marking
+    change any firing can produce, with no marking enumeration and no
+    sampling. Places whose delta cannot be resolved statically are
+    listed in [unresolved] and receive a synthetic unit row, which
+    soundly forces their coefficient to zero in every semiflow.
+    Declared laws are verified symbolically ({!Symbolic.case_drifts})
+    or recognized as implied by the computed invariant basis, in which
+    case the redundant re-validation pass is skipped and the
+    certificate says so.
 
     From the mode matrix [C] (places x modes) the analysis computes:
 
@@ -42,7 +29,8 @@
        ({!Rat});}
     {- {b boundedness certificates}: a structural bound
        [y . M0 / y_p] for every place covered by a semiflow, plus the
-       observed maximum (an exhaustion proof in exhaustive mode);}
+       maximum over the space's markings (an exhaustion proof in
+       exhaustive mode);}
     {- verification of caller-{b declared} conservation laws (e.g.
        {!Itua.Invariant.conservation_laws}) against every mode, the
        basis of the A012 diagnostic and of the [itua_sim check
@@ -56,7 +44,9 @@
 
 type incidence =
   | Exact  (** delta rows read symbolically off the effect IR *)
-  | Observed  (** delta rows observed by firing effects on markings *)
+  | Observed
+      (** delta rows observed by firing closure effects on markings; no
+          longer produced — {!analyse} always yields [Exact] *)
 
 type law = {
   law_name : string;
@@ -71,15 +61,16 @@ type mode = {
   activity : string;
   case : int;
   label : string;
-      (** unique display label: activity name, plus [/cN] for case N > 0
-          and [/vN] when one case shows several distinct deltas *)
+      (** unique display label: activity name, plus [/cN] when the
+          activity has several cases and [/aN] when one case has several
+          delta rows *)
   delta : (int * int) list;
       (** net int-place change [(index, change)], ascending index,
           unchanged places omitted *)
   float_delta : bool;  (** the firing changed some float place *)
 }
-(** One observed net effect of an (activity, case) pair. A
-    marking-dependent effect can contribute several modes. *)
+(** One net effect of an (activity, case) pair. A branching effect
+    contributes one mode per [Ops] block. *)
 
 type flow = {
   flow_terms : (int * int) list;
@@ -97,13 +88,13 @@ type law_report = {
   lr_terms : (int * int) list;  (** [(int place index, coefficient)] *)
   lr_value : int;  (** weighted sum at the initial marking *)
   lr_violations : (string * int * int) list;
-      (** [(activity, case, drift)] for every mode (or, exactly, every
-          symbolically derived constant drift) that changes the
-          weighted sum; empty means the law holds *)
+      (** [(activity, case, drift)] for every symbolically derived
+          constant drift that changes the weighted sum; empty means the
+          law holds *)
   lr_how : string;
       (** how the verdict was reached: symbolic proof, implication by
-          the invariant basis (re-validation skipped), exhaustive mode
-          check, or sampled validation *)
+          the invariant basis (re-validation skipped), or validation on
+          the space's markings when the proof is incomplete *)
   lr_unproven : (string * int * string) list;
       (** [(activity, case, reason)] for cases the symbolic engine
           could not decide; such laws fall back to marking validation
@@ -111,15 +102,14 @@ type law_report = {
 }
 
 type t = {
-  incidence : incidence;
+  incidence : incidence;  (** always [Exact] *)
   space_mode : Space.mode;
-  n_markings : int;  (** markings the modes were extracted from *)
+  n_markings : int;  (** markings sampled for validation *)
   n_int : int;  (** int places (marking-array slots) *)
   place_names : string array;  (** by int place index *)
   initial : int array;  (** [M0], by int place index *)
-  modes : mode array;  (** sorted by (activity id, case, delta) *)
-  fired : bool array;
-      (** by activity id: some case executed without raising *)
+  modes : mode array;  (** in activity, case and [Ops]-block order *)
+  fired : bool array;  (** by activity id: the activity has a case *)
   active : int list;  (** int places some mode changes, ascending *)
   constant : int list;
       (** int places no mode changes — trivially conserved *)
@@ -140,15 +130,17 @@ type t = {
   structural_bound : int option array;
       (** by int place index: best bound [flow_value / coeff] over
           covering semiflows, verified non-negative declared laws and
-          (exact mode) {!Symbolic.set_only_bounds} *)
+          {!Symbolic.set_only_bounds} *)
   unresolved : int list;
-      (** exact mode: ascending int place indexes written with a
-          statically unresolvable delta; always [[]] in observed mode *)
+      (** ascending int place indexes written with a statically
+          unresolvable delta *)
   ir_diags : Diagnostic.t list;
-      (** exact mode: A014 (statically dead branch) and A015
-          (negative-capable delta) findings, returned by
-          {!diagnostics} *)
+      (** A014 (statically dead branch) and A015 (negative-capable
+          delta) findings, returned by {!diagnostics} *)
 }
+
+val incidence_name : incidence -> string
+(** ["exact"] or ["observed"], as the reports spell it. *)
 
 val analyse :
   ?laws:law list ->
@@ -157,15 +149,10 @@ val analyse :
   ?max_basis_places:int ->
   Space.t ->
   t
-(** [analyse space] extracts the delta rows and computes every
-    certificate. {!San.Model.pure_ir} models take the exact path
-    ({!Symbolic.read_case}); others fall back to observed extraction,
-    whose firing discipline matches the executor (and
-    {!Passes.gather}): timed activities fire at stable markings,
-    instantaneous ones at vanishing markings, cases with non-positive
-    weight are skipped, and effects raising [Invalid_argument]
-    (negative marking — an A003) contribute no mode. Semiflow
-    enumeration is skipped when there are more than [max_flow_modes]
+(** [analyse space] reads the delta rows off the effect IR
+    ({!Symbolic.read_case}) and computes every certificate; the space's
+    markings serve only for [observed_max] and as a backstop when a
+    law's symbolic proof is incomplete. Semiflow enumeration is skipped when there are more than [max_flow_modes]
     (default 512) rows or when Farkas' elimination exceeds
     [max_flow_rows] (default 4096) rows; the rational basis is
     computed when at most [max_basis_places] (default 64) places are
@@ -180,21 +167,21 @@ val covered : t -> int -> bool
 
 val sampled_fallbacks : t -> string list
 (** The exactness gate: every way this certificate falls short of a
-    symbolic proof — observed incidence (closure effects), and
-    declared laws whose symbolic proof was incomplete. Cap aborts
+    symbolic proof — declared laws whose symbolic proof was
+    incomplete. Cap aborts
     ([flows_skipped]) and a sampled marking space do {e not} count:
     they limit optional enumeration and liveness coverage, not the
-    exactness of the incidence or law verdicts. Empty for a fully
-    exact certificate. *)
+    exactness of the law verdicts. Empty for a fully exact
+    certificate. *)
 
 val diagnostics : t -> Diagnostic.t list
 (** The structural diagnostics: A010 (potentially unbounded place —
     never in exhaustive space mode, where the walk itself is a
-    boundedness proof; in exact mode an uncovered place with a proven
-    increasing delta warns while an unresolved-delta-only place is
-    informational), A011 (dead effect: a fired activity whose every
-    delta row changes nothing), A012 (an effect violates a declared
-    conservation law), plus the stashed exact-mode A014/A015 findings.
+    boundedness proof; an uncovered place with a proven increasing
+    delta warns while an unresolved-delta-only place is
+    informational), A011 (dead effect: an activity whose every delta
+    row changes nothing), A012 (an effect violates a declared
+    conservation law), plus the stashed A014/A015 findings.
     Unsorted; {!Check.run} merges and sorts. *)
 
 val pp : Format.formatter -> t -> unit

@@ -287,13 +287,9 @@ let case_drifts ~n_int ~guard (laws : (int * int) list array) (eff : E.t) :
                  else None)
         done;
         d
-    | E.Opaque _ ->
-        Array.fill env 0 n_int None;
-        Array.make nl None
-    | E.Checked { ir; _ } -> go env ir
   in
   let env = Array.init n_int (fun i -> Some (pvar i)) in
-  (match guard with None -> () | Some g -> refine env g);
+  refine env guard;
   let d = go env eff in
   Array.map
     (function
@@ -468,16 +464,9 @@ let read_case ~n_int ~guard (eff : E.t) : case_ir =
           branches;
         List.iter (fun i -> pins.(i) <- None) !written;
         !written
-    | E.Opaque _ ->
-        (* Callers only use atoms on pure effects; be safe anyway. *)
-        for i = 0 to n_int - 1 do
-          Hashtbl.replace unresolved i ()
-        done;
-        []
-    | E.Checked { ir; _ } -> walk pins ir
   in
   let pins = Array.make n_int None in
-  (match guard with None -> () | Some g -> pin_facts pins g);
+  pin_facts pins guard;
   let (_ : int list) = walk pins eff in
   {
     ci_deltas = List.rev !deltas;
@@ -494,45 +483,38 @@ let read_case ~n_int ~guard (eff : E.t) : case_ir =
 let set_only_bounds model =
   let n_int = Array.length (San.Model.places model) in
   let bound = Array.make n_int None in
-  if not (San.Model.pure_ir model) then bound
-  else begin
-    let max_set = Array.make n_int min_int in
-    let spoiled = Array.make n_int false in
-    let rec scan (eff : E.t) =
-      match eff with
-      | E.Skip -> ()
-      | E.Ops ops ->
-          List.iter
-            (fun (op : E.op) ->
-              match op with
-              | E.Set (p, E.Int k) ->
-                  let i = San.Place.index p in
-                  if k > max_set.(i) then max_set.(i) <- k
-              | E.Set (p, _) | E.Inc (p, _) ->
-                  spoiled.(San.Place.index p) <- true
-              | E.FSet _ | E.FInc _ -> ())
-            ops
-      | E.Seq es -> List.iter scan es
-      | E.If (_, a, b) ->
-          scan a;
-          scan b
-      | E.Pick branches -> List.iter (fun (_, e) -> scan e) branches
-      | E.Opaque _ -> Array.fill spoiled 0 n_int true
-      | E.Checked { ir; _ } -> scan ir
-    in
-    Array.iter
-      (fun (a : San.Activity.t) ->
-        Array.iter
-          (fun (c : San.Activity.case) -> scan c.San.Activity.effect)
-          a.San.Activity.cases)
-      (San.Model.activities model);
-    let initial =
-      San.Marking.int_snapshot (San.Model.initial_marking model)
-    in
-    Array.iteri
-      (fun i _ ->
-        if not spoiled.(i) then
-          bound.(i) <- Some (max initial.(i) (max max_set.(i) initial.(i))))
-      bound;
-    bound
-  end
+  let max_set = Array.make n_int min_int in
+  let spoiled = Array.make n_int false in
+  let rec scan (eff : E.t) =
+    match eff with
+    | E.Skip -> ()
+    | E.Ops ops ->
+        List.iter
+          (fun (op : E.op) ->
+            match op with
+            | E.Set (p, E.Int k) ->
+                let i = San.Place.index p in
+                if k > max_set.(i) then max_set.(i) <- k
+            | E.Set (p, _) | E.Inc (p, _) ->
+                spoiled.(San.Place.index p) <- true
+            | E.FSet _ | E.FInc _ -> ())
+          ops
+    | E.Seq es -> List.iter scan es
+    | E.If (_, a, b) ->
+        scan a;
+        scan b
+    | E.Pick branches -> List.iter (fun (_, e) -> scan e) branches
+  in
+  Array.iter
+    (fun (a : San.Activity.t) ->
+      Array.iter
+        (fun (c : San.Activity.case) -> scan c.San.Activity.effect)
+        a.San.Activity.cases)
+    (San.Model.activities model);
+  let initial = San.Marking.int_snapshot (San.Model.initial_marking model) in
+  Array.iteri
+    (fun i _ ->
+      if not spoiled.(i) then
+        bound.(i) <- Some (max initial.(i) (max max_set.(i) initial.(i))))
+    bound;
+  bound

@@ -1,9 +1,8 @@
 (** Exact symbolic reading of {!San.Effect} IR terms.
 
-    For closure-free (pure-IR) models the incidence structure does not
-    have to be observed by firing effects on sampled markings: it can be
-    read off the IR syntax tree. This module provides the three exact
-    readings {!Structure} builds its certificates from:
+    The incidence structure of a model is read off the IR syntax tree,
+    never observed by firing effects on markings. This module provides
+    the three exact readings {!Structure} builds its certificates from:
 
     {ul
     {- {b Atoms} ({!read_case}): every [Ops] block of a case effect,
@@ -37,7 +36,7 @@ type verdict =
 
 val case_drifts :
   n_int:int ->
-  guard:San.Effect.cond option ->
+  guard:San.Effect.cond ->
   (int * int) list array ->
   San.Effect.t ->
   verdict array
@@ -60,18 +59,12 @@ type case_ir = {
           every resolved decrement — A015 input *)
 }
 
-val read_case :
-  n_int:int -> guard:San.Effect.cond option -> San.Effect.t -> case_ir
-(** Exact atom extraction for one case effect. Callers should only rely
-    on the result when the effect {!San.Effect.is_pure}; [Opaque] nodes
-    make every place unresolvable and are reported as a dead end in
-    [ci_unresolved] by the caller's own means. *)
+val read_case : n_int:int -> guard:San.Effect.cond -> San.Effect.t -> case_ir
+(** Exact atom extraction for one case effect. *)
 
 val set_only_bounds : San.Model.t -> int option array
 (** Per int place index: an upper bound valid in every reachable
     marking, derived purely from write shapes — a place whose every
     write anywhere in the model is [Set p (Int k)] can never exceed
     [max(initial, max k)]. [None] where no such bound exists (any
-    increment, computed set, or opaque closure that could write it).
-    Exact only for {!San.Model.pure_ir} models; on mixed models every
-    entry is [None]. *)
+    increment or computed set that could write it). *)

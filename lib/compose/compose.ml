@@ -50,28 +50,6 @@ module Ctx = struct
         (Printf.sprintf "Compose.Ctx.note: duplicate parameter %S" key);
     ctx.node.node_params <- (key, value) :: ctx.node.node_params
 
-  let timed ctx ~name ?policy ~dist ~enabled ~reads cases =
-    let name = qualify ctx name in
-    record_activity ctx name;
-    San.Model.Builder.timed ctx.b ~name ?policy ~dist ~enabled ~reads cases
-
-  let timed_exp ctx ~name ?policy ~rate ~enabled ~reads effect =
-    let name = qualify ctx name in
-    record_activity ctx name;
-    San.Model.Builder.timed_exp ctx.b ~name ?policy ~rate ~enabled ~reads
-      effect
-
-  let timed_exp_cases ctx ~name ?policy ~rate ~enabled ~reads cases =
-    let name = qualify ctx name in
-    record_activity ctx name;
-    San.Model.Builder.timed_exp_cases ctx.b ~name ?policy ~rate ~enabled
-      ~reads cases
-
-  let instantaneous ctx ~name ~enabled ~reads effect =
-    let name = qualify ctx name in
-    record_activity ctx name;
-    San.Model.Builder.instantaneous ctx.b ~name ~enabled ~reads effect
-
   let timed_exp_rate_ir ctx ~name ?policy ~rate ~guard ~reads effect =
     let name = qualify ctx name in
     record_activity ctx name;

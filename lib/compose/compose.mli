@@ -41,50 +41,12 @@ module Ctx : sig
 
   val float_place : t -> ?init:float -> string -> San.Place.fl
 
-  val timed :
-    t ->
-    name:string ->
-    ?policy:San.Activity.policy ->
-    dist:(San.Marking.t -> Dist.t) ->
-    enabled:(San.Marking.t -> bool) ->
-    reads:San.Place.any list ->
-    San.Activity.case list ->
-    unit
+  (** {2 Activities}
 
-  val timed_exp :
-    t ->
-    name:string ->
-    ?policy:San.Activity.policy ->
-    rate:(San.Marking.t -> float) ->
-    enabled:(San.Marking.t -> bool) ->
-    reads:San.Place.any list ->
-    (San.Activity.ctx -> San.Marking.t -> unit) ->
-    unit
-
-  val timed_exp_cases :
-    t ->
-    name:string ->
-    ?policy:San.Activity.policy ->
-    rate:(San.Marking.t -> float) ->
-    enabled:(San.Marking.t -> bool) ->
-    reads:San.Place.any list ->
-    (float * (San.Activity.ctx -> San.Marking.t -> unit)) list ->
-    unit
-
-  val instantaneous :
-    t ->
-    name:string ->
-    enabled:(San.Marking.t -> bool) ->
-    reads:San.Place.any list ->
-    (San.Activity.ctx -> San.Marking.t -> unit) ->
-    unit
-
-  (** {2 Declarative (IR) activities}
-
-      Namespaced counterparts of the {!San.Model.Builder} IR entry
-      points: guard, rate and effect are declarative data, so composed
-      submodels built through these are serializable and exactly
-      analyzable (including the orbit pass of [Analysis.Orbit]). *)
+      Namespaced counterparts of the {!San.Model.Builder} entry points:
+      guard, rate and effect are declarative data, so composed submodels
+      built through these are serializable and exactly analyzable
+      (including the orbit pass of [Analysis.Orbit]). *)
 
   val timed_exp_rate_ir :
     t ->

@@ -70,7 +70,7 @@ let explore ?(max_states = 200_000) ?(canon = fun k -> k) ?(audit = false)
   let pool = Walker.Pool.create () in
   let frontier = Queue.create () in
   (* Lumpability audit: a sound canon maps a state and its representative
-     to identical one-step behaviour over canonical classes. Checked on
+     to identical one-step behaviour over canonical classes. Verified on
      every distinct pre-canon key whose representative differs. *)
   let successors_by_class m =
     let tbl = Hashtbl.create 16 in

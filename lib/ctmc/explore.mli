@@ -7,10 +7,9 @@
     through chains of instantaneous firings), and every timed activity
     must be exponentially distributed in every explored marking.
 
-    Limits: effects must be deterministic given the marking (an effect
-    that draws from the random stream raises through
-    {!San.Activity.stream_exn}), and the reachable stable state space must
-    be finite (bounded by [max_states]). *)
+    A {!San.Effect.Pick} forks into its feasible branches with uniform
+    weights, so effects never need a random stream. The reachable stable
+    state space must be finite (bounded by [max_states]). *)
 
 exception Non_markovian of string
 (** A timed activity had a non-exponential distribution in some reachable
@@ -47,7 +46,7 @@ val explore :
     [canon], when supplied, maps every stable state key to a canonical
     representative before interning — the hook for exact lumping: when
     [canon] picks one representative per orbit of a symmetry of the
-    model (see [Analysis.Symmetry]), the resulting chain is the lumped
+    model (see [Analysis.Orbit.canon]), the resulting chain is the lumped
     quotient and every measure over symmetric reward functions is
     preserved. [canon] must be pure and idempotent on its image; the
     default is the identity.

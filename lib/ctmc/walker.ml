@@ -5,8 +5,6 @@ exception Bad_weights of string
 
 type key = int array * float array
 
-let default_ctx = { San.Activity.time = 0.0; stream = None }
-
 let key_of_marking m =
   (San.Marking.int_snapshot m, San.Marking.float_snapshot m)
 
@@ -42,17 +40,15 @@ let normalized_weights (a : San.Activity.t) m =
    into its feasible branches with uniform weights instead of drawing
    randomness. Consumes [m]; a fan-out past [max_outcomes] becomes
    {!Too_many_states} so callers fall back like any other blow-up. *)
-let case_outcomes ?(ctx = default_ctx) ?(max_outcomes = 4096)
-    (a : San.Activity.t) case m =
-  try San.Effect.outcomes ~ctx ~max_outcomes a.cases.(case).San.Activity.effect m
+let case_outcomes ?(max_outcomes = 4096) (a : San.Activity.t) case m =
+  try San.Effect.outcomes ~max_outcomes a.cases.(case).San.Activity.effect m
   with San.Effect.Too_many_outcomes -> raise (Too_many_states max_outcomes)
 
 (* Resolve a marking into its stable-marking distribution by eliminating
    chains of instantaneous firings: uniform choice among the enabled
    instantaneous activities, case probabilities within each.  A cycle of
    vanishing markings shows up as unbounded recursion depth. *)
-let resolve_vanishing ?(ctx = default_ctx) ?(max_depth = 10_000)
-    ?(max_width = 50_000) ?(charge = fun () -> ()) ?on_vanishing model m0 =
+let resolve_vanishing ?(max_depth = 10_000) ?(max_width = 50_000) ?(charge = fun () -> ()) ?on_vanishing model m0 =
   let acc = Hashtbl.create 8 in
   let width = ref 0 in
   let rec go m prob depth =
@@ -81,7 +77,7 @@ let resolve_vanishing ?(ctx = default_ctx) ?(max_depth = 10_000)
                 if w > 0.0 then
                   List.iter
                     (fun (wo, m') -> go m' (p_act *. w *. wo) (depth + 1))
-                    (case_outcomes ~ctx a case (San.Marking.copy m)))
+                    (case_outcomes a case (San.Marking.copy m)))
               weights)
           enabled
   in
@@ -122,8 +118,8 @@ module Pool = struct
   let get p i = p.arr.(i)
 end
 
-let reachable ?(max_states = 200_000) ?(max_work = 10_000_000)
-    ?(ctx = default_ctx) ?on_vanishing model =
+let reachable ?(max_states = 200_000) ?(max_work = 10_000_000) ?on_vanishing
+    model =
   let pool = Pool.create () in
   let frontier = Queue.create () in
   (* Deterministic effort bound: one unit per vanishing-resolution visit
@@ -144,16 +140,16 @@ let reachable ?(max_states = 200_000) ?(max_work = 10_000_000)
      broken weight function degrades to exploring every case. *)
   let successors_of_case m (a : San.Activity.t) case =
     match
-      case_outcomes ~ctx a case (San.Marking.copy m)
+      case_outcomes a case (San.Marking.copy m)
       |> List.concat_map (fun (_, m') ->
-             resolve_vanishing ~ctx ~charge ?on_vanishing model m')
+             resolve_vanishing ~charge ?on_vanishing model m')
     with
     | keys -> List.iter (fun (k, _) -> intern k) keys
     | exception Invalid_argument _ -> ()
   in
   List.iter
     (fun (k, _) -> intern k)
-    (resolve_vanishing ~ctx ~charge ?on_vanishing model
+    (resolve_vanishing ~charge ?on_vanishing model
        (San.Model.initial_marking model));
   while not (Queue.is_empty frontier) do
     let i = Queue.pop frontier in

@@ -9,11 +9,9 @@
     {e not} exponential: reachability only executes effects, it never
     needs rates.
 
-    The walk is purely analytical: effects run with a caller-supplied
-    {!San.Activity.ctx} (by default one with no random stream, so an
-    effect that draws randomness raises [Failure] through
-    {!San.Activity.stream_exn} — callers catch it and fall back to
-    sampling). Effects that would drive a marking negative raise
+    The walk is purely analytical: a {!San.Effect.Pick} forks into its
+    feasible branches instead of drawing randomness, so no random stream
+    is ever needed. Effects that would drive a marking negative raise
     [Invalid_argument] from {!San.Marking.set}; {!reachable} skips such
     successors so one broken effect does not hide the rest of the
     space. *)
@@ -36,10 +34,6 @@ exception Bad_weights of string
 type key = int array * float array
 (** A stable marking, snapshot as hashable arrays. *)
 
-val default_ctx : San.Activity.ctx
-(** [{ time = 0.0; stream = None }]: the analytical evaluation context —
-    effects that draw randomness raise [Failure]. *)
-
 val key_of_marking : San.Marking.t -> key
 
 val restore : San.Model.t -> key -> San.Marking.t
@@ -54,7 +48,6 @@ val normalized_weights : San.Activity.t -> San.Marking.t -> float array
     the weights sum to zero or less. *)
 
 val case_outcomes :
-  ?ctx:San.Activity.ctx ->
   ?max_outcomes:int ->
   San.Activity.t ->
   int ->
@@ -64,11 +57,9 @@ val case_outcomes :
     an {!San.Effect.Pick} forks into its feasible branches with uniform
     weights instead of drawing randomness, so IR effects never need a
     stream. Consumes [m]. A fan-out beyond [max_outcomes] (default
-    4096) raises {!Too_many_states}; an [Opaque] closure that draws
-    randomness still raises [Failure] via [stream_exn]. *)
+    4096) raises {!Too_many_states}. *)
 
 val resolve_vanishing :
-  ?ctx:San.Activity.ctx ->
   ?max_depth:int ->
   ?max_width:int ->
   ?charge:(unit -> unit) ->
@@ -107,7 +98,6 @@ end
 val reachable :
   ?max_states:int ->
   ?max_work:int ->
-  ?ctx:San.Activity.ctx ->
   ?on_vanishing:(San.Marking.t -> San.Activity.t list -> unit) ->
   San.Model.t ->
   key array

@@ -1,7 +1,3 @@
-type ctx = Effect.ctx = { time : float; stream : Prng.Stream.t option }
-
-let stream_exn = Effect.stream_exn
-
 type policy = Keep | Resample
 
 type dist_ir =
@@ -98,7 +94,7 @@ type t = {
   name : string;
   timing : timing;
   enabled : Marking.t -> bool;
-  guard : Effect.cond option;
+  guard : Effect.cond;
   reads : Place.any list;
   cases : case array;
 }
@@ -112,14 +108,8 @@ let make_case ?weight ?weight_ir effect =
   in
   { case_weight; weight_ir; effect; prog = Effect.compile effect }
 
-let closure_case ?weight ~name run =
-  make_case ?weight (Effect.Opaque { Effect.oname = name; run })
-
 let is_instantaneous a =
   match a.timing with Instantaneous -> true | Timed _ -> false
-
-let pure_ir a =
-  Array.for_all (fun c -> Effect.is_pure c.effect) a.cases
 
 let pp ppf a =
   Format.fprintf ppf "%s(%s)" a.name

@@ -26,12 +26,6 @@
        picks one uniformly at random, matching the "equally likely to fire
        first" convention used throughout the ITUA paper.}} *)
 
-type ctx = Effect.ctx = { time : float; stream : Prng.Stream.t option }
-(** Re-export of {!Effect.ctx} (historical home of the type). *)
-
-val stream_exn : ctx -> Prng.Stream.t
-(** The context's random stream; raises [Failure] in analytical mode. *)
-
 type policy =
   | Keep  (** hold the sampled time while continuously enabled *)
   | Resample  (** re-draw whenever a dependency changes (see above) *)
@@ -90,11 +84,9 @@ type t = {
   name : string;
   timing : timing;
   enabled : Marking.t -> bool;
-  guard : Effect.cond option;
-      (** When present, the declarative form of [enabled] (the two must
-          agree on every marking; builders derive [enabled] from the
-          guard). [None] marks a closure-only enabling predicate, which
-          structural analysis can only observe. *)
+      (** [guard] compiled by {!Effect.cond_fn}; the executor's hot path
+          calls this instead of interpreting [guard]. *)
+  guard : Effect.cond;  (** the enabling predicate *)
   reads : Place.any list;
       (** Every place whose marking can influence [enabled], the firing
           distribution, or the case weights. Omissions make the executor
@@ -111,13 +103,6 @@ val make_case :
     [weight] closure wins and leaves [weight_ir] as passed (default
     [None], i.e. non-portable). *)
 
-val closure_case :
-  ?weight:(Marking.t -> float) -> name:string -> (ctx -> Marking.t -> unit) -> case
-(** Escape hatch: a case whose effect is an {!Effect.Opaque} closure. *)
-
 val is_instantaneous : t -> bool
-
-val pure_ir : t -> bool
-(** Every case effect is closure-free IR (see {!Effect.is_pure}). *)
 
 val pp : Format.formatter -> t -> unit

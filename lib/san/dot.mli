@@ -1,8 +1,7 @@
 (** GraphViz export of a SAN's structure.
 
-    Since gates are opaque OCaml functions, the exported edges are the
-    declared dependency arcs ([reads] lists), which correspond to the
-    input-arc structure of the net. Useful for eyeballing generated
+    The exported edges are the declared dependency arcs ([reads] lists),
+    which correspond to the input-arc structure of the net. Useful for eyeballing generated
     models, e.g. a small ITUA configuration. *)
 
 val to_dot : ?firings:(string * int) list -> Format.formatter -> Model.t -> unit

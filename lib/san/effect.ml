@@ -47,16 +47,12 @@ type op =
   | FSet of Place.fl * fexpr
   | FInc of Place.fl * fexpr
 
-type opaque = { oname : string; run : ctx -> Marking.t -> unit }
-
 type t =
   | Skip
   | Ops of op list
   | Seq of t list
   | If of cond * t * t
   | Pick of (cond * t) list
-  | Opaque of opaque
-  | Checked of { ir : t; reference : opaque }
 
 (* Evaluation *)
 
@@ -121,12 +117,10 @@ let rec apply ctx eff m =
       | [ only ] -> apply ctx only m
       | choices ->
           apply ctx (Prng.Stream.choose_list (stream_exn ctx) choices) m)
-  | Opaque o -> o.run ctx m
-  | Checked { ir; _ } -> apply ctx ir m
 
 exception Too_many_outcomes
 
-let outcomes ?(ctx = null_ctx) ?(max_outcomes = 4096) eff m =
+let outcomes ?(max_outcomes = 4096) eff m =
   let count = ref 1 in
   let rec go eff (w, m) =
     match eff with
@@ -157,22 +151,10 @@ let outcomes ?(ctx = null_ctx) ?(max_outcomes = 4096) eff m =
               (fun e -> go e (wk, Marking.copy m))
               (List.tl choices)
             @ go (List.hd choices) (wk, m))
-    | Opaque o ->
-        o.run ctx m;
-        [ (w, m) ]
-    | Checked { ir; _ } -> go ir (w, m)
   in
   go eff (1.0, m)
 
 (* Static structure *)
-
-let rec is_pure = function
-  | Skip | Ops _ -> true
-  | Seq es -> List.for_all is_pure es
-  | If (_, a, b) -> is_pure a && is_pure b
-  | Pick bs -> List.for_all (fun (_, e) -> is_pure e) bs
-  | Opaque _ -> false
-  | Checked _ -> true
 
 module Uids = Set.Make (Int)
 
@@ -206,7 +188,7 @@ let rec rexpr_reads_acc acc = function
 let rexpr_reads r = Uids.elements (rexpr_reads_acc Uids.empty r)
 
 (* An increment reads its target (Marking.add = get + set), a set does
-   not — matching what the dynamic read/write tracer observes. *)
+   not — matching what [Marking.trace_reads] observes. *)
 let op_reads acc = function
   | Set (_, e) -> iexpr_reads acc e
   | Inc (p, e) -> iexpr_reads (Uids.add (Place.uid p) acc) e
@@ -217,35 +199,27 @@ let op_writes acc = function
   | Set (p, _) | Inc (p, _) -> Uids.add (Place.uid p) acc
   | FSet (p, _) | FInc (p, _) -> Uids.add (Place.fuid p) acc
 
-exception Opaque_found
-
-let static_sets per_op eff =
+let static_reads eff =
   let rec go acc = function
     | Skip -> acc
-    | Ops ops -> List.fold_left per_op acc ops
+    | Ops ops -> List.fold_left op_reads acc ops
     | Seq es -> List.fold_left go acc es
     | If (c, a, b) -> go (go (cond_reads_acc acc c) a) b
     | Pick bs ->
         List.fold_left (fun acc (c, e) -> go (cond_reads_acc acc c) e) acc bs
-    | Opaque _ -> raise Opaque_found
-    | Checked { ir; _ } -> go acc ir
   in
-  match go Uids.empty eff with
-  | s -> Some (Uids.elements s)
-  | exception Opaque_found -> None
+  Uids.elements (go Uids.empty eff)
 
-let static_reads eff = static_sets op_reads eff
-
+(* Write sets must not pick up guard reads. *)
 let static_writes eff =
-  (* write sets must not pick up guard reads *)
-  let rec strip = function
-    | (Skip | Ops _ | Opaque _) as e -> e
-    | Seq es -> Seq (List.map strip es)
-    | If (_, a, b) -> If (Const true, strip a, strip b)
-    | Pick bs -> Pick (List.map (fun (_, e) -> (Const true, strip e)) bs)
-    | Checked { ir; reference } -> Checked { ir = strip ir; reference }
+  let rec go acc = function
+    | Skip -> acc
+    | Ops ops -> List.fold_left op_writes acc ops
+    | Seq es -> List.fold_left go acc es
+    | If (_, a, b) -> go (go acc a) b
+    | Pick bs -> List.fold_left (fun acc (_, e) -> go acc e) acc bs
   in
-  static_sets (fun acc op -> op_writes acc op) (strip eff)
+  Uids.elements (go Uids.empty eff)
 
 (* Compilation *)
 
@@ -269,7 +243,6 @@ type prog =
   | PSeq of prog array
   | PIf of pcond * prog * prog
   | PPick of (pcond * prog) array
-  | PRun of opaque
 
 let rec const_iexpr = function
   | Int k -> Some k
@@ -345,8 +318,6 @@ let rec compile eff =
   | Pick bs ->
       PPick
         (Array.of_list (List.map (fun (c, e) -> (compile_cond c, compile e)) bs))
-  | Opaque o -> PRun o
-  | Checked { ir; _ } -> compile ir
 
 let pcond_holds m = function
   | KConst b -> b
@@ -390,7 +361,6 @@ let rec run_prog ctx prog m =
       | [ only ] -> run_prog ctx only m
       | choices ->
           run_prog ctx (Prng.Stream.choose_list (stream_exn ctx) choices) m)
-  | PRun o -> o.run ctx m
 
 (* Guards sit on the executor's re-evaluation hot path, so compile the
    condition tree to nested closures instead of interpreting it: small
@@ -523,6 +493,3 @@ let rec pp ppf = function
            (fun ppf (c, e) ->
              Format.fprintf ppf "@[<hv 2>%a ->@ %a@]" pp_cond c pp e))
         bs
-  | Opaque o -> Format.fprintf ppf "<opaque:%s>" o.oname
-  | Checked { ir; reference } ->
-      Format.fprintf ppf "@[<v 2>checked(%s) {@ %a@]@ }" reference.oname pp ir

@@ -1,12 +1,8 @@
 (** Declarative effect IR.
 
-    Activity effects were historically opaque OCaml closures
-    [ctx -> Marking.t -> unit]. Closures can only be {e observed}: the
-    analysis layer had to fire every (activity, case) pair on copies of
-    every visited marking and degrade to sampled fallbacks whenever an
-    effect drew randomness. This module replaces them with a small
-    declarative IR — integer/float expressions over the marking,
-    set/increment ops, marking-guarded branches, and uniform picks — that
+    Activity effects are terms of a small declarative IR — integer/float
+    expressions over the marking, set/increment ops, marking-guarded
+    branches, and uniform picks — that
 
     {ul
     {- the executor compiles to flat arc/delta arrays applied without
@@ -15,22 +11,14 @@
        marking enumeration, no sampled modes);}
     {- analytical exploration enumerates without randomness: a [Pick]
        forks into its feasible branches with uniform weights
-       ({!outcomes}).}}
-
-    Closures remain available as an explicit {!Opaque} escape hatch (the
-    model keeps simulating, but analysis falls back to observation for
-    that effect), and [Checked] pairs an IR term with a reference closure
-    so the analysis layer can replay both and report divergence (A016). *)
+       ({!outcomes}).}} *)
 
 type ctx = { time : float; stream : Prng.Stream.t option }
 (** Firing context: current simulation time and, in simulation mode, the
-    replication's random stream. Analytical (CTMC) exploration passes
-    [None]; an effect that needs randomness must obtain it via
-    {!stream_exn}, which makes non-enumerable models fail loudly rather
-    than silently linearize. *)
-
-val stream_exn : ctx -> Prng.Stream.t
-(** The context's random stream; raises [Failure] in analytical mode. *)
+    replication's random stream, from which a [Pick] with several
+    feasible branches draws. Without a stream ([None]) such a [Pick]
+    raises [Failure]; analytical exploration uses {!outcomes}
+    instead. *)
 
 val null_ctx : ctx
 (** [{ time = 0.; stream = None }] — for analytical evaluation. *)
@@ -80,10 +68,6 @@ type op =
   | FSet of Place.fl * fexpr
   | FInc of Place.fl * fexpr
 
-type opaque = { oname : string; run : ctx -> Marking.t -> unit }
-(** Escape hatch: a named closure. Analysis treats it as unobservable
-    and degrades to observation for the enclosing effect. *)
-
 type t =
   | Skip
   | Ops of op list  (** executed in order (journal order matters) *)
@@ -95,11 +79,6 @@ type t =
           feasible branch short-circuits without consuming randomness
           (matching the historical [choose_list] idiom); otherwise one
           random draw selects uniformly among the feasible branches. *)
-  | Opaque of opaque
-  | Checked of { ir : t; reference : opaque }
-      (** Semantics of [ir]; [reference] is a closure the analysis layer
-          replays differentially against [ir] (diagnostic A016). The
-          executor runs only [ir]. *)
 
 (** {1 Evaluation} *)
 
@@ -112,27 +91,22 @@ val reval : Marking.t -> rexpr -> float
     the same order as {!rexpr_fn}. *)
 
 val apply : ctx -> t -> Marking.t -> unit
-(** Interpret the effect on the marking. [Pick] with zero feasible
-    branches and negative [Set] values raise, mirroring closure-effect
-    error behaviour. *)
+(** Interpret the effect on the marking: the reference semantics the
+    analysis layer uses and {!run_prog} is tested against. [Pick] with
+    zero feasible branches and negative [Set] values raise. *)
 
 exception Too_many_outcomes
 
 val outcomes :
-  ?ctx:ctx -> ?max_outcomes:int -> t -> Marking.t -> (float * Marking.t) list
+  ?max_outcomes:int -> t -> Marking.t -> (float * Marking.t) list
 (** [outcomes t m] applies [t] analytically, forking at every [Pick] with
     more than one feasible branch (uniform weights). The input marking is
     consumed (it becomes one of the results); forked branches work on
     copies whose journals do not extend the input's journal. Weights sum
-    to 1. [Opaque] closures run with [ctx] (default {!null_ctx}).
-    Raises {!Too_many_outcomes} when the fork tree exceeds
+    to 1. Raises {!Too_many_outcomes} when the fork tree exceeds
     [max_outcomes] (default 4096). *)
 
 (** {1 Static structure} *)
-
-val is_pure : t -> bool
-(** No [Opaque] anywhere ([Checked] counts as pure: its executable
-    semantics is the IR term). *)
 
 val cond_reads : cond -> int list
 (** Sorted uids of places the condition reads. *)
@@ -141,14 +115,13 @@ val rexpr_reads : rexpr -> int list
 (** Sorted uids of (int and float) places the rate expression can
     read. *)
 
-val static_reads : t -> int list option
+val static_reads : t -> int list
 (** Sorted uids of places the effect can read (guards, expressions, and
-    [Inc]/[FInc] targets — an increment reads its target, matching the
-    dynamic trace semantics). [None] when the effect contains an
-    [Opaque] closure. *)
+    [Inc]/[FInc] targets — an increment reads its target, matching
+    {!Marking.trace_reads}). *)
 
-val static_writes : t -> int list option
-(** Sorted uids of places the effect can write. [None] on [Opaque]. *)
+val static_writes : t -> int list
+(** Sorted uids of places the effect can write. *)
 
 (** {1 Compilation} *)
 
@@ -173,7 +146,6 @@ type prog =
   | PSeq of prog array
   | PIf of pcond * prog * prog
   | PPick of (pcond * prog) array
-  | PRun of opaque
 
 val compile : t -> prog
 (** Compile once at model-build time; constant expressions are folded and

@@ -6,9 +6,6 @@ type t = {
   mutable tracing : bool;
   mutable reads : int list;
   read_flags : Bytes.t;
-  mutable wtracing : bool;
-  mutable writes : int list;
-  write_flags : Bytes.t;
 }
 
 let create ~ints ~floats =
@@ -20,9 +17,6 @@ let create ~ints ~floats =
     tracing = false;
     reads = [];
     read_flags = Bytes.make (ints + floats) '\000';
-    wtracing = false;
-    writes = [];
-    write_flags = Bytes.make (ints + floats) '\000';
   }
 
 let copy m =
@@ -34,9 +28,6 @@ let copy m =
     tracing = false;
     reads = [];
     read_flags = Bytes.make (Bytes.length m.read_flags) '\000';
-    wtracing = false;
-    writes = [];
-    write_flags = Bytes.make (Bytes.length m.write_flags) '\000';
   }
 
 let record_read m uid =
@@ -63,30 +54,6 @@ let trace_reads m f =
   m.reads <- [];
   (result, reads)
 
-let record_write m uid =
-  if Bytes.get m.write_flags uid = '\000' then begin
-    Bytes.set m.write_flags uid '\001';
-    m.writes <- uid :: m.writes
-  end
-
-let trace_writes m f =
-  if m.wtracing then invalid_arg "Marking.trace_writes: not reentrant";
-  m.wtracing <- true;
-  m.writes <- [];
-  let result =
-    try f ()
-    with e ->
-      m.wtracing <- false;
-      List.iter (fun uid -> Bytes.set m.write_flags uid '\000') m.writes;
-      m.writes <- [];
-      raise e
-  in
-  m.wtracing <- false;
-  let writes = m.writes in
-  List.iter (fun uid -> Bytes.set m.write_flags uid '\000') writes;
-  m.writes <- [];
-  (result, writes)
-
 let record m uid =
   if Bytes.get m.journalled uid = '\000' then begin
     Bytes.set m.journalled uid '\001';
@@ -98,7 +65,6 @@ let get m p =
   m.ints.(Place.index p)
 
 let set m p v =
-  if m.wtracing then record_write m (Place.uid p);
   if v < 0 then
     invalid_arg
       (Printf.sprintf "Marking.set: place %s would become negative (%d)"
@@ -115,7 +81,6 @@ let fget m p =
   m.floats.(Place.findex p)
 
 let fset m p v =
-  if m.wtracing then record_write m (Place.fuid p);
   if m.floats.(Place.findex p) <> v then begin
     m.floats.(Place.findex p) <- v;
     record m (Place.fuid p)
@@ -131,18 +96,6 @@ let journal m = m.journal
 
 let int_snapshot m = Array.copy m.ints
 let float_snapshot m = Array.copy m.floats
-
-let diff ~before after =
-  if Array.length before.ints <> Array.length after.ints then
-    invalid_arg "Marking.diff: markings are from different models";
-  let out = ref [] in
-  for i = Array.length before.ints - 1 downto 0 do
-    let d = after.ints.(i) - before.ints.(i) in
-    if d <> 0 then out := (i, d) :: !out
-  done;
-  !out
-
-let float_changed ~before after = before.floats <> after.floats
 
 let equal a b = a.ints = b.ints && a.floats = b.floats
 

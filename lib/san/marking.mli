@@ -37,33 +37,13 @@ val trace_reads : t -> (unit -> 'a) -> 'a * int list
 (** [trace_reads m f] runs [f] while recording which places [f] reads
     through this marking (each uid once), and returns [f]'s result with
     the read set. Used by the [analysis] library to detect activities
-    whose enabling predicate, rate, case weights or effects read places
-    missing from their declared [reads] list. Not reentrant. *)
-
-val trace_writes : t -> (unit -> 'a) -> 'a * int list
-(** [trace_writes m f] runs [f] while recording which places [f] writes
-    through this marking (each uid once), and returns [f]'s result with
-    the write set. Unlike the journal, the trace records {e attempted}
-    writes: a write that leaves the value unchanged (which the journal
-    skips) and the write that raises on a negative marking are both
-    recorded. Not reentrant, but may be nested with {!trace_reads} to
-    observe an effect's reads and writes in one evaluation. *)
+    whose rate or case-weight closures read places missing from their
+    declared [reads] list. Not reentrant. *)
 
 val int_snapshot : t -> int array
 val float_snapshot : t -> float array
 (** Copies of the raw state, used for hashing markings during state-space
     exploration and for invariant checks. *)
-
-val diff : before:t -> t -> (int * int) list
-(** [diff ~before after] is the sparse int-place delta [after - before]:
-    [(index, change)] pairs (marking-array indices, not uids) in
-    ascending index order, omitting unchanged places. The primitive
-    under the [analysis] library's incidence-matrix extraction. Raises
-    [Invalid_argument] when the markings have different shapes. *)
-
-val float_changed : before:t -> t -> bool
-(** [float_changed ~before after]: some float place differs (exact
-    comparison — extraction only needs "touched", not "by how much"). *)
 
 val equal : t -> t -> bool
 val hash : t -> int

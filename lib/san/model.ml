@@ -61,7 +61,17 @@ module Builder = struct
     b.floats <- (p, init) :: b.floats;
     p
 
-  let add_activity b ~name ~timing ~enabled ~guard ~reads cases =
+  let check_weight name w =
+    if w < 0.0 then
+      invalid_arg
+        (Printf.sprintf
+           "Model.Builder: activity %S has negative case probability" name)
+
+  (* The enabling predicate is a declarative guard, compiled to the
+     [enabled] closure, and effects are [Effect.t] terms, so structural
+     analysis reads the activity exactly. *)
+
+  let activity_ir b ~name ~timing ~guard ~reads cases =
     check_fresh b "activity" b.act_names name;
     if cases = [] then
       invalid_arg
@@ -72,63 +82,13 @@ module Builder = struct
         Activity.id = List.length b.acts;
         name;
         timing;
-        enabled;
+        enabled = Effect.cond_fn guard;
         guard;
         reads;
         cases = Array.of_list cases;
       }
     in
     b.acts <- act :: b.acts
-
-  let activity b ~name ~timing ~enabled ~reads cases =
-    add_activity b ~name ~timing ~enabled ~guard:None ~reads cases
-
-  let timed b ~name ?(policy = Activity.Resample) ~dist ~enabled ~reads cases
-      =
-    activity b ~name
-      ~timing:(Activity.Timed { dist; policy; dist_ir = None })
-      ~enabled ~reads cases
-
-  let opaque_case ?weight ~act_name run =
-    Activity.closure_case ?weight ~name:(act_name ^ ".effect") run
-
-  let one_case ~act_name effect = [ opaque_case ~act_name effect ]
-
-  let timed_exp b ~name ?policy ~rate ~enabled ~reads effect =
-    timed b ~name ?policy
-      ~dist:(fun m -> Dist.Exponential { rate = rate m })
-      ~enabled ~reads
-      (one_case ~act_name:name effect)
-
-  let check_weight name w =
-    if w < 0.0 then
-      invalid_arg
-        (Printf.sprintf
-           "Model.Builder: activity %S has negative case probability" name)
-
-  let timed_exp_cases b ~name ?policy ~rate ~enabled ~reads cases =
-    let cases =
-      List.map
-        (fun (w, effect) ->
-          check_weight name w;
-          opaque_case ~weight:(fun _ -> w) ~act_name:name effect)
-        cases
-    in
-    timed b ~name ?policy
-      ~dist:(fun m -> Dist.Exponential { rate = rate m })
-      ~enabled ~reads cases
-
-  let instantaneous b ~name ~enabled ~reads effect =
-    activity b ~name ~timing:Activity.Instantaneous ~enabled ~reads
-      (one_case ~act_name:name effect)
-
-  (* IR entry points: the enabling predicate is a declarative guard
-     (compiled to the [enabled] closure) and effects are [Effect.t]
-     terms, so structural analysis reads the activity exactly. *)
-
-  let activity_ir b ~name ~timing ~guard ~reads cases =
-    add_activity b ~name ~timing ~enabled:(Effect.cond_fn guard)
-      ~guard:(Some guard) ~reads cases
 
   let timed_ir b ~name ?(policy = Activity.Resample) ~dist ~guard ~reads cases
       =
@@ -266,8 +226,6 @@ let dependents m uid =
   if uid < 0 || uid >= Array.length m.dependents then []
   else
     Array.to_list (Array.map (fun id -> m.activities.(id)) m.dependents.(uid))
-
-let pure_ir m = Array.for_all Activity.pure_ir m.activities
 
 let all_exponential m =
   let mk = initial_marking m in

@@ -24,69 +24,15 @@ module Builder : sig
 
   val float_place : t -> ?init:float -> string -> Place.fl
 
-  val activity :
-    t ->
-    name:string ->
-    timing:Activity.timing ->
-    enabled:(Marking.t -> bool) ->
-    reads:Place.any list ->
-    Activity.case list ->
-    unit
-  (** Declares an activity. At least one case is required; activity names
-      must be unique. *)
+  (** {2 Activities}
 
-  val timed :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    dist:(Marking.t -> Dist.t) ->
-    enabled:(Marking.t -> bool) ->
-    reads:Place.any list ->
-    Activity.case list ->
-    unit
-  (** Timed activity; [policy] defaults to {!Activity.Resample} (see
-      {!Activity.policy} for why that is the safe default under
-      marking-dependent rates). *)
-
-  val timed_exp :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    rate:(Marking.t -> float) ->
-    enabled:(Marking.t -> bool) ->
-    reads:Place.any list ->
-    (Activity.ctx -> Marking.t -> unit) ->
-    unit
-  (** Single-case exponential activity, the most common shape. *)
-
-  val timed_exp_cases :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    rate:(Marking.t -> float) ->
-    enabled:(Marking.t -> bool) ->
-    reads:Place.any list ->
-    (float * (Activity.ctx -> Marking.t -> unit)) list ->
-    unit
-  (** Exponential activity with constant-probability cases, e.g. the
-      three-way attack-class split of [attack_host]. *)
-
-  val instantaneous :
-    t ->
-    name:string ->
-    enabled:(Marking.t -> bool) ->
-    reads:Place.any list ->
-    (Activity.ctx -> Marking.t -> unit) ->
-    unit
-  (** Single-case instantaneous activity. *)
-
-  (** {2 Declarative (IR) activities}
-
-      These variants take an {!Effect.cond} guard instead of an enabling
-      closure (the closure is compiled from the guard) and {!Effect.t}
-      effects, making the activity fully readable by structural
-      analysis. Prefer them; the closure entry points above remain as
-      the escape hatch (their effects are wrapped in {!Effect.Opaque}). *)
+      Every activity takes an {!Effect.cond} guard (its [enabled]
+      closure is compiled from the guard) and {!Effect.t} effects, so
+      structural analysis reads it exactly. Activity names must be
+      unique and at least one case is required; [Invalid_argument]
+      otherwise. Timed activities default to the {!Activity.Resample}
+      policy (see {!Activity.policy} for why that is the safe default
+      under marking-dependent rates). *)
 
   val activity_ir :
     t ->
@@ -203,10 +149,6 @@ val initial_marking : t -> Marking.t
 val dependents : t -> int -> Activity.t list
 (** [dependents model uid] lists the activities that declared the place
     with uid [uid] in their [reads]. *)
-
-val pure_ir : t -> bool
-(** Every case effect of every activity is closure-free IR, i.e. the
-    incidence structure of the whole model is exactly readable. *)
 
 val all_exponential : t -> bool
 (** True when every timed activity's distribution is exponential in every

@@ -9,18 +9,10 @@ let unportable act what =
 
 (* Aggregated portability scan, run before any emission: one [Unportable]
    naming EVERY offending activity with all of its reasons, so a model
-   with several closure escapes is fixed in one round trip instead of
-   one error per attempt. The per-site [unportable] raises in the
-   emitters below remain as backstops but are unreachable after this. *)
-let rec opaque_names (t : San.Effect.t) =
-  match t with
-  | San.Effect.Skip | San.Effect.Ops _ -> []
-  | San.Effect.Seq es -> List.concat_map opaque_names es
-  | San.Effect.If (_, a, b) -> opaque_names a @ opaque_names b
-  | San.Effect.Pick bs -> List.concat_map (fun (_, e) -> opaque_names e) bs
-  | San.Effect.Checked { ir; _ } -> opaque_names ir
-  | San.Effect.Opaque { oname; _ } -> [ oname ]
-
+   with several closure distributions or weights is fixed in one round
+   trip instead of one error per attempt. The per-site [unportable]
+   raises in the emitters below remain as backstops but are unreachable
+   after this. *)
 let check_portable model =
   let problems =
     Array.to_list (San.Model.activities model)
@@ -31,18 +23,11 @@ let check_portable model =
            | San.Activity.Timed { dist_ir = None; _ } ->
                add "closure-only timing distribution"
            | _ -> ());
-           (match a.guard with
-           | None -> add "closure enabling predicate"
-           | Some _ -> ());
            Array.iteri
              (fun i (c : San.Activity.case) ->
-               (match c.weight_ir with
+               match c.weight_ir with
                | None -> add (Printf.sprintf "closure weight of case %d" i)
-               | Some _ -> ());
-               List.iter
-                 (fun o ->
-                   add (Printf.sprintf "opaque effect %S in case %d" o i))
-                 (opaque_names c.effect))
+               | Some _ -> ())
              a.cases;
            match List.rev !ps with
            | [] -> None
@@ -116,33 +101,24 @@ let op_json = function
   | San.Effect.FInc (p, e) ->
       J.Arr [ J.Str "finc"; J.Str (San.Place.fname p); fexpr_json e ]
 
-let rec effect_json ~act = function
+let rec effect_json = function
   | San.Effect.Skip -> J.Str "skip"
   | San.Effect.Ops ops -> J.Obj [ ("ops", J.Arr (List.map op_json ops)) ]
-  | San.Effect.Seq es ->
-      J.Obj [ ("seq", J.Arr (List.map (effect_json ~act) es)) ]
+  | San.Effect.Seq es -> J.Obj [ ("seq", J.Arr (List.map effect_json es)) ]
   | San.Effect.If (c, t, San.Effect.Skip) ->
-      J.Obj [ ("if", cond_json c); ("then", effect_json ~act t) ]
+      J.Obj [ ("if", cond_json c); ("then", effect_json t) ]
   | San.Effect.If (c, t, e) ->
       J.Obj
-        [
-          ("if", cond_json c);
-          ("then", effect_json ~act t);
-          ("else", effect_json ~act e);
-        ]
+        [ ("if", cond_json c); ("then", effect_json t); ("else", effect_json e) ]
   | San.Effect.Pick branches ->
       J.Obj
         [
           ( "pick",
             J.Arr
               (List.map
-                 (fun (c, e) -> J.Arr [ cond_json c; effect_json ~act e ])
+                 (fun (c, e) -> J.Arr [ cond_json c; effect_json e ])
                  branches) );
         ]
-  | San.Effect.Checked { ir; _ } ->
-      J.Obj [ ("checked", effect_json ~act ir) ]
-  | San.Effect.Opaque { oname; _ } ->
-      unportable act (Printf.sprintf "opaque effect %S" oname)
 
 let dist_json d =
   let kind k fields = J.Obj (("kind", J.Str k) :: fields) in
@@ -180,24 +156,19 @@ let timing_json ~act = function
 
 let activity_json (a : San.Activity.t) =
   let act = a.name in
-  let guard =
-    match a.guard with
-    | Some g -> cond_json g
-    | None -> unportable act "closure enabling predicate"
-  in
   let case_json (c : San.Activity.case) =
     let w =
       match c.weight_ir with
       | Some r -> rexpr_json r
       | None -> unportable act "closure case weight"
     in
-    J.Obj [ ("weight", w); ("effect", effect_json ~act c.effect) ]
+    J.Obj [ ("weight", w); ("effect", effect_json c.effect) ]
   in
   J.Obj
     [
       ("name", J.Str act);
       ("timing", timing_json ~act a.timing);
-      ("guard", guard);
+      ("guard", cond_json a.guard);
       ( "reads",
         J.Arr (List.map (fun p -> J.Str (San.Place.any_name p)) a.reads) );
       ("cases", J.Arr (Array.to_list (Array.map case_json a.cases)));
@@ -438,9 +409,8 @@ let p_op places at j =
       if t = "fset" then San.Effect.FSet (p, e) else San.Effect.FInc (p, e)
   | j -> fail at "cannot parse marking op %s" (short j)
 
-(* [{"checked": E}] parses to the bare IR: the reference closure cannot
-   be reconstructed from disk, so a reloaded model re-emits the inner
-   effect without the tag (and diagnostic A016 has nothing to replay). *)
+(* [{"checked": E}] parses to the bare IR, so older documents that carry
+   the tag keep loading; it is never emitted. *)
 let rec p_effect places at j =
   match j with
   | J.Str "skip" -> San.Effect.Skip

@@ -7,7 +7,7 @@
     document over {!Report.Json} — equal models always produce equal
     bytes — and parses back to a model that simulates bit-identically
     (same trajectories under the same seeds) and analyses identically
-    (same A001–A016 diagnostics and invariant certificates).
+    (same diagnostics and invariant certificates).
 
     The full specification of the format lives in [doc/FORMAT.md].
     Highlights the caller must know:
@@ -16,14 +16,12 @@
     {- Places serialize in uid (creation) order, so the rebuilt model
        assigns identical uids and indices — journal order, dependents,
        and therefore trajectories are preserved exactly.}
-    {- {!San.Effect.Opaque} effects, closure enabling predicates,
-       closure timing distributions, and closure case weights are
+    {- Closure timing distributions and closure case weights are
        {e not} portable: {!to_json} raises {!Unportable} naming the
        offending activity. Build with the [*_rate_ir]/[timed_dist_ir]
        entry points of {!San.Model.Builder} to stay portable.}
-    {- [Checked] effects serialize as their IR under a ["checked"] tag;
-       the reference closure is dropped, so diagnostic A016 cannot run
-       on a reloaded model (documented caveat).}
+    {- An effect tagged [{"checked": e}] still parses as [e], so older
+       documents keep loading; the tag is never emitted.}
     {- The format reserves an optional per-place ["bound"] (declared
        capacity, informational — e.g. from a structural certificate);
        it round-trips through {!loaded.bounds} without affecting the
@@ -34,11 +32,10 @@ val schema : string
 
 exception Unportable of string
 (** Raised by {!to_json}/{!emit} when the model contains a closure
-    (opaque effect, closure guard/distribution/weight) that cannot be
-    represented in the format. The message aggregates {e every}
-    offending activity with all of its reasons (guard, timing, case
-    weights, opaque effects by name), so one round trip surfaces the
-    full porting worklist rather than the first blocker. *)
+    (timing distribution or case weight) that cannot be represented in
+    the format. The message aggregates {e every} offending activity with
+    all of its reasons, so one round trip surfaces the full porting
+    worklist rather than the first blocker. *)
 
 val to_json :
   ?bounds:(string * int) list ->

@@ -5,13 +5,12 @@ type config = {
   max_events : int;
   max_inst_chain : int;
   stop : (San.Marking.t -> bool) option;
-  compile_effects : bool;
 }
 
 let config ?(max_events = 1_000_000_000) ?(max_inst_chain = 1_000_000) ?stop
-    ?(compile_effects = true) ~horizon () =
+    ~horizon () =
   if not (horizon > 0.0) then invalid_arg "Executor.config: horizon must be > 0";
-  { horizon; max_events; max_inst_chain; stop; compile_effects }
+  { horizon; max_events; max_inst_chain; stop }
 
 type outcome = {
   end_time : float;
@@ -126,16 +125,13 @@ let select_case st (a : San.Activity.t) =
   end
 
 (* Fire [a] through case [c]; returns the list of changed place uids.
-   The compiled program and the IR term are built from the same source
-   at model-construction time and consume the stream identically, so
-   both paths produce bit-identical trajectories (pinned by a test). *)
+   The case's program was compiled from its IR term at model-construction
+   time and matches [San.Effect.apply] bit for bit, stream draws
+   included (pinned by a test). *)
 let fire st (a : San.Activity.t) case =
   San.Marking.clear_journal st.marking;
   let ctx = { San.Effect.time = st.now; stream = Some st.stream } in
-  let c = a.cases.(case) in
-  if st.cfg.compile_effects then
-    San.Effect.run_prog ctx c.San.Activity.prog st.marking
-  else San.Effect.apply ctx c.San.Activity.effect st.marking;
+  San.Effect.run_prog ctx a.cases.(case).San.Activity.prog st.marking;
   st.firings.(a.id) <- st.firings.(a.id) + 1;
   San.Marking.journal st.marking
 

@@ -23,16 +23,10 @@ type config = {
   stop : (San.Marking.t -> bool) option;
       (** optional early-stop predicate, checked after every firing; the
           final marking is still reported as persisting to the horizon *)
-  compile_effects : bool;
-      (** run compiled effect programs ({!San.Effect.run_prog}, flat
-          arc/delta arrays — default) instead of interpreting the effect
-          IR; both paths are bit-identical, the flag exists for the
-          pinned equivalence test and benchmark *)
 }
 
 val config : ?max_events:int -> ?max_inst_chain:int ->
-  ?stop:(San.Marking.t -> bool) -> ?compile_effects:bool ->
-  horizon:float -> unit -> config
+  ?stop:(San.Marking.t -> bool) -> horizon:float -> unit -> config
 
 type outcome = {
   end_time : float;  (** time of the last firing (or 0 if none) *)

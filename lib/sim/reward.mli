@@ -35,7 +35,7 @@ and kind =
       (** f(marking(at)), right-continuous (after any firings at [at]). *)
   | Ever of { pred : San.Marking.t -> bool; until : float }
       (** 1.0 if [pred] held at any instant in [0, until], else 0.0:
-          unreliability. Checked at t=0 and after every firing. *)
+          unreliability. Tested at t=0 and after every firing. *)
   | First_passage of { pred : San.Marking.t -> bool }
       (** Time at which [pred] first held; [nan] if it never did. *)
   | Impulse of {

@@ -5,6 +5,7 @@
 
 module B = San.Model.Builder
 module M = San.Marking
+module E = San.Effect
 module D = Analysis.Diagnostic
 
 let check ?composition ?runs model =
@@ -53,37 +54,15 @@ let test_clean_gong () =
 
 (* --- A001: undeclared reads, one fixture per via --- *)
 
-let test_a001_enabled () =
-  let b = B.create "buggy" in
-  let gate = B.int_place b ~init:1 "gate" in
-  let tokens = B.int_place b "tokens" in
-  (* Bug: [enabled] reads [gate] but declares only [tokens]. *)
-  B.timed_exp b ~name:"produce"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m gate = 1 && M.get m tokens < 5)
-    ~reads:[ San.Place.P tokens ]
-    (fun _ m -> M.add m tokens 1);
-  let r = check (B.build b) in
-  match with_code D.undeclared_read r with
-  | [ d ] ->
-      Alcotest.(check bool) "error severity" true (d.D.severity = D.Error);
-      Alcotest.(check bool) "source is the activity" true
-        (d.D.source = D.Activity "produce");
-      Alcotest.(check bool) "names the via and place" true
-        (message_mentions ~needle:"enabled" d
-        && message_mentions ~needle:"\"gate\"" d)
-  | ds -> Alcotest.failf "expected exactly one A001, got %d:\n%s"
-            (List.length ds) (pp_report r)
-
 let test_a001_dist () =
   let b = B.create "buggy_rate" in
   let speed = B.int_place b ~init:2 "speed" in
   let tokens = B.int_place b "tokens" in
-  B.timed_exp b ~name:"produce"
+  B.timed_exp_ir b ~name:"produce"
     ~rate:(fun m -> float_of_int (1 + M.get m speed))
-    ~enabled:(fun m -> M.get m tokens < 5)
+    ~guard:E.(Cmp (Mark tokens, Lt, Int 5))
     ~reads:[ San.Place.P tokens ]
-    (fun _ m -> M.add m tokens 1);
+    E.(Ops [ Inc (tokens, Int 1) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "dist violation reported" true
     (List.exists
@@ -97,9 +76,9 @@ let test_a001_weight () =
   let b = B.create "buggy_weight" in
   let bias = B.int_place b ~init:3 "bias" in
   let fired = B.int_place b "fired" in
-  B.timed b ~name:"choose"
+  B.timed_ir b ~name:"choose"
     ~dist:(fun _ -> Dist.Exponential { rate = 1.0 })
-    ~enabled:(fun m -> M.get m fired = 0)
+    ~guard:E.(Cmp (Mark fired, Eq, Int 0))
     ~reads:[ San.Place.P fired ]
     [
       San.Activity.make_case
@@ -117,58 +96,38 @@ let test_a001_weight () =
          && message_mentions ~needle:"\"bias\"" d)
        (with_code D.undeclared_read r))
 
-let test_a001_effect_regression () =
-  (* Regression: reads performed inside a case effect. Sim.Lint (the
-     predecessor of this library) only traced enabled/dist/weight, so
-     this model linted clean; the effect read of [burst] must now be
-     reported (as a warning: firing-time reads are not stale, but the
-     read-set omission breaks the input-gate discipline). *)
-  let b = B.create "buggy_effect" in
-  let burst = B.int_place b ~init:2 "burst" in
-  let tokens = B.int_place b "tokens" in
-  B.timed_exp b ~name:"produce"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m tokens = 0)
-    ~reads:[ San.Place.P tokens ]
-    (fun _ m -> M.set m tokens (M.get m burst));
-  let r = check (B.build b) in
-  match with_code D.undeclared_read r with
-  | [ d ] ->
-      Alcotest.(check bool) "warning severity" true
-        (d.D.severity = D.Warning);
-      Alcotest.(check bool) "names the effect read" true
-        (message_mentions ~needle:"effect" d
-        && message_mentions ~needle:"\"burst\"" d)
-  | ds -> Alcotest.failf "expected exactly one A001, got %d:\n%s"
-            (List.length ds) (pp_report r)
+(* --- A013: undeclared writes (stale wake-up, writer side) --- *)
 
-(* --- A002: undeclared writes (stale wake-up, writer side) --- *)
-
-let test_a002_undeclared_write () =
+let test_a013_rate_reader_write () =
   let b = B.create "buggy_writer" in
   let flag = B.int_place b "flag" in
   let done_ = B.int_place b "done" in
-  (* [raise_flag] writes [flag]; [consume] reads it in [enabled] without
-     declaring it, so the write cannot wake [consume]. *)
-  B.timed_exp b ~name:"raise_flag"
+  (* [raise_flag] writes [flag]; [consume]'s rate closure reads it
+     without declaring it, so the write cannot refresh [consume]. *)
+  B.timed_exp_ir b ~name:"raise_flag"
     ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m flag = 0 && M.get m done_ = 0)
+    ~guard:E.(All [ Cmp (Mark flag, Eq, Int 0); Cmp (Mark done_, Eq, Int 0) ])
     ~reads:[ San.Place.P flag; San.Place.P done_ ]
-    (fun _ m -> M.set m flag 1);
-  B.timed_exp b ~name:"consume"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m flag = 1)
+    E.(Ops [ Set (flag, Int 1) ]);
+  B.timed_exp_ir b ~name:"consume"
+    ~rate:(fun m -> float_of_int (1 + M.get m flag))
+    ~guard:E.(Cmp (Mark done_, Eq, Int 0))
     ~reads:[ San.Place.P done_ ]
-    (fun _ m -> M.set m done_ 1);
+    E.(Ops [ Set (done_, Int 1) ]);
   let r = check (B.build b) in
-  match with_code D.undeclared_write r with
+  let writes =
+    List.filter
+      (fun d -> message_mentions ~needle:"effect writes" d)
+      (with_code D.ir_mismatch r)
+  in
+  match writes with
   | [ d ] ->
       Alcotest.(check bool) "error at the writer" true
         (d.D.severity = D.Error && d.D.source = D.Activity "raise_flag");
       Alcotest.(check bool) "names place and reader" true
         (message_mentions ~needle:"\"flag\"" d
         && message_mentions ~needle:"consume" d)
-  | ds -> Alcotest.failf "expected exactly one A002, got %d:\n%s"
+  | ds -> Alcotest.failf "expected exactly one A013 write, got %d:\n%s"
             (List.length ds) (pp_report r)
 
 (* --- A003: negative-marking writes --- *)
@@ -177,11 +136,10 @@ let test_a003_negative_write () =
   let b = B.create "buggy_negative" in
   let stock = B.int_place b "stock" in
   (* Enabled regardless of stock, so the effect underflows at 0. *)
-  B.timed_exp b ~name:"take"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun _ -> true)
+  B.timed_exp_rate_ir b ~name:"take" ~rate:(E.RConst 1.0)
+    ~guard:(E.Const true)
     ~reads:[ San.Place.P stock ]
-    (fun _ m -> M.add m stock (-1));
+    E.(Ops [ Inc (stock, Int (-1)) ]);
   let r = check (B.build b) in
   match with_code D.negative_write r with
   | [ d ] ->
@@ -198,17 +156,15 @@ let test_a003_negative_write () =
 let test_a004_dead_activity () =
   let b = B.create "with_dead" in
   let lvl = B.int_place b "lvl" in
-  B.timed_exp b ~name:"step"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m lvl < 3)
+  B.timed_exp_rate_ir b ~name:"step" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark lvl, Lt, Int 3))
     ~reads:[ San.Place.P lvl ]
-    (fun _ m -> M.add m lvl 1);
+    E.(Ops [ Inc (lvl, Int 1) ]);
   (* Dead: [lvl] never exceeds 3, so the guard never holds. *)
-  B.timed_exp b ~name:"overflow"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m lvl > 7)
+  B.timed_exp_rate_ir b ~name:"overflow" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark lvl, Gt, Int 7))
     ~reads:[ San.Place.P lvl ]
-    (fun _ m -> M.set m lvl 0);
+    E.(Ops [ Set (lvl, Int 0) ]);
   let r = check (B.build b) in
   match with_code D.dead_activity r with
   | [ d ] ->
@@ -224,13 +180,11 @@ let test_a005_a006_dead_places () =
   let speed = B.int_place b ~init:2 "speed" in
   (* Never read: only ever written. *)
   let echo = B.int_place b "echo" in
-  B.timed_exp b ~name:"cycle"
+  B.timed_exp_ir b ~name:"cycle"
     ~rate:(fun m -> float_of_int (M.get m speed))
-    ~enabled:(fun _ -> true)
+    ~guard:(E.Const true)
     ~reads:[ San.Place.P lvl; San.Place.P speed ]
-    (fun _ m ->
-      M.set m lvl (1 - M.get m lvl);
-      M.set m echo 1);
+    E.(Ops [ Set (lvl, Sub (Int 1, Mark lvl)); Set (echo, Int 1) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "A005 on speed" true
     (List.exists
@@ -249,10 +203,10 @@ let test_a007_instantaneous_loop () =
   let b = B.create "buggy_loop" in
   let hot = B.int_place b ~init:1 "hot" in
   (* Stays enabled after firing: the stabilization never terminates. *)
-  B.instantaneous b ~name:"spin"
-    ~enabled:(fun m -> M.get m hot = 1)
+  B.instantaneous_ir b ~name:"spin"
+    ~guard:E.(Cmp (Mark hot, Eq, Int 1))
     ~reads:[ San.Place.P hot ]
-    (fun _ m -> M.set m hot 1);
+    E.(Ops [ Set (hot, Int 1) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "falls back to sampling" true
     (r.Analysis.Check.mode = Analysis.Space.Sampled);
@@ -270,18 +224,14 @@ let test_a008_instantaneous_tie () =
   let b_won = B.int_place b "b_won" in
   (* Both enabled at the initial (vanishing) marking: the executor must
      flip a coin, which the modeler may not have intended. *)
-  B.instantaneous b ~name:"claim_a"
-    ~enabled:(fun m -> M.get m pending = 1)
+  B.instantaneous_ir b ~name:"claim_a"
+    ~guard:E.(Cmp (Mark pending, Eq, Int 1))
     ~reads:[ San.Place.P pending ]
-    (fun _ m ->
-      M.set m pending 0;
-      M.set m a_won 1);
-  B.instantaneous b ~name:"claim_b"
-    ~enabled:(fun m -> M.get m pending = 1)
+    E.(Ops [ Set (pending, Int 0); Set (a_won, Int 1) ]);
+  B.instantaneous_ir b ~name:"claim_b"
+    ~guard:E.(Cmp (Mark pending, Eq, Int 1))
     ~reads:[ San.Place.P pending ]
-    (fun _ m ->
-      M.set m pending 0;
-      M.set m b_won 1);
+    E.(Ops [ Set (pending, Int 0); Set (b_won, Int 1) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "exhaustive mode" true
     (r.Analysis.Check.mode = Analysis.Space.Exhaustive);
@@ -303,17 +253,17 @@ let composed_fixture ~touch_shared () =
   let (_ : unit array) =
     Compose.replicate root "unit" ~n:2 (fun ctx i ->
         let tok = Compose.Ctx.int_place ctx ~init:1 "tok" in
+        let touches = touch_shared && i = 0 in
         let reads =
-          if touch_shared && i = 0 then [ San.Place.P tok; San.Place.P shared ]
+          if touches then [ San.Place.P tok; San.Place.P shared ]
           else [ San.Place.P tok ]
         in
-        Compose.Ctx.timed_exp ctx ~name:"tick"
-          ~rate:(fun _ -> 1.0)
-          ~enabled:(fun m -> M.get m tok = 1)
+        Compose.Ctx.timed_exp_rate_ir ctx ~name:"tick" ~rate:(E.RConst 1.0)
+          ~guard:E.(Cmp (Mark tok, Eq, Int 1))
           ~reads
-          (fun _ m ->
-            M.set m tok 0;
-            if touch_shared && i = 0 then M.set m shared 1))
+          (E.Ops
+             (E.Set (tok, E.Int 0)
+             :: (if touches then [ E.Set (shared, E.Int 1) ] else []))))
   in
   (B.build b, Compose.info root)
 
@@ -380,20 +330,14 @@ let ring_fixture () =
   let b = B.create "ring" in
   let a = B.int_place b ~init:1 "a" in
   let c = B.int_place b "b" in
-  B.timed_exp b ~name:"move_ab"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m a = 1)
+  B.timed_exp_rate_ir b ~name:"move_ab" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark a, Eq, Int 1))
     ~reads:[ San.Place.P a ]
-    (fun _ m ->
-      M.add m a (-1);
-      M.add m c 1);
-  B.timed_exp b ~name:"move_ba"
-    ~rate:(fun _ -> 2.0)
-    ~enabled:(fun m -> M.get m c = 1)
+    E.(Ops [ Inc (a, Int (-1)); Inc (c, Int 1) ]);
+  B.timed_exp_rate_ir b ~name:"move_ba" ~rate:(E.RConst 2.0)
+    ~guard:E.(Cmp (Mark c, Eq, Int 1))
     ~reads:[ San.Place.P c ]
-    (fun _ m ->
-      M.add m c (-1);
-      M.add m a 1);
+    E.(Ops [ Inc (c, Int (-1)); Inc (a, Int 1) ]);
   (B.build b, a, c)
 
 let covered_all s = List.for_all (fun i -> St.covered s i)
@@ -414,11 +358,10 @@ let test_p_semiflow_ring () =
 let test_a010_unbounded () =
   let b = B.create "birth" in
   let pop = B.int_place b "births" in
-  B.timed_exp b ~name:"arrive"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun _ -> true)
+  B.timed_exp_rate_ir b ~name:"arrive" ~rate:(E.RConst 1.0)
+    ~guard:(E.Const true)
     ~reads:[ San.Place.P pop ]
-    (fun _ m -> M.add m pop 1);
+    E.(Ops [ Inc (pop, Int 1) ]);
   (* Exhaustive walking aborts at 40 states and falls back to sampling,
      which cannot bound [births]; no P-semiflow covers it either. *)
   let r = Analysis.Check.run ~max_states:40 (B.build b) in
@@ -445,11 +388,10 @@ let test_a010_not_on_clean_sampled () =
 let test_a011_dead_effect () =
   let b = B.create "noop" in
   let tick = B.int_place b "tick" in
-  B.timed_exp b ~name:"advance"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m tick >= 0)
+  B.timed_exp_rate_ir b ~name:"advance" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark tick, Ge, Int 0))
     ~reads:[ San.Place.P tick ]
-    (fun _ _ -> ());
+    E.Skip;
   let r = check (B.build b) in
   match with_code D.dead_effect r with
   | [ d ] ->
@@ -464,11 +406,10 @@ let leaky_fixture () =
   let pool = B.int_place b ~init:3 "pool" in
   let used = B.int_place b "used" in
   (* Bug: [take] consumes from the pool without accounting in [used]. *)
-  B.timed_exp b ~name:"take"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m pool > 0)
+  B.timed_exp_rate_ir b ~name:"take" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark pool, Gt, Int 0))
     ~reads:[ San.Place.P pool ]
-    (fun _ m -> M.add m pool (-1));
+    E.(Ops [ Inc (pool, Int (-1)) ]);
   let law =
     { St.law_name = "pool-conserved"; law_terms = [ (pool, 1); (used, 1) ] }
   in
@@ -493,11 +434,10 @@ let test_exit_code_strict () =
   (* Warnings only: exit 0, promoted to 1 under --strict. *)
   let b = B.create "noop" in
   let tick = B.int_place b "tick" in
-  B.timed_exp b ~name:"advance"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m tick >= 0)
+  B.timed_exp_rate_ir b ~name:"advance" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark tick, Ge, Int 0))
     ~reads:[ San.Place.P tick ]
-    (fun _ _ -> ());
+    E.Skip;
   let r = check (B.build b) in
   Alcotest.(check bool) "warnings present" true
     (Analysis.Check.count D.Warning r > 0);
@@ -597,11 +537,11 @@ let test_exit_contract () =
   let b = B.create "buggy" in
   let gate = B.int_place b ~init:1 "gate" in
   let tokens = B.int_place b "tokens" in
-  B.timed_exp b ~name:"produce"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m gate = 1 && M.get m tokens < 2)
+  (* Bug: the guard reads [gate] without declaring it. *)
+  B.timed_exp_rate_ir b ~name:"produce" ~rate:(E.RConst 1.0)
+    ~guard:E.(All [ Cmp (Mark gate, Eq, Int 1); Cmp (Mark tokens, Lt, Int 2) ])
     ~reads:[ San.Place.P tokens ]
-    (fun _ m -> M.add m tokens 1);
+    E.(Ops [ Inc (tokens, Int 1) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "has_errors" true (Analysis.Check.has_errors r);
   Alcotest.(check bool) "errors listed" true
@@ -617,7 +557,7 @@ let test_catalogue_covers_all_codes () =
       Alcotest.(check bool) (code ^ " catalogued") true
         (List.mem code catalogued))
     [
-      D.undeclared_read; D.undeclared_write; D.negative_write;
+      D.undeclared_read; D.negative_write;
       D.dead_activity; D.never_written_place; D.never_read_place;
       D.instantaneous_loop; D.instantaneous_tie; D.unused_shared_place;
       D.unbounded_place; D.dead_effect; D.invariant_violated;
@@ -635,14 +575,14 @@ let () =
         ] );
       ( "A001 undeclared reads",
         [
-          Alcotest.test_case "enabled" `Quick test_a001_enabled;
           Alcotest.test_case "dist" `Quick test_a001_dist;
           Alcotest.test_case "weight" `Quick test_a001_weight;
-          Alcotest.test_case "effect (Sim.Lint regression)" `Quick
-            test_a001_effect_regression;
         ] );
-      ( "A002 undeclared writes",
-        [ Alcotest.test_case "stale wake-up" `Quick test_a002_undeclared_write ] );
+      ( "A013 undeclared writes",
+        [
+          Alcotest.test_case "rate reader stale wake-up" `Quick
+            test_a013_rate_reader_write;
+        ] );
       ( "A003 negative writes",
         [ Alcotest.test_case "underflow" `Quick test_a003_negative_write ] );
       ( "liveness",

@@ -50,12 +50,10 @@ let test_sharing_by_capture () =
     Compose.replicate root "worker" ~n:4 (fun ctx i ->
         ignore i;
         let started = Compose.Ctx.int_place ctx ~init:1 "pending" in
-        Compose.Ctx.instantaneous ctx ~name:"go"
-          ~enabled:(fun m -> San.Marking.get m started = 1)
+        Compose.Ctx.instantaneous_ir ctx ~name:"go"
+          ~guard:San.Effect.(Cmp (Mark started, Eq, Int 1))
           ~reads:[ San.Place.P started ]
-          (fun _ m ->
-            San.Marking.set m started 0;
-            San.Marking.add m shared 1))
+          San.Effect.(Ops [ Set (started, Int 0); Inc (shared, Int 1) ]))
   in
   let model = San.Model.Builder.build b in
   let cfg = Sim.Executor.config ~horizon:1.0 () in

@@ -52,9 +52,9 @@ let test_mm1k_space_and_rates () =
 let test_non_markovian_rejected () =
   let b = San.Model.Builder.create "det" in
   let p = San.Model.Builder.int_place b "p" in
-  San.Model.Builder.timed b ~name:"d"
+  San.Model.Builder.timed_ir b ~name:"d"
     ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m p = 0)
+    ~guard:San.Effect.(Cmp (Mark p, Eq, Int 0))
     ~reads:[ San.Place.P p ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
@@ -70,11 +70,10 @@ let test_state_limit () =
   (* Unbounded birth process: exploration must hit the cap. *)
   let b = San.Model.Builder.create "birth" in
   let p = San.Model.Builder.int_place b "n" in
-  San.Model.Builder.timed_exp b ~name:"birth"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun _ -> true)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"birth"
+    ~rate:(San.Effect.RConst 1.0) ~guard:(San.Effect.Const true)
     ~reads:[ San.Place.P p ]
-    (fun _ m -> San.Marking.add m p 1);
+    San.Effect.(Ops [ Inc (p, Int 1) ]);
   let model = San.Model.Builder.build b in
   Alcotest.(check bool) "raises Too_many_states" true
     (match Ctmc.Explore.explore ~max_states:100 model with
@@ -85,10 +84,10 @@ let test_state_limit () =
 let test_vanishing_loop_detected () =
   let b = San.Model.Builder.create "vloop" in
   let p = San.Model.Builder.int_place b ~init:1 "p" in
-  San.Model.Builder.instantaneous b ~name:"spin"
-    ~enabled:(fun m -> San.Marking.get m p = 1)
+  San.Model.Builder.instantaneous_ir b ~name:"spin"
+    ~guard:San.Effect.(Cmp (Mark p, Eq, Int 1))
     ~reads:[ San.Place.P p ]
-    (fun _ m -> San.Marking.set m p 1);
+    San.Effect.(Ops [ Set (p, Int 1) ]);
   let model = San.Model.Builder.build b in
   Alcotest.(check bool) "raises Vanishing_loop" true
     (match Ctmc.Explore.explore model with
@@ -102,14 +101,14 @@ let branching_model () =
   let b = San.Model.Builder.create "branch" in
   let fired = San.Model.Builder.int_place b "fired" in
   let sort = San.Model.Builder.int_place b "sort" in
-  San.Model.Builder.timed_exp b ~name:"pulse"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m fired = 0)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"pulse"
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark fired, Eq, Int 0))
     ~reads:[ San.Place.P fired ]
-    (fun _ m -> San.Marking.set m fired 1);
-  San.Model.Builder.activity b ~name:"classify"
+    San.Effect.(Ops [ Set (fired, Int 1) ]);
+  San.Model.Builder.activity_ir b ~name:"classify"
     ~timing:San.Activity.Instantaneous
-    ~enabled:(fun m -> San.Marking.get m fired = 1 && San.Marking.get m sort = 0)
+    ~guard:San.Effect.(All [ Cmp (Mark fired, Eq, Int 1); Cmp (Mark sort, Eq, Int 0) ])
     ~reads:[ San.Place.P fired; San.Place.P sort ]
     [
       San.Activity.make_case ~weight:(fun _ -> 0.25)
@@ -302,11 +301,10 @@ let test_mtta_repairable_detour () =
   let bld = San.Model.Builder.create "detour" in
   let st = San.Model.Builder.int_place bld "st" in
   let move name rate src dst =
-    San.Model.Builder.timed_exp bld ~name
-      ~rate:(fun _ -> rate)
-      ~enabled:(fun m -> San.Marking.get m st = src)
+    San.Model.Builder.timed_exp_rate_ir bld ~name ~rate:(San.Effect.RConst rate)
+      ~guard:San.Effect.(Cmp (Mark st, Eq, Int src))
       ~reads:[ San.Place.P st ]
-      (fun _ m -> San.Marking.set m st dst)
+      San.Effect.(Ops [ Set (st, Int dst) ])
   in
   move "go" a 0 1;
   move "back" b 1 0;
@@ -320,16 +318,16 @@ let test_absorption_probabilities () =
   (* From 0: absorb left at rate 1 or right at rate 3 -> P(right) = 0.75. *)
   let bld = San.Model.Builder.create "race" in
   let st = San.Model.Builder.int_place bld ~init:1 "st" in
-  San.Model.Builder.timed_exp bld ~name:"left"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m st = 1)
+  San.Model.Builder.timed_exp_rate_ir bld ~name:"left"
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark st, Eq, Int 1))
     ~reads:[ San.Place.P st ]
-    (fun _ m -> San.Marking.set m st 0);
-  San.Model.Builder.timed_exp bld ~name:"right"
-    ~rate:(fun _ -> 3.0)
-    ~enabled:(fun m -> San.Marking.get m st = 1)
+    San.Effect.(Ops [ Set (st, Int 0) ]);
+  San.Model.Builder.timed_exp_rate_ir bld ~name:"right"
+    ~rate:(San.Effect.RConst 3.0)
+    ~guard:San.Effect.(Cmp (Mark st, Eq, Int 1))
     ~reads:[ San.Place.P st ]
-    (fun _ m -> San.Marking.set m st 2);
+    San.Effect.(Ops [ Set (st, Int 2) ]);
   let model = San.Model.Builder.build bld in
   let c = Ctmc.Explore.explore model in
   let value_of i =
@@ -446,23 +444,33 @@ let prop_random_queue_sim_matches_ctmc =
           "lambda=%.2f mu=%.2f k=%d t=%.2f: exact %.4f, sim %.4f (err %.4f,            sem %.4f)"
           lambda mu k t exact r.Sim.Runner.ci.Stats.Ci.mean err sem)
 
-let test_stream_sampling_effect_rejected () =
-  (* An effect that consumes randomness cannot be explored analytically. *)
+let test_stream_sampling_effect_forks () =
+  (* An effect that draws randomness ([Pick]) samples one branch in
+     simulation and forks into every feasible branch, equally weighted,
+     in analytical exploration. *)
   let b = San.Model.Builder.create "rngeff" in
   let p = San.Model.Builder.int_place b "p" in
-  San.Model.Builder.timed_exp b ~name:"draw"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m p = 0)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"draw"
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark p, Eq, Int 0))
     ~reads:[ San.Place.P p ]
-    (fun ctx m ->
-      let s = San.Activity.stream_exn ctx in
-      San.Marking.set m p (1 + Prng.Stream.int s 3));
+    San.Effect.(
+      Pick
+        (List.map
+           (fun k -> (Const true, Ops [ Set (p, Int k) ]))
+           [ 1; 2; 3 ]));
   let model = San.Model.Builder.build b in
-  Alcotest.(check bool) "raises" true
-    (match Ctmc.Explore.explore model with
-    | (_ : Ctmc.Explore.t) -> false
-    | exception Failure _ -> true);
-  (* ... but simulates fine. *)
+  let c = Ctmc.Explore.explore model in
+  Alcotest.(check int) "initial state plus three outcomes" 4
+    (Ctmc.Explore.n_states c);
+  List.iter
+    (fun k ->
+      close ~tol:1e-9
+        (Printf.sprintf "P(p = %d) at t=50" k)
+        (1.0 /. 3.0)
+        (Ctmc.Measure.instant c ~at:50.0 (fun m ->
+             if San.Marking.get m p = k then 1.0 else 0.0)))
+    [ 1; 2; 3 ];
   let cfg = Sim.Executor.config ~horizon:10.0 () in
   let outcome =
     Sim.Executor.run ~model ~config:cfg ~stream:(stream 3)
@@ -473,39 +481,49 @@ let test_stream_sampling_effect_rejected () =
 
 (* --- symmetry-driven lumping --- *)
 
-(* [n] exchangeable two-state machines composed with Compose.replicate:
-   the full chain has 2^n states, the canonical-ordering quotient n+1. *)
-let replicated_farm n =
-  let b = San.Model.Builder.create "farm" in
-  let root = Compose.Ctx.root b "farm" in
+(* --- orbit refinement (partial symmetry) --- *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+(* [n] two-state machines under one Replicate, with an optional per-copy
+   failure rate to break their exchangeability. *)
+let ir_farm ?(rates = fun _ -> 1.0) ?note n =
+  let module E = San.Effect in
+  let b = San.Model.Builder.create "irfarm" in
+  let root = Compose.Ctx.root b "irfarm" in
   let ups =
-    Compose.replicate root "node" ~n (fun ctx _ ->
+    Compose.replicate root "node" ~n (fun ctx i ->
+        (match note with
+        | None -> ()
+        | Some f -> Compose.Ctx.note ctx "fail_rate" (f i));
         let up = Compose.Ctx.int_place ctx ~init:1 "up" in
-        Compose.Ctx.timed_exp ctx ~name:"fail"
-          ~rate:(fun _ -> 1.0)
-          ~enabled:(fun m -> San.Marking.get m up = 1)
+        Compose.Ctx.timed_exp_rate_ir ctx ~name:"fail"
+          ~rate:(E.RConst (rates i))
+          ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 1))
           ~reads:[ San.Place.P up ]
-          (fun _ m -> San.Marking.set m up 0);
-        Compose.Ctx.timed_exp ctx ~name:"repair"
-          ~rate:(fun _ -> 2.5)
-          ~enabled:(fun m -> San.Marking.get m up = 0)
+          (E.Ops [ E.Set (up, E.Int 0) ]);
+        Compose.Ctx.timed_exp_rate_ir ctx ~name:"repair" ~rate:(E.RConst 2.5)
+          ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 0))
           ~reads:[ San.Place.P up ]
-          (fun _ m -> San.Marking.set m up 1);
+          (E.Ops [ E.Set (up, E.Int 1) ]);
         up)
   in
   (San.Model.Builder.build b, Compose.info root, ups)
 
+(* [n] exchangeable two-state machines composed with Compose.replicate:
+   the full chain has 2^n states, the canonical-ordering quotient n+1. *)
 let test_lumped_measures_agree () =
   let n = 6 in
-  let model, info, ups = replicated_farm n in
-  let groups = Analysis.Symmetry.detect model info in
-  (match groups with
-  | [ g ] -> Alcotest.(check int) "six copies" n g.Analysis.Symmetry.copies
-  | gs -> Alcotest.failf "expected one group, got %d" (List.length gs));
+  let model, info, ups = ir_farm n in
+  let rep = Analysis.Orbit.analyse model info in
+  (match rep.Analysis.Orbit.families with
+  | [ f ] -> Alcotest.(check int) "six copies" n f.Analysis.Orbit.fa_copies
+  | fs -> Alcotest.failf "expected one family, got %d" (List.length fs));
   let full = Ctmc.Explore.explore model in
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Symmetry.canon groups) model
-  in
+  let lumped = Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) model in
   Alcotest.(check int) "full chain: 2^6" 64 (Ctmc.Explore.n_states full);
   Alcotest.(check int) "lumped chain: n+1" 7 (Ctmc.Explore.n_states lumped);
   (* Symmetric rewards must agree between the chains to solver accuracy:
@@ -530,39 +548,6 @@ let test_lumped_measures_agree () =
   close ~tol:1e-9 "steady E[up]"
     (Ctmc.Measure.steady_average full n_up)
     (Ctmc.Measure.steady_average lumped n_up)
-
-(* --- orbit refinement (partial symmetry) --- *)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* Like [replicated_farm], but fully declarative (IR guards, rates and
-   effects) so the orbit pass can verify exchangeability — with an
-   optional per-copy failure rate to break it. *)
-let ir_farm ?(rates = fun _ -> 1.0) ?note n =
-  let module E = San.Effect in
-  let b = San.Model.Builder.create "irfarm" in
-  let root = Compose.Ctx.root b "irfarm" in
-  let ups =
-    Compose.replicate root "node" ~n (fun ctx i ->
-        (match note with
-        | None -> ()
-        | Some f -> Compose.Ctx.note ctx "fail_rate" (f i));
-        let up = Compose.Ctx.int_place ctx ~init:1 "up" in
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"fail"
-          ~rate:(E.RConst (rates i))
-          ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 1))
-          ~reads:[ San.Place.P up ]
-          (E.Ops [ E.Set (up, E.Int 0) ]);
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"repair" ~rate:(E.RConst 2.5)
-          ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 0))
-          ~reads:[ San.Place.P up ]
-          (E.Ops [ E.Set (up, E.Int 1) ]);
-        up)
-  in
-  (San.Model.Builder.build b, Compose.info root, ups)
 
 let test_orbit_full_symmetry () =
   let n = 6 in
@@ -634,12 +619,17 @@ let test_orbit_partial_symmetry () =
         (Ctmc.Measure.instant full ~at:t n_up)
         (Ctmc.Measure.instant lumped ~at:t n_up))
     [ 0.3; 1.0; 4.0 ];
-  (* The structural pass cannot see the rate difference, so its
-     whole-family sort is unsound here — A019 names it, and the explore
-     audit refuses to build the quotient. *)
-  let groups = Analysis.Symmetry.detect model info in
-  Alcotest.(check int) "structural detect still groups" 1 (List.length groups);
-  let bad = Analysis.Symmetry.canon groups in
+  (* Sorting the whole family ignores the rate difference, so it is
+     unsound here — A019 names it, and the explore audit refuses to build
+     the quotient. *)
+  let slots = Array.map (fun up -> San.Place.index up) ups in
+  let bad (ints, floats) =
+    let ints = Array.copy ints in
+    let sorted = Array.map (fun i -> ints.(i)) slots in
+    Array.sort compare sorted;
+    Array.iteri (fun k i -> ints.(i) <- sorted.(k)) slots;
+    (ints, floats)
+  in
   (match Analysis.Orbit.check_canon rep bad with
   | [] -> Alcotest.fail "expected an A019 diagnostic"
   | d :: _ ->
@@ -676,9 +666,21 @@ let test_orbit_params_split () =
   | fs -> Alcotest.failf "expected one family, got %d" (List.length fs)
 
 let test_orbit_impure_degrades () =
-  (* Closure-built copies cannot be verified: singleton orbits, honest
-     blockers, identity canon. *)
-  let model, info, _ = replicated_farm 3 in
+  (* Copies with closure rates cannot be verified: singleton orbits,
+     honest blockers, identity canon. *)
+  let b = San.Model.Builder.create "closure_farm" in
+  let root = Compose.Ctx.root b "closure_farm" in
+  let (_ : unit array) =
+    Compose.replicate root "node" ~n:3 (fun ctx _ ->
+        let up = Compose.Ctx.int_place ctx ~init:1 "up" in
+        San.Model.Builder.timed_exp_ir b
+          ~name:(Compose.Ctx.qualify ctx "toggle")
+          ~rate:(fun _ -> 1.0)
+          ~guard:(San.Effect.Const true)
+          ~reads:[ San.Place.P up ]
+          San.Effect.(Ops [ Set (up, Sub (Int 1, Mark up)) ]))
+  in
+  let model = San.Model.Builder.build b and info = Compose.info root in
   let rep = Analysis.Orbit.analyse model info in
   Alcotest.(check bool) "not pure" false rep.Analysis.Orbit.pure;
   Alcotest.(check bool) "has blockers" true (rep.Analysis.Orbit.blockers <> []);
@@ -702,12 +704,10 @@ let test_symmetry_join_of_replicate () =
   let (_ : unit array) = Compose.join root "right" (fun ctx -> farm ctx "cell" 2) in
   let model = San.Model.Builder.build b in
   let info = Compose.info root in
-  let groups = Analysis.Symmetry.detect model info in
-  Alcotest.(check (list int)) "two groups, 3 and 2 copies" [ 2; 3 ]
-    (List.sort compare
-       (List.map (fun g -> g.Analysis.Symmetry.copies) groups));
-  (* The orbit pass agrees: both families are single full orbits. *)
   let rep = Analysis.Orbit.analyse model info in
+  Alcotest.(check (list int)) "two families, 3 and 2 copies" [ 2; 3 ]
+    (List.sort compare
+       (List.map (fun f -> f.Analysis.Orbit.fa_copies) rep.Analysis.Orbit.families));
   Alcotest.(check bool) "pure" true rep.Analysis.Orbit.pure;
   Alcotest.(check (list int)) "one orbit per family" [ 1; 1 ]
     (List.map
@@ -745,12 +745,11 @@ let test_symmetry_nested_replicate () =
   in
   let model = San.Model.Builder.build b in
   let info = Compose.info root in
-  let groups = Analysis.Symmetry.detect model info in
+  let rep = Analysis.Orbit.analyse model info in
   Alcotest.(check (list int)) "outer family + one inner per copy"
     [ 2; 3; 3 ]
     (List.sort compare
-       (List.map (fun g -> g.Analysis.Symmetry.copies) groups));
-  let rep = Analysis.Orbit.analyse model info in
+       (List.map (fun f -> f.Analysis.Orbit.fa_copies) rep.Analysis.Orbit.families));
   Alcotest.(check bool) "pure" true rep.Analysis.Orbit.pure;
   Alcotest.(check (list int)) "full orbits everywhere" [ 1; 1; 1 ]
     (List.map
@@ -804,22 +803,29 @@ let test_orbit_report_deterministic () =
     spawned
 
 let test_symmetry_detect_rejects_asymmetry () =
-  (* Copies that differ structurally (different initial marking) must
-     not be reported as exchangeable. *)
+  (* A copy that differs structurally (different initial marking) must
+     not share an orbit with the others. *)
   let b = San.Model.Builder.create "skewed" in
   let root = Compose.Ctx.root b "skewed" in
   let (_ : unit array) =
     Compose.replicate root "node" ~n:3 (fun ctx i ->
         let up = Compose.Ctx.int_place ctx ~init:(if i = 0 then 0 else 1) "up" in
-        Compose.Ctx.timed_exp ctx ~name:"toggle"
-          ~rate:(fun _ -> 1.0)
-          ~enabled:(fun _ -> true)
+        Compose.Ctx.timed_exp_rate_ir ctx ~name:"toggle"
+          ~rate:(San.Effect.RConst 1.0) ~guard:(San.Effect.Const true)
           ~reads:[ San.Place.P up ]
-          (fun _ m -> San.Marking.set m up (1 - San.Marking.get m up)))
+          San.Effect.(Ops [ Set (up, Sub (Int 1, Mark up)) ]))
   in
   let model = San.Model.Builder.build b in
-  Alcotest.(check int) "no exchangeable groups" 0
-    (List.length (Analysis.Symmetry.detect model (Compose.info root)))
+  let rep = Analysis.Orbit.analyse model (Compose.info root) in
+  match rep.Analysis.Orbit.families with
+  | [ f ] ->
+      Alcotest.(check (list (list int))) "copy 0 alone" [ [ 0 ]; [ 1; 2 ] ]
+        (List.map (fun o -> o.Analysis.Orbit.ob_members) f.Analysis.Orbit.fa_orbits);
+      Alcotest.(check bool) "break names the place layout" true
+        (List.exists
+           (fun bk -> contains bk.Analysis.Orbit.bk_reason "place layout")
+           f.Analysis.Orbit.fa_breaks)
+  | fs -> Alcotest.failf "expected one family, got %d" (List.length fs)
 
 let () =
   let props =
@@ -840,8 +846,8 @@ let () =
             test_vanishing_loop_detected;
           Alcotest.test_case "vanishing branching" `Quick
             test_vanishing_branching;
-          Alcotest.test_case "sampling effect rejected" `Quick
-            test_stream_sampling_effect_rejected;
+          Alcotest.test_case "sampling effect forks" `Quick
+            test_stream_sampling_effect_forks;
         ] );
       ( "lumping",
         [

@@ -1,6 +1,8 @@
 (* Tests for the san library: markings, journalling, builder validation,
    model queries, and DOT export. *)
 
+module E = San.Effect
+
 let build_pair () =
   let b = San.Model.Builder.create "m" in
   let p = San.Model.Builder.int_place b ~init:2 "tokens" in
@@ -9,9 +11,8 @@ let build_pair () =
 
 let test_initial_marking () =
   let b, p, q = build_pair () in
-  San.Model.Builder.instantaneous b ~name:"noop"
-    ~enabled:(fun _ -> false)
-    ~reads:[] (fun _ _ -> ());
+  San.Model.Builder.instantaneous_ir b ~name:"noop" ~guard:(E.Const false)
+    ~reads:[] E.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   Alcotest.(check int) "int init" 2 (San.Marking.get m p);
@@ -20,9 +21,8 @@ let test_initial_marking () =
 
 let test_marking_journal () =
   let b, p, q = build_pair () in
-  San.Model.Builder.instantaneous b ~name:"noop"
-    ~enabled:(fun _ -> false)
-    ~reads:[] (fun _ _ -> ());
+  San.Model.Builder.instantaneous_ir b ~name:"noop" ~guard:(E.Const false)
+    ~reads:[] E.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   San.Marking.set m p 2;
@@ -41,9 +41,8 @@ let test_marking_journal () =
 
 let test_marking_negative_rejected () =
   let b, p, _ = build_pair () in
-  San.Model.Builder.instantaneous b ~name:"noop"
-    ~enabled:(fun _ -> false)
-    ~reads:[] (fun _ _ -> ());
+  San.Model.Builder.instantaneous_ir b ~name:"noop" ~guard:(E.Const false)
+    ~reads:[] E.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   (match San.Marking.add m p (-2) with
@@ -56,9 +55,8 @@ let test_marking_negative_rejected () =
 
 let test_marking_copy_independent () =
   let b, p, q = build_pair () in
-  San.Model.Builder.instantaneous b ~name:"noop"
-    ~enabled:(fun _ -> false)
-    ~reads:[] (fun _ _ -> ());
+  San.Model.Builder.instantaneous_ir b ~name:"noop" ~guard:(E.Const false)
+    ~reads:[] E.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   let m' = San.Marking.copy m in
@@ -80,9 +78,8 @@ let test_builder_duplicate_place () =
 let test_builder_duplicate_activity () =
   let b = San.Model.Builder.create "m" in
   let mk () =
-    San.Model.Builder.instantaneous b ~name:"a"
-      ~enabled:(fun _ -> false)
-      ~reads:[] (fun _ _ -> ())
+    San.Model.Builder.instantaneous_ir b ~name:"a" ~guard:(E.Const false)
+      ~reads:[] E.Skip
   in
   mk ();
   Alcotest.(check bool) "duplicate activity rejected" true
@@ -92,9 +89,9 @@ let test_builder_no_cases () =
   let b = San.Model.Builder.create "m" in
   Alcotest.(check bool) "zero cases rejected" true
     (match
-       San.Model.Builder.activity b ~name:"a" ~timing:San.Activity.Instantaneous
-         ~enabled:(fun _ -> false)
-         ~reads:[] []
+       San.Model.Builder.activity_ir b ~name:"a"
+         ~timing:San.Activity.Instantaneous ~guard:(E.Const false) ~reads:[]
+         []
      with
     | () -> false
     | exception Invalid_argument _ -> true)
@@ -108,11 +105,10 @@ let test_builder_negative_init () =
 
 let test_model_queries () =
   let b, p, _q = build_pair () in
-  San.Model.Builder.timed_exp b ~name:"tick"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun _ -> true)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"tick" ~rate:(E.RConst 1.0)
+    ~guard:(E.Const true)
     ~reads:[ San.Place.P p ]
-    (fun _ _ -> ());
+    E.Skip;
   let model = San.Model.Builder.build b in
   Alcotest.(check int) "place count" 2 (San.Model.n_places model);
   Alcotest.(check bool) "find_place" true
@@ -132,9 +128,9 @@ let test_model_queries () =
 let test_all_exponential_false () =
   let b = San.Model.Builder.create "m" in
   let p = San.Model.Builder.int_place b "x" in
-  San.Model.Builder.timed b ~name:"det"
+  San.Model.Builder.timed_ir b ~name:"det"
     ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun _ -> true)
+    ~guard:(E.Const true)
     ~reads:[ San.Place.P p ]
     [ San.Activity.make_case San.Effect.Skip ];
   let model = San.Model.Builder.build b in
@@ -152,15 +148,13 @@ let contains ~needle haystack =
 
 let test_dot_export () =
   let b, p, _ = build_pair () in
-  San.Model.Builder.timed_exp b ~name:"tick"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun _ -> true)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"tick" ~rate:(E.RConst 1.0)
+    ~guard:(E.Const true)
     ~reads:[ San.Place.P p ]
-    (fun _ _ -> ());
-  San.Model.Builder.instantaneous b ~name:"instant"
-    ~enabled:(fun _ -> false)
+    E.Skip;
+  San.Model.Builder.instantaneous_ir b ~name:"instant" ~guard:(E.Const false)
     ~reads:[ San.Place.P p ]
-    (fun _ _ -> ());
+    E.Skip;
   let model = San.Model.Builder.build b in
   let dot =
     Format.asprintf "%a" (fun ppf -> San.Dot.to_dot ppf) model

@@ -65,9 +65,9 @@ let prop_heap_sorts =
 let clock_model ~period =
   let b = San.Model.Builder.create "clock" in
   let count = San.Model.Builder.int_place b "count" in
-  San.Model.Builder.timed b ~name:"tick"
+  San.Model.Builder.timed_ir b ~name:"tick"
     ~dist:(fun _ -> Dist.Deterministic { value = period })
-    ~enabled:(fun _ -> true)
+    ~guard:(San.Effect.Const true)
     ~reads:[]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
@@ -108,22 +108,23 @@ let test_instantaneous_chain () =
   let trigger = San.Model.Builder.int_place b "trigger" in
   let s1 = San.Model.Builder.int_place b "s1" in
   let s2 = San.Model.Builder.int_place b "s2" in
-  San.Model.Builder.timed b ~name:"pulse"
+  San.Model.Builder.timed_ir b ~name:"pulse"
     ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m trigger = 0)
+    ~guard:San.Effect.(Cmp (Mark trigger, Eq, Int 0))
     ~reads:[ San.Place.P trigger ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
         (San.Effect.Ops [ San.Effect.Set (trigger, San.Effect.Int 1) ]);
     ];
-  San.Model.Builder.instantaneous b ~name:"step1"
-    ~enabled:(fun m -> San.Marking.get m trigger = 1 && San.Marking.get m s1 = 0)
+  San.Model.Builder.instantaneous_ir b ~name:"step1"
+    ~guard:
+      San.Effect.(All [ Cmp (Mark trigger, Eq, Int 1); Cmp (Mark s1, Eq, Int 0) ])
     ~reads:[ San.Place.P trigger; San.Place.P s1 ]
-    (fun _ m -> San.Marking.set m s1 1);
-  San.Model.Builder.instantaneous b ~name:"step2"
-    ~enabled:(fun m -> San.Marking.get m s1 = 1 && San.Marking.get m s2 = 0)
+    San.Effect.(Ops [ Set (s1, Int 1) ]);
+  San.Model.Builder.instantaneous_ir b ~name:"step2"
+    ~guard:San.Effect.(All [ Cmp (Mark s1, Eq, Int 1); Cmp (Mark s2, Eq, Int 0) ])
     ~reads:[ San.Place.P s1; San.Place.P s2 ]
-    (fun _ m -> San.Marking.set m s2 1);
+    San.Effect.(Ops [ Set (s2, Int 1) ]);
   let model = San.Model.Builder.build b in
   (* Observe that both instantaneous firings happen at exactly t=1. *)
   let inst_times = ref [] in
@@ -145,12 +146,11 @@ let test_stabilization_divergence_detected () =
   let b = San.Model.Builder.create "loop" in
   let p = San.Model.Builder.int_place b ~init:1 "p" in
   (* Always-enabled instantaneous activity: a modeling bug. *)
-  San.Model.Builder.instantaneous b ~name:"spin"
-    ~enabled:(fun m -> San.Marking.get m p = 1)
+  San.Model.Builder.instantaneous_ir b ~name:"spin"
+    ~guard:San.Effect.(Cmp (Mark p, Eq, Int 1))
     ~reads:[ San.Place.P p ]
-    (fun _ m ->
-      (* Toggle twice: net no change, stays enabled. *)
-      San.Marking.set m p 1);
+    (* Net no change: stays enabled. *)
+    San.Effect.(Ops [ Set (p, Int 1) ]);
   let model = San.Model.Builder.build b in
   let cfg = Sim.Executor.config ~max_inst_chain:1000 ~horizon:1.0 () in
   Alcotest.(check bool) "divergence raises" true
@@ -168,17 +168,17 @@ let policy_model ~policy =
   let b = San.Model.Builder.create "policy" in
   let kick = San.Model.Builder.int_place b "kick" in
   let done_ = San.Model.Builder.int_place b "done" in
-  San.Model.Builder.timed b ~name:"kicker"
+  San.Model.Builder.timed_ir b ~name:"kicker"
     ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m kick = 0)
+    ~guard:San.Effect.(Cmp (Mark kick, Eq, Int 0))
     ~reads:[ San.Place.P kick ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
         (San.Effect.Ops [ San.Effect.Set (kick, San.Effect.Int 1) ]);
     ];
-  San.Model.Builder.timed b ~name:"slow" ~policy
+  San.Model.Builder.timed_ir b ~name:"slow" ~policy
     ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
-    ~enabled:(fun m -> San.Marking.get m done_ = 0)
+    ~guard:San.Effect.(Cmp (Mark done_, Eq, Int 0))
     ~reads:[ San.Place.P kick; San.Place.P done_ ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
@@ -220,15 +220,15 @@ let test_no_double_scheduling_after_setup () =
   let armed = San.Model.Builder.int_place b "armed" in
   let fires = San.Model.Builder.int_place b "fires" in
   (* Instantaneous setup arms the timed activity at t = 0. *)
-  San.Model.Builder.instantaneous b ~name:"arm"
-    ~enabled:(fun m -> San.Marking.get m armed = 0)
+  San.Model.Builder.instantaneous_ir b ~name:"arm"
+    ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 0))
     ~reads:[ San.Place.P armed ]
-    (fun _ m -> San.Marking.set m armed 1);
-  San.Model.Builder.timed_exp b ~name:"fire"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m armed = 1)
+    San.Effect.(Ops [ Set (armed, Int 1) ]);
+  San.Model.Builder.timed_exp_rate_ir b ~name:"fire"
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 1))
     ~reads:[ San.Place.P armed; San.Place.P fires ]
-    (fun _ m -> San.Marking.add m fires 1);
+    San.Effect.(Ops [ Inc (fires, Int 1) ]);
   let model = San.Model.Builder.build b in
   (* E[firings in 20h] = 20; with the double-scheduling bug it was 40.
      Average over replications and require a tight band. *)
@@ -252,17 +252,17 @@ let test_disabling_aborts () =
   let b = San.Model.Builder.create "abort" in
   let blocked = San.Model.Builder.int_place b "blocked" in
   let fired = San.Model.Builder.int_place b "fired" in
-  San.Model.Builder.timed b ~name:"blocker"
+  San.Model.Builder.timed_ir b ~name:"blocker"
     ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m blocked = 0)
+    ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
         (San.Effect.Ops [ San.Effect.Set (blocked, San.Effect.Int 1) ]);
     ];
-  San.Model.Builder.timed b ~name:"victim"
+  San.Model.Builder.timed_ir b ~name:"victim"
     ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
-    ~enabled:(fun m -> San.Marking.get m blocked = 0)
+    ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
@@ -460,9 +460,9 @@ let test_erlang_first_passage_distribution () =
   let dist = Dist.Erlang { k = 3; rate = 6.0 } in
   let b = San.Model.Builder.create "erlang_once" in
   let done_ = San.Model.Builder.int_place b "done" in
-  San.Model.Builder.timed b ~name:"go" ~policy:San.Activity.Keep
+  San.Model.Builder.timed_ir b ~name:"go" ~policy:San.Activity.Keep
     ~dist:(fun _ -> dist)
-    ~enabled:(fun m -> San.Marking.get m done_ = 0)
+    ~guard:San.Effect.(Cmp (Mark done_, Eq, Int 0))
     ~reads:[ San.Place.P done_ ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
@@ -718,17 +718,17 @@ let test_metrics_cancellations_and_never_fired () =
   let b = San.Model.Builder.create "abort" in
   let blocked = San.Model.Builder.int_place b "blocked" in
   let fired = San.Model.Builder.int_place b "fired" in
-  San.Model.Builder.timed b ~name:"blocker"
+  San.Model.Builder.timed_ir b ~name:"blocker"
     ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m blocked = 0)
+    ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
         (San.Effect.Ops [ San.Effect.Set (blocked, San.Effect.Int 1) ]);
     ];
-  San.Model.Builder.timed b ~name:"victim"
+  San.Model.Builder.timed_ir b ~name:"victim"
     ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
-    ~enabled:(fun m -> San.Marking.get m blocked = 0)
+    ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
       San.Activity.make_case ~weight:(fun _ -> 1.0)
