@@ -136,14 +136,27 @@ let run_perf () =
    step mid-benchmark must not corrupt the recorded timings. *)
 let now () = Obs.Clock.ns_to_s (Obs.Clock.now_ns ())
 
-(* Each row also carries a phase profile; its [itua-metrics/1] snapshot
-   is embedded in BENCH_sim.json so the CI perf gate can show WHERE the
-   time went when a row regresses (tools/perf_gate.py). The profile
-   comes from a SEPARATE pass over the same runs: per-phase clock reads
-   cost ~4x on tight event loops, so profiling the timed loop would
-   corrupt the events/sec number being gated. The phase proportions are
-   what the gate prints; only the gated throughput must be clean. *)
-let profile_pass ~model ~config ~runs =
+(* The [itua-metrics/1] snapshot for one throughput row: engine counters
+   and per-activity firings from [Sim.Metrics], phase self-times and GC
+   deltas from the profiler. Embedded verbatim in BENCH_sim.json (it is
+   already canonical [Report.Json] text) so tools/perf_gate.py can print
+   the phase breakdown of a regressed row. *)
+let throughput_metrics_json metrics profile =
+  let reg = Obs.Registry.create () in
+  Sim.Metrics.export metrics ~into:reg;
+  Obs.Profile.export profile ~into:reg;
+  Report.Json.to_string (Obs.Registry.to_json reg)
+
+(* Each row also carries a phase profile; its snapshot is embedded in
+   BENCH_sim.json so the CI perf gate can show WHERE the time went when
+   a row regresses. The profile comes from a SEPARATE pass over the same
+   runs: per-phase clock reads cost ~4x on tight event loops, so
+   profiling the timed loop would corrupt the events/sec number being
+   gated. The phase proportions are what the gate prints; only the gated
+   throughput must be clean. The snapshot is rendered as soon as the
+   pass ends: the profiler's GC counters are deltas up to the export, so
+   a later export would also count every section run in between. *)
+let profiled_snapshot ~metrics ~model ~config ~runs =
   let profile = Obs.Profile.create () in
   for i = 1 to runs do
     ignore
@@ -151,7 +164,7 @@ let profile_pass ~model ~config ~runs =
          ~stream:(Prng.Stream.create ~seed:(Int64.of_int i))
          ~observer:Sim.Observer.nop ())
   done;
-  profile
+  throughput_metrics_json metrics profile
 
 let measure_throughput ~name ~model ~config ~runs =
   let metrics = Sim.Metrics.create ~model in
@@ -163,7 +176,7 @@ let measure_throughput ~name ~model ~config ~runs =
          ~observer:Sim.Observer.nop ())
   done;
   Sim.Metrics.add_wall metrics (now () -. t0);
-  (name, metrics, profile_pass ~model ~config ~runs)
+  (name, metrics, profiled_snapshot ~metrics ~model ~config ~runs)
 
 (* Same as [measure_throughput], but with a trajectory recorder attached —
    tracks the observer overhead of [--record-failures]. *)
@@ -185,7 +198,7 @@ let measure_throughput_recording ~name ~handles ~config ~runs =
     Sim.Trajectory.offer sink ~rep:i
   done;
   Sim.Metrics.add_wall metrics (now () -. t0);
-  (name, metrics, profile_pass ~model ~config ~runs)
+  (name, metrics, profiled_snapshot ~metrics ~model ~config ~runs)
 
 let run_throughput () =
   let two_state = bench_two_state () in
@@ -207,7 +220,7 @@ let run_throughput () =
   in
   Format.printf "@.Engine throughput (telemetry on):@.";
   List.iter
-    (fun (name, m, _profile) ->
+    (fun (name, m, _snapshot) ->
       Format.printf "  %-45s %10.3g events/sec (%d events over %.2fs)@." name
         (Sim.Metrics.events_per_sec m)
         m.Sim.Metrics.events m.Sim.Metrics.wall_seconds)
@@ -449,17 +462,6 @@ let json_escape s = Printf.sprintf "%S" s
 let json_num (fmt : (float -> string, unit, string) format) v =
   if Float.is_finite v then Printf.sprintf fmt v else "null"
 
-(* The [itua-metrics/1] snapshot for one throughput row: engine counters
-   and per-activity firings from [Sim.Metrics], phase self-times and GC
-   deltas from the profiler. Embedded verbatim (it is already canonical
-   [Report.Json] text) so tools/perf_gate.py can print the phase
-   breakdown of a regressed row. *)
-let throughput_metrics_json metrics profile =
-  let reg = Obs.Registry.create () in
-  Sim.Metrics.export metrics ~into:reg;
-  Obs.Profile.export profile ~into:reg;
-  Report.Json.to_string (Obs.Registry.to_json reg)
-
 let write_bench_json ~reps ~micro ~throughput ~rare ~lumping ~lumping_hetero
     ~figures =
   let buf = Buffer.create 2048 in
@@ -481,7 +483,7 @@ let write_bench_json ~reps ~micro ~throughput ~rare ~lumping ~lumping_hetero
         (json_num "%.1f" ns));
   addf "\n  ],\n";
   addf "  \"engine_throughput\": [\n";
-  add_list throughput (fun (name, (m : Sim.Metrics.t), profile) ->
+  add_list throughput (fun (name, (m : Sim.Metrics.t), snapshot) ->
       addf
         "    { \"name\": %s, \"runs\": %d, \"events\": %d, \"wall_seconds\": \
          %.4f, \"events_per_sec\": %s, \"stale_pop_fraction\": %s, \
@@ -491,7 +493,7 @@ let write_bench_json ~reps ~micro ~throughput ~rare ~lumping ~lumping_hetero
         (json_num "%.1f" (Sim.Metrics.events_per_sec m))
         (json_num "%.4f" (Sim.Metrics.stale_fraction m))
         (json_num "%.2f" (Sim.Metrics.mean_heap_depth m))
-        (throughput_metrics_json m profile));
+        snapshot);
   addf "\n  ],\n";
   (match rare with
   | None -> ()

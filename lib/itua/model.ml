@@ -134,7 +134,12 @@ let host_is_corrupt_c sk g =
    Op order inside every helper reproduces the historical closure
    effects write-for-write: the marking journal is first-change-ordered
    and drives both dependency propagation and [Resample] re-draws, so
-   preserving write order preserves bit-identical trajectories. *)
+   preserving write order preserves bit-identical trajectories.
+
+   [build] calls each cascade helper once per host or domain and hands
+   the resulting term to every activity that needs it, so the cascade
+   is one shared sub-term rather than a copy inside every response
+   effect. *)
 
 let check_byzantine_e sk a =
   E.If
@@ -170,7 +175,8 @@ let kill_replica_e sk a r g =
       check_byzantine_e sk a;
     ]
 
-let kill_host_e sk g =
+(* [kill_replica.(a).(r)] is [kill_replica_e sk a r g]. *)
+let kill_host_e sk kill_replica g =
   let hp = host_places_of sk g in
   let d = domain_idx sk g in
   let dp = sk.s_domains.(d) in
@@ -184,7 +190,7 @@ let kill_host_e sk g =
                 (fun r sl ->
                   E.If
                     ( E.All [ pe sl.running 1; pe sl.on_host (g + 1) ],
-                      kill_replica_e sk a r g,
+                      kill_replica.(a).(r),
                       E.Skip ))
                 ap.slots))
          sk.s_apps)
@@ -226,7 +232,8 @@ let kill_host_e sk g =
           ];
       ])
 
-let exclude_domain_e sk d =
+(* [kill_host.(g)] is host [g]'s [kill_host_e] term. *)
+let exclude_domain_e sk kill_host d =
   let dp = sk.s_domains.(d) in
   (* Measure accounting first: fraction of corrupt hosts at exclusion,
      counted by indicator sums evaluated before any host is killed. *)
@@ -266,12 +273,12 @@ let exclude_domain_e sk d =
         @ Array.to_list
             (Array.mapi
                (fun h hp ->
-                 E.If (pe hp.alive 1, kill_host_e sk ((d * nh sk) + h), E.Skip))
+                 E.If (pe hp.alive 1, kill_host.((d * nh sk) + h), E.Skip))
                dp.hosts)
         @ [ E.Ops [ E.Set (dp.excluded, E.Int 1) ] ]),
       E.Skip )
 
-let exclude_host_e sk g =
+let exclude_host_e sk kill_host g =
   let hp = host_places_of sk g in
   E.If
     ( pe hp.alive 1,
@@ -282,15 +289,9 @@ let exclude_host_e sk g =
             ( host_is_corrupt_c sk g,
               E.Ops [ E.Inc (sk.s_excl_corrupt, E.Int 1) ],
               E.Skip );
-          kill_host_e sk g;
+          kill_host.(g);
         ],
       E.Skip )
-
-(* Management response to a detection concerning host [g]. *)
-let respond_e sk g =
-  match sk.p.Params.policy with
-  | Params.Domain_exclusion -> exclude_domain_e sk (domain_idx sk g)
-  | Params.Host_exclusion -> exclude_host_e sk g
 
 (* Start one replica of application [a] on host [g]: a [Pick] over the
    free slots (uniform; slots are exchangeable, and a single free slot
@@ -438,6 +439,24 @@ let build params =
       s_excl_corrupt = excl_corrupt;
       s_excl_frac = excl_frac;
     }
+  in
+
+  (* The exclusion cascade, one term per replica slot and host, per host
+     and per domain (see the effect IR helpers above). *)
+  let ng = nd * nhosts in
+  let kill_replica =
+    Array.init ng (fun g ->
+        Array.init na (fun a ->
+            Array.init nr (fun r -> kill_replica_e sk a r g)))
+  in
+  let kill_host = Array.init ng (fun g -> kill_host_e sk kill_replica.(g) g) in
+  let exclude_domain = Array.init nd (exclude_domain_e sk kill_host) in
+  let exclude_host = Array.init ng (exclude_host_e sk kill_host) in
+  (* Management response to a detection concerning host [g]. *)
+  let respond_e g =
+    match p.Params.policy with
+    | Params.Domain_exclusion -> exclude_domain.(domain_idx sk g)
+    | Params.Host_exclusion -> exclude_host.(g)
   in
 
   (* Dependency lists shared by many activities. *)
@@ -638,12 +657,12 @@ let build params =
             ~reads:(slot_reads @ mgr_group_reads)
             (match p.Params.policy with
             | Params.Domain_exclusion ->
-                dispatch_domain sl (fun d -> exclude_domain_e sk d)
+                dispatch_domain sl (fun d -> exclude_domain.(d))
             | Params.Host_exclusion ->
                 E.If
                   ( pe sl.convicted_by_ids 1,
-                    dispatch_host sl (fun g -> exclude_host_e sk g),
-                    dispatch_host sl (fun g -> kill_replica_e sk a r g) )))
+                    dispatch_host sl (fun g -> exclude_host.(g)),
+                    dispatch_host sl (fun g -> kill_replica.(g).(a).(r)) )))
         ap.slots)
     apps;
 
@@ -831,7 +850,7 @@ let build params =
       ~reads:
         ([ P.P hp.host_detected; P.P hp.alive; P.P hp.mgr_corrupt ]
         @ mgr_group_reads)
-      (respond_e sk g);
+      (respond_e g);
     (* attack_mgmt: attacks against the manager on this host. *)
     B.timed_exp_rate_ir b
       ~name:(host_name g "attack_mgmt")
@@ -899,7 +918,7 @@ let build params =
              E.Any [ dom_group_ok_c sk d; quorum_ok_c sk ];
            ])
       ~reads:([ P.P hp.mgr_detected; P.P hp.alive ] @ mgr_group_reads)
-      (respond_e sk g)
+      (respond_e g)
   done;
 
   let model = B.build b in

@@ -106,7 +106,7 @@ let make_case ?weight ?weight_ir effect =
     | None, Some r -> (Effect.rexpr_fn r, Some r)
     | None, None -> ((fun _ -> 1.0), Some (Effect.RConst 1.0))
   in
-  { case_weight; weight_ir; effect; prog = Effect.compile effect }
+  { case_weight; weight_ir; effect; prog = Effect.PSkip }
 
 let is_instantaneous a =
   match a.timing with Instantaneous -> true | Timed _ -> false

@@ -74,9 +74,11 @@ type case = {
           weight, which serialization rejects. *)
   effect : Effect.t;
   prog : Effect.prog;
-      (** [effect] compiled once at construction time; the executor's hot
-          path runs this instead of interpreting [effect]. Keep the two
-          in sync by building cases with {!make_case}. *)
+      (** [effect] compiled by [Model.Builder] when the activity is
+          added, under the builder's per-build memo ({!Effect.compile_in}):
+          a node shared by several cases or activities compiles once and
+          they all hold the same program. The executor's hot path runs
+          this instead of interpreting [effect]. *)
 }
 
 type t = {
@@ -97,7 +99,9 @@ type t = {
 
 val make_case :
   ?weight:(Marking.t -> float) -> ?weight_ir:Effect.rexpr -> Effect.t -> case
-(** Build a case, compiling the effect. With [weight_ir] (and no
+(** Build a case. It does not compile the effect: [prog] is
+    [Effect.PSkip] until the case is passed to a [Model.Builder]
+    activity declaration, which compiles it. With [weight_ir] (and no
     [weight]) the closure weight is derived from it; with neither, the
     weight is the constant 1.0 (recorded declaratively). An explicit
     [weight] closure wins and leaves [weight_ir] as passed (default

@@ -281,7 +281,40 @@ let compile_cond c =
       match const_iexpr e with Some k -> KCmpc (p, rel, k) | None -> KGen c)
   | _ -> KGen c
 
-let rec compile eff =
+(* Compilation memo, scoped to one model build, so a sub-term shared by
+   many activities (the ITUA exclusion cascade) compiles once and every
+   case that contains it holds the same program. The bucket hash is the
+   bounded structural hash, which is stable under GC moves. Equality is
+   [compare = 0], which returns at once on physically equal terms (the
+   shared case). It is structural rather than [==] because a
+   tree-shaped model (one reloaded from disk) repeats the same sub-term
+   thousands of times: all copies hash alike, and under [==] each one
+   would scan a bucket of all the others. Structurally equal terms
+   compile to equal programs, so they may share one. Leaf op lists are
+   compiled directly: that costs about as much as a lookup. *)
+module Memo = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal a b = compare a b = 0
+  let hash = Hashtbl.hash
+end)
+
+type memo = prog Memo.t
+
+let memo () = Memo.create 64
+
+let rec compile_in memo eff =
+  match eff with
+  | Skip | Ops _ -> compile_node memo eff
+  | Seq _ | If _ | Pick _ -> (
+      match Memo.find_opt memo eff with
+      | Some prog -> prog
+      | None ->
+          let prog = compile_node memo eff in
+          Memo.add memo eff prog;
+          prog)
+
+and compile_node memo eff =
   match eff with
   | Skip -> PSkip
   | Ops ops -> (
@@ -300,7 +333,7 @@ let rec compile eff =
       let progs =
         List.concat_map
           (fun e ->
-            match compile e with
+            match compile_in memo e with
             | PSkip -> []
             | PSeq ps -> Array.to_list ps
             | p -> [ p ])
@@ -312,12 +345,15 @@ let rec compile eff =
       | ps -> PSeq (Array.of_list ps))
   | If (c, a, b) -> (
       match compile_cond c with
-      | KConst true -> compile a
-      | KConst false -> compile b
-      | k -> PIf (k, compile a, compile b))
+      | KConst true -> compile_in memo a
+      | KConst false -> compile_in memo b
+      | k -> PIf (k, compile_in memo a, compile_in memo b))
   | Pick bs ->
       PPick
-        (Array.of_list (List.map (fun (c, e) -> (compile_cond c, compile e)) bs))
+        (Array.of_list
+           (List.map (fun (c, e) -> (compile_cond c, compile_in memo e)) bs))
+
+let compile eff = compile_in (memo ()) eff
 
 let pcond_holds m = function
   | KConst b -> b

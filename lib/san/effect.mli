@@ -148,8 +148,26 @@ type prog =
   | PPick of (pcond * prog) array
 
 val compile : t -> prog
-(** Compile once at model-build time; constant expressions are folded and
-    all-constant-increment op lists become flat {!PAddc} arc arrays. *)
+(** Compile a term on its own; constant expressions are folded and
+    all-constant-increment op lists become flat {!PAddc} arc arrays.
+    Equivalent to [compile_in (memo ()) t]. *)
+
+type memo
+(** A compilation memo. A term may share sub-terms (one node reachable
+    from several parents or several activities); under one memo each
+    distinct [Seq], [If] or [Pick] node compiles once and every
+    occurrence gets the same program. Lookup returns at once on a
+    physically equal node; a structurally equal copy also finds it.
+    [San.Model.Builder] owns one memo per build and drops it at
+    [build], so no table outlives a build or is shared between
+    domains. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
+val compile_in : memo -> t -> prog
+(** [compile_in memo t] is [compile t] (structurally equal), reusing the
+    program of any node of [t] already compiled under [memo]. *)
 
 val run_prog : ctx -> prog -> Marking.t -> unit
 (** Execute a compiled program. Equivalent to {!apply} on the source term

@@ -7,7 +7,10 @@ type t = {
   activities : Activity.t array;
   by_place_name : (string, Place.any) Hashtbl.t;
   by_activity_name : (string, Activity.t) Hashtbl.t;
-  dependents : int array array;  (* place uid -> activity ids *)
+  (* Read-only run tables, built once here and shared by every run on
+     every domain. *)
+  dependents : Activity.t array array;  (* place uid -> reading activities *)
+  instantaneous : int array;  (* ids of instantaneous activities *)
 }
 
 module Builder = struct
@@ -16,28 +19,35 @@ module Builder = struct
   type t = {
     bname : string;
     mutable ints : (Place.t * int) list;  (* reversed *)
+    mutable n_ints : int;
     mutable floats : (Place.fl * float) list;
+    mutable n_floats : int;
     mutable acts : Activity.t list;
+    mutable n_acts : int;
     names : (string, unit) Hashtbl.t;
     act_names : (string, unit) Hashtbl.t;
     mutable next_uid : int;
-    mutable built : bool;
+    mutable memo : Effect.memo option;  (* [None] once built *)
   }
 
   let create bname =
     {
       bname;
       ints = [];
+      n_ints = 0;
       floats = [];
+      n_floats = 0;
       acts = [];
+      n_acts = 0;
       names = Hashtbl.create 64;
       act_names = Hashtbl.create 64;
       next_uid = 0;
-      built = false;
+      memo = Some (Effect.memo ());
     }
 
   let check_fresh b what tbl name =
-    if b.built then invalid_arg "Model.Builder: builder already built";
+    if Option.is_none b.memo then
+      invalid_arg "Model.Builder: builder already built";
     if Hashtbl.mem tbl name then
       invalid_arg (Printf.sprintf "Model.Builder: duplicate %s %S" what name);
     Hashtbl.add tbl name ()
@@ -47,17 +57,17 @@ module Builder = struct
     if init < 0 then
       invalid_arg
         (Printf.sprintf "Model.Builder: place %S initial marking < 0" name);
-    let p = Place.make_int ~name ~index:(List.length b.ints) ~uid:b.next_uid in
+    let p = Place.make_int ~name ~index:b.n_ints ~uid:b.next_uid in
     b.next_uid <- b.next_uid + 1;
+    b.n_ints <- b.n_ints + 1;
     b.ints <- (p, init) :: b.ints;
     p
 
   let float_place b ?(init = 0.0) name =
     check_fresh b "place" b.names name;
-    let p =
-      Place.make_float ~name ~index:(List.length b.floats) ~uid:b.next_uid
-    in
+    let p = Place.make_float ~name ~index:b.n_floats ~uid:b.next_uid in
     b.next_uid <- b.next_uid + 1;
+    b.n_floats <- b.n_floats + 1;
     b.floats <- (p, init) :: b.floats;
     p
 
@@ -69,7 +79,9 @@ module Builder = struct
 
   (* The enabling predicate is a declarative guard, compiled to the
      [enabled] closure, and effects are [Effect.t] terms, so structural
-     analysis reads the activity exactly. *)
+     analysis reads the activity exactly. Each case's effect compiles
+     here, under the build's memo: a node shared between activities
+     compiles once. *)
 
   let activity_ir b ~name ~timing ~guard ~reads cases =
     check_fresh b "activity" b.act_names name;
@@ -77,17 +89,25 @@ module Builder = struct
       invalid_arg
         (Printf.sprintf "Model.Builder: activity %S needs at least one case"
            name);
+    (* [check_fresh] has rejected a built builder. *)
+    let memo = Option.get b.memo in
     let act =
       {
-        Activity.id = List.length b.acts;
+        Activity.id = b.n_acts;
         name;
         timing;
         enabled = Effect.cond_fn guard;
         guard;
         reads;
-        cases = Array.of_list cases;
+        cases =
+          Array.of_list
+            (List.map
+               (fun (c : Activity.case) ->
+                 { c with prog = Effect.compile_in memo c.effect })
+               cases);
       }
     in
+    b.n_acts <- b.n_acts + 1;
     b.acts <- act :: b.acts
 
   let timed_ir b ~name ?(policy = Activity.Resample) ~dist ~guard ~reads cases
@@ -148,8 +168,9 @@ module Builder = struct
       [ Activity.make_case effect ]
 
   let build b =
-    if b.built then invalid_arg "Model.Builder.build: already built";
-    b.built <- true;
+    if Option.is_none b.memo then
+      invalid_arg "Model.Builder.build: already built";
+    b.memo <- None;
     let ints = Array.of_list (List.rev b.ints) in
     let floats = Array.of_list (List.rev b.floats) in
     let activities = Array.of_list (List.rev b.acts) in
@@ -164,16 +185,22 @@ module Builder = struct
     Array.iter
       (fun (a : Activity.t) -> Hashtbl.replace by_activity_name a.name a)
       activities;
-    let n_uids = b.next_uid in
-    let deps = Array.make n_uids [] in
+    let deps = Array.make b.next_uid [] in
     Array.iter
       (fun (a : Activity.t) ->
         List.iter
           (fun pl ->
             let uid = Place.any_uid pl in
-            deps.(uid) <- a.Activity.id :: deps.(uid))
+            deps.(uid) <- a :: deps.(uid))
           a.Activity.reads)
       activities;
+    let instantaneous =
+      Array.of_list
+        (List.filter_map
+           (fun (a : Activity.t) ->
+             if Activity.is_instantaneous a then Some a.id else None)
+           (Array.to_list activities))
+    in
     {
       name = b.bname;
       int_places = Array.map fst ints;
@@ -184,6 +211,7 @@ module Builder = struct
       by_place_name;
       by_activity_name;
       dependents = Array.map (fun l -> Array.of_list (List.rev l)) deps;
+      instantaneous;
     }
 end
 
@@ -224,8 +252,10 @@ let initial_marking m =
 
 let dependents m uid =
   if uid < 0 || uid >= Array.length m.dependents then []
-  else
-    Array.to_list (Array.map (fun id -> m.activities.(id)) m.dependents.(uid))
+  else Array.to_list m.dependents.(uid)
+
+let dependents_table m = m.dependents
+let instantaneous_ids m = m.instantaneous
 
 let all_exponential m =
   let mk = initial_marking m in

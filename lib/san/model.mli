@@ -150,6 +150,19 @@ val dependents : t -> int -> Activity.t list
 (** [dependents model uid] lists the activities that declared the place
     with uid [uid] in their [reads]. *)
 
+(** {2 Run tables}
+
+    Computed once by {!Builder.build} and shared by every run of the
+    model, on every domain. They are read-only: callers must not mutate
+    the returned arrays. *)
+
+val dependents_table : t -> Activity.t array array
+(** Indexed by place uid ([0 .. n_places - 1]): entry [uid] is
+    [Array.of_list (dependents model uid)]. *)
+
+val instantaneous_ids : t -> int array
+(** Ids of the instantaneous activities, in increasing order. *)
+
 val all_exponential : t -> bool
 (** True when every timed activity's distribution is exponential in every
     reachable marking the caller has checked — practically: evaluated on

@@ -43,6 +43,7 @@ type state = {
   heap : Event_heap.t;
   versions : int array;  (* per activity: current scheduling version *)
   scheduled : bool array;  (* per activity: has a live heap entry *)
+  (* Shared read-only tables of the model (see [San.Model] run tables). *)
   inst_ids : int array;  (* ids of instantaneous activities *)
   acts : San.Activity.t array;
   deps : San.Activity.t array array;  (* place uid -> reading activities *)
@@ -208,20 +209,11 @@ let stabilize st ~notify =
 
 (* Build executor state: fresh from the model's initial marking, or a
    private copy of a checkpoint (so several clones can resume from the
-   same checkpoint, concurrently, without sharing mutable state). *)
+   same checkpoint, concurrently, without sharing mutable state). The
+   model's activity tables are shared, never copied. *)
 let make_state ~model ~cfg ~stream ~prof ~from_ =
   let acts = San.Model.activities model in
   let n = Array.length acts in
-  let inst_ids =
-    Array.of_list
-      (Array.to_list acts
-      |> List.filter San.Activity.is_instantaneous
-      |> List.map (fun (a : San.Activity.t) -> a.id))
-  in
-  let deps =
-    Array.init (San.Model.n_places model) (fun uid ->
-        Array.of_list (San.Model.dependents model uid))
-  in
   let marking, heap, versions, scheduled, now =
     match from_ with
     | None ->
@@ -255,9 +247,9 @@ let make_state ~model ~cfg ~stream ~prof ~from_ =
     heap;
     versions;
     scheduled;
-    inst_ids;
+    inst_ids = San.Model.instantaneous_ids model;
     acts;
-    deps;
+    deps = San.Model.dependents_table model;
     seen = Array.make n 0;
     gen = 0;
     now;

@@ -99,3 +99,13 @@ let gong () =
         San.Effect.(Ops [ Set (g_state, Int dst) ]))
     gong_transitions;
   { g_model = San.Model.Builder.build b; g_state }
+
+let golden_models () =
+  let dir = if Sys.file_exists "golden" then "golden" else "test/golden" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".model.json")
+  |> List.sort compare
+  |> List.map (fun f ->
+         match Serial.load (Filename.concat dir f) with
+         | Ok l -> (f, l.Serial.model)
+         | Error e -> failwith (f ^ ": " ^ e))

@@ -47,3 +47,8 @@ val gong : unit -> gong
     the same chain as [examples/gong_nine_state.ml]: nine states encoded
     in one place, every state reachable, state 0 initial. Useful as a
     known-size exhaustive-exploration target. *)
+
+val golden_models : unit -> (string * San.Model.t) list
+(** The committed [test/golden/*.model.json] models, loaded through
+    [Serial], by file name. Found from [test/] (where [dune runtest]
+    runs) or from the repository root. *)

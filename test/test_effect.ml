@@ -1,8 +1,8 @@
 (* Tests for the effect IR: interpreter semantics, static read/write
    extraction, the compiled flat-array programs (pinned bit-identical
-   against the interpreter), the exact A013-A015 diagnostics (one
-   deliberately broken fixture per code), exact-law span skipping, and
-   Rat normalization edge cases. *)
+   against the interpreter, and compiled once per shared node), the
+   exact A013-A015 diagnostics (one deliberately broken fixture per
+   code), exact-law span skipping, and Rat normalization edge cases. *)
 
 module B = San.Model.Builder
 module M = San.Marking
@@ -203,6 +203,95 @@ let test_compiled_path_bit_identical () =
         (San.Model.activities model))
     markings;
   Alcotest.(check bool) "some Pick drew from the stream" true (!draws > 0)
+
+(* --- compilation once per distinct node --- *)
+
+(* Effect nodes keyed by physical identity. *)
+module Phys = Hashtbl.Make (struct
+  type t = E.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let itua_params ~policy nd nh na nr =
+  {
+    Itua.Params.default with
+    Itua.Params.num_domains = nd;
+    hosts_per_domain = nh;
+    num_apps = na;
+    num_reps = nr;
+    policy;
+  }
+
+let policies = [ Itua.Params.Domain_exclusion; Itua.Params.Host_exclusion ]
+
+(* The builder compiles each case under a per-build memo. Whatever the
+   sharing, every case's program must equal a fresh, unmemoized compile
+   of its own effect. *)
+let check_progs_fresh label model =
+  Array.iter
+    (fun (a : San.Activity.t) ->
+      Array.iteri
+        (fun i (c : San.Activity.case) ->
+          if c.San.Activity.prog <> E.compile c.San.Activity.effect then
+            Alcotest.failf "%s: %s case %d differs from a fresh compile" label
+              a.San.Activity.name i)
+        a.cases)
+    (San.Model.activities model)
+
+let test_shared_compile_matches_fresh () =
+  List.iter
+    (fun policy ->
+      let h = Itua.Model.build (itua_params ~policy 2 3 3 4) in
+      check_progs_fresh "itua" h.Itua.Model.model;
+      (* Responses to detections in one domain run the domain's
+         exclusion term: one program, compiled once. *)
+      if policy = Itua.Params.Domain_exclusion then begin
+        let prog name =
+          (San.Model.find_activity h.Itua.Model.model name).cases.(0).prog
+        in
+        Alcotest.(check bool) "one program for one shared term" true
+          (prog "domain[1].host[0].respond_host_detect"
+          == prog "domain[1].host[2].respond_mgr_detect")
+      end)
+    policies;
+  let goldens = Test_models.golden_models () in
+  Alcotest.(check bool) "golden models found" true (List.length goldens >= 4);
+  List.iter (fun (f, model) -> check_progs_fresh f model) goldens
+
+(* The exclusion cascade is one term per host and per domain, shared by
+   every response activity. Rebuilding it inside each response made the
+   IR quadratic (about 441k distinct effect nodes on 1x12x8x7); shared,
+   the count is linear in hosts x replica slots. *)
+let test_cascade_nodes_linear () =
+  let nd, nh, na, nr = (1, 12, 8, 7) in
+  List.iter
+    (fun policy ->
+      let h = Itua.Model.build (itua_params ~policy nd nh na nr) in
+      let seen = Phys.create 4096 in
+      let rec visit e =
+        if not (Phys.mem seen e) then begin
+          Phys.add seen e ();
+          match e with
+          | E.Skip | E.Ops _ -> ()
+          | E.Seq es -> List.iter visit es
+          | E.If (_, a, b) ->
+              visit a;
+              visit b
+          | E.Pick bs -> List.iter (fun (_, e) -> visit e) bs
+        end
+      in
+      Array.iter
+        (fun (a : San.Activity.t) ->
+          Array.iter (fun (c : San.Activity.case) -> visit c.effect) a.cases)
+        (San.Model.activities h.Itua.Model.model);
+      let hosts_x_slots = nd * nh * na * nr in
+      let nodes = Phys.length seen in
+      if nodes > 16 * hosts_x_slots then
+        Alcotest.failf "%d distinct effect nodes for %d hosts x slots" nodes
+          hosts_x_slots)
+    policies
 
 (* --- A013: declared-reads/writes vs IR, exact --- *)
 
@@ -454,6 +543,10 @@ let () =
         [
           Alcotest.test_case "bit-identical trajectories" `Quick
             test_compiled_path_bit_identical;
+          Alcotest.test_case "shared compile matches fresh" `Quick
+            test_shared_compile_matches_fresh;
+          Alcotest.test_case "cascade nodes linear" `Quick
+            test_cascade_nodes_linear;
         ] );
       ( "A013",
         [

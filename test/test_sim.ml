@@ -1072,6 +1072,115 @@ let test_checkpoint_clones_independent () =
       Alcotest.(check bool) "seeds diverge" true
         (List.exists (fun r -> r <> List.hd different) different)
 
+(* --- the model's shared run tables --- *)
+
+(* [San.Model.Builder.build] computes the instantaneous ids and the
+   place -> dependents table once; every run reads them. They must
+   agree with a derivation from scratch, both from the activities'
+   declared reads and through [San.Model.dependents]. *)
+let test_run_tables_match_dependents () =
+  let models = Test_models.golden_models () in
+  Alcotest.(check bool) "golden models found" true (List.length models >= 4);
+  List.iter
+    (fun (f, model) ->
+      let acts = San.Model.activities model in
+      let table = San.Model.dependents_table model in
+      Alcotest.(check int) (f ^ ": one row per place")
+        (San.Model.n_places model) (Array.length table);
+      Array.iteri
+        (fun uid row ->
+          let from_reads =
+            Array.to_list acts
+            |> List.concat_map (fun (a : San.Activity.t) ->
+                   List.filter_map
+                     (fun pl ->
+                       if San.Place.any_uid pl = uid then Some a.id else None)
+                     a.reads)
+          in
+          let ids row = List.map (fun (a : San.Activity.t) -> a.id) row in
+          let label = Printf.sprintf "%s: dependents of uid %d" f uid in
+          Alcotest.(check (list int)) label from_reads
+            (ids (Array.to_list row));
+          Alcotest.(check (list int)) label
+            (ids (San.Model.dependents model uid))
+            (ids (Array.to_list row));
+          Array.iter
+            (fun (a : San.Activity.t) ->
+              if not (a == acts.(a.id)) then
+                Alcotest.failf "%s: not the model's activity" label)
+            row)
+        table;
+      let inst =
+        Array.to_list acts
+        |> List.filter San.Activity.is_instantaneous
+        |> List.map (fun (a : San.Activity.t) -> a.id)
+      in
+      Alcotest.(check (list int)) (f ^ ": instantaneous ids") inst
+        (Array.to_list (San.Model.instantaneous_ids model));
+      Alcotest.(check bool) (f ^ ": tables are not rebuilt per call") true
+        (San.Model.dependents_table model == table
+        && San.Model.instantaneous_ids model
+           == San.Model.instantaneous_ids model))
+    models
+
+let test_checkpoint_other_model_rejected () =
+  let q = Test_models.mm1k ~lambda:1.0 ~mu:1.2 ~k:8 in
+  let model = q.Test_models.q_model and len = q.Test_models.q_len in
+  let cfg = Sim.Executor.config ~horizon:50.0 () in
+  match
+    Sim.Executor.run_to_level ~model ~config:cfg ~stream:(stream 99)
+      ~observer:Sim.Observer.nop
+      ~importance:(fun m -> San.Marking.get m len)
+      ~threshold:3 ()
+  with
+  | Sim.Executor.Finished _ -> Alcotest.fail "expected a crossing"
+  | Sim.Executor.Crossed { checkpoint; _ } ->
+      let gong = (Test_models.gong ()).Test_models.g_model in
+      Alcotest.(check bool) "resume on another model raises" true
+        (match
+           Sim.Executor.resume ~model:gong ~config:cfg ~stream:(stream 1)
+             ~observer:Sim.Observer.nop checkpoint
+         with
+        | (_ : Sim.Executor.outcome) -> false
+        | exception Invalid_argument _ -> true)
+
+(* Two domains read the same model tables concurrently; the result must
+   equal the one-domain run replication for replication. *)
+let test_runner_two_domains_match_one () =
+  let h =
+    Itua.Model.build
+      {
+        Itua.Params.default with
+        Itua.Params.num_domains = 3;
+        hosts_per_domain = 2;
+        num_apps = 2;
+      }
+  in
+  let model = h.Itua.Model.model in
+  let spec =
+    Sim.Runner.spec ~model ~horizon:5.0
+      [
+        Itua.Measures.unavailability h ~until:5.0;
+        Itua.Measures.unreliability h ~until:5.0;
+      ]
+  in
+  let run domains =
+    let metrics = Sim.Metrics.create ~model in
+    let results = Sim.Runner.run ~domains ~metrics ~seed:7L ~reps:60 spec in
+    (results, metrics)
+  in
+  let r1, m1 = run 1 and r2, m2 = run 2 in
+  List.iter2
+    (fun (a : Sim.Runner.result) (b : Sim.Runner.result) ->
+      Alcotest.(check int) (a.name ^ ": runs") a.n_runs b.n_runs;
+      Alcotest.(check int) (a.name ^ ": defined") a.n_defined b.n_defined;
+      Alcotest.(check (float 1e-12)) (a.name ^ ": mean") a.ci.Stats.Ci.mean
+        b.ci.Stats.Ci.mean)
+    r1 r2;
+  Alcotest.(check int) "events" m1.Sim.Metrics.events m2.Sim.Metrics.events;
+  Alcotest.(check (array int)) "per-activity firings" m1.Sim.Metrics.firings
+    m2.Sim.Metrics.firings
+
 let test_splitting_two_state_agrees_with_crude () =
   (* Non-rare event, P(ever down by t) = 1 - exp(-λt) ≈ 0.39: splitting
      must agree with the closed form and with a crude-MC estimate. *)
@@ -1228,6 +1337,10 @@ let () =
           Alcotest.test_case "no double scheduling after setup" `Slow
             test_no_double_scheduling_after_setup;
           Alcotest.test_case "advance tiling" `Quick test_advance_tiling;
+          Alcotest.test_case "run tables match dependents" `Quick
+            test_run_tables_match_dependents;
+          Alcotest.test_case "checkpoint from another model" `Quick
+            test_checkpoint_other_model_rejected;
         ] );
       ( "rewards",
         [
@@ -1298,6 +1411,8 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "reproducible" `Quick test_runner_reproducible;
+          Alcotest.test_case "two domains match one" `Quick
+            test_runner_two_domains_match_one;
           Alcotest.test_case "parallel matches" `Slow
             test_runner_parallel_matches_counts;
           Alcotest.test_case "nan handling" `Quick test_runner_nan_handling;
