@@ -31,7 +31,7 @@ type phase =
   | Propagate  (** dependency re-evaluation after a firing *)
   | Stabilize  (** instantaneous-activity chains *)
   | Sample  (** delay distribution draws *)
-  | Heap_push  (** event-heap insertion *)
+  | Heap_push  (** event-heap insertion, re-keying and removal *)
   | Heap_pop  (** event-heap extraction *)
   | Checkpoint  (** checkpoint capture and clone resume (splitting) *)
   | Ctmc_explore  (** state-space generation *)

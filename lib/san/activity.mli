@@ -92,8 +92,9 @@ type t = {
   reads : Place.any list;
       (** Every place whose marking can influence [enabled], the firing
           distribution, or the case weights. Omissions make the executor
-          miss wake-ups; the model checker ([Analysis.Check], diagnostics
-          A001/A013) detects them. *)
+          miss wake-ups (except for an instantaneous activity's guard,
+          whose exact reads [Model] indexes as well); the model checker
+          ([Analysis.Check], diagnostics A001/A013) detects them. *)
   cases : case array;
 }
 

@@ -185,14 +185,23 @@ module Builder = struct
     Array.iter
       (fun (a : Activity.t) -> Hashtbl.replace by_activity_name a.name a)
       activities;
+    (* An instantaneous activity also depends on every place its guard
+       reads, declared or not, so the executor can track its enabledness
+       through this table alone. *)
     let deps = Array.make b.next_uid [] in
     Array.iter
       (fun (a : Activity.t) ->
+        let declared = List.map Place.any_uid a.reads in
+        let guard_extra =
+          if Activity.is_instantaneous a then
+            List.filter
+              (fun uid -> not (List.mem uid declared))
+              (Effect.cond_reads a.guard)
+          else []
+        in
         List.iter
-          (fun pl ->
-            let uid = Place.any_uid pl in
-            deps.(uid) <- a :: deps.(uid))
-          a.Activity.reads)
+          (fun uid -> deps.(uid) <- a :: deps.(uid))
+          (declared @ guard_extra))
       activities;
     let instantaneous =
       Array.of_list

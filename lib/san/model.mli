@@ -147,8 +147,11 @@ val initial_marking : t -> Marking.t
 (** A fresh marking set to the model's initial state. *)
 
 val dependents : t -> int -> Activity.t list
-(** [dependents model uid] lists the activities that declared the place
-    with uid [uid] in their [reads]. *)
+(** [dependents model uid] lists, in id order, the activities that
+    declared the place with uid [uid] in their [reads], and the
+    instantaneous activities whose guard reads it
+    ([Effect.cond_reads a.guard]) even if undeclared. A timed
+    activity's entries are its declared reads only. *)
 
 (** {2 Run tables}
 
@@ -158,7 +161,9 @@ val dependents : t -> int -> Activity.t list
 
 val dependents_table : t -> Activity.t array array
 (** Indexed by place uid ([0 .. n_places - 1]): entry [uid] is
-    [Array.of_list (dependents model uid)]. *)
+    [Array.of_list (dependents model uid)], guard reads of instantaneous
+    activities included. The executor re-evaluates exactly these
+    activities after a firing changes place [uid]. *)
 
 val instantaneous_ids : t -> int array
 (** Ids of the instantaneous activities, in increasing order. *)

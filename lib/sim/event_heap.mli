@@ -1,34 +1,47 @@
-(** Pending-event set of the simulator: a binary min-heap of scheduled
-    activity completions ordered by time, with FIFO tie-breaking on equal
-    times (insertion sequence) so runs are deterministic.
+(** Pending-event set of the simulator: an indexed binary min-heap of
+    scheduled activity completions, keyed by activity id, with at most
+    one entry per activity.
 
-    Entries carry the scheduling {e version} of their activity; the
-    executor bumps an activity's version to cancel its pending entry
-    (lazy deletion), so [pop] can return stale entries, which the caller
-    must detect by comparing versions. *)
+    Entries are ordered by completion time, with FIFO tie-breaking on
+    equal times (insertion sequence), so runs are deterministic. Every
+    {!push} takes a fresh sequence number, including a re-push of an
+    activity that is already scheduled: a rescheduled activity goes
+    behind any entry of equal time pushed before it.
 
-type entry = { time : float; seq : int; act : int; version : int }
+    Canceling an activity removes its entry ({!remove}), so {!pop} only
+    ever returns live completions. Once created, the heap allocates
+    nothing. *)
 
 type t
 
-val create : unit -> t
+val create : int -> t
+(** [create n] is an empty heap for activity ids [0 .. n - 1]. *)
 
-val push : t -> time:float -> act:int -> version:int -> unit
-(** Schedules activity [act] at [time]. [time] must be finite and
-    non-negative. *)
+val push : t -> act:int -> time:float -> unit
+(** Schedules activity [act] at [time], replacing its entry if it
+    already has one. [time] must be finite and non-negative
+    ([Invalid_argument] otherwise). *)
 
-val pop : t -> entry option
-(** Removes and returns the earliest entry, or [None] when empty. *)
+val remove : t -> int -> unit
+(** [remove h act] drops [act]'s entry; a no-op when it has none. *)
+
+val mem : t -> int -> bool
+(** [mem h act] holds when [act] has an entry. *)
+
+val pop : t -> int
+(** Removes the earliest entry and returns its activity id, or [-1]
+    when the heap is empty. *)
+
+val time : t -> int -> float
+(** [time h act] is the time [act] was last pushed with: its scheduled
+    completion while it has an entry, and the popped time right after
+    {!pop} returns it. *)
+
+val size : t -> int
+(** Number of entries, i.e. of scheduled activities. *)
 
 val copy : t -> t
 (** [copy h] is an independent heap with the same entries and insertion
-    counter, so pops from the copy return the same sequence as pops from
-    the original. Used to checkpoint executor state for the splitting
-    engine. *)
-
-val peek_time : t -> float option
-
-val size : t -> int
-(** Number of entries, including stale ones. *)
-
-val clear : t -> unit
+    counter, so the copy and the original pop the same sequence under
+    the same operations. Used to checkpoint executor state for the
+    splitting engine. *)

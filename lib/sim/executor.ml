@@ -20,10 +20,9 @@ type outcome = {
 }
 
 type checkpoint = {
+  cp_model : San.Model.t;
   cp_marking : San.Marking.t;
   cp_heap : Event_heap.t;
-  cp_versions : int array;
-  cp_scheduled : bool array;
   cp_now : float;
 }
 
@@ -40,9 +39,9 @@ type state = {
   stream : Prng.Stream.t;
   prof : Obs.Profile.t option;
   marking : San.Marking.t;
-  heap : Event_heap.t;
-  versions : int array;  (* per activity: current scheduling version *)
-  scheduled : bool array;  (* per activity: has a live heap entry *)
+  heap : Event_heap.t;  (* one entry per scheduled timed activity *)
+  inst_on : bool array;  (* per activity: an instantaneous guard holds *)
+  mutable inst_count : int;  (* number of [inst_on] flags set *)
   (* Shared read-only tables of the model (see [San.Model] run tables). *)
   inst_ids : int array;  (* ids of instantaneous activities *)
   acts : San.Activity.t array;
@@ -62,7 +61,6 @@ type state = {
   mutable chain_steps : int;
   mutable max_chain : int;
   mutable pops : int;
-  mutable stale_pops : int;
   mutable depth_sum : int;
   mutable max_depth : int;
 }
@@ -87,31 +85,36 @@ let sample_delay st (a : San.Activity.t) =
 let schedule st (a : San.Activity.t) =
   let delay = sample_delay st a in
   penter st Obs.Profile.Heap_push;
-  Event_heap.push st.heap ~time:(st.now +. delay) ~act:a.id
-    ~version:st.versions.(a.id);
-  pleave st;
-  st.scheduled.(a.id) <- true
+  Event_heap.push st.heap ~time:(st.now +. delay) ~act:a.id;
+  pleave st
 
 let cancel st id =
-  st.versions.(id) <- st.versions.(id) + 1;
-  st.scheduled.(id) <- false
+  penter st Obs.Profile.Heap_push;
+  Event_heap.remove st.heap id;
+  pleave st
 
-(* Re-evaluate one timed activity after a marking change it depends on. *)
+(* Re-evaluate one activity after a marking change it depends on. An
+   instantaneous activity only refreshes its enabled flag; a timed one
+   is scheduled, resampled (a re-push replaces its entry) or canceled. *)
 let reevaluate st (a : San.Activity.t) =
   match a.timing with
-  | San.Activity.Instantaneous -> ()
+  | San.Activity.Instantaneous ->
+      let on = a.enabled st.marking in
+      if on <> st.inst_on.(a.id) then begin
+        st.inst_on.(a.id) <- on;
+        st.inst_count <- (if on then st.inst_count + 1 else st.inst_count - 1)
+      end
   | San.Activity.Timed { policy; _ } ->
       if a.enabled st.marking then begin
-        if not st.scheduled.(a.id) then schedule st a
+        if not (Event_heap.mem st.heap a.id) then schedule st a
         else
           match policy with
           | San.Activity.Keep -> ()
           | San.Activity.Resample ->
               st.resamples.(a.id) <- st.resamples.(a.id) + 1;
-              cancel st a.id;
               schedule st a
       end
-      else if st.scheduled.(a.id) then begin
+      else if Event_heap.mem st.heap a.id then begin
         st.cancellations.(a.id) <- st.cancellations.(a.id) + 1;
         cancel st a.id
       end
@@ -137,7 +140,10 @@ let fire st (a : San.Activity.t) case =
   San.Marking.journal st.marking
 
 (* Propagate a marking change: re-evaluate the fired activity and every
-   activity that reads a changed place, each at most once. Deduplication
+   activity that reads a changed place, each at most once. The model's
+   dependents table lists every place an instantaneous guard reads, and
+   guards are pure functions of those places, so afterwards the
+   [inst_on] flags equal a full re-evaluation of every guard. Deduplication
    uses a generation-stamped scratch array instead of a per-event table:
    bumping [gen] invalidates every stamp at once, so the only per-event
    cost is the activities actually visited. *)
@@ -163,67 +169,57 @@ let propagate st (fired : San.Activity.t option) changed =
     changed;
   pleave st
 
+(* The enabled instantaneous activities, in [inst_ids] order. *)
 let enabled_instantaneous st =
-  Array.fold_left
-    (fun acc id ->
-      let a = st.acts.(id) in
-      if a.San.Activity.enabled st.marking then a :: acc else acc)
-    [] st.inst_ids
-  |> List.rev
+  Array.fold_right
+    (fun id acc -> if st.inst_on.(id) then st.acts.(id) :: acc else acc)
+    st.inst_ids []
 
 (* Fire enabled instantaneous activities until none remain, choosing
    uniformly among the enabled set at each step.  [notify] is None during
    t = 0 setup (observers do not see setup firings). *)
 let stabilize st ~notify =
-  penter st Obs.Profile.Stabilize;
-  let steps = ref 0 in
-  let rec loop () =
-    match enabled_instantaneous st with
-    | [] -> ()
-    | enabled ->
-        incr steps;
-        if !steps > st.cfg.max_inst_chain then
-          raise
-            (Stabilization_diverged
-               (Printf.sprintf
-                  "more than %d consecutive instantaneous firings at t=%g"
-                  st.cfg.max_inst_chain st.now));
-        let a = Prng.Stream.choose_list st.stream enabled in
-        let case = select_case st a in
-        let changed = fire st a case in
-        propagate st None changed;
-        (match notify with
-        | Some (observer : Observer.t) ->
-            st.events <- st.events + 1;
-            observer.on_fire st.now a case st.marking
-        | None -> st.setup_events <- st.setup_events + 1);
-        loop ()
-  in
-  loop ();
-  if !steps > 0 then begin
+  if st.inst_count > 0 then begin
+    penter st Obs.Profile.Stabilize;
+    let steps = ref 0 in
+    while st.inst_count > 0 do
+      incr steps;
+      if !steps > st.cfg.max_inst_chain then
+        raise
+          (Stabilization_diverged
+             (Printf.sprintf
+                "more than %d consecutive instantaneous firings at t=%g"
+                st.cfg.max_inst_chain st.now));
+      let a = Prng.Stream.choose_list st.stream (enabled_instantaneous st) in
+      let case = select_case st a in
+      let changed = fire st a case in
+      propagate st None changed;
+      match notify with
+      | Some (observer : Observer.t) ->
+          st.events <- st.events + 1;
+          observer.on_fire st.now a case st.marking
+      | None -> st.setup_events <- st.setup_events + 1
+    done;
     st.chains <- st.chains + 1;
     st.chain_steps <- st.chain_steps + !steps;
-    if !steps > st.max_chain then st.max_chain <- !steps
-  end;
-  pleave st
+    if !steps > st.max_chain then st.max_chain <- !steps;
+    pleave st
+  end
 
 (* Build executor state: fresh from the model's initial marking, or a
    private copy of a checkpoint (so several clones can resume from the
    same checkpoint, concurrently, without sharing mutable state). The
-   model's activity tables are shared, never copied. *)
+   model's activity tables are shared, never copied. The instantaneous
+   enabled flags are filled by one scan of the starting marking; from
+   then on [propagate] keeps them current. *)
 let make_state ~model ~cfg ~stream ~prof ~from_ =
   let acts = San.Model.activities model in
   let n = Array.length acts in
-  let marking, heap, versions, scheduled, now =
+  let marking, heap, now =
     match from_ with
-    | None ->
-        ( San.Model.initial_marking model,
-          Event_heap.create (),
-          Array.make n 0,
-          Array.make n false,
-          0.0 )
+    | None -> (San.Model.initial_marking model, Event_heap.create n, 0.0)
     | Some cp ->
-        if Array.length cp.cp_versions <> n then
+        if cp.cp_model != model then
           invalid_arg "Executor: checkpoint is from a different model";
         (match prof with
         | None -> ()
@@ -231,13 +227,21 @@ let make_state ~model ~cfg ~stream ~prof ~from_ =
         let cloned =
           ( San.Marking.copy cp.cp_marking,
             Event_heap.copy cp.cp_heap,
-            Array.copy cp.cp_versions,
-            Array.copy cp.cp_scheduled,
             cp.cp_now )
         in
         (match prof with None -> () | Some p -> Obs.Profile.leave p);
         cloned
   in
+  let inst_ids = San.Model.instantaneous_ids model in
+  let inst_on = Array.make n false in
+  let inst_count = ref 0 in
+  Array.iter
+    (fun id ->
+      if acts.(id).San.Activity.enabled marking then begin
+        inst_on.(id) <- true;
+        incr inst_count
+      end)
+    inst_ids;
   {
     model;
     cfg;
@@ -245,9 +249,9 @@ let make_state ~model ~cfg ~stream ~prof ~from_ =
     prof;
     marking;
     heap;
-    versions;
-    scheduled;
-    inst_ids = San.Model.instantaneous_ids model;
+    inst_on;
+    inst_count = !inst_count;
+    inst_ids;
     acts;
     deps = San.Model.dependents_table model;
     seen = Array.make n 0;
@@ -262,7 +266,6 @@ let make_state ~model ~cfg ~stream ~prof ~from_ =
     chain_steps = 0;
     max_chain = 0;
     pops = 0;
-    stale_pops = 0;
     depth_sum = 0;
     max_depth = 0;
   }
@@ -271,10 +274,9 @@ let checkpoint_of st =
   penter st Obs.Profile.Checkpoint;
   let cp =
     {
+      cp_model = st.model;
       cp_marking = San.Marking.copy st.marking;
       cp_heap = Event_heap.copy st.heap;
-      cp_versions = Array.copy st.versions;
-      cp_scheduled = Array.copy st.scheduled;
       cp_now = st.now;
     }
   in
@@ -306,7 +308,7 @@ let exec ?metrics ?profile ?from_ ?cross ?check_invariants ~model ~config:cfg
         (fun (a : San.Activity.t) ->
           if
             (not (San.Activity.is_instantaneous a))
-            && (not st.scheduled.(a.id))
+            && (not (Event_heap.mem st.heap a.id))
             && a.enabled st.marking
           then schedule st a)
         st.acts
@@ -335,46 +337,41 @@ let exec ?metrics ?profile ?from_ ?cross ?check_invariants ~model ~config:cfg
   while not !finished do
     let depth = Event_heap.size st.heap in
     penter st Obs.Profile.Heap_pop;
-    let popped = Event_heap.pop st.heap in
+    let id = Event_heap.pop st.heap in
     pleave st;
-    match popped with
-    | None -> finished := true
-    | Some entry ->
-        st.pops <- st.pops + 1;
-        st.depth_sum <- st.depth_sum + depth;
-        if depth > st.max_depth then st.max_depth <- depth;
-        if entry.Event_heap.version <> st.versions.(entry.act) then
-          st.stale_pops <- st.stale_pops + 1
-        else begin
-          if entry.time > cfg.horizon then begin
-            (* Past the horizon: the popped completion is discarded; the
-               marking holds through the end of the window. *)
-            finished := true
-          end
-          else begin
-            let a = st.acts.(entry.act) in
-            if entry.time > st.now then
-              observer.Observer.on_advance st.now entry.time st.marking;
-            st.now <- entry.time;
-            last_event_time := entry.time;
-            st.scheduled.(a.id) <- false;
-            st.versions.(a.id) <- st.versions.(a.id) + 1;
-            let case = select_case st a in
-            let changed = fire st a case in
-            propagate st (Some a) changed;
-            st.events <- st.events + 1;
-            observer.Observer.on_fire st.now a case st.marking;
-            check_stop ();
-            if not !stopped then begin
-              stabilize st ~notify:(Some observer);
-              guard ()
-            end;
-            check_stop ();
-            check_cross ();
-            if !stopped || !crossed then finished := true;
-            if st.events >= cfg.max_events then finished := true
-          end
-        end
+    if id < 0 then finished := true
+    else begin
+      st.pops <- st.pops + 1;
+      st.depth_sum <- st.depth_sum + depth;
+      if depth > st.max_depth then st.max_depth <- depth;
+      let time = Event_heap.time st.heap id in
+      if time > cfg.horizon then begin
+        (* Past the horizon: the popped completion is discarded; the
+           marking holds through the end of the window. *)
+        finished := true
+      end
+      else begin
+        let a = st.acts.(id) in
+        if time > st.now then
+          observer.Observer.on_advance st.now time st.marking;
+        st.now <- time;
+        last_event_time := time;
+        let case = select_case st a in
+        let changed = fire st a case in
+        propagate st (Some a) changed;
+        st.events <- st.events + 1;
+        observer.Observer.on_fire st.now a case st.marking;
+        check_stop ();
+        if not !stopped then begin
+          stabilize st ~notify:(Some observer);
+          guard ()
+        end;
+        check_stop ();
+        check_cross ();
+        if !stopped || !crossed then finished := true;
+        if st.events >= cfg.max_events then finished := true
+      end
+    end
   done;
   let result =
     if !crossed then Crossed { checkpoint = checkpoint_of st; events = st.events }
@@ -398,8 +395,7 @@ let exec ?metrics ?profile ?from_ ?cross ?check_invariants ~model ~config:cfg
         ~cancellations:st.cancellations ~resamples:st.resamples
         ~events:st.events ~setup_events:st.setup_events ~chains:st.chains
         ~chain_steps:st.chain_steps ~max_chain:st.max_chain ~pops:st.pops
-        ~stale_pops:st.stale_pops ~depth_sum:st.depth_sum
-        ~max_depth:st.max_depth);
+        ~depth_sum:st.depth_sum ~max_depth:st.max_depth);
   result
 
 let finished_exn = function

@@ -78,10 +78,14 @@ val run :
 
     A checkpoint snapshots everything that determines the future of a
     replication {e except} randomness: the marking, the pending-event
-    heap (sampled completion times are part of the state), the
-    lazy-cancellation bookkeeping, and the clock. It is immutable and
-    safe to resume from concurrently — every resume works on private
-    copies. *)
+    heap (sampled completion times and their insertion order are part
+    of the state), and the clock. It is immutable and safe to resume
+    from concurrently — every resume works on private copies.
+
+    A checkpoint also records the model it was taken on, and resumes
+    only on that same model value (physical equality): {!resume} and
+    {!run_to_level} [~from_] raise [Invalid_argument] for any other
+    model, even one with the same places and activities. *)
 
 type checkpoint
 

@@ -105,7 +105,7 @@ let merge ~into src =
 let add_wall m s = m.wall_seconds <- m.wall_seconds +. s
 
 let record_run m ~firings ~cancellations ~resamples ~events ~setup_events
-    ~chains ~chain_steps ~max_chain ~pops ~stale_pops ~depth_sum ~max_depth =
+    ~chains ~chain_steps ~max_chain ~pops ~depth_sum ~max_depth =
   add_arrays m.firings firings;
   add_arrays m.cancellations cancellations;
   add_arrays m.resamples resamples;
@@ -116,7 +116,6 @@ let record_run m ~firings ~cancellations ~resamples ~events ~setup_events
   m.chain_steps <- m.chain_steps + chain_steps;
   m.max_chain <- Int.max m.max_chain max_chain;
   m.pops <- m.pops + pops;
-  m.stale_pops <- m.stale_pops + stale_pops;
   m.depth_sum <- m.depth_sum + depth_sum;
   m.max_depth <- Int.max m.max_depth max_depth;
   let b = bucket_of_int events in
@@ -168,8 +167,9 @@ let pp_summary ppf m =
   (if m.wall_seconds > 0.0 then
      Format.fprintf ppf "throughput              %.3g events/sec over %.2fs@."
        (events_per_sec m) m.wall_seconds);
-  Format.fprintf ppf "heap pops               %d (%.1f%% stale)@." m.pops
-    (100.0 *. if m.pops = 0 then 0.0 else stale_fraction m);
+  let total = Array.fold_left ( + ) 0 in
+  Format.fprintf ppf "heap pops               %d (%d canceled, %d resampled)@."
+    m.pops (total m.cancellations) (total m.resamples);
   Format.fprintf ppf "heap depth              mean %.1f, max %d@."
     (if m.pops = 0 then 0.0 else mean_heap_depth m)
     m.max_depth;

@@ -11,8 +11,7 @@
        enabling predicate);}
     {- instantaneous-stabilization chain statistics (chains, total steps,
        longest chain);}
-    {- event-heap statistics (pops, stale pops from lazy cancellation,
-       mean and maximum depth);}
+    {- event-heap statistics (pops, mean and maximum depth);}
     {- wall-clock time, added by the caller via {!add_wall}, from which
        {!events_per_sec} derives the engine's throughput.}}
 
@@ -35,9 +34,12 @@ type t = {
   mutable chains : int;  (** stabilization episodes with >= 1 firing *)
   mutable chain_steps : int;  (** total instantaneous steps in chains *)
   mutable max_chain : int;  (** longest single stabilization chain *)
-  mutable pops : int;  (** event-heap pops (stale entries included) *)
-  mutable stale_pops : int;  (** pops discarded by version mismatch *)
-  mutable depth_sum : int;  (** sum over pops of the pre-pop heap size *)
+  mutable pops : int;  (** event-heap pops *)
+  mutable stale_pops : int;
+      (** Always 0: canceling removes a heap entry, so no pop is stale.
+          Kept, with {!stale_fraction}, for readers of older snapshots. *)
+  mutable depth_sum : int;
+      (** sum over pops of the pre-pop heap size (scheduled activities) *)
   mutable max_depth : int;  (** largest pre-pop heap size seen *)
   mutable wall_seconds : float;  (** wall time added via {!add_wall} *)
   run_events : int array;
@@ -71,7 +73,6 @@ val record_run :
   chain_steps:int ->
   max_chain:int ->
   pops:int ->
-  stale_pops:int ->
   depth_sum:int ->
   max_depth:int ->
   unit
@@ -91,9 +92,9 @@ val mean_heap_depth : t -> float
 (** Mean pre-pop heap size; [nan] before the first pop. *)
 
 val stale_fraction : t -> float
-(** Fraction of heap pops discarded as stale; [nan] before the first
-    pop. Persistently high values mean the model cancels far more than
-    it fires (lots of [Resample] churn). *)
+(** [stale_pops / pops]: 0 by construction, [nan] before the first pop.
+    Wasted scheduling work shows in [cancellations] and [resamples]
+    instead. *)
 
 val never_fired : t -> string list
 (** Names of activities that never fired in any recorded run, in model

@@ -6,58 +6,152 @@ let stream seed = Prng.Stream.create ~seed:(Int64.of_int seed)
 
 (* --- event heap --- *)
 
-let test_heap_ordering () =
-  let h = Sim.Event_heap.create () in
-  List.iteri
-    (fun i t -> Sim.Event_heap.push h ~time:t ~act:i ~version:0)
-    [ 5.0; 1.0; 3.0; 0.5; 4.0; 2.0 ];
-  let rec drain acc =
-    match Sim.Event_heap.pop h with
-    | None -> List.rev acc
-    | Some e -> drain (e.Sim.Event_heap.time :: acc)
+(* Pop every entry: (activity, time) in pop order. *)
+let drain_heap h =
+  let rec go acc =
+    let act = Sim.Event_heap.pop h in
+    if act < 0 then List.rev acc
+    else go ((act, Sim.Event_heap.time h act) :: acc)
   in
+  go []
+
+let heap_of_times times =
+  let h = Sim.Event_heap.create (List.length times) in
+  List.iteri (fun act time -> Sim.Event_heap.push h ~act ~time) times;
+  h
+
+let test_heap_ordering () =
+  let h = heap_of_times [ 5.0; 1.0; 3.0; 0.5; 4.0; 2.0 ] in
   Alcotest.(check (list (float 0.0)))
-    "sorted" [ 0.5; 1.0; 2.0; 3.0; 4.0; 5.0 ] (drain [])
+    "sorted" [ 0.5; 1.0; 2.0; 3.0; 4.0; 5.0 ]
+    (List.map snd (drain_heap h))
 
 let test_heap_fifo_ties () =
-  let h = Sim.Event_heap.create () in
-  for i = 0 to 9 do
-    Sim.Event_heap.push h ~time:1.0 ~act:i ~version:0
-  done;
-  let rec drain acc =
-    match Sim.Event_heap.pop h with
-    | None -> List.rev acc
-    | Some e -> drain (e.Sim.Event_heap.act :: acc)
-  in
+  let h = heap_of_times (List.init 10 (fun _ -> 1.0)) in
   Alcotest.(check (list int))
     "insertion order on equal times" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (drain [])
+    (List.map fst (drain_heap h))
 
 let test_heap_rejects_bad_time () =
-  let h = Sim.Event_heap.create () in
+  let h = Sim.Event_heap.create 1 in
   List.iter
     (fun t ->
       Alcotest.(check bool)
         (Printf.sprintf "time %g rejected" t)
         true
-        (match Sim.Event_heap.push h ~time:t ~act:0 ~version:0 with
+        (match Sim.Event_heap.push h ~act:0 ~time:t with
         | () -> false
         | exception Invalid_argument _ -> true))
-    [ -1.0; Float.nan; Float.infinity ]
+    [ -1.0; Float.nan; Float.infinity ];
+  Alcotest.(check int) "nothing pushed" 0 (Sim.Event_heap.size h)
+
+(* A re-pushed activity takes a fresh insertion number: it goes behind
+   an equal-time entry pushed before the re-push. *)
+let test_heap_repush_tie () =
+  let h = Sim.Event_heap.create 3 in
+  Sim.Event_heap.push h ~act:0 ~time:1.0;
+  Sim.Event_heap.push h ~act:1 ~time:1.0;
+  Sim.Event_heap.push h ~act:2 ~time:2.0;
+  Sim.Event_heap.push h ~act:0 ~time:1.0;
+  Alcotest.(check int) "one entry per activity" 3 (Sim.Event_heap.size h);
+  Alcotest.(check (list int)) "re-push goes last among equals" [ 1; 0; 2 ]
+    (List.map fst (drain_heap h))
+
+let test_heap_copy_independent () =
+  let h = heap_of_times [ 3.0; 1.0; 2.0; 1.0 ] in
+  let c = Sim.Event_heap.copy h in
+  Alcotest.(check int) "copy pops the earliest" 1 (Sim.Event_heap.pop c);
+  Alcotest.(check bool) "original keeps it" true (Sim.Event_heap.mem h 1);
+  Sim.Event_heap.remove h 3;
+  Sim.Event_heap.push h ~act:2 ~time:0.5;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "copy unaffected by the original"
+    [ (3, 1.0); (2, 2.0); (0, 3.0) ]
+    (drain_heap c);
+  Alcotest.(check (list (pair int (float 0.0))))
+    "original unaffected by the copy"
+    [ (2, 0.5); (1, 1.0); (0, 3.0) ]
+    (drain_heap h)
 
 let prop_heap_sorts =
   QCheck2.Test.make ~name:"heap pops sorted" ~count:300
     QCheck2.Gen.(list_size (int_range 0 200) (float_range 0.0 1e6))
     (fun times ->
-      let h = Sim.Event_heap.create () in
-      List.iter (fun t -> Sim.Event_heap.push h ~time:t ~act:0 ~version:0) times;
-      let rec drain acc =
-        match Sim.Event_heap.pop h with
-        | None -> List.rev acc
-        | Some e -> drain (e.Sim.Event_heap.time :: acc)
-      in
-      let popped = drain [] in
+      let popped = List.map snd (drain_heap (heap_of_times times)) in
       popped = List.stable_sort compare times)
+
+(* Differential test against a lazy-deletion reference: a list of
+   (time, seq, act, version) entries, where canceling or re-pushing an
+   activity bumps its version and a pop skips entries whose version is
+   stale. Both must pop the same (act, time) sequence, and agree on
+   [size] and [mem] after every operation. *)
+type heap_op = Push of int * float | Remove of int | Pop
+
+let heap_op_gen n =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 5,
+          map2
+            (fun act t -> Push (act, float_of_int t /. 2.0))
+            (int_range 0 (n - 1))
+            (int_range 0 8) );
+        (2, map (fun act -> Remove act) (int_range 0 (n - 1)));
+        (3, pure Pop);
+      ])
+
+let prop_heap_matches_lazy_reference =
+  let n = 6 in
+  QCheck2.Test.make ~name:"heap matches lazy reference"
+    ~count:500
+    QCheck2.Gen.(list_size (int_range 0 80) (heap_op_gen n))
+    (fun ops ->
+      let h = Sim.Event_heap.create n in
+      let entries = ref [] and seq = ref 0 in
+      let version = Array.make n 0 in
+      let live (_, _, act, v) = version.(act) = v in
+      let ref_pop () =
+        let sorted =
+          List.sort
+            (fun (t1, s1, _, _) (t2, s2, _, _) -> compare (t1, s1) (t2, s2))
+            (List.filter live !entries)
+        in
+        match sorted with
+        | [] -> None
+        | ((t, _, act, _) as e) :: _ ->
+            entries := List.filter (fun x -> x != e) !entries;
+            version.(act) <- version.(act) + 1;
+            Some (act, t)
+      in
+      let heap_pop () =
+        let act = Sim.Event_heap.pop h in
+        if act < 0 then None else Some (act, Sim.Event_heap.time h act)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push (act, t) ->
+              version.(act) <- version.(act) + 1;
+              entries := (t, !seq, act, version.(act)) :: !entries;
+              incr seq;
+              Sim.Event_heap.push h ~act ~time:t
+          | Remove act ->
+              version.(act) <- version.(act) + 1;
+              Sim.Event_heap.remove h act
+          | Pop -> ());
+          let same_pop = match op with Pop -> heap_pop () = ref_pop () | _ -> true in
+          same_pop
+          && Sim.Event_heap.size h = List.length (List.filter live !entries)
+          && List.for_all
+               (fun act ->
+                 Sim.Event_heap.mem h act
+                 = List.exists (fun ((_, _, a, _) as e) -> a = act && live e)
+                     !entries)
+               (List.init n Fun.id))
+        ops
+      && drain_heap h
+         = List.of_seq
+             (Seq.unfold (fun () -> Option.map (fun x -> (x, ())) (ref_pop ())) ()))
 
 (* --- deterministic executor semantics --- *)
 
@@ -751,8 +845,9 @@ let test_metrics_cancellations_and_never_fired () =
     metrics.Sim.Metrics.firings.(blocker);
   Alcotest.(check (list string)) "never_fired lists the victim" [ "victim" ]
     (Sim.Metrics.never_fired metrics);
-  (* The victim's canceled completion is popped stale (lazy deletion). *)
-  Alcotest.(check int) "stale pop observed" 1 metrics.Sim.Metrics.stale_pops
+  (* Canceling removes the victim's completion from the heap: no pop is
+     ever stale. *)
+  Alcotest.(check int) "no stale pop" 0 metrics.Sim.Metrics.stale_pops
 
 let runner_metrics_totals ~domains =
   let ts = Test_models.two_state ~lambda:1.0 ~mu:2.0 in
@@ -1087,15 +1182,25 @@ let test_run_tables_match_dependents () =
       let table = San.Model.dependents_table model in
       Alcotest.(check int) (f ^ ": one row per place")
         (San.Model.n_places model) (Array.length table);
+      (* Declared reads, plus the undeclared guard reads of an
+         instantaneous activity. *)
+      let reads_of (a : San.Activity.t) =
+        let declared = List.map San.Place.any_uid a.reads in
+        if San.Activity.is_instantaneous a then
+          declared
+          @ List.filter
+              (fun uid -> not (List.mem uid declared))
+              (San.Effect.cond_reads a.guard)
+        else declared
+      in
       Array.iteri
         (fun uid row ->
           let from_reads =
             Array.to_list acts
             |> List.concat_map (fun (a : San.Activity.t) ->
                    List.filter_map
-                     (fun pl ->
-                       if San.Place.any_uid pl = uid then Some a.id else None)
-                     a.reads)
+                     (fun u -> if u = uid then Some a.id else None)
+                     (reads_of a))
           in
           let ids row = List.map (fun (a : San.Activity.t) -> a.id) row in
           let label = Printf.sprintf "%s: dependents of uid %d" f uid in
@@ -1123,26 +1228,135 @@ let test_run_tables_match_dependents () =
            == San.Model.instantaneous_ids model))
     models
 
+(* A checkpoint resumes only on the model object it was taken from:
+   another model is rejected even when its tables have the same shape. *)
 let test_checkpoint_other_model_rejected () =
-  let q = Test_models.mm1k ~lambda:1.0 ~mu:1.2 ~k:8 in
+  let queue lambda = Test_models.mm1k ~lambda ~mu:1.2 ~k:8 in
+  let q = queue 1.0 in
   let model = q.Test_models.q_model and len = q.Test_models.q_len in
   let cfg = Sim.Executor.config ~horizon:50.0 () in
+  let importance m = San.Marking.get m len in
   match
     Sim.Executor.run_to_level ~model ~config:cfg ~stream:(stream 99)
-      ~observer:Sim.Observer.nop
-      ~importance:(fun m -> San.Marking.get m len)
-      ~threshold:3 ()
+      ~observer:Sim.Observer.nop ~importance ~threshold:3 ()
   with
   | Sim.Executor.Finished _ -> Alcotest.fail "expected a crossing"
   | Sim.Executor.Crossed { checkpoint; _ } ->
-      let gong = (Test_models.gong ()).Test_models.g_model in
-      Alcotest.(check bool) "resume on another model raises" true
-        (match
-           Sim.Executor.resume ~model:gong ~config:cfg ~stream:(stream 1)
+      let raises label f =
+        Alcotest.(check bool) label true
+          (match f () with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+      in
+      let resume model () =
+        ignore
+          (Sim.Executor.resume ~model ~config:cfg ~stream:(stream 1)
              ~observer:Sim.Observer.nop checkpoint
-         with
-        | (_ : Sim.Executor.outcome) -> false
-        | exception Invalid_argument _ -> true)
+            : Sim.Executor.outcome)
+      in
+      let gong = (Test_models.gong ()).Test_models.g_model in
+      raises "resume on another model raises" (resume gong);
+      let twin = (queue 2.0).Test_models.q_model in
+      Alcotest.(check int) "same activity count"
+        (Array.length (San.Model.activities model))
+        (Array.length (San.Model.activities twin));
+      raises "resume on a same-shape model raises" (resume twin);
+      raises "run_to_level from a same-shape model raises" (fun () ->
+          ignore
+            (Sim.Executor.run_to_level ~from_:checkpoint ~model:twin
+               ~config:cfg ~stream:(stream 1) ~observer:Sim.Observer.nop
+               ~importance ~threshold:5 ()
+              : Sim.Executor.split_outcome));
+      resume model ()
+
+(* Enabledness of instantaneous activities is tracked incrementally; at
+   every stable marking no instantaneous guard may hold (a full scan
+   would find none). Returns the total instantaneous steps taken. *)
+let check_stable_markings ~label ~horizon ~seeds model =
+  let acts = San.Model.activities model in
+  let inst = Array.map (fun id -> acts.(id)) (San.Model.instantaneous_ids model) in
+  let check_invariants m =
+    Array.iter
+      (fun (a : San.Activity.t) ->
+        if a.enabled m then
+          Alcotest.failf "%s: %s enabled at a stable marking" label a.name)
+      inst
+  in
+  let metrics = Sim.Metrics.create ~model in
+  let config = Sim.Executor.config ~max_events:20_000 ~horizon () in
+  List.iter
+    (fun seed ->
+      ignore
+        (Sim.Executor.run ~metrics ~check_invariants ~model ~config
+           ~stream:(stream seed) ~observer:Sim.Observer.nop ()
+          : Sim.Executor.outcome))
+    seeds;
+  metrics.Sim.Metrics.chain_steps + metrics.Sim.Metrics.setup_events
+
+let test_stable_markings_itua () =
+  List.iter
+    (fun policy ->
+      let h =
+        Itua.Model.build
+          {
+            Itua.Params.default with
+            Itua.Params.num_domains = 3;
+            hosts_per_domain = 2;
+            num_apps = 2;
+            policy;
+          }
+      in
+      let steps =
+        check_stable_markings ~label:"itua" ~horizon:5.0
+          ~seeds:(List.init 20 Fun.id) h.Itua.Model.model
+      in
+      Alcotest.(check bool) "instantaneous activities fired" true (steps > 0))
+    [ Itua.Params.Domain_exclusion; Itua.Params.Host_exclusion ]
+
+let test_stable_markings_golden () =
+  List.iter
+    (fun (f, model) ->
+      ignore
+        (check_stable_markings ~label:f ~horizon:10.0 ~seeds:[ 1; 2; 3 ] model
+          : int))
+    (Test_models.golden_models ())
+
+(* An instantaneous guard that reads a place missing from the declared
+   [reads] still wakes up when that place changes: "react" fires right
+   after the second tick, exactly where a full scan of the guards would
+   fire it. *)
+let test_undeclared_guard_read_fires () =
+  let b = San.Model.Builder.create "undeclared" in
+  let x = San.Model.Builder.int_place b "x" in
+  let fired = San.Model.Builder.int_place b "fired" in
+  San.Model.Builder.timed_ir b ~name:"tick"
+    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
+    ~guard:(San.Effect.Const true) ~reads:[]
+    [ San.Activity.make_case San.Effect.(Ops [ Inc (x, Int 1) ]) ];
+  San.Model.Builder.instantaneous_ir b ~name:"react"
+    ~guard:San.Effect.(All [ Cmp (Mark x, Ge, Int 2); Cmp (Mark fired, Eq, Int 0) ])
+    ~reads:[ San.Place.P fired ]
+    San.Effect.(Ops [ Set (fired, Int 1) ]);
+  let model = San.Model.Builder.build b in
+  let react = San.Model.find_activity model "react" in
+  Alcotest.(check (list string)) "guard read indexed" [ "react" ]
+    (List.map
+       (fun (a : San.Activity.t) -> a.name)
+       (San.Model.dependents model (San.Place.uid x)));
+  let fires = ref [] in
+  let observer =
+    {
+      Sim.Observer.nop with
+      on_fire =
+        (fun t a _ m ->
+          if a == react then fires := (t, San.Marking.get m x) :: !fires);
+    }
+  in
+  let outcome = run_simple model ~horizon:4.5 ~seed:1 ~observer in
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "fires once, at the second tick" [ (2.0, 2) ] !fires;
+  Alcotest.(check int) "fired" 1
+    (San.Marking.get outcome.Sim.Executor.final fired)
 
 (* Two domains read the same model tables concurrently; the result must
    equal the one-domain run replication for replication. *)
@@ -1299,7 +1513,10 @@ let test_splitting_validation () =
         ~levels:3 ~clones:100 ~initial:16 ~seed:1L ())
 
 let () =
-  let props = List.map QCheck_alcotest.to_alcotest [ prop_heap_sorts ] in
+  let props =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_heap_sorts; prop_heap_matches_lazy_reference ]
+  in
   Alcotest.run "sim"
     [
       ( "event-heap",
@@ -1307,6 +1524,9 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "bad times" `Quick test_heap_rejects_bad_time;
+          Alcotest.test_case "re-push tie" `Quick test_heap_repush_tie;
+          Alcotest.test_case "copy independent" `Quick
+            test_heap_copy_independent;
         ] );
       ( "splitting",
         [
@@ -1341,6 +1561,12 @@ let () =
             test_run_tables_match_dependents;
           Alcotest.test_case "checkpoint from another model" `Quick
             test_checkpoint_other_model_rejected;
+          Alcotest.test_case "stable markings itua" `Quick
+            test_stable_markings_itua;
+          Alcotest.test_case "stable markings golden" `Quick
+            test_stable_markings_golden;
+          Alcotest.test_case "undeclared guard read fires" `Quick
+            test_undeclared_guard_read_fires;
         ] );
       ( "rewards",
         [
