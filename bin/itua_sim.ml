@@ -4,7 +4,7 @@
      run        simulate one configuration and print the measures
      rare       sharp tail estimates by RESTART/importance splitting
      explain    render forensics chains from a --record-failures file
-     study      regenerate the paper's figures (tables + CSV)
+     study      regenerate the paper's figures and side studies (tables + CSV)
      structure  show the composed-model structure, optionally DOT export
      check      run every model-checking pass
      mtta       exact CTMC analysis of the minimal configuration
@@ -803,25 +803,26 @@ let explain_cmd =
 (* --- study --- *)
 
 let study_cmd =
-  let figure_arg =
+  let study_arg =
     Arg.(required & pos 0 (some (enum
-      [ ("fig3", `Fig3); ("fig4", `Fig4); ("fig5", `Fig5); ("all", `All) ]))
+      [ ("fig3", Itua.Study.fig3); ("fig4", Itua.Study.fig4);
+        ("fig5", Itua.Study.fig5); ("all", Itua.Study.all);
+        ("sens", Itua.Study.sensitivity); ("ablate", Itua.Study.ablation);
+        ("traj", Itua.Study.trajectory);
+        ("rare", fun ?config () -> Itua.Study.fig4b_rare ?config ()) ]))
       None
-      & info [] ~docv:"fig3|fig4|fig5|all")
+      & info [] ~docv:"fig3|fig4|fig5|all|sens|ablate|traj|rare"
+          ~doc:"Figures 3-5 ($(b,all) is the three), the parameter \
+                sensitivity sweeps, the modeling ablations, the hourly \
+                trajectories, or the Fig. 4(b) splitting appendix.")
   in
   let csv_dir_arg =
     Arg.(value & opt (some string) None & info [ "csv-dir" ] ~docv:"DIR"
            ~doc:"Also write one CSV per panel into $(docv).")
   in
-  let run figure reps seed cores csv_dir =
-    let config = { Itua.Study.reps; seed; domains = cores } in
-    let panels =
-      match figure with
-      | `Fig3 -> Itua.Study.fig3 ~config ()
-      | `Fig4 -> Itua.Study.fig4 ~config ()
-      | `Fig5 -> Itua.Study.fig5 ~config ()
-      | `All -> Itua.Study.all ~config ()
-    in
+  let run (study : ?config:Itua.Study.config -> unit -> _) reps seed cores
+      csv_dir =
+    let panels = study ~config:{ Itua.Study.reps; seed; domains = cores } () in
     List.iter
       (fun (id, table) ->
         Format.printf "@.%a" Report.pp_text table;
@@ -833,15 +834,19 @@ let study_cmd =
             Report.write_csv path table;
             Format.printf "  [csv: %s]@." path)
       panels;
-    Format.printf "@.Shape checks against the paper:@.";
-    List.iter
-      (fun (label, ok) ->
-        Format.printf "  [%s] %s@." (if ok then "PASS" else "FAIL") label)
-      (Itua.Study.shape_checks panels)
+    match Itua.Study.shape_checks panels with
+    | [] -> ()
+    | checks ->
+        Format.printf "@.Shape checks against the paper:@.";
+        List.iter
+          (fun (label, ok) ->
+            Format.printf "  [%s] %s@." (if ok then "PASS" else "FAIL") label)
+          checks
   in
   Cmd.v
-    (Cmd.info "study" ~doc:"Regenerate the paper's design studies (Section 4)")
-    Term.(const run $ figure_arg $ n_reps_arg $ seed_arg $ cores_arg
+    (Cmd.info "study"
+       ~doc:"Regenerate the paper's design studies (Section 4) and side studies")
+    Term.(const run $ study_arg $ n_reps_arg $ seed_arg $ cores_arg
           $ csv_dir_arg)
 
 (* --- check --- *)

@@ -108,8 +108,8 @@ val canon :
     lexicographically. Pure — input arrays are not mutated. Sound by
     construction: only verified exchangeability is exploited, so it can
     be fed to {!Ctmc.Explore.explore} without a lumped-vs-unlumped
-    validation (running one anyway, as the bench gate does, validates
-    this module instead). *)
+    validation (running one anyway, as the [ctmc_exact] benchmark does,
+    validates this module instead). *)
 
 val trivial : report -> bool
 (** No family has an orbit with two or more members — {!canon} is the

@@ -175,47 +175,6 @@ let hetero_fleet_params () =
         [| 1.0; 1.0; 1.0; 1.0; 1.0; 2.5; 2.5; 2.5; 2.5; 2.5 |];
     }
 
-let hetero_fleet ?(config = default_config) () =
-  let t =
-    Report.create
-      ~title:
-        "Heterogeneous fleet: 10 domains x 1 host, soft hosts at x2.5 attack \
-         rate"
-      ~x_label:"soft hosts"
-      ~series:
-        [
-          "unavailability [0,10]";
-          "unreliability [0,10]";
-          "domains excluded at t=10";
-        ]
-  in
-  List.iter
-    (fun soft ->
-      let params =
-        Params.check
-          {
-            Params.default with
-            Params.num_domains = 10;
-            hosts_per_domain = 1;
-            host_rate_multipliers =
-              (if soft = 0 then [||]
-               else
-                 Array.init 10 (fun g -> if g < 10 - soft then 1.0 else 2.5));
-          }
-      in
-      let rs =
-        run_point config params (fun h ->
-            [
-              Measures.unavailability h ~until:10.0;
-              Measures.unreliability h ~until:10.0;
-              Measures.fraction_domains_excluded h ~at:10.0;
-            ])
-      in
-      let cell i = ci_cell (List.nth rs i) in
-      Report.add_row t ~x:(float_of_int soft) [ cell 0; cell 1; cell 2 ])
-    [ 0; 5 ];
-  [ ("hetero_fleet", t) ]
-
 (* --- sensitivity sweeps --- *)
 
 let two_measures config params =

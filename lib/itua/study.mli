@@ -54,16 +54,8 @@ val hetero_fleet_params : unit -> Params.t
     rate and five "soft" hosts at 2.5× ({!Params.t.host_rate_multipliers}
     [= [|1;1;1;1;1;2.5;2.5;2.5;2.5;2.5|]]). The orbit pass partitions
     this fleet into two partial orbits of five hosts each — the
-    configuration the bench's heterogeneous lumping gate and
-    [itua_sim check --symmetry] exercise. *)
-
-val hetero_fleet : ?config:config -> unit -> (string * Report.table) list
-(** Simulation panel for the heterogeneous fleet: homogeneous 10×1
-    baseline (row [x = 0] soft hosts) against the {!hetero_fleet_params}
-    split (row [x = 5]) — unavailability and unreliability over [0,10]
-    and the fraction of domains excluded at t = 10. Softening half the
-    fleet must worsen all three, which full-symmetry lumping would have
-    averaged away. *)
+    configuration the [ctmc_exact] benchmark's heterogeneous lumping
+    check and [itua_sim check --symmetry] exercise. *)
 
 val sensitivity : ?config:config -> unit -> (string * Report.table) list
 (** Parameter-sensitivity sweeps on the Section 4.2 baseline, in the

@@ -52,12 +52,19 @@ type t = {
   mutable spans : span_rec list;  (* newest first *)
   mutable n_spans : int;
   mutable dropped_spans : int;
-  (* GC deltas folded in by gc_capture; baseline from Gc.quick_stat. *)
+  (* GC deltas folded in by gc_capture: collections from Gc.quick_stat,
+     words from Gc.counters, which unlike quick_stat's word counts are
+     the calling domain's own. *)
   mutable gc_minor : int;
   mutable gc_major : int;
   mutable gc_words : float;
   mutable gc_base : Gc.stat;
+  mutable gc_base_words : float;
 }
+
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
 
 let max_stack = 64
 
@@ -80,6 +87,7 @@ let make ~spans ~max_spans ~tid ~t0 =
     gc_major = 0;
     gc_words = 0.0;
     gc_base = Gc.quick_stat ();
+    gc_base_words = allocated_words ();
   }
 
 let create ?(spans = false) ?(max_spans = 200_000) () =
@@ -137,16 +145,13 @@ let span t phase f =
       raise e
 
 let gc_capture t =
-  let s = Gc.quick_stat () in
+  let s = Gc.quick_stat () and w = allocated_words () in
   let b = t.gc_base in
   t.gc_minor <- t.gc_minor + (s.Gc.minor_collections - b.Gc.minor_collections);
   t.gc_major <- t.gc_major + (s.Gc.major_collections - b.Gc.major_collections);
-  t.gc_words <-
-    t.gc_words
-    +. (s.Gc.minor_words -. b.Gc.minor_words)
-    +. (s.Gc.major_words -. b.Gc.major_words)
-    -. (s.Gc.promoted_words -. b.Gc.promoted_words);
-  t.gc_base <- s
+  t.gc_words <- t.gc_words +. (w -. t.gc_base_words);
+  t.gc_base <- s;
+  t.gc_base_words <- w
 
 let merge ~into src =
   for i = 0 to n_phases - 1 do

@@ -20,8 +20,9 @@
     lines ([chrome://tracing], Perfetto, speedscope) for flamegraph
     viewing.
 
-    Per-run GC statistics (minor/major collections, allocated words)
-    are captured from [Gc.quick_stat] deltas. A profiler is not
+    Per-run GC statistics are captured as deltas: minor/major
+    collections from [Gc.quick_stat], allocated words from the owning
+    domain's [Gc.counters]. A profiler is not
     domain-safe: {!fork} one per domain inside the domain and {!merge}
     after joining; call {!gc_capture} inside the owning domain before
     the merge so GC deltas are read from the right domain-local heap

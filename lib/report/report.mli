@@ -3,8 +3,8 @@
     A {!table} is a labelled grid: one row per x-value of a parameter
     sweep, one column per data series (e.g. one per application count in
     Figure 3, or one per exclusion policy in Figure 5). Cells hold
-    confidence intervals. Tables render as aligned text (the form the
-    bench harness prints) or CSV (for external plotting). *)
+    confidence intervals. Tables render as aligned text (the form
+    [itua_sim study] prints) or CSV (for external plotting). *)
 
 type cell = Stats.Ci.t option
 (** [None] when the measure was undefined in every replication. *)
@@ -37,7 +37,7 @@ val write_csv : string -> table -> unit
 val pp_csv_rows :
   header:string list -> Format.formatter -> string list list -> unit
 (** Generic CSV for tables that are not CI grids (engine telemetry,
-    bench records): a header row followed by the given rows, each
+    convergence trajectories): a header row followed by the given rows, each
     escaped. Every row must match the header's width
     ([Invalid_argument] otherwise). *)
 
@@ -45,7 +45,7 @@ val write_csv_rows : string -> header:string list -> string list list -> unit
 (** [write_csv_rows path ~header rows] saves {!pp_csv_rows} to [path]. *)
 
 (** Minimal JSON values, for the line-oriented records the harness writes
-    (trajectory JSONL, bench records).
+    (trajectory JSONL, metrics snapshots, benchmark results).
 
     The printer is compact (one line, no spaces) and {e deterministic}:
     floats render as the shortest [%.15g]/[%.17g] form that round-trips,

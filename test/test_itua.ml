@@ -828,6 +828,43 @@ let test_shapes () =
     (fun (label, ok) -> if not ok then Alcotest.failf "shape check failed: %s" label)
     checks
 
+(* --- side studies (itua_sim study sens|ablate|traj|rare) --- *)
+
+(* The data fields of a panel's CSV rendering: x, then mean and
+   half-width per series. An undefined cell renders as two empty
+   fields. *)
+let csv_fields table =
+  let csv = Format.asprintf "%a" Report.pp_csv table in
+  match String.split_on_char '\n' csv with
+  | _header :: rows ->
+      List.concat_map (String.split_on_char ',')
+        (List.filter (( <> ) "") rows)
+  | [] -> []
+
+let test_side_studies () =
+  let config = { Itua.Study.quick_config with reps = 20 } in
+  List.iter
+    (fun (ids, panels) ->
+      Alcotest.(check (list string)) "panel ids" ids (List.map fst panels);
+      List.iter
+        (fun (id, table) ->
+          Alcotest.(check bool) (id ^ " has rows") true
+            (Report.x_values table <> []);
+          List.iter
+            (fun f ->
+              match float_of_string_opt f with
+              | Some v when Float.is_finite v -> ()
+              | _ -> Alcotest.failf "%s: cell %S undefined or not finite" id f)
+            (csv_fields table))
+        panels)
+    [
+      ( [ "sens_detect"; "sens_recovery"; "sens_misbehave"; "sens_multiplier" ],
+        Itua.Study.sensitivity ~config () );
+      ([ "ablation" ], Itua.Study.ablation ~config ());
+      ([ "traj_domain"; "traj_host" ], Itua.Study.trajectory ~config ());
+      ([ "fig4b_rare" ], Itua.Study.fig4b_rare ~config ());
+    ]
+
 let () =
   let props = List.map QCheck_alcotest.to_alcotest [ prop_invariants_hold ] in
   Alcotest.run "itua"
@@ -918,4 +955,9 @@ let () =
         ] );
       ( "paper-shapes",
         [ Alcotest.test_case "figure shapes" `Slow test_shapes ] );
+      ( "side-studies",
+        [
+          Alcotest.test_case "panels defined and finite" `Slow
+            test_side_studies;
+        ] );
     ]

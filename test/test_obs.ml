@@ -228,6 +228,36 @@ let test_profiler_merge_and_gc () =
     "allocated words captured" true
     (P.gc_allocated_words a > 0.0)
 
+(* The allocated-words total, pinned to the runtime's exact counter on
+   a known allocation: 2M two-word ref cells. The profiler reads the
+   domain's GC counters, which may lag the live minor heap by up to one
+   minor heap, so that is the slack. Allocation by another domain must
+   not be counted. *)
+let test_profiler_gc_words_pinned () =
+  let cells = 2_000_000 in
+  let alloc () =
+    for i = 1 to cells do
+      ignore (Sys.opaque_identity (ref i))
+    done
+  in
+  let slack = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  let p = P.create () in
+  let before = Gc.minor_words () in
+  alloc ();
+  let minor = Gc.minor_words () -. before in
+  P.gc_capture p;
+  let words = P.gc_allocated_words p in
+  Alcotest.(check (float 1024.0))
+    "Gc.minor_words delta is 2 words per cell"
+    (float_of_int (2 * cells))
+    minor;
+  Alcotest.(check (float slack)) "gc_allocated_words" minor words;
+  Domain.join (Domain.spawn alloc);
+  P.gc_capture p;
+  Alcotest.(check (float slack))
+    "another domain's allocation not counted" words
+    (P.gc_allocated_words p)
+
 let test_executor_profile_sums_below_wall () =
   let ts = Test_models.two_state ~lambda:1.0 ~mu:10.0 in
   let p = P.create () in
@@ -420,6 +450,8 @@ let () =
           Alcotest.test_case "span exception-safe" `Quick
             test_profiler_span_exception_safe;
           Alcotest.test_case "merge and gc" `Quick test_profiler_merge_and_gc;
+          Alcotest.test_case "gc words pinned to Gc.minor_words" `Quick
+            test_profiler_gc_words_pinned;
           Alcotest.test_case "executor sums below wall" `Quick
             test_executor_profile_sums_below_wall;
           Alcotest.test_case "trace spans jsonl" `Quick test_trace_spans_jsonl;
