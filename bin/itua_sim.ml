@@ -135,14 +135,10 @@ let handles_of_file path =
 
 let telemetry_arg =
   Arg.(value & flag & info [ "telemetry" ]
-         ~doc:"Collect engine telemetry during the run and print a summary \
-               (events/sec, heap and stabilization statistics) plus a \
-               per-activity firing-count table afterwards.")
-
-let telemetry_csv_arg =
-  Arg.(value & opt (some string) None & info [ "telemetry-csv" ] ~docv:"FILE"
-         ~doc:"Write the full per-activity telemetry table to $(docv) as \
-               CSV (requires $(b,--telemetry)).")
+         ~doc:"Collect engine telemetry and phase profiles during the run \
+               and print the metrics snapshot afterwards as a table: \
+               engine counters, per-activity firings, cancellations and \
+               resamples, phase self-times and GC totals.")
 
 let record_arg =
   Arg.(value & opt (some string) None
@@ -168,7 +164,9 @@ let progress_arg =
   Arg.(value & flag & info [ "progress" ]
          ~doc:"Report live progress on stderr while replications run: \
                completed count, elapsed time, ETA, and the widest current \
-               confidence interval.")
+               confidence interval. With $(b,--metrics-out), also rewrite \
+               the snapshot at every progress report, so a long run can be \
+               watched live.")
 
 let precision_arg =
   Arg.(value & opt (some float) None & info [ "rel-precision" ] ~docv:"P"
@@ -185,37 +183,27 @@ let metrics_out_arg =
                phase self-times, GC statistics, convergence trajectories) \
                to $(docv) after the run. Enables phase profiling.")
 
-let metrics_interval_arg =
-  Arg.(value & opt (some float) None
-       & info [ "metrics-interval" ] ~docv:"SECS"
-           ~doc:"Rewrite the $(b,--metrics-out) snapshot roughly every \
-                 $(docv) seconds while replications run, so a long run can \
-                 be watched live (requires $(b,--metrics-out)).")
-
 let trace_spans_arg =
   Arg.(value & opt (some string) None & info [ "trace-spans" ] ~docv:"FILE"
          ~doc:"Record every profiled phase interval and write Chrome \
                trace-event JSON lines to $(docv) (open in Perfetto or \
                chrome://tracing).")
 
-let convergence_csv_arg =
-  Arg.(value & opt (some string) None
-       & info [ "convergence-csv" ] ~docv:"FILE"
-           ~doc:"Write the estimator-convergence trajectory (measure, n, \
-                 value, CI half-width per chunk) to $(docv) as CSV.")
+(* The one registry behind every view of a run: the engine sinks
+   exported into [into] (default a fresh registry). Export accumulates,
+   so each snapshot of live sinks needs a fresh registry. *)
+let registry ?(into = Obs.Registry.create ()) ?metrics ?profile () =
+  Option.iter (fun m -> Sim.Metrics.export m ~into) metrics;
+  Option.iter (fun p -> Obs.Profile.export p ~into) profile;
+  into
 
-(* One snapshot: export the engine sinks into a fresh registry and write
-   it with the convergence block appended. Export is re-runnable, so the
-   interval flusher calls this repeatedly on the live sinks. *)
-let write_snapshot path ~metrics ~profile ~convergence =
-  let reg = Obs.Registry.create () in
-  Option.iter (fun m -> Sim.Metrics.export m ~into:reg) metrics;
-  Option.iter (fun p -> Obs.Profile.export p ~into:reg) profile;
+(* The one itua-metrics/1 writer behind run, rare and mtta, with the
+   convergence block appended when a recorder is given. *)
+let write_snapshot ?convergence path reg =
   let extra =
-    match convergence with
-    | Some conv when not (Obs.Convergence.is_empty conv) ->
-        [ ("convergence", Obs.Convergence.to_json conv) ]
-    | Some _ | None -> []
+    Option.to_list
+      (Option.map (fun c -> ("convergence", Obs.Convergence.to_json c))
+         convergence)
   in
   Obs.Registry.write ~extra path reg
 
@@ -242,11 +230,26 @@ let policy_string = function
   | Itua.Params.Domain_exclusion -> "domain"
   | Itua.Params.Host_exclusion -> "host"
 
+(* The "params" object shared by the run --record-failures header and
+   the rare --json file. *)
+let params_json (p : Itua.Params.t) =
+  let module J = Report.Json in
+  J.Obj
+    [
+      ("num_domains", J.int p.num_domains);
+      ("hosts_per_domain", J.int p.hosts_per_domain);
+      ("num_apps", J.int p.num_apps);
+      ("num_reps", J.int p.num_reps);
+      ("policy", J.Str (policy_string p.policy));
+      ("corruption_multiplier", J.Num p.corruption_multiplier);
+      ("spread", J.Num p.spread_rate_domain);
+      ("rate_scale", J.Num p.rate_scale);
+    ]
+
 let run_cmd =
   let run domains hosts apps replicas policy multiplier spread scale model
-      horizon reps seed cores telemetry telemetry_csv progress rel_precision
-      record_failures record_max dot_heat metrics_out metrics_interval
-      trace_spans convergence_csv =
+      horizon reps seed cores telemetry progress rel_precision
+      record_failures record_max dot_heat metrics_out trace_spans =
     let ( let* ) = Result.bind in
     let check cond msg = if cond then Ok () else Error (`Msg msg) in
     let* () = check (cores >= 1) "--cores must be >= 1" in
@@ -254,21 +257,6 @@ let run_cmd =
       check
         (match rel_precision with Some p -> p > 0.0 | None -> true)
         "--rel-precision must be > 0"
-    in
-    let* () =
-      check
-        (telemetry || telemetry_csv = None)
-        "--telemetry-csv requires --telemetry"
-    in
-    let* () =
-      check
-        (metrics_interval = None || metrics_out <> None)
-        "--metrics-interval requires --metrics-out"
-    in
-    let* () =
-      check
-        (match metrics_interval with Some s -> s > 0.0 | None -> true)
-        "--metrics-interval must be > 0"
     in
     let* () =
       check
@@ -309,14 +297,12 @@ let run_cmd =
       else None
     in
     let profile =
-      if metrics_out <> None || trace_spans <> None then
+      if telemetry || metrics_out <> None || trace_spans <> None then
         Some (Obs.Profile.create ~spans:(trace_spans <> None) ())
       else None
     in
     let convergence =
-      if convergence_csv <> None || metrics_out <> None then
-        Some (Obs.Convergence.create ())
-      else None
+      Option.map (fun _ -> Obs.Convergence.create ()) metrics_out
     in
     let record =
       match record_failures with
@@ -328,31 +314,19 @@ let run_cmd =
                ~predicate:(Itua.Forensics.failed_now h)
                ~model:h.Itua.Model.model ())
     in
-    (* The interval flusher rides on the progress callback: consume has
-       already merged every per-domain sink when it fires, so the
-       snapshot it writes is the current merged state. *)
-    let flusher =
-      match (metrics_out, metrics_interval) with
-      | Some path, Some interval ->
-          let last = ref (Obs.Clock.now_ns ()) in
-          Some
-            (fun (_ : Sim.Runner.progress) ->
-              if Obs.Clock.seconds_since !last >= interval then begin
-                last := Obs.Clock.now_ns ();
-                write_snapshot path ~metrics ~profile ~convergence
-              end)
-      | _ -> None
-    in
+    (* Every progress report has already merged the per-domain sinks, so
+       the snapshot rewritten there is the current merged state. *)
     let progress_cb =
-      match ((if progress then Some render_progress else None), flusher) with
-      | None, None -> None
-      | (Some _ as f), None -> f
-      | None, (Some _ as g) -> g
-      | Some f, Some g ->
-          Some
-            (fun p ->
-              f p;
-              g p)
+      if not progress then None
+      else
+        Some
+          (fun p ->
+            render_progress p;
+            Option.iter
+              (fun path ->
+                write_snapshot ?convergence path
+                  (registry ?metrics ?profile ()))
+              metrics_out)
     in
     let results =
       match rel_precision with
@@ -380,18 +354,6 @@ let run_cmd =
         Format.printf "  %-34s %a  (defined %d/%d)@." r.name Stats.Ci.pp r.ci
           r.n_defined r.n_runs)
       results;
-    (if telemetry then
-       match metrics with
-       | None -> ()
-       | Some m ->
-           Format.printf "@.Engine telemetry:@.%a" Sim.Metrics.pp_summary m;
-           Format.printf "@.%a" (Sim.Metrics.pp_activities ~limit:25) m;
-           (match telemetry_csv with
-           | None -> ()
-           | Some path ->
-               Report.write_csv_rows path ~header:Sim.Metrics.csv_header
-                 (Sim.Metrics.csv_rows m);
-               Format.printf "  [telemetry csv: %s]@." path));
     (match (dot_heat, metrics) with
     | Some path, Some m ->
         let firings =
@@ -420,19 +382,7 @@ let run_cmd =
               ("matched_runs", J.int (T.matched_runs sink));
               ("record_max", J.int (Option.value record_max ~default:10));
               ("horizon", J.Num horizon);
-              ( "params",
-                J.Obj
-                  [
-                    ("num_domains", J.int p.Itua.Params.num_domains);
-                    ("hosts_per_domain", J.int p.Itua.Params.hosts_per_domain);
-                    ("num_apps", J.int p.Itua.Params.num_apps);
-                    ("num_reps", J.int p.Itua.Params.num_reps);
-                    ("policy", J.Str (policy_string p.Itua.Params.policy));
-                    ( "corruption_multiplier",
-                      J.Num p.Itua.Params.corruption_multiplier );
-                    ("spread", J.Num p.Itua.Params.spread_rate_domain);
-                    ("rate_scale", J.Num p.Itua.Params.rate_scale);
-                  ] );
+              ("params", params_json p);
               ("occupancy", T.occupancy_to_json occupancy);
             ]
         in
@@ -446,24 +396,18 @@ let run_cmd =
           (List.length (T.non_matching sink))
           (T.matched_runs sink) (T.runs sink)
     | _ -> ());
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        write_snapshot path ~metrics ~profile ~convergence;
-        Format.printf "@.[metrics snapshot: %s]@." path);
+    let reg = registry ?metrics ?profile () in
+    Option.iter
+      (fun path ->
+        write_snapshot ?convergence path reg;
+        Format.printf "@.[metrics snapshot: %s]@." path)
+      metrics_out;
     (match (trace_spans, profile) with
     | Some path, Some prof ->
         Obs.Profile.write_trace path prof;
         Format.printf "[trace spans: %s]@." path
     | _ -> ());
-    (match (convergence_csv, convergence) with
-    | Some path, Some conv ->
-        Obs.Convergence.write_csv path conv;
-        Format.printf "[convergence csv: %s]@." path
-    | _ -> ());
-    (match (telemetry, profile) with
-    | true, Some prof -> Format.printf "@.Phase profile:@.%a" Obs.Profile.pp prof
-    | _ -> ());
+    if telemetry then Format.printf "@.Telemetry:@.%a" Obs.Registry.pp reg;
     Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate one ITUA configuration")
@@ -472,9 +416,8 @@ let run_cmd =
         (const run $ domains_arg $ hosts_arg $ apps_arg $ reps_per_app_arg
         $ policy_arg $ multiplier_arg $ spread_arg $ scale_arg $ model_arg
         $ horizon_arg $ n_reps_arg $ seed_arg $ cores_arg $ telemetry_arg
-        $ telemetry_csv_arg $ progress_arg $ precision_arg $ record_arg
-        $ record_max_arg $ dot_heat_arg $ metrics_out_arg
-        $ metrics_interval_arg $ trace_spans_arg $ convergence_csv_arg))
+        $ progress_arg $ precision_arg $ record_arg $ record_max_arg
+        $ dot_heat_arg $ metrics_out_arg $ trace_spans_arg))
 
 (* --- rare --- *)
 
@@ -524,7 +467,7 @@ let rare_cmd =
   in
   let run domains hosts apps replicas policy multiplier spread scale model
       horizon seed cores levels clones initial measure app json csv
-      metrics_out convergence_csv =
+      metrics_out =
     let ( let* ) = Result.bind in
     let check cond msg = if cond then Ok () else Error (`Msg msg) in
     let* () = check (cores >= 1) "--cores must be >= 1" in
@@ -624,20 +567,7 @@ let rare_cmd =
                 ("levels", J.int levels);
                 ("clones", J.int clones);
                 ("initial", J.int initial);
-                ( "params",
-                  J.Obj
-                    [
-                      ("num_domains", J.int p.Itua.Params.num_domains);
-                      ( "hosts_per_domain",
-                        J.int p.Itua.Params.hosts_per_domain );
-                      ("num_apps", J.int p.Itua.Params.num_apps);
-                      ("num_reps", J.int p.Itua.Params.num_reps);
-                      ("policy", J.Str (policy_string p.Itua.Params.policy));
-                      ( "corruption_multiplier",
-                        J.Num p.Itua.Params.corruption_multiplier );
-                      ("spread", J.Num p.Itua.Params.spread_rate_domain);
-                      ("rate_scale", J.Num p.Itua.Params.rate_scale);
-                    ] );
+                ("params", params_json p);
                 ("stages", stages);
                 ("probability", J.Num est.Stats.Splitting.probability);
                 ( "ci_half_width",
@@ -649,24 +579,14 @@ let rare_cmd =
               ];
           ];
         Format.printf "  [json: %s]@." path);
-    (match (metrics_out, convergence_csv) with
-    | None, None -> ()
-    | _ ->
-        let conv = Obs.Convergence.create () in
+    (match metrics_out with
+    | None -> ()
+    | Some path ->
+        let convergence = Obs.Convergence.create () in
         let reg = Obs.Registry.create () in
-        Sim.Splitting.export ~convergence:conv r ~into:reg;
-        (match metrics_out with
-        | None -> ()
-        | Some path ->
-            Obs.Registry.write
-              ~extra:[ ("convergence", Obs.Convergence.to_json conv) ]
-              path reg;
-            Format.printf "  [metrics snapshot: %s]@." path);
-        match convergence_csv with
-        | None -> ()
-        | Some path ->
-            Obs.Convergence.write_csv path conv;
-            Format.printf "  [convergence csv: %s]@." path);
+        Sim.Splitting.export ~convergence r ~into:reg;
+        write_snapshot ~convergence path reg;
+        Format.printf "  [metrics snapshot: %s]@." path);
     Ok ()
   in
   Cmd.v
@@ -679,7 +599,7 @@ let rare_cmd =
         $ policy_arg $ multiplier_arg $ spread_arg $ scale_arg $ model_arg
         $ horizon_arg $ seed_arg $ cores_arg $ levels_arg $ clones_arg
         $ initial_arg $ measure_arg $ app_arg $ json_arg $ csv_arg
-        $ metrics_out_arg $ convergence_csv_arg))
+        $ metrics_out_arg))
 
 (* --- explain --- *)
 
@@ -1029,9 +949,8 @@ let mtta_cmd =
                    Itua.Model.improper h 0 m)))
           [ 5.0; 10.0; 24.0 ];
         (match (metrics_out, obs) with
-        | Some path, Some reg ->
-            Option.iter (fun pr -> Obs.Profile.export pr ~into:reg) profile;
-            Obs.Registry.write path reg;
+        | Some path, Some into ->
+            write_snapshot path (registry ~into ?profile ());
             Format.printf "  [metrics snapshot: %s]@." path
         | _ -> ())
     | exception Ctmc.Explore.Non_markovian msg ->

@@ -66,7 +66,10 @@ let _modeling_check model =
 let _modeling_metrics ~model ~spec () =
   let metrics = Sim.Metrics.create ~model in
   let _results = Sim.Runner.run ~metrics ~seed:1L ~reps:1000 spec in
-  Format.printf "%a" (Sim.Metrics.pp_activities ~limit:30) metrics
+  List.iter print_endline (Sim.Metrics.never_fired metrics);
+  let reg = Obs.Registry.create () in
+  Sim.Metrics.export metrics ~into:reg;
+  Format.printf "%a" Obs.Registry.pp reg
 
 let _modeling_trace ~model () =
   let observer = Sim.Trace.observer ~show_marking:true ~model Format.std_formatter in
@@ -82,12 +85,9 @@ let _modeling_trace ~model () =
 let _observability_metrics ~model ~spec () =
   let metrics = Sim.Metrics.create ~model in
   let results = Sim.Runner.run ~metrics ~seed:42L ~reps:10_000 spec in
-  Format.printf "%a" Sim.Metrics.pp_summary metrics;
-  Format.printf "%a" (Sim.Metrics.pp_activities ~limit:25) metrics
-
-let _observability_csv metrics =
-  Report.write_csv_rows "telemetry.csv" ~header:Sim.Metrics.csv_header
-    (Sim.Metrics.csv_rows metrics)
+  let reg = Obs.Registry.create () in
+  Sim.Metrics.export metrics ~into:reg;
+  Format.printf "%a" Obs.Registry.pp reg
 
 (* The progress record as OBSERVABILITY.md renders it; the real one is
    Sim.Runner.progress, whose fields this must keep matching. *)
@@ -140,9 +140,6 @@ let _observability_snapshot ~model ~spec () =
   Obs.Registry.write
     ~extra:[ ("convergence", Obs.Convergence.to_json convergence) ]
     "metrics.json" reg
-
-let _observability_convergence_csv convergence =
-  Obs.Convergence.write_csv "convergence.csv" convergence
 
 let _observability_forensics ~seed ~spec () =
   let h = Itua.Model.build Itua.Params.default in

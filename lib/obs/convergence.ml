@@ -14,21 +14,6 @@ let record ?(half_width = nan) ?(confidence = nan) t ~measure ~n ~value =
   t.pts <- { measure; n; value; half_width; confidence } :: t.pts
 
 let points t = List.rev t.pts
-let is_empty t = t.pts = []
-let csv_header = [ "measure"; "n"; "value"; "half_width"; "confidence" ]
-
-let cell v = if Float.is_finite v then Report.Json.float_to_string v else ""
-
-let csv_rows t =
-  List.map
-    (fun p ->
-      [
-        p.measure; string_of_int p.n; cell p.value; cell p.half_width;
-        cell p.confidence;
-      ])
-    (points t)
-
-let write_csv path t = Report.write_csv_rows path ~header:csv_header (csv_rows t)
 
 let num_or_null v =
   if Float.is_finite v then Report.Json.Num v else Report.Json.Null

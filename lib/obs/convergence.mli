@@ -8,9 +8,8 @@
     A recorder accumulates [(measure, n, value, half_width)] points —
     {!Sim.Runner} records one per measure per chunk/batch, splitting
     exports one per completed stage, and the CTMC solvers record their
-    iteration deltas — and renders them as CSV
-    ([measure,n,value,half_width,confidence]) or as the ["convergence"]
-    block of an [itua-metrics/1] snapshot.
+    iteration deltas — and renders them as the ["convergence"] block of
+    an [itua-metrics/1] snapshot.
 
     Points are recorded from the coordinating thread only (after
     per-domain results merge), so a recorder needs no synchronization
@@ -35,17 +34,6 @@ val record :
 
 val points : t -> point list
 (** In record order. *)
-
-val is_empty : t -> bool
-
-val csv_header : string list
-(** [measure,n,value,half_width,confidence]. *)
-
-val csv_rows : t -> string list list
-(** One row per point, floats rendered by the deterministic
-    [Report.Json] float writer (non-finite as empty cells). *)
-
-val write_csv : string -> t -> unit
 
 val to_json : t -> Report.Json.t
 (** Array of point objects; non-finite numbers render as [null]. *)

@@ -214,23 +214,6 @@ let export t ~into =
   Registry.add (Registry.counter ~volatile:true s "spans_dropped")
     t.dropped_spans
 
-let pp ppf t =
-  Format.fprintf ppf "%-14s %12s %14s %12s@." "phase" "count" "self (s)"
-    "mean (ns)";
-  Array.iter
-    (fun p ->
-      let c = count t p in
-      if c > 0 then
-        Format.fprintf ppf "%-14s %12d %14.4f %12.0f@." (phase_name p) c
-          (self_seconds t p)
-          (Clock.ns_to_s t.self_ns.(phase_index p) *. 1e9 /. float_of_int c))
-    phases;
-  Format.fprintf ppf "%-14s %12s %14.4f@." "attributed" ""
-    (attributed_seconds t);
-  Format.fprintf ppf "gc: %d minor, %d major collections, %.3g words \
-                      allocated@."
-    t.gc_minor t.gc_major t.gc_words
-
 let write_trace path t =
   let module J = Report.Json in
   let span_json s =

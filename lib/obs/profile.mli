@@ -87,9 +87,6 @@ val export : t -> into:Registry.t -> unit
     (volatile gauge), [<p>_count] (counter), the GC totals, and
     [spans_dropped]. Calls {!gc_capture} first. *)
 
-val pp : Format.formatter -> t -> unit
-(** Table of phase, count, self-time and mean ns, plus GC totals. *)
-
 val write_trace : string -> t -> unit
 (** Write recorded spans as Chrome trace-event JSONL: one complete
     ("ph":"X") event per line with microsecond [ts] (relative to the

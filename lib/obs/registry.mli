@@ -97,4 +97,7 @@ val write : ?volatile:bool -> ?extra:(string * Report.Json.t) list
 (** [write path t] saves {!to_json} as a single JSON line. *)
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable table of every scope and metric. *)
+(** Human-readable table of every scope and metric, in snapshot order
+    (volatile ones included): the text view of a snapshot, printed by
+    [itua-sim run --telemetry]. Non-finite gauges print as [nan] or
+    [inf]. *)

@@ -123,8 +123,6 @@ let record_run m ~firings ~cancellations ~resamples ~events ~setup_events
   m.min_run_events <- Int.min m.min_run_events events;
   m.max_run_events <- Int.max m.max_run_events events
 
-let ratio num den = if den = 0 then nan else float_of_int num /. float_of_int den
-
 (* Below a microsecond of recorded wall time the quotient is timer
    noise, not a throughput: report undefined (nan), which every snapshot
    writer renders as null, rather than inf or a garbage figure. *)
@@ -135,9 +133,8 @@ let events_per_sec m =
     float_of_int m.events /. m.wall_seconds
   else nan
 
-let mean_chain_length m = ratio m.chain_steps m.chains
-let mean_heap_depth m = ratio m.depth_sum m.pops
-let stale_fraction m = ratio m.stale_pops m.pops
+let stale_fraction m =
+  if m.pops = 0 then nan else float_of_int m.stale_pops /. float_of_int m.pops
 
 let never_fired m =
   let out = ref [] in
@@ -145,74 +142,6 @@ let never_fired m =
     if m.firings.(i) = 0 then out := m.names.(i) :: !out
   done;
   !out
-
-let csv_header = [ "activity"; "firings"; "cancellations"; "resamples" ]
-
-let csv_rows m =
-  Array.to_list
-    (Array.mapi
-       (fun i name ->
-         [
-           name;
-           string_of_int m.firings.(i);
-           string_of_int m.cancellations.(i);
-           string_of_int m.resamples.(i);
-         ])
-       m.names)
-
-let pp_summary ppf m =
-  Format.fprintf ppf "runs                    %d@." m.runs;
-  Format.fprintf ppf "events                  %d (+%d setup)@." m.events
-    m.setup_events;
-  (if m.wall_seconds > 0.0 then
-     Format.fprintf ppf "throughput              %.3g events/sec over %.2fs@."
-       (events_per_sec m) m.wall_seconds);
-  let total = Array.fold_left ( + ) 0 in
-  Format.fprintf ppf "heap pops               %d (%d canceled, %d resampled)@."
-    m.pops (total m.cancellations) (total m.resamples);
-  Format.fprintf ppf "heap depth              mean %.1f, max %d@."
-    (if m.pops = 0 then 0.0 else mean_heap_depth m)
-    m.max_depth;
-  Format.fprintf ppf "stabilization chains    %d (mean %.1f steps, max %d)@."
-    m.chains
-    (if m.chains = 0 then 0.0 else mean_chain_length m)
-    m.max_chain
-
-let pp_activities ?limit ppf m =
-  let idx = Array.init (Array.length m.names) Fun.id in
-  Array.sort
-    (fun i j ->
-      match Int.compare m.firings.(j) m.firings.(i) with
-      | 0 -> Int.compare i j
-      | c -> c)
-    idx;
-  let fired = Array.to_list idx |> List.filter (fun i -> m.firings.(i) > 0) in
-  let shown =
-    match limit with
-    | Some k when k < List.length fired -> List.filteri (fun n _ -> n < k) fired
-    | Some _ | None -> fired
-  in
-  let width =
-    List.fold_left (fun w i -> Int.max w (String.length m.names.(i))) 8 shown
-  in
-  Format.fprintf ppf "%-*s %10s %13s %10s@." width "activity" "firings"
-    "cancellations" "resamples";
-  List.iter
-    (fun i ->
-      Format.fprintf ppf "%-*s %10d %13d %10d@." width m.names.(i)
-        m.firings.(i) m.cancellations.(i) m.resamples.(i))
-    shown;
-  let hidden = List.length fired - List.length shown in
-  if hidden > 0 then
-    Format.fprintf ppf "  ... and %d more firing activities@." hidden;
-  match never_fired m with
-  | [] -> ()
-  | quiet ->
-      let n = List.length quiet in
-      let sample = List.filteri (fun i _ -> i < 8) quiet in
-      Format.fprintf ppf "%d activities never fired: %s%s@." n
-        (String.concat " " sample)
-        (if n > List.length sample then " ..." else "")
 
 (* Registry export: deterministic engine counters into the "engine"
    scope, per-activity counters into "activity", and wall-derived

@@ -11,9 +11,13 @@
        enabling predicate);}
     {- instantaneous-stabilization chain statistics (chains, total steps,
        longest chain);}
-    {- event-heap statistics (pops, mean and maximum depth);}
+    {- event-heap statistics (pops, summed and maximum depth);}
     {- wall-clock time, added by the caller via {!add_wall}, from which
        {!events_per_sec} derives the engine's throughput.}}
+
+    Every view of a sink is a rendering of its {!export}: the
+    [itua-metrics/1] snapshot ({!Obs.Registry.write}) and the text table
+    ({!Obs.Registry.pp}).
 
     The executor counts unconditionally into run-local scratch and folds
     it into the sink once per run, so simulation with no metrics attached
@@ -84,13 +88,6 @@ val events_per_sec : t -> float
     [nan] (never [inf] or timer garbage) when the recorded wall time is
     below a microsecond — snapshot writers render that as [null]. *)
 
-val mean_chain_length : t -> float
-(** Mean instantaneous steps per non-empty stabilization chain; [nan]
-    when no chain occurred. *)
-
-val mean_heap_depth : t -> float
-(** Mean pre-pop heap size; [nan] before the first pop. *)
-
 val stale_fraction : t -> float
 (** [stale_pops / pops]: 0 by construction, [nan] before the first pop.
     Wasted scheduling work shows in [cancellations] and [resamples]
@@ -100,23 +97,6 @@ val never_fired : t -> string list
 (** Names of activities that never fired in any recorded run, in model
     order. With enough replications behind the sink, a structurally
     relevant activity in this list is usually a modeling bug. *)
-
-val csv_header : string list
-(** Header for {!csv_rows}:
-    [activity,firings,cancellations,resamples]. *)
-
-val csv_rows : t -> string list list
-(** One row per activity, in model order, matching {!csv_header}. Write
-    with {!Report.write_csv_rows}. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** Multi-line engine summary: runs, events, events/sec, stabilization
-    and heap statistics. *)
-
-val pp_activities : ?limit:int -> Format.formatter -> t -> unit
-(** Per-activity table sorted by firing count (descending), activities
-    that never fired summarized on a final line. [limit] caps the number
-    of table rows (default: all). *)
 
 val export : t -> into:Obs.Registry.t -> unit
 (** Dump the sink into a metrics registry: deterministic engine

@@ -255,33 +255,22 @@ let results_of ~confidence ~rewards ~accs ~defined ~n_runs =
       })
     rewards
 
-let run ?(domains = 1) ?(confidence = 0.95) ?metrics ?profile ?convergence
-    ?progress ?record ~seed ~reps s =
-  if reps <= 0 then invalid_arg "Runner.run: reps must be >= 1";
-  if domains <= 0 then invalid_arg "Runner.run: domains must be >= 1";
+(* The batch loop behind run and run_until: while [finished] says more
+   replications are needed, run the next [next_batch] of them over the
+   domains, fold them into the accumulators and sinks, record convergence
+   and report progress. Substream-per-replication makes the estimates
+   independent of how replications are batched. *)
+let batch_loop ~domains ~confidence ?metrics ?profile ?convergence ?progress
+    ?record ~seed ~target ~next_batch ~finished ~estimated s =
   let t0 = now () in
   let root = Prng.Stream.create ~seed in
-  let domains = Int.min domains reps in
   let n_rewards = List.length s.rewards in
   let accs = Array.init n_rewards (fun _ -> Stats.Welford.create ()) in
   let defined = Array.make n_rewards 0 in
   let with_metrics = Option.is_some metrics in
-  (* With a progress callback or a convergence recorder, replications
-     run in ~20 chunks so the caller hears from us (and the recorder
-     sees a trajectory, not one point); substream-per-replication keeps
-     the estimates identical either way. Recording rounds chunks up to
-     whole segments so chunking cannot change how segments are formed. *)
-  let chunk =
-    if Option.is_none progress && Option.is_none convergence then reps
-    else
-      let c = Int.max domains ((reps + 19) / 20) in
-      if Option.is_some record then
-        (c + record_segment - 1) / record_segment * record_segment
-      else c
-  in
   let completed = ref 0 in
-  while !completed < reps do
-    let count = Int.min chunk (reps - !completed) in
+  while not (finished ~accs !completed) do
+    let count = next_batch !completed in
     let d = Int.max 1 (Int.min domains count) in
     let blocks =
       if Option.is_some record then
@@ -294,12 +283,36 @@ let run ?(domains = 1) ?(confidence = 0.95) ?metrics ?profile ?convergence
     record_convergence ~convergence ~confidence ~rewards:s.rewards ~accs
       ~completed:!completed;
     emit_progress ~progress ~confidence ~rewards:s.rewards ~accs ~t0
-      ~completed:!completed ~target:reps ~estimated:reps
+      ~completed:!completed ~target ~estimated:(estimated ~accs !completed)
   done;
   (match metrics with
   | Some m -> Metrics.add_wall m (now () -. t0)
   | None -> ());
-  results_of ~confidence ~rewards:s.rewards ~accs ~defined ~n_runs:reps
+  results_of ~confidence ~rewards:s.rewards ~accs ~defined ~n_runs:!completed
+
+let run ?(domains = 1) ?(confidence = 0.95) ?metrics ?profile ?convergence
+    ?progress ?record ~seed ~reps s =
+  if reps <= 0 then invalid_arg "Runner.run: reps must be >= 1";
+  if domains <= 0 then invalid_arg "Runner.run: domains must be >= 1";
+  let domains = Int.min domains reps in
+  (* With a progress callback or a convergence recorder, replications
+     run in ~20 chunks so the caller hears from us (and the recorder
+     sees a trajectory, not one point). Recording rounds chunks up to
+     whole segments so chunking cannot change how segments are formed. *)
+  let chunk =
+    if Option.is_none progress && Option.is_none convergence then reps
+    else
+      let c = Int.max domains ((reps + 19) / 20) in
+      if Option.is_some record then
+        (c + record_segment - 1) / record_segment * record_segment
+      else c
+  in
+  batch_loop ~domains ~confidence ?metrics ?profile ?convergence ?progress
+    ?record ~seed ~target:reps
+    ~next_batch:(fun completed -> Int.min chunk (reps - completed))
+    ~finished:(fun ~accs:_ completed -> completed >= reps)
+    ~estimated:(fun ~accs:_ _ -> reps)
+    s
 
 let run_until ?(domains = 1) ?(confidence = 0.95) ?(batch = 500)
     ?(max_reps = 100_000) ?metrics ?profile ?convergence ?progress ?record
@@ -313,46 +326,23 @@ let run_until ?(domains = 1) ?(confidence = 0.95) ?(batch = 500)
       (batch + record_segment - 1) / record_segment * record_segment
     else batch
   in
-  let t0 = now () in
-  let root = Prng.Stream.create ~seed in
-  let n_rewards = List.length s.rewards in
-  let accs = Array.init n_rewards (fun _ -> Stats.Welford.create ()) in
-  let defined = Array.make n_rewards 0 in
-  let with_metrics = Option.is_some metrics in
-  let total = ref 0 in
-  let precise_enough () =
-    !total >= 2
-    && worst_badness ~confidence accs <= rel_precision
+  let finished ~accs total =
+    total >= max_reps
+    || (total >= 2 && worst_badness ~confidence accs <= rel_precision)
   in
   (* Half-widths shrink like 1/sqrt(n), so the worst interval needs about
      n · (badness / target)² replications in total; the ETA scales the
      elapsed time to that estimate (capped at max_reps). *)
-  let estimated_total () =
+  let estimated ~accs total =
     let w = worst_badness ~confidence accs in
-    if w <= rel_precision then !total
-    else if Float.is_finite w && !total > 0 then
-      let n = float_of_int !total *. ((w /. rel_precision) ** 2.0) in
+    if w <= rel_precision then total
+    else if Float.is_finite w && total > 0 then
+      let n = float_of_int total *. ((w /. rel_precision) ** 2.0) in
       Int.min max_reps
-        (Int.max !total (int_of_float (Float.min n (float_of_int max_reps))))
+        (Int.max total (int_of_float (Float.min n (float_of_int max_reps))))
     else max_reps
   in
-  while (not (precise_enough ())) && !total < max_reps do
-    let count = Int.min batch (max_reps - !total) in
-    let d = Int.max 1 (Int.min domains count) in
-    let blocks =
-      if Option.is_some record then
-        blocks_of_aligned ~domains:d ~first:!total ~count
-      else blocks_of ~domains:d ~first:!total ~count
-    in
-    let results = run_blocks s ~root ~with_metrics ~profile ~record blocks in
-    consume ~accs ~defined ~metrics ~profile ~record results;
-    total := !total + count;
-    record_convergence ~convergence ~confidence ~rewards:s.rewards ~accs
-      ~completed:!total;
-    emit_progress ~progress ~confidence ~rewards:s.rewards ~accs ~t0
-      ~completed:!total ~target:max_reps ~estimated:(estimated_total ())
-  done;
-  (match metrics with
-  | Some m -> Metrics.add_wall m (now () -. t0)
-  | None -> ());
-  results_of ~confidence ~rewards:s.rewards ~accs ~defined ~n_runs:!total
+  batch_loop ~domains ~confidence ?metrics ?profile ?convergence ?progress
+    ?record ~seed ~target:max_reps
+    ~next_batch:(fun total -> Int.min batch (max_reps - total))
+    ~finished ~estimated s

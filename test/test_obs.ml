@@ -171,6 +171,63 @@ let test_snapshot_deterministic_across_cores () =
   let four = snapshot_core ~domains:4 in
   Alcotest.(check string) "1 vs 4 domains, volatile excluded" one four
 
+(* Registry.pp is the text view of a snapshot (run --telemetry): every
+   (scope, metric) pair of the JSON appears exactly once in the table,
+   under its scope's header, and non-finite gauges print. *)
+let test_registry_pp_matches_snapshot () =
+  let spec = spec_two_state () in
+  let metrics = Sim.Metrics.create ~model:spec.Sim.Runner.model in
+  let profile = P.create () in
+  let (_ : Sim.Runner.result list) =
+    Sim.Runner.run ~metrics ~profile ~seed:42L ~reps:64 spec
+  in
+  let reg = R.create () in
+  Sim.Metrics.export metrics ~into:reg;
+  P.export profile ~into:reg;
+  let odd = R.scope reg "odd" in
+  R.set (R.gauge odd "nan_gauge") nan;
+  R.set (R.gauge odd "inf_gauge") infinity;
+  let (_ : R.histogram) = R.histogram odd "empty_histogram" in
+  let module J = Report.Json in
+  let get k j = Option.get (J.member k j) in
+  let from_json =
+    List.concat_map
+      (fun sc ->
+        let scope = Option.get (J.str (get "scope" sc)) in
+        List.map
+          (fun m -> (scope, Option.get (J.str (get "name" m))))
+          (Option.get (J.arr (get "metrics" sc))))
+      (Option.get (J.arr (get "scopes" (R.to_json reg))))
+  in
+  let text = Format.asprintf "%a" R.pp reg in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+  let words l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  (* Scope headers are "name:" lines; metric lines are indented. *)
+  let headers, from_pp, _ =
+    List.fold_left
+      (fun (headers, metrics, scope) line ->
+        if line.[0] = ' ' then
+          (headers, (scope, List.hd (words line)) :: metrics, scope)
+        else
+          let h = String.sub line 0 (String.length line - 1) in
+          (h :: headers, metrics, h))
+      ([], [], "") lines
+  in
+  Alcotest.(check (list (pair string string)))
+    "each snapshot metric once, under its scope"
+    (List.sort compare from_json)
+    (List.sort compare from_pp);
+  Alcotest.(check (list string))
+    "each scope header once"
+    (List.sort_uniq compare (List.map fst from_json))
+    (List.sort compare headers);
+  List.iter
+    (fun shown ->
+      Alcotest.(check bool)
+        (String.concat " " shown) true
+        (List.exists (fun l -> words l = shown) lines))
+    [ [ "nan_gauge"; "nan" ]; [ "inf_gauge"; "inf" ] ]
+
 (* --- profiler --- *)
 
 let test_profiler_self_time_accounting () =
@@ -311,7 +368,7 @@ let test_trace_spans_jsonl () =
 
 let test_convergence_recorder () =
   let c = C.create () in
-  Alcotest.(check bool) "fresh is empty" true (C.is_empty c);
+  Alcotest.(check bool) "fresh is empty" true (C.points c = []);
   C.record c ~measure:"m" ~n:10 ~value:0.5 ~half_width:0.2 ~confidence:0.95;
   C.record c ~measure:"m" ~n:20 ~value:0.45;
   let pts = C.points c in
@@ -320,10 +377,6 @@ let test_convergence_recorder () =
   Alcotest.(check bool)
     "defaults are nan" true
     (Float.is_nan p2.C.half_width && Float.is_nan p2.C.confidence);
-  Alcotest.(check (list string))
-    "csv row renders nan as empty"
-    [ "m"; "20"; "0.45"; ""; "" ]
-    (List.nth (C.csv_rows c) 1);
   Alcotest.(check string)
     "json nulls non-finite"
     "[{\"measure\":\"m\",\"n\":10,\"value\":0.5,\"half_width\":0.2,\
@@ -435,6 +488,8 @@ let () =
           Alcotest.test_case "merge policies" `Quick test_merge_policies;
           Alcotest.test_case "merge order-independent" `Quick
             test_merge_order_independent;
+          Alcotest.test_case "pp renders every snapshot metric" `Quick
+            test_registry_pp_matches_snapshot;
         ] );
       ( "metrics",
         [

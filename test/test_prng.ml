@@ -73,6 +73,17 @@ let test_float_moments () =
     "variance near 1/12" true
     (Float.abs (var -. (1.0 /. 12.0)) < 0.005)
 
+(* One-sample Kolmogorov-Smirnov test of the unit float against the
+   U(0,1) CDF: the empirical distribution must fit everywhere, not only
+   in its first two moments. *)
+let test_float_uniform_ks () =
+  let s = stream 99 in
+  let n = 50_000 in
+  let xs = Array.init n (fun _ -> Prng.Stream.float s) in
+  let d = Stats.Ks.statistic ~cdf:(fun x -> x) xs in
+  let p = Stats.Ks.significance ~n d in
+  if p < 1e-3 then Alcotest.failf "U(0,1) rejected: D=%.4f p=%.4g" d p
+
 let test_float_pos_positive () =
   let s = stream 29 in
   for _ = 1 to 10_000 do
@@ -232,6 +243,8 @@ let () =
         [
           Alcotest.test_case "float in [0,1)" `Quick test_float_range_unit;
           Alcotest.test_case "float moments" `Slow test_float_moments;
+          Alcotest.test_case "float fits U(0,1) (KS)" `Quick
+            test_float_uniform_ks;
           Alcotest.test_case "float_pos in (0,1]" `Quick test_float_pos_positive;
           Alcotest.test_case "int uniformity" `Slow test_int_uniformity;
           Alcotest.test_case "bernoulli frequency" `Slow

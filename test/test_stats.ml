@@ -1,6 +1,6 @@
 (* Tests for the stats library: special functions against known values,
    Student-t critical values against tables, Welford against naive moments,
-   confidence intervals, and histograms. *)
+   confidence intervals, and Kolmogorov-Smirnov tests. *)
 
 let close ?(tol = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -351,31 +351,6 @@ let test_ks_significance_monotone () =
       prev := p)
     [ 0.001; 0.01; 0.02; 0.05; 0.1; 0.2 ]
 
-(* --- histogram --- *)
-
-let test_histogram_basic () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.9; 9.99; -1.0; 10.0; 25.0 ];
-  Alcotest.(check int) "total" 7 (Stats.Histogram.count h);
-  Alcotest.(check int) "bin 0" 1 (Stats.Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 1" 2 (Stats.Histogram.bin_count h 1);
-  Alcotest.(check int) "bin 9" 1 (Stats.Histogram.bin_count h 9);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Stats.Histogram.overflow h)
-
-let test_histogram_fraction_below () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:20 in
-  let s = Prng.Stream.create ~seed:99L in
-  for _ = 1 to 50_000 do
-    Stats.Histogram.add h (Prng.Stream.float s)
-  done;
-  List.iter
-    (fun x ->
-      let f = Stats.Histogram.fraction_below h x in
-      if Float.abs (f -. x) > 0.01 then
-        Alcotest.failf "empirical cdf at %g is %g" x f)
-    [ 0.1; 0.25; 0.5; 0.75; 0.9 ]
-
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -438,11 +413,6 @@ let () =
             test_ks_rejects_wrong_distribution;
           Alcotest.test_case "significance monotone" `Quick
             test_ks_significance_monotone;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_basic;
-          Alcotest.test_case "empirical cdf" `Slow test_histogram_fraction_below;
         ] );
       ("properties", props);
     ]
