@@ -76,7 +76,7 @@ let cores_arg =
        & info [ "cores" ] ~docv:"N"
            ~doc:"OCaml domains used to parallelize replications.")
 
-let params_of domains hosts apps replicas policy multiplier spread scale =
+let params_of domains hosts apps replicas policy multiplier spread scale () =
   let p =
     {
       Itua.Params.default with
@@ -97,6 +97,15 @@ let params_of domains hosts apps replicas policy multiplier spread scale =
       Format.eprintf "invalid parameters: %s@." msg;
       exit 2
 
+(* The eight topology and rate flags as one parameter set. The value is
+   a thunk: the command forces it after its own flag checks, so the
+   order of error messages is the command's, and validation (exit 2 on
+   an invalid combination) never runs under --model. *)
+let params_term =
+  Term.(
+    const params_of $ domains_arg $ hosts_arg $ apps_arg $ reps_per_app_arg
+    $ policy_arg $ multiplier_arg $ spread_arg $ scale_arg)
+
 (* --- model files (save / load / diff / --model) --- *)
 
 let model_arg =
@@ -107,9 +116,11 @@ let model_arg =
                the topology and rate flags are ignored in its favor.")
 
 (* Load a model file, recover its parameter block from the "params"
-   annotation, and rebind the ITUA handles by place-name lookup — the
-   reloaded model then flows through the executor, the measures, the
-   checker, and the splitting estimator exactly like a built one. *)
+   annotation, and rebind the ITUA handles: [Itua.Model.rebind] builds
+   the model from those parameters and checks the file's places against
+   it — the reloaded model then flows through the executor, the
+   measures, the checker, and the splitting estimator exactly like a
+   built one. *)
 let handles_of_file path =
   let ( let* ) = Result.bind in
   let* l = Serial.load path in
@@ -125,11 +136,35 @@ let handles_of_file path =
   in
   let* p =
     Result.map_error (fun e -> path ^ ": " ^ e)
-      (Itua.Params.of_json params_json)
+      (Itua.Params.of_json ~at:"$.annotations.params" params_json)
   in
   match Itua.Model.rebind p ~model:l.Serial.model ~composition with
   | h -> Ok (p, h)
   | exception Invalid_argument msg -> Error (path ^ ": " ^ msg)
+
+(* The parameters and handles a command works on: built from [params]
+   (a [params_term]), or loaded from --model FILE. Forced by the
+   command, like [params_term]. *)
+let config_of params =
+  let config params model () =
+    match model with
+    | None ->
+        let p = params () in
+        Ok (p, Itua.Model.build p)
+    | Some path -> handles_of_file path
+  in
+  Term.(const config $ params $ model_arg)
+
+let config_term = config_of params_term
+
+(* [check] and [mtta] report an unusable model file on stderr and exit
+   2, like an invalid flag combination. *)
+let handles_or_exit config =
+  match config () with
+  | Ok (_, h) -> h
+  | Error e ->
+      Format.eprintf "%s@." e;
+      exit 2
 
 (* --- run --- *)
 
@@ -247,8 +282,7 @@ let params_json (p : Itua.Params.t) =
     ]
 
 let run_cmd =
-  let run domains hosts apps replicas policy multiplier spread scale model
-      horizon reps seed cores telemetry progress rel_precision
+  let run config horizon reps seed cores telemetry progress rel_precision
       record_failures record_max dot_heat metrics_out trace_spans =
     let ( let* ) = Result.bind in
     let check cond msg = if cond then Ok () else Error (`Msg msg) in
@@ -268,17 +302,7 @@ let run_cmd =
         (match record_max with Some k -> k > 0 | None -> true)
         "--record-max must be >= 1"
     in
-    let* p, h =
-      match model with
-      | None ->
-          let p =
-            params_of domains hosts apps replicas policy multiplier spread
-              scale
-          in
-          Ok (p, Itua.Model.build p)
-      | Some path ->
-          Result.map_error (fun e -> `Msg e) (handles_of_file path)
-    in
+    let* p, h = Result.map_error (fun e -> `Msg e) (config ()) in
     Format.printf "%a@.@." Itua.Params.pp p;
     let spec =
       Sim.Runner.spec ~model:h.Itua.Model.model ~horizon
@@ -413,11 +437,10 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Simulate one ITUA configuration")
     Term.(
       term_result
-        (const run $ domains_arg $ hosts_arg $ apps_arg $ reps_per_app_arg
-        $ policy_arg $ multiplier_arg $ spread_arg $ scale_arg $ model_arg
-        $ horizon_arg $ n_reps_arg $ seed_arg $ cores_arg $ telemetry_arg
-        $ progress_arg $ precision_arg $ record_arg $ record_max_arg
-        $ dot_heat_arg $ metrics_out_arg $ trace_spans_arg))
+        (const run $ config_term $ horizon_arg $ n_reps_arg $ seed_arg
+        $ cores_arg $ telemetry_arg $ progress_arg $ precision_arg
+        $ record_arg $ record_max_arg $ dot_heat_arg $ metrics_out_arg
+        $ trace_spans_arg))
 
 (* --- rare --- *)
 
@@ -465,39 +488,27 @@ let rare_cmd =
            ~doc:"Write the per-stage table (level, trials, hits, ratio) to \
                  $(docv) as CSV.")
   in
-  let run domains hosts apps replicas policy multiplier spread scale model
-      horizon seed cores levels clones initial measure app json csv
-      metrics_out =
+  let run config horizon seed cores levels clones initial measure app json
+      csv metrics_out =
     let ( let* ) = Result.bind in
     let check cond msg = if cond then Ok () else Error (`Msg msg) in
     let* () = check (cores >= 1) "--cores must be >= 1" in
     let* () = check (levels >= 1) "--levels must be >= 1" in
     let* () = check (clones >= 1) "--clones must be >= 1" in
     let* () = check (initial >= 2) "--initial must be >= 2" in
-    let* p, handles =
-      match model with
-      | None ->
-          Ok
-            ( params_of domains hosts apps replicas policy multiplier spread
-                scale,
-              None )
-      | Some path ->
-          Result.map_error
-            (fun e -> `Msg e)
-            (Result.map (fun (p, h) -> (p, Some h)) (handles_of_file path))
-    in
+    let* p, handles = Result.map_error (fun e -> `Msg e) (config ()) in
     let* () =
       check
         (app >= 0 && app < p.Itua.Params.num_apps)
         "--app must name an application"
     in
     Format.printf "%a@.@." Itua.Params.pp p;
-    let config = { Itua.Study.reps = initial; seed; domains = cores } in
+    let study = { Itua.Study.reps = initial; seed; domains = cores } in
     let r =
       try
         Ok
-          (Itua.Study.rare_point ~config ~levels ~clones ~initial ~measure
-             ~app ?handles ~params:p ~until:horizon ())
+          (Itua.Study.rare_point ~config:study ~levels ~clones ~initial ~measure
+             ~app ~handles ~params:p ~until:horizon ())
       with Invalid_argument msg -> Error (`Msg msg)
     in
     let* r = r in
@@ -595,11 +606,9 @@ let rare_cmd =
              RESTART/importance splitting (see doc/RARE_EVENTS.md)")
     Term.(
       term_result
-        (const run $ domains_arg $ hosts_arg $ apps_arg $ reps_per_app_arg
-        $ policy_arg $ multiplier_arg $ spread_arg $ scale_arg $ model_arg
-        $ horizon_arg $ seed_arg $ cores_arg $ levels_arg $ clones_arg
-        $ initial_arg $ measure_arg $ app_arg $ json_arg $ csv_arg
-        $ metrics_out_arg))
+        (const run $ config_term $ horizon_arg $ seed_arg $ cores_arg
+        $ levels_arg $ clones_arg $ initial_arg $ measure_arg $ app_arg
+        $ json_arg $ csv_arg $ metrics_out_arg))
 
 (* --- explain --- *)
 
@@ -680,7 +689,7 @@ let explain_cmd =
         | Some occ_json ->
             let* occupancy =
               Result.map_error (fun e -> `Msg (file ^ ": " ^ e))
-                (T.occupancy_of_json occ_json)
+                (T.occupancy_of_json ~at:"$.occupancy" occ_json)
             in
             (* Places that were zero after setup and became non-zero later
                are the event outcomes (intrusions, corruptions,
@@ -803,46 +812,25 @@ let check_symmetry_arg =
                embed the orbit report under the $(b,symmetry) key of \
                the $(b,--json) document.")
 
-let check_run domains hosts apps replicas policy multiplier
-    spread scale model invariants strict ir_dump symmetry json =
-  let h =
-    match model with
-    | None ->
-        Itua.Model.build
-          (params_of domains hosts apps replicas policy multiplier spread
-             scale)
-    | Some path -> (
-        match handles_of_file path with
-        | Ok (_, h) -> h
-        | Error e ->
-            Format.eprintf "%s@." e;
-            exit 2)
-  in
+let check_run config invariants strict ir_dump symmetry json =
+  let h = handles_or_exit config in
   let report =
     Analysis.Check.run ~composition:h.Itua.Model.composition
       ~laws:(Itua.Invariant.conservation_laws h)
       h.Itua.Model.model
   in
-  (* The orbit pass merges into the main report BEFORE printing, so its
-     A017/A018 diagnostics appear in the tally and drive the exit code
-     like any other pass. *)
   let orbits =
     if symmetry then
       Some (Analysis.Orbit.analyse h.Itua.Model.model h.Itua.Model.composition)
     else None
   in
-  let report =
-    match orbits with
-    | None -> report
-    | Some rep ->
-        {
-          report with
-          Analysis.Check.diagnostics =
-            List.sort Analysis.Diagnostic.compare
-              (report.Analysis.Check.diagnostics
-              @ Analysis.Orbit.diagnostics rep);
-        }
+  let dump =
+    if ir_dump then Some (Analysis.Ir_dump.dump h.Itua.Model.model) else None
   in
+  (* The orbit pass merges into the report BEFORE printing, so its
+     A017/A018 diagnostics appear in the tally and drive the exit code
+     like any other pass. *)
+  let report, doc = Analysis.Check.certificate ?orbits ?ir_dump:dump report in
   Format.printf "%a" Analysis.Check.pp report;
   (match orbits with
   | Some rep -> Format.printf "@.%s@." (Analysis.Orbit.describe rep)
@@ -850,30 +838,13 @@ let check_run domains hosts apps replicas policy multiplier
   if invariants then
     Format.printf "@.%a" Analysis.Structure.pp
       report.Analysis.Check.structure;
-  let dump =
-    if ir_dump then Some (Analysis.Ir_dump.dump h.Itua.Model.model) else None
-  in
   (match dump with
   | Some d -> Format.printf "@.%a" Analysis.Ir_dump.pp d
   | None -> ());
   (match json with
   | None -> ()
   | Some path ->
-      let extra =
-        (match orbits with
-        | Some rep -> [ ("symmetry", Analysis.Orbit.to_json rep) ]
-        | None -> [])
-        @
-        match dump with
-        | Some d -> [ ("ir_dump", Analysis.Ir_dump.to_json d) ]
-        | None -> []
-      in
-      let obj =
-        match Analysis.Check.to_json report with
-        | Report.Json.Obj fields -> Report.Json.Obj (fields @ extra)
-        | j -> j
-      in
-      Report.write_jsonl path [ obj ];
+      Report.write_jsonl path [ doc ];
       Format.printf "JSON report written to %s@." path);
   exit (Analysis.Check.exit_code ~strict report)
 
@@ -887,9 +858,7 @@ let check_cmd =
              error-level diagnostic is reported ($(b,--strict) promotes \
              warnings).")
     Term.(
-      const check_run $ domains_arg $ hosts_arg $ apps_arg
-      $ reps_per_app_arg $ policy_arg $ multiplier_arg $ spread_arg
-      $ scale_arg $ model_arg $ check_invariants_arg $ check_strict_arg
+      const check_run $ config_term $ check_invariants_arg $ check_strict_arg
       $ check_ir_dump_arg $ check_symmetry_arg $ check_json_arg)
 
 (* --- mtta (exact, tiny configurations) --- *)
@@ -906,21 +875,15 @@ let mtta_lump_arg =
                  (raises on an unsound canon).")
 
 let mtta_cmd =
-  let run multiplier scale model lump metrics_out =
-    (* Only forced-choice configurations are analytically explorable. *)
-    let h =
-      match model with
-      | None ->
-          Itua.Model.build
-            (params_of 1 1 1 1 Itua.Params.Domain_exclusion multiplier 1.0
-               scale)
-      | Some path -> (
-          match handles_of_file path with
-          | Ok (_, h) -> h
-          | Error e ->
-              Format.eprintf "%s@." e;
-              exit 2)
-    in
+  (* Only forced-choice configurations are analytically explorable. *)
+  let minimal_params =
+    Term.(
+      const (fun multiplier scale ->
+          params_of 1 1 1 1 Itua.Params.Domain_exclusion multiplier 1.0 scale)
+      $ multiplier_arg $ scale_arg)
+  in
+  let run config lump metrics_out =
+    let h = handles_or_exit config in
     let canon, audit =
       match lump with
       | `Off -> (None, false)
@@ -963,8 +926,8 @@ let mtta_cmd =
   Cmd.v
     (Cmd.info "mtta"
        ~doc:"Exact mean time to full degradation of the minimal system")
-    Term.(const run $ multiplier_arg $ scale_arg $ model_arg $ mtta_lump_arg
-          $ metrics_out_arg)
+    Term.(
+      const run $ config_of minimal_params $ mtta_lump_arg $ metrics_out_arg)
 
 (* --- structure --- *)
 
@@ -973,8 +936,8 @@ let structure_cmd =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
            ~doc:"Write a GraphViz rendering of the flattened SAN to $(docv).")
   in
-  let run domains hosts apps replicas policy multiplier spread scale dot =
-    let p = params_of domains hosts apps replicas policy multiplier spread scale in
+  let run params dot =
+    let p = params () in
     let h = Itua.Model.build p in
     Format.printf "%a@.@." Itua.Params.pp p;
     Format.printf "Composition tree:@.%s@." h.Itua.Model.structure;
@@ -987,9 +950,7 @@ let structure_cmd =
   in
   Cmd.v
     (Cmd.info "structure" ~doc:"Show the composed model's structure")
-    Term.(
-      const run $ domains_arg $ hosts_arg $ apps_arg $ reps_per_app_arg
-      $ policy_arg $ multiplier_arg $ spread_arg $ scale_arg $ dot_arg)
+    Term.(const run $ params_term $ dot_arg)
 
 (* --- save / load / diff --- *)
 
@@ -998,10 +959,8 @@ let save_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
            ~doc:"Destination path of the itua-model/1 JSON document.")
   in
-  let run domains hosts apps replicas policy multiplier spread scale out =
-    let p =
-      params_of domains hosts apps replicas policy multiplier spread scale
-    in
+  let run params out =
+    let p = params () in
     let h = Itua.Model.build p in
     let doc =
       Serial.to_json ~composition:h.Itua.Model.composition
@@ -1018,9 +977,7 @@ let save_cmd =
              itua-model/1 JSON file (see doc/FORMAT.md). The parameter \
              block rides along as the \"params\" annotation, so \
              $(b,--model) can rebuild the measures around the file.")
-    Term.(
-      const run $ domains_arg $ hosts_arg $ apps_arg $ reps_per_app_arg
-      $ policy_arg $ multiplier_arg $ spread_arg $ scale_arg $ out_arg)
+    Term.(const run $ params_term $ out_arg)
 
 let load_cmd =
   let file_arg =
@@ -1039,7 +996,7 @@ let load_cmd =
         (match List.assoc_opt "params" l.Serial.annotations with
         | None -> ()
         | Some j -> (
-            match Itua.Params.of_json j with
+            match Itua.Params.of_json ~at:"$.annotations.params" j with
             | Ok p -> Format.printf "@.%a@." Itua.Params.pp p
             | Error e ->
                 Format.printf "@.(unreadable \"params\" annotation: %s)@." e));

@@ -76,32 +76,55 @@ let pp ppf t =
   if e + w + i = 0 then Format.fprintf ppf "no diagnostics@."
   else Format.fprintf ppf "%d error(s), %d warning(s), %d note(s)@." e w i
 
-let to_json t =
+let fields t =
   let open Report.Json in
-  Obj
-    [
-      ("schema", Str "itua-analysis/1");
-      ("model", Str t.model_name);
-      ( "mode",
-        Str
-          (match t.mode with
-          | Space.Exhaustive -> "exhaustive"
-          | Space.Sampled -> "sampled") );
-      ("stable_markings", int t.n_stable);
-      ("vanishing_markings", int t.n_vanishing);
-      ("truncated", Bool t.truncated);
-      ("incidence", Str t.incidence);
-      ( "sampled_fallbacks",
-        Arr (List.map (fun s -> Str s) t.sampled_fallbacks) );
-      ( "fallback",
-        match t.fallback with None -> Null | Some why -> Str why );
-      ( "summary",
-        Obj
-          [
-            ("errors", int (count Diagnostic.Error t));
-            ("warnings", int (count Diagnostic.Warning t));
-            ("infos", int (count Diagnostic.Info t));
-          ] );
-      ("diagnostics", Arr (List.map Diagnostic.to_json t.diagnostics));
-      ("structure", Structure.to_json t.structure);
-    ]
+  [
+    ("schema", Str "itua-analysis/1");
+    ("model", Str t.model_name);
+    ( "mode",
+      Str
+        (match t.mode with
+        | Space.Exhaustive -> "exhaustive"
+        | Space.Sampled -> "sampled") );
+    ("stable_markings", int t.n_stable);
+    ("vanishing_markings", int t.n_vanishing);
+    ("truncated", Bool t.truncated);
+    ("incidence", Str t.incidence);
+    ( "sampled_fallbacks",
+      Arr (List.map (fun s -> Str s) t.sampled_fallbacks) );
+    ( "fallback",
+      match t.fallback with None -> Null | Some why -> Str why );
+    ( "summary",
+      Obj
+        [
+          ("errors", int (count Diagnostic.Error t));
+          ("warnings", int (count Diagnostic.Warning t));
+          ("infos", int (count Diagnostic.Info t));
+        ] );
+    ("diagnostics", Arr (List.map Diagnostic.to_json t.diagnostics));
+    ("structure", Structure.to_json t.structure);
+  ]
+
+let to_json t = Report.Json.Obj (fields t)
+
+(* The one assembly of the [check --json] document, shared by the CLI,
+   the golden generator and the golden test, so the committed golden
+   pins what the CLI writes. *)
+let certificate ?orbits ?ir_dump t =
+  let t =
+    match orbits with
+    | None -> t
+    | Some rep ->
+        {
+          t with
+          diagnostics =
+            List.sort Diagnostic.compare
+              (t.diagnostics @ Orbit.diagnostics rep);
+        }
+  in
+  let extra =
+    Option.to_list (Option.map (fun r -> ("symmetry", Orbit.to_json r)) orbits)
+    @ Option.to_list
+        (Option.map (fun d -> ("ir_dump", Ir_dump.to_json d)) ir_dump)
+  in
+  (t, Report.Json.Obj (fields t @ extra))

@@ -64,3 +64,12 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> Report.Json.t
 (** Deterministic object: model, mode, coverage counts, severity
     tallies, and the diagnostics array. *)
+
+val certificate :
+  ?orbits:Orbit.report -> ?ir_dump:Ir_dump.t -> t -> t * Report.Json.t
+(** The document [itua_sim check --json] writes, and the report it
+    describes. With [orbits] (the [--symmetry] pass), the orbit
+    diagnostics (A017/A018) are merged into the report's sorted
+    diagnostics — so they count in {!pp}'s tally and {!exit_code} —
+    and the orbit report is appended under the [symmetry] key; with
+    [ir_dump] ([--ir-dump]), the dump is appended under [ir_dump]. *)

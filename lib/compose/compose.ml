@@ -108,12 +108,13 @@ let info ctx =
   in
   of_node [] ctx.Ctx.node
 
+(* The family of a Rep copy label: ["app[3]"] belongs to ["app"]. *)
+let fam_of label =
+  match String.index_opt label '[' with
+  | Some i -> String.sub label 0 i
+  | None -> label
+
 let rep_families (n : info) =
-  let fam_of label =
-    match String.index_opt label '[' with
-    | Some i -> String.sub label 0 i
-    | None -> label
-  in
   let tbl = Hashtbl.create 8 in
   let order = ref [] in
   List.iter
@@ -133,11 +134,6 @@ let rep_families (n : info) =
    ([Serial]) prints identically to one built in-process. *)
 let render_info (top : info) =
   let buf = Buffer.create 256 in
-  let fam_of label =
-    match String.index_opt label '[' with
-    | Some i -> String.sub label 0 i
-    | None -> label
-  in
   let rec render indent ~root (n : info) =
     let prefix = String.make indent ' ' in
     let suffix =

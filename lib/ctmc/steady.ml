@@ -4,18 +4,12 @@
    the L1-delta trajectory (sampled at power-of-two iterations plus the
    final one) goes to the convergence recorder — the solver's analogue
    of a CI-half-width-vs-reps curve. *)
-let in_solve profile f =
-  match profile with
-  | None -> f ()
-  | Some p -> Obs.Profile.span p Obs.Profile.Ctmc_solve f
-
 let distribution ?(tol = 1e-12) ?(max_iter = 1_000_000) ?obs ?convergence
     ?profile c =
-  in_solve profile @@ fun () ->
-  let lambda = Float.max (Explore.max_exit_rate c) 1e-9 *. 1.05 in
+  Transient.in_solve profile @@ fun () ->
+  let lambda = Transient.uniform_rate ~factor:1.05 c in
   let n = Explore.n_states c in
-  let v = ref (Array.make n 0.0) in
-  List.iter (fun (i, p) -> !v.(i) <- !v.(i) +. p) (Explore.initial_dist c);
+  let v = ref (Transient.initial_vector c) and w = ref (Array.make n 0.0) in
   let delta = ref infinity in
   let iter = ref 0 in
   let record_delta () =
@@ -27,23 +21,15 @@ let distribution ?(tol = 1e-12) ?(max_iter = 1_000_000) ?obs ?convergence
   in
   while !delta > tol && !iter < max_iter do
     incr iter;
-    let w = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      let vi = !v.(i) in
-      if vi <> 0.0 then begin
-        let out = Explore.exit_rate c i in
-        w.(i) <- w.(i) +. (vi *. (1.0 -. (out /. lambda)));
-        List.iter
-          (fun (j, r) -> w.(j) <- w.(j) +. (vi *. r /. lambda))
-          (Explore.transitions c i)
-      end
-    done;
+    Transient.dtmc_step c lambda !v !w;
     let d = ref 0.0 in
     for i = 0 to n - 1 do
-      d := !d +. Float.abs (w.(i) -. !v.(i))
+      d := !d +. Float.abs (!w.(i) -. !v.(i))
     done;
     delta := !d;
-    v := w;
+    let u = !v in
+    v := !w;
+    w := u;
     if !iter land (!iter - 1) = 0 then record_delta ()
   done;
   (* The loop records powers of two; the stopping iteration is usually

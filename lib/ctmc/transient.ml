@@ -1,7 +1,9 @@
-(* One step of the uniformized DTMC: w = v P with P = I + Q/lambda. *)
-let dtmc_step c lambda v =
+(* One step of the uniformized DTMC: w = v P with P = I + Q/lambda,
+   written over [w]. The solvers alternate two vectors, so a solve
+   allocates none per step. *)
+let dtmc_step c lambda v w =
   let n = Array.length v in
-  let w = Array.make n 0.0 in
+  Array.fill w 0 n 0.0;
   for i = 0 to n - 1 do
     let vi = v.(i) in
     if vi <> 0.0 then begin
@@ -11,8 +13,9 @@ let dtmc_step c lambda v =
         (fun (j, r) -> w.(j) <- w.(j) +. (vi *. r /. lambda))
         (Explore.transitions c i)
     end
-  done;
-  w
+  done
+
+let uniform_rate ~factor c = Float.max (Explore.max_exit_rate c) 1e-9 *. factor
 
 let initial_vector c =
   let v = Array.make (Explore.n_states c) 0.0 in
@@ -41,13 +44,13 @@ let poisson_weights ~mu ~epsilon =
 let check_time t =
   if t < 0.0 then invalid_arg "Ctmc.Transient: negative time"
 
-(* Telemetry shared by both solvers: the truncated Poisson support size
-   is the number of uniformized DTMC steps actually taken. *)
 let in_solve profile f =
   match profile with
   | None -> f ()
   | Some p -> Obs.Profile.span p Obs.Profile.Ctmc_solve f
 
+(* Telemetry shared by both solvers: the truncated Poisson support size
+   is the number of uniformized DTMC steps actually taken. *)
 let export_obs obs ~lambda ~steps =
   match obs with
   | None -> ()
@@ -63,15 +66,20 @@ let probabilities ?(epsilon = 1e-12) ?obs ?profile c ~t =
   let v0 = initial_vector c in
   if t = 0.0 then v0
   else begin
-    let lambda = Float.max (Explore.max_exit_rate c) 1e-9 *. 1.02 in
+    let lambda = uniform_rate ~factor:1.02 c in
     let weights = poisson_weights ~mu:(lambda *. t) ~epsilon in
     export_obs obs ~lambda ~steps:(Array.length weights);
     let n = Array.length v0 in
     let result = Array.make n 0.0 in
-    let v = ref v0 in
+    let v = ref v0 and spare = ref (Array.make n 0.0) in
     Array.iteri
       (fun k w ->
-        if k > 0 then v := dtmc_step c lambda !v;
+        if k > 0 then begin
+          dtmc_step c lambda !v !spare;
+          let u = !v in
+          v := !spare;
+          spare := u
+        end;
         for i = 0 to n - 1 do
           result.(i) <- result.(i) +. (w *. !v.(i))
         done)
@@ -85,7 +93,7 @@ let accumulated ?(epsilon = 1e-12) ?obs ?profile c ~t =
   let n = Explore.n_states c in
   if t = 0.0 then Array.make n 0.0
   else begin
-    let lambda = Float.max (Explore.max_exit_rate c) 1e-9 *. 1.02 in
+    let lambda = uniform_rate ~factor:1.02 c in
     let weights = poisson_weights ~mu:(lambda *. t) ~epsilon in
     export_obs obs ~lambda ~steps:(Array.length weights);
     (* L(t) = (1/lambda) sum_k (1 - sum_{j<=k} w_j) v_k, truncated where the
@@ -100,9 +108,14 @@ let accumulated ?(epsilon = 1e-12) ?obs ?profile c ~t =
       survivors.(k) <- Float.max 0.0 (1.0 -. !cum)
     done;
     let result = Array.make n 0.0 in
-    let v = ref (initial_vector c) in
+    let v = ref (initial_vector c) and spare = ref (Array.make n 0.0) in
     for k = 0 to kmax do
-      if k > 0 then v := dtmc_step c lambda !v;
+      if k > 0 then begin
+        dtmc_step c lambda !v !spare;
+        let u = !v in
+        v := !spare;
+        spare := u
+      end;
       let w = survivors.(k) /. lambda in
       if w > 0.0 then
         for i = 0 to n - 1 do

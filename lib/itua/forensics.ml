@@ -17,21 +17,6 @@ type event =
   | App_improper of { app : int; corrupt : int; running : int; time : float }
   | App_starved of { app : int; time : float }
 
-let event_time = function
-  | Host_intrusion { time; _ }
-  | Host_detected { time; _ }
-  | Host_missed { time; _ }
-  | Manager_corrupted { time; _ }
-  | Manager_detected { time; _ }
-  | Replica_corrupted { time; _ }
-  | Replica_convicted { time; _ }
-  | Host_excluded { time; _ }
-  | Domain_excluded { time; _ }
-  | Recovery { time; _ }
-  | App_improper { time; _ }
-  | App_starved { time; _ } ->
-      time
-
 type chain = {
   rep : int;
   matched : bool;

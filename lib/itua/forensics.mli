@@ -48,8 +48,6 @@ type event =
   | App_starved of { app : int; time : float }
       (** the application lost its last running replica *)
 
-val event_time : event -> float
-
 type chain = {
   rep : int;
   matched : bool;  (** as recorded by the capturing sink's predicate *)

@@ -79,14 +79,7 @@ let nh sk = sk.p.Params.hosts_per_domain
 let host_places_of sk g = sk.s_domains.(g / nh sk).hosts.(g mod nh sk)
 let domain_idx sk g = g / nh sk
 
-(* --- state predicates (marking closures, public API) --- *)
-
-let dom_group_ok sk d m =
-  let dp = sk.s_domains.(d) in
-  3 * M.get m dp.dom_mgrs_corrupt < M.get m dp.dom_mgrs_running
-
-let quorum_ok sk m =
-  3 * M.get m sk.s_undetected < M.get m sk.s_mgrs_running
+(* --- state predicates (marking closures) --- *)
 
 let app_improper sk a m =
   let ap = sk.s_apps.(a) in
@@ -940,100 +933,45 @@ let build params =
 
 (* --- rebinding a deserialized model --- *)
 
-(* [build] names every place deterministically from its position in the
-   composition tree, so a model reloaded from disk (same parameters) can
-   have its handles reconstructed by pure name lookup: the descriptors
-   found in the reloaded model carry that model's indices, and every
-   measure/predicate works on it unchanged. *)
+(* [build] is the one definition of the model: rebinding builds it again
+   from the file's parameters and keeps those handles, once the loaded
+   model is known to hold every built place under the same name, index
+   and uid. The descriptors then address the loaded model's markings
+   unchanged. *)
 let rebind params ~model ~composition =
-  let p = Params.check params in
-  let nd = p.Params.num_domains in
-  let nhosts = p.Params.hosts_per_domain in
-  let na = p.Params.num_apps in
-  let nr = p.Params.num_reps in
-  let ip name =
-    match San.Model.find_place_opt model name with
-    | Some pl -> pl
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Itua.Model.rebind: model has no int place %S" name)
+  let h = build params in
+  let slot = function
+    | P.P p -> (P.index p, P.uid p)
+    | P.F p -> (P.findex p, P.fuid p)
   in
-  let fp name =
-    match San.Model.find_float_place_opt model name with
-    | Some pl -> pl
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Itua.Model.rebind: model has no float place %S"
-             name)
+  let loaded = function
+    | P.P p ->
+        San.Model.find_place_opt model (P.name p)
+        |> Option.map (fun q -> slot (P.P q))
+    | P.F p ->
+        San.Model.find_float_place_opt model (P.fname p)
+        |> Option.map (fun q -> slot (P.F q))
   in
-  let slot a r =
-    let n field = Printf.sprintf "apps.app[%d].replica[%d].%s" a r field in
-    {
-      running = ip (n "running");
-      corrupt = ip (n "corrupt");
-      convicted = ip (n "convicted");
-      convicted_by_ids = ip (n "convicted_by_ids");
-      id_missed = ip (n "id_missed");
-      on_host = ip (n "on_host");
-    }
+  let built =
+    Array.to_list (Array.map (fun p -> P.P p) (San.Model.places h.model))
+    @ Array.to_list
+        (Array.map (fun p -> P.F p) (San.Model.float_places h.model))
+    |> List.sort (fun a b -> compare (P.any_uid a) (P.any_uid b))
   in
-  let app a =
-    let n field = Printf.sprintf "apps.app[%d].%s" a field in
-    {
-      replicas_running = ip (n "replicas_running");
-      rep_corr_undetected = ip (n "rep_corr_undetected");
-      rep_grp_failure = ip (n "rep_grp_failure");
-      need_recovery = ip (n "need_recovery");
-      to_start = ip (n "to_start");
-      slots = Array.init nr (slot a);
-    }
-  in
-  let host d h =
-    let n field =
-      Printf.sprintf "security_domains.domain[%d].host[%d].%s" d h field
-    in
-    {
-      alive = ip (n "alive");
-      attacked = ip (n "attacked");
-      ever_attacked = ip (n "ever_attacked");
-      host_id_missed = ip (n "host_id_missed");
-      host_detected = ip (n "host_detected");
-      mgr_running = ip (n "mgr_running");
-      mgr_corrupt = ip (n "mgr_corrupt");
-      mgr_id_missed = ip (n "mgr_id_missed");
-      mgr_detected = ip (n "mgr_detected");
-      num_replicas = ip (n "num_replicas");
-      prop_dom_done = ip (n "prop_dom_done");
-      prop_sys_done = ip (n "prop_sys_done");
-    }
-  in
-  let domain d =
-    let n field = Printf.sprintf "security_domains.domain[%d].%s" d field in
-    {
-      excluded = ip (n "excluded");
-      spread = fp (n "attack_spread_domain");
-      dom_mgrs_running = ip (n "dom_mgrs_running");
-      dom_mgrs_corrupt = ip (n "dom_mgrs_corrupt");
-      has_app =
-        Array.init na (fun a -> ip (n (Printf.sprintf "has_app[%d]" a)));
-      hosts = Array.init nhosts (host d);
-    }
-  in
-  {
-    params = p;
-    model;
-    apps = Array.init na app;
-    domains = Array.init nd domain;
-    mgrs_running = ip "mgrs_running";
-    undetected_corr_mgrs = ip "undetected_corr_mgrs";
-    spread_system = fp "attack_spread_system";
-    excl_domains = ip "excluded_domains";
-    excl_hosts = ip "excluded_hosts";
-    excl_corrupt_hosts = ip "excluded_corrupt_hosts";
-    excl_frac_sum = fp "excluded_corrupt_fraction_sum";
-    structure = Compose.render_info composition;
-    composition;
-  }
+  (match List.find_opt (fun p -> loaded p <> Some (slot p)) built with
+  | None -> ()
+  | Some p ->
+      let index, uid = slot p in
+      invalid_arg
+        (Printf.sprintf "Itua.Model.rebind: place %S %s" (P.any_name p)
+           (match loaded p with
+           | None -> "is missing from the model"
+           | Some (i, u) ->
+               Printf.sprintf
+                 "is at index %d, uid %d, but the parameters build it at \
+                  index %d, uid %d"
+                 i u index uid)));
+  { h with model; composition; structure = Compose.render_info composition }
 
 (* --- public predicates on handles --- *)
 
@@ -1060,8 +998,4 @@ let unavailable h a m = improper h a m || starved h a m
 let host_of h g =
   h.domains.(g / h.params.Params.hosts_per_domain).hosts.(g mod h.params.Params.hosts_per_domain)
 
-let domain_of_host h g = g / h.params.Params.hosts_per_domain
 let num_hosts h = h.params.Params.num_domains * h.params.Params.hosts_per_domain
-
-let global_quorum_ok h m = quorum_ok (skeleton_of h) m
-let domain_group_ok h d m = dom_group_ok (skeleton_of h) d m

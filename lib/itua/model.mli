@@ -109,14 +109,17 @@ type handles = {
 val build : Params.t -> handles
 
 val rebind : Params.t -> model:San.Model.t -> composition:Compose.info -> handles
-(** Reconstruct {!handles} for a model {e reloaded from disk} ([Serial],
-    [itua_sim --model]) instead of built in-process. [build] names every
-    place deterministically from its position in the composition tree,
-    so pure name lookup recovers every shared-place descriptor; the
-    measures and predicates then work on the reloaded model unchanged.
-    [params] must be the parameter set the file was built with (carried
-    in its ["params"] annotation) — a place expected by that topology
-    but missing from [model] raises [Invalid_argument]. *)
+(** Handles for a model {e reloaded from disk} ([Serial],
+    [itua_sim --model]) instead of built in-process. [rebind] runs
+    {!build} on [params] — the parameter set the file was built with,
+    carried in its ["params"] annotation — and checks that [model] holds
+    every place of the built model under the same name, index and uid.
+    It returns the built handles with [model], [composition] and its
+    rendering in place of the built ones, so the measures and predicates
+    work on the reloaded model unchanged. [Serial] emits and reloads
+    places in uid order, so a saved file always passes; a file whose
+    places were reordered, renamed or dropped raises [Invalid_argument]
+    naming the first built place (in uid order) that does not match. *)
 
 (* Derived state predicates used by measures and studies. *)
 
@@ -144,12 +147,4 @@ val host_of : handles -> int -> host_places
 (** [host_of h g] is host [g] (global index [domain · hosts_per_domain +
     host]). *)
 
-val domain_of_host : handles -> int -> int
 val num_hosts : handles -> int
-
-val global_quorum_ok : handles -> San.Marking.t -> bool
-(** Fewer than a third of the currently running managers are (undetected)
-    corrupt. *)
-
-val domain_group_ok : handles -> int -> San.Marking.t -> bool
-(** The domain's manager group is not corrupt. *)

@@ -244,99 +244,68 @@ let to_json p =
       );
     ]
 
-let of_json j =
+let of_json ?(at = "$") j =
   let module J = Report.Json in
-  let exception Bad of string in
-  try
-    let kvs =
-      match j with
-      | J.Obj kvs -> kvs
-      | _ -> raise (Bad "expected an object")
-    in
-    let get k =
-      match List.assoc_opt k kvs with
-      | Some v -> v
-      | None -> raise (Bad (Printf.sprintf "missing field %S" k))
-    in
-    let num k =
-      match get k with
-      | J.Num x -> x
-      | _ -> raise (Bad (Printf.sprintf "field %S must be a number" k))
-    in
-    let int k =
-      let x = num k in
-      if Float.is_integer x then int_of_float x
-      else raise (Bad (Printf.sprintf "field %S must be an integer" k))
-    in
-    let bool k =
-      match get k with
-      | J.Bool b -> b
-      | _ -> raise (Bad (Printf.sprintf "field %S must be a boolean" k))
-    in
-    (* Optional with default: absent in itua-model/1 files written before
-       heterogeneous fleets existed; emitting it unconditionally keeps
-       to_json deterministic going forward. *)
-    let host_rate_multipliers =
-      match List.assoc_opt "host_rate_multipliers" kvs with
-      | None -> [||]
-      | Some (J.Arr xs) ->
-          Array.of_list
-            (List.map
-               (function
-                 | J.Num x -> x
-                 | _ ->
-                     raise
-                       (Bad "field \"host_rate_multipliers\" must hold numbers"))
-               xs)
-      | Some _ ->
-          raise (Bad "field \"host_rate_multipliers\" must be an array")
-    in
-    let policy =
-      match get "policy" with
-      | J.Str "domain" -> Domain_exclusion
-      | J.Str "host" -> Host_exclusion
-      | _ -> raise (Bad "field \"policy\" must be \"domain\" or \"host\"")
-    in
-    let p =
-      {
-        num_domains = int "num_domains";
-        hosts_per_domain = int "hosts_per_domain";
-        num_apps = int "num_apps";
-        num_reps = int "num_reps";
-        policy;
-        attack_rate_system = num "attack_rate_system";
-        attack_share_host = num "attack_share_host";
-        attack_share_replica = num "attack_share_replica";
-        attack_share_manager = num "attack_share_manager";
-        frac_script = num "frac_script";
-        frac_exploratory = num "frac_exploratory";
-        frac_innovative = num "frac_innovative";
-        corruption_multiplier = num "corruption_multiplier";
-        spread_rate_domain = num "spread_rate_domain";
-        spread_effect_domain = num "spread_effect_domain";
-        spread_rate_system = num "spread_rate_system";
-        spread_effect_system = num "spread_effect_system";
-        spread_slope = num "spread_slope";
-        false_alarm_rate_system = num "false_alarm_rate_system";
-        false_alarm_share_host = num "false_alarm_share_host";
-        p_detect_script = num "p_detect_script";
-        p_detect_exploratory = num "p_detect_exploratory";
-        p_detect_innovative = num "p_detect_innovative";
-        p_detect_replica = num "p_detect_replica";
-        p_detect_manager = num "p_detect_manager";
-        ids_decision_rate = num "ids_decision_rate";
-        ids_latency_stages = int "ids_latency_stages";
-        ids_misses_sticky = bool "ids_misses_sticky";
-        misbehave_rate = num "misbehave_rate";
-        recovery_rate = num "recovery_rate";
-        quorum_gates_recovery = bool "quorum_gates_recovery";
-        spread_outlives_host = bool "spread_outlives_host";
-        rate_scale = num "rate_scale";
-        host_rate_multipliers;
-      }
-    in
-    match validate p with Ok () -> Ok p | Error msg -> Error msg
-  with Bad msg -> Error msg
+  J.decode
+    (fun j ->
+      let kvs = J.get_obj at j in
+      let num = J.field J.get_num at kvs and int = J.field J.get_int at kvs in
+      let bool = J.field J.get_bool at kvs in
+      let policy =
+        match J.field J.get_str at kvs "policy" with
+        | "domain" -> Domain_exclusion
+        | "host" -> Host_exclusion
+        | s ->
+            J.fail (J.key at "policy")
+              "expected \"domain\" or \"host\", got %S" s
+      in
+      (* Optional with default: absent in itua-model/1 files written before
+         heterogeneous fleets existed; emitting it unconditionally keeps
+         to_json deterministic going forward. *)
+      let host_rate_multipliers =
+        J.opt_field (J.get_list J.get_num) at kvs "host_rate_multipliers"
+        |> Option.fold ~none:[||] ~some:Array.of_list
+      in
+      let p =
+        {
+          num_domains = int "num_domains";
+          hosts_per_domain = int "hosts_per_domain";
+          num_apps = int "num_apps";
+          num_reps = int "num_reps";
+          policy;
+          attack_rate_system = num "attack_rate_system";
+          attack_share_host = num "attack_share_host";
+          attack_share_replica = num "attack_share_replica";
+          attack_share_manager = num "attack_share_manager";
+          frac_script = num "frac_script";
+          frac_exploratory = num "frac_exploratory";
+          frac_innovative = num "frac_innovative";
+          corruption_multiplier = num "corruption_multiplier";
+          spread_rate_domain = num "spread_rate_domain";
+          spread_effect_domain = num "spread_effect_domain";
+          spread_rate_system = num "spread_rate_system";
+          spread_effect_system = num "spread_effect_system";
+          spread_slope = num "spread_slope";
+          false_alarm_rate_system = num "false_alarm_rate_system";
+          false_alarm_share_host = num "false_alarm_share_host";
+          p_detect_script = num "p_detect_script";
+          p_detect_exploratory = num "p_detect_exploratory";
+          p_detect_innovative = num "p_detect_innovative";
+          p_detect_replica = num "p_detect_replica";
+          p_detect_manager = num "p_detect_manager";
+          ids_decision_rate = num "ids_decision_rate";
+          ids_latency_stages = int "ids_latency_stages";
+          ids_misses_sticky = bool "ids_misses_sticky";
+          misbehave_rate = num "misbehave_rate";
+          recovery_rate = num "recovery_rate";
+          quorum_gates_recovery = bool "quorum_gates_recovery";
+          spread_outlives_host = bool "spread_outlives_host";
+          rate_scale = num "rate_scale";
+          host_rate_multipliers;
+        }
+      in
+      match validate p with Ok () -> p | Error msg -> J.fail at "%s" msg)
+    j
 
 let pp ppf p =
   Format.fprintf ppf

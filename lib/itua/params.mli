@@ -165,9 +165,12 @@ val to_json : t -> Report.Json.t
     Carried in a serialized model's annotations so [itua_sim --model]
     can rebind the handles ({!Model.rebind}). *)
 
-val of_json : Report.Json.t -> (t, string) result
-(** Inverse of {!to_json}. Every field except [host_rate_multipliers]
-    (absent means [[||]], for files written before it existed) is
-    required; the result is {!validate}d. *)
+val of_json : ?at:string -> Report.Json.t -> (t, string) result
+(** Inverse of {!to_json}, through {!Report.Json.decode}. Every field
+    except [host_rate_multipliers] (absent means [[||]], for files written
+    before it existed) is required, and integer fields must be integral;
+    the result is {!validate}d. [at] (default ["$"]) is the path of the
+    object in its document, e.g. ["$.annotations.params"]; every error
+    names a path under it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -341,6 +341,65 @@ module Json = struct
   let num = function Num f -> Some f | _ -> None
   let arr = function Arr xs -> Some xs | _ -> None
   let bool = function Bool b -> Some b | _ -> None
+
+  (* Located decoding: every accessor takes the JSON-pointer-style path
+     of the value it inspects, rooted at [$], and a failure names that
+     path, what was expected and what was found. *)
+
+  exception Decode_error of string
+
+  let fail at fmt =
+    Printf.ksprintf (fun s -> raise (Decode_error (at ^ ": " ^ s))) fmt
+
+  let key at k = at ^ "." ^ k
+  let idx at i = Printf.sprintf "%s[%d]" at i
+
+  let short j =
+    let s = to_string j in
+    if String.length s > 60 then String.sub s 0 57 ^ "..." else s
+
+  let get_obj at = function
+    | Obj kvs -> kvs
+    | j -> fail at "expected an object, got %s" (short j)
+
+  let get_arr at = function
+    | Arr l -> l
+    | j -> fail at "expected an array, got %s" (short j)
+
+  let get_str at = function
+    | Str s -> s
+    | j -> fail at "expected a string, got %s" (short j)
+
+  let get_bool at = function
+    | Bool b -> b
+    | j -> fail at "expected a boolean, got %s" (short j)
+
+  let get_num at = function
+    | Num x -> x
+    | j -> fail at "expected a number, got %s" (short j)
+
+  let get_float at = function
+    | Num x -> x
+    | Null -> Float.nan
+    | j -> fail at "expected a number or null, got %s" (short j)
+
+  let get_int at j =
+    let x = get_num at j in
+    if Float.is_integer x && Float.abs x <= 1e15 then int_of_float x
+    else fail at "expected an integer, got %s" (short j)
+
+  let get_list decode at j =
+    List.mapi (fun i v -> decode (idx at i) v) (get_arr at j)
+
+  let field decode at kvs k =
+    match List.assoc_opt k kvs with
+    | Some v -> decode (key at k) v
+    | None -> fail (key at k) "missing field %S" k
+
+  let opt_field decode at kvs k =
+    Option.map (decode (key at k)) (List.assoc_opt k kvs)
+
+  let decode f j = try Ok (f j) with Decode_error msg -> Error msg
 end
 
 let write_jsonl path lines =

@@ -84,6 +84,62 @@ module Json : sig
   val arr : t -> t list option
   val bool : t -> bool option
   (** Shape accessors; [None] on kind mismatch. *)
+
+  (** {2 Located decoding}
+
+      The one decoder behind every reader of saved artifacts (model
+      files, their parameter block, trajectory files). Each accessor
+      takes [at], the JSON-pointer-style path of the value it inspects
+      (rooted at [$], e.g. [$.activities[3].cases[0]]), and raises
+      {!Decode_error} with a message of the form
+      [$.path: expected …, got …] on a mismatch. Wrap a decoder in
+      {!decode} to get a [result]. *)
+
+  exception Decode_error of string
+
+  val decode : (t -> 'a) -> t -> ('a, string) result
+  (** [decode f j] is [Ok (f j)], or [Error msg] if [f] raises
+      {!Decode_error}. *)
+
+  val fail : string -> ('a, unit, string, 'b) format4 -> 'a
+  (** [fail at fmt ...] raises {!Decode_error} with ["at: message"]. *)
+
+  val key : string -> string -> string
+  (** [key at k] is the path of field [k] of the object at [at]. *)
+
+  val idx : string -> int -> string
+  (** [idx at i] is the path of element [i] of the array at [at]. *)
+
+  val short : t -> string
+  (** Compact rendering truncated to 60 characters, for messages. *)
+
+  val get_obj : string -> t -> (string * t) list
+  val get_arr : string -> t -> t list
+  val get_str : string -> t -> string
+  val get_bool : string -> t -> bool
+  val get_num : string -> t -> float
+
+  val get_float : string -> t -> float
+  (** A number, or [null] — how {!to_string} writes a non-finite
+      float — read back as [nan]. *)
+
+  val get_int : string -> t -> int
+  (** An integral number of magnitude at most 1e15 (so it is exact in
+      both [float] and [int]). *)
+
+  val get_list : (string -> t -> 'a) -> string -> t -> 'a list
+  (** [get_list decode at j]: [j] must be an array; element [i] is
+      decoded by [decode] at [idx at i]. *)
+
+  val field :
+    (string -> t -> 'a) -> string -> (string * t) list -> string -> 'a
+  (** [field decode at kvs k] decodes the required field [k] of the
+      object [kvs] found at [at], with [decode] at [key at k]; a missing
+      field fails at that path ([$.a.k: missing field "k"]). *)
+
+  val opt_field :
+    (string -> t -> 'a) -> string -> (string * t) list -> string -> 'a option
+  (** Like {!field}, for an optional field: [None] when absent. *)
 end
 
 val write_jsonl : string -> Json.t list -> unit

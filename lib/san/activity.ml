@@ -59,20 +59,6 @@ let dist_fn ir =
           let mean = rexpr_fn mean and stddev = rexpr_fn stddev in
           fun m -> Dist.Normal { mean = mean m; stddev = stddev m })
 
-let dist_ir_reads ir =
-  let module Uids = Set.Make (Int) in
-  let add acc r = List.fold_left (fun s u -> Uids.add u s) acc (Effect.rexpr_reads r) in
-  let acc =
-    match ir with
-    | DExp r | DDet r | DErlang (_, r) -> add Uids.empty r
-    | DUniform (a, b)
-    | DGamma (a, b)
-    | DWeibull (a, b)
-    | DLognormal (a, b)
-    | DNormal (a, b) ->
-        add (add Uids.empty a) b
-  in
-  Uids.elements acc
 
 type timing =
   | Instantaneous

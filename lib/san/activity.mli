@@ -50,9 +50,6 @@ val dist_fn : dist_ir -> Marking.t -> Dist.t
     samples from. Evaluates each parameter with {!Effect.rexpr_fn}, so
     a ported closure rate yields bit-identical samples. *)
 
-val dist_ir_reads : dist_ir -> int list
-(** Sorted uids of places the distribution's parameters can read. *)
-
 type timing =
   | Instantaneous
   | Timed of {

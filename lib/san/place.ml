@@ -15,7 +15,6 @@ let any_name = function P p -> p.name | F p -> p.fl_name
 let equal a b = a.uid = b.uid
 let compare a b = Int.compare a.uid b.uid
 let pp ppf p = Format.pp_print_string ppf p.name
-let pp_fl ppf p = Format.pp_print_string ppf p.fl_name
 
 let make_int ~name ~index ~uid = { name; index; uid }
 let make_float ~name ~index ~uid = { fl_name = name; fl_index = index; fl_uid = uid }

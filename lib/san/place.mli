@@ -37,7 +37,6 @@ val any_name : any -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-val pp_fl : Format.formatter -> fl -> unit
 
 (**/**)
 

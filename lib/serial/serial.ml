@@ -273,64 +273,25 @@ let save path j =
 (* [$], e.g. [$.activities[3].cases[0].effect.ops[1]].                 *)
 (* ------------------------------------------------------------------ *)
 
-exception Parse_error of string
-
-let fail at fmt =
-  Printf.ksprintf (fun s -> raise (Parse_error (at ^ ": " ^ s))) fmt
-
-let key at k = at ^ "." ^ k
-let idx at i = Printf.sprintf "%s[%d]" at i
-
-let short j =
-  let s = J.to_string j in
-  if String.length s > 60 then String.sub s 0 57 ^ "..." else s
-
-let get_obj at = function
-  | J.Obj kvs -> kvs
-  | j -> fail at "expected an object, got %s" (short j)
-
-let get_arr at = function
-  | J.Arr l -> l
-  | j -> fail at "expected an array, got %s" (short j)
-
-let get_str at = function
-  | J.Str s -> s
-  | j -> fail at "expected a string, got %s" (short j)
-
-let get_num at = function
-  | J.Num x -> x
-  | j -> fail at "expected a number, got %s" (short j)
-
-let get_int at j =
-  let x = get_num at j in
-  if Float.is_integer x && Float.abs x <= 1e15 then int_of_float x
-  else fail at "expected an integer, got %s" (short j)
-
-let field at kvs k =
-  match List.assoc_opt k kvs with
-  | Some v -> v
-  | None -> fail at "missing field %S" k
-
-let opt_field kvs k = List.assoc_opt k kvs
-
-let any_place_ref places at name =
+let any_place_ref places at j =
+  let name = J.get_str at j in
   match Hashtbl.find_opt places name with
   | Some p -> p
-  | None -> fail at "unknown place %S" name
+  | None -> J.fail at "unknown place %S" name
 
-let int_place_ref places at name =
-  match Hashtbl.find_opt places name with
-  | Some (San.Place.P p) -> p
-  | Some (San.Place.F _) ->
-      fail at "place %S is a float place, expected an int place" name
-  | None -> fail at "unknown place %S" name
+let int_place_ref places at j =
+  match any_place_ref places at j with
+  | San.Place.P p -> p
+  | San.Place.F p ->
+      J.fail at "place %S is a float place, expected an int place"
+        (San.Place.fname p)
 
-let float_place_ref places at name =
-  match Hashtbl.find_opt places name with
-  | Some (San.Place.F p) -> p
-  | Some (San.Place.P _) ->
-      fail at "place %S is an int place, expected a float place" name
-  | None -> fail at "unknown place %S" name
+let float_place_ref places at j =
+  match any_place_ref places at j with
+  | San.Place.F p -> p
+  | San.Place.P p ->
+      J.fail at "place %S is an int place, expected a float place"
+        (San.Place.name p)
 
 let rel_of at = function
   | "=" -> San.Effect.Eq
@@ -339,75 +300,78 @@ let rel_of at = function
   | "<=" -> San.Effect.Le
   | ">" -> San.Effect.Gt
   | ">=" -> San.Effect.Ge
-  | s -> fail at "unknown comparison operator %S" s
+  | s -> J.fail at "unknown comparison operator %S" s
 
 let rec p_iexpr places at j =
   match j with
-  | J.Num _ -> San.Effect.Int (get_int at j)
+  | J.Num _ -> San.Effect.Int (J.get_int at j)
   | J.Obj [ ("mark", v) ] ->
-      let kat = key at "mark" in
-      San.Effect.Mark (int_place_ref places kat (get_str kat v))
-  | J.Arr [ J.Str "ind"; c ] -> San.Effect.Ind (p_cond places (idx at 1) c)
+      San.Effect.Mark (int_place_ref places (J.key at "mark") v)
+  | J.Arr [ J.Str "ind"; c ] -> San.Effect.Ind (p_cond places (J.idx at 1) c)
   | J.Arr [ J.Str (("+" | "-" | "*") as t); a; b ] ->
-      let a = p_iexpr places (idx at 1) a
-      and b = p_iexpr places (idx at 2) b in
+      let a = p_iexpr places (J.idx at 1) a
+      and b = p_iexpr places (J.idx at 2) b in
       (match t with
       | "+" -> San.Effect.Add (a, b)
       | "-" -> San.Effect.Sub (a, b)
       | _ -> San.Effect.Mul (a, b))
-  | j -> fail at "cannot parse integer expression %s" (short j)
+  | j -> J.fail at "cannot parse integer expression %s" (J.short j)
 
 and p_cond places at j =
   match j with
   | J.Bool b -> San.Effect.Const b
   | J.Arr (J.Str "all" :: cs) ->
-      San.Effect.All (List.mapi (fun i c -> p_cond places (idx at (i + 1)) c) cs)
+      San.Effect.All
+        (List.mapi (fun i c -> p_cond places (J.idx at (i + 1)) c) cs)
   | J.Arr (J.Str "any" :: cs) ->
-      San.Effect.Any (List.mapi (fun i c -> p_cond places (idx at (i + 1)) c) cs)
-  | J.Arr [ J.Str "not"; c ] -> San.Effect.Not (p_cond places (idx at 1) c)
+      San.Effect.Any
+        (List.mapi (fun i c -> p_cond places (J.idx at (i + 1)) c) cs)
+  | J.Arr [ J.Str "not"; c ] -> San.Effect.Not (p_cond places (J.idx at 1) c)
   | J.Arr [ J.Str (("=" | "!=" | "<" | "<=" | ">" | ">=") as r); a; b ] ->
       San.Effect.Cmp
-        (p_iexpr places (idx at 1) a, rel_of at r, p_iexpr places (idx at 2) b)
-  | j -> fail at "cannot parse condition %s" (short j)
+        ( p_iexpr places (J.idx at 1) a,
+          rel_of at r,
+          p_iexpr places (J.idx at 2) b )
+  | j -> J.fail at "cannot parse condition %s" (J.short j)
 
 let rec p_fexpr places at j =
   match j with
   | J.Num x -> San.Effect.Flt x
   | J.Obj [ ("fmark", v) ] ->
-      let kat = key at "fmark" in
-      San.Effect.FMark (float_place_ref places kat (get_str kat v))
-  | J.Arr [ J.Str "of_int"; e ] -> San.Effect.OfInt (p_iexpr places (idx at 1) e)
+      San.Effect.FMark (float_place_ref places (J.key at "fmark") v)
+  | J.Arr [ J.Str "of_int"; e ] ->
+      San.Effect.OfInt (p_iexpr places (J.idx at 1) e)
   | J.Arr [ J.Str (("+." | "-." | "*." | "/.") as t); a; b ] ->
-      let a = p_fexpr places (idx at 1) a
-      and b = p_fexpr places (idx at 2) b in
+      let a = p_fexpr places (J.idx at 1) a
+      and b = p_fexpr places (J.idx at 2) b in
       (match t with
       | "+." -> San.Effect.FAdd (a, b)
       | "-." -> San.Effect.FSub (a, b)
       | "*." -> San.Effect.FMul (a, b)
       | _ -> San.Effect.FDiv (a, b))
-  | j -> fail at "cannot parse float expression %s" (short j)
+  | j -> J.fail at "cannot parse float expression %s" (J.short j)
 
 let rec p_rexpr places at j =
   match j with
   | J.Num x -> San.Effect.RConst x
   | J.Arr [ J.Str "if"; c; a; b ] ->
       San.Effect.RIf
-        ( p_cond places (idx at 1) c,
-          p_rexpr places (idx at 2) a,
-          p_rexpr places (idx at 3) b )
+        ( p_cond places (J.idx at 1) c,
+          p_rexpr places (J.idx at 2) a,
+          p_rexpr places (J.idx at 3) b )
   | j -> San.Effect.RExpr (p_fexpr places at j)
 
 let p_op places at j =
   match j with
   | J.Arr [ J.Str (("set" | "inc") as t); n; e ] ->
-      let p = int_place_ref places (idx at 1) (get_str (idx at 1) n) in
-      let e = p_iexpr places (idx at 2) e in
+      let p = int_place_ref places (J.idx at 1) n in
+      let e = p_iexpr places (J.idx at 2) e in
       if t = "set" then San.Effect.Set (p, e) else San.Effect.Inc (p, e)
   | J.Arr [ J.Str (("fset" | "finc") as t); n; e ] ->
-      let p = float_place_ref places (idx at 1) (get_str (idx at 1) n) in
-      let e = p_fexpr places (idx at 2) e in
+      let p = float_place_ref places (J.idx at 1) n in
+      let e = p_fexpr places (J.idx at 2) e in
       if t = "fset" then San.Effect.FSet (p, e) else San.Effect.FInc (p, e)
-  | j -> fail at "cannot parse marking op %s" (short j)
+  | j -> J.fail at "cannot parse marking op %s" (J.short j)
 
 (* [{"checked": E}] parses to the bare IR, so older documents that carry
    the tag keep loading; it is never emitted. *)
@@ -415,170 +379,139 @@ let rec p_effect places at j =
   match j with
   | J.Str "skip" -> San.Effect.Skip
   | J.Obj [ ("ops", v) ] ->
-      let oat = key at "ops" in
-      San.Effect.Ops
-        (List.mapi (fun i o -> p_op places (idx oat i) o) (get_arr oat v))
+      San.Effect.Ops (J.get_list (p_op places) (J.key at "ops") v)
   | J.Obj [ ("seq", v) ] ->
-      let sat = key at "seq" in
-      San.Effect.Seq
-        (List.mapi (fun i e -> p_effect places (idx sat i) e) (get_arr sat v))
+      San.Effect.Seq (J.get_list (p_effect places) (J.key at "seq") v)
   | J.Obj (("if", c) :: rest) -> (
-      let c = p_cond places (key at "if") c in
+      let c = p_cond places (J.key at "if") c in
       match rest with
       | [ ("then", t) ] ->
-          San.Effect.If (c, p_effect places (key at "then") t, San.Effect.Skip)
+          San.Effect.If
+            (c, p_effect places (J.key at "then") t, San.Effect.Skip)
       | [ ("then", t); ("else", e) ] ->
           San.Effect.If
             ( c,
-              p_effect places (key at "then") t,
-              p_effect places (key at "else") e )
+              p_effect places (J.key at "then") t,
+              p_effect places (J.key at "else") e )
       | _ ->
-          fail at "an \"if\" effect needs \"then\" and an optional \"else\"")
+          J.fail at "an \"if\" effect needs \"then\" and an optional \"else\"")
   | J.Obj [ ("pick", v) ] ->
-      let pat = key at "pick" in
-      San.Effect.Pick
-        (List.mapi
-           (fun i b ->
-             let bat = idx pat i in
-             match b with
-             | J.Arr [ c; e ] ->
-                 (p_cond places (idx bat 0) c, p_effect places (idx bat 1) e)
-             | j -> fail bat "expected a [condition, effect] pair, got %s"
-                      (short j))
-           (get_arr pat v))
-  | J.Obj [ ("checked", v) ] -> p_effect places (key at "checked") v
-  | j -> fail at "cannot parse effect %s" (short j)
+      let branch at = function
+        | J.Arr [ c; e ] ->
+            (p_cond places (J.idx at 0) c, p_effect places (J.idx at 1) e)
+        | j ->
+            J.fail at "expected a [condition, effect] pair, got %s" (J.short j)
+      in
+      San.Effect.Pick (J.get_list branch (J.key at "pick") v)
+  | J.Obj [ ("checked", v) ] -> p_effect places (J.key at "checked") v
+  | j -> J.fail at "cannot parse effect %s" (J.short j)
 
-let p_dist places at kvs =
-  let r k = p_rexpr places (key at k) (field at kvs k) in
-  match get_str (key at "kind") (field at kvs "kind") with
+let p_dist places at j =
+  let kvs = J.get_obj at j in
+  let r = J.field (p_rexpr places) at kvs in
+  match J.field J.get_str at kvs "kind" with
   | "exponential" -> San.Activity.DExp (r "rate")
   | "deterministic" -> San.Activity.DDet (r "delay")
   | "uniform" -> San.Activity.DUniform (r "lo", r "hi")
-  | "erlang" ->
-      San.Activity.DErlang (get_int (key at "k") (field at kvs "k"), r "rate")
+  | "erlang" -> San.Activity.DErlang (J.field J.get_int at kvs "k", r "rate")
   | "gamma" -> San.Activity.DGamma (r "shape", r "rate")
   | "weibull" -> San.Activity.DWeibull (r "shape", r "scale")
   | "lognormal" -> San.Activity.DLognormal (r "mu", r "sigma")
   | "normal" -> San.Activity.DNormal (r "mean", r "stddev")
-  | k -> fail (key at "kind") "unknown distribution kind %S" k
+  | k -> J.fail (J.key at "kind") "unknown distribution kind %S" k
 
 let p_timing places at j =
-  let kvs = get_obj at j in
-  match get_str (key at "type") (field at kvs "type") with
+  let kvs = J.get_obj at j in
+  match J.field J.get_str at kvs "type" with
   | "instantaneous" -> San.Activity.Instantaneous
   | "timed" ->
       let policy =
-        match get_str (key at "policy") (field at kvs "policy") with
+        match J.field J.get_str at kvs "policy" with
         | "resample" -> San.Activity.Resample
         | "keep" -> San.Activity.Keep
-        | s -> fail (key at "policy") "unknown reactivation policy %S" s
+        | s -> J.fail (J.key at "policy") "unknown reactivation policy %S" s
       in
-      let dat = key at "dist" in
-      let d = p_dist places dat (get_obj dat (field at kvs "dist")) in
+      let d = J.field (p_dist places) at kvs "dist" in
       San.Activity.Timed
         { dist = San.Activity.dist_fn d; policy; dist_ir = Some d }
-  | s -> fail (key at "type") "unknown timing type %S" s
+  | s -> J.fail (J.key at "type") "unknown timing type %S" s
 
 let p_place b places bounds at j =
-  let kvs = get_obj at j in
-  let name = get_str (key at "name") (field at kvs "name") in
+  let kvs = J.get_obj at j in
+  let name = J.field J.get_str at kvs "name" in
   try
-    match get_str (key at "kind") (field at kvs "kind") with
+    match J.field J.get_str at kvs "kind" with
     | "int" ->
         let init =
-          match opt_field kvs "init" with
-          | Some v -> get_int (key at "init") v
-          | None -> 0
+          Option.value (J.opt_field J.get_int at kvs "init") ~default:0
         in
         let p = San.Model.Builder.int_place b ~init name in
         Hashtbl.replace places name (San.Place.P p);
-        (match opt_field kvs "bound" with
-        | Some v -> bounds := (name, get_int (key at "bound") v) :: !bounds
-        | None -> ())
+        Option.iter
+          (fun n -> bounds := (name, n) :: !bounds)
+          (J.opt_field J.get_int at kvs "bound")
     | "float" ->
         let init =
-          match opt_field kvs "init" with
-          | Some v -> get_num (key at "init") v
-          | None -> 0.0
+          Option.value (J.opt_field J.get_num at kvs "init") ~default:0.0
         in
         let p = San.Model.Builder.float_place b ~init name in
         Hashtbl.replace places name (San.Place.F p)
-    | k -> fail (key at "kind") "unknown place kind %S" k
-  with Invalid_argument msg -> fail at "%s" msg
+    | k -> J.fail (J.key at "kind") "unknown place kind %S" k
+  with Invalid_argument msg -> J.fail at "%s" msg
+
+let p_case places at j =
+  let kvs = J.get_obj at j in
+  let weight_ir = J.field (p_rexpr places) at kvs "weight" in
+  San.Activity.make_case ~weight_ir (J.field (p_effect places) at kvs "effect")
 
 let p_activity b places at j =
-  let kvs = get_obj at j in
-  let name = get_str (key at "name") (field at kvs "name") in
-  let timing = p_timing places (key at "timing") (field at kvs "timing") in
-  let guard = p_cond places (key at "guard") (field at kvs "guard") in
-  let rat = key at "reads" in
-  let reads =
-    List.mapi
-      (fun i r -> any_place_ref places (idx rat i) (get_str (idx rat i) r))
-      (get_arr rat (field at kvs "reads"))
-  in
-  let cat = key at "cases" in
-  let cases =
-    List.mapi
-      (fun i c ->
-        let cat = idx cat i in
-        let ckvs = get_obj cat c in
-        let w = p_rexpr places (key cat "weight") (field cat ckvs "weight") in
-        let eff = p_effect places (key cat "effect") (field cat ckvs "effect") in
-        San.Activity.make_case ~weight_ir:w eff)
-      (get_arr cat (field at kvs "cases"))
-  in
+  let kvs = J.get_obj at j in
+  let name = J.field J.get_str at kvs "name" in
+  let timing = J.field (p_timing places) at kvs "timing" in
+  let guard = J.field (p_cond places) at kvs "guard" in
+  let reads = J.field (J.get_list (any_place_ref places)) at kvs "reads" in
+  let cases = J.field (J.get_list (p_case places)) at kvs "cases" in
   try San.Model.Builder.activity_ir b ~name ~timing ~guard ~reads cases
-  with Invalid_argument msg -> fail at "%s" msg
+  with Invalid_argument msg -> J.fail at "%s" msg
 
 let p_composition model places at j =
+  let activity at j =
+    let n = J.get_str at j in
+    match San.Model.find_activity model n with
+    | _ -> n
+    | exception Not_found -> J.fail at "unknown activity %S" n
+  in
+  let params at j =
+    List.map (fun (k, v) -> (k, J.get_str (J.key at k) v)) (J.get_obj at j)
+  in
   let rec node parent_path ~root at j =
-    let kvs = get_obj at j in
-    let label = get_str (key at "label") (field at kvs "label") in
+    let kvs = J.get_obj at j in
+    let label = J.field J.get_str at kvs "label" in
     let path =
       if root then ""
       else if parent_path = "" then label
       else parent_path ^ "." ^ label
     in
-    let rep_copies =
-      match opt_field kvs "rep" with
-      | Some v -> Some (get_int (key at "rep") v)
-      | None -> None
-    in
-    let pat = key at "places" in
+    let rep_copies = J.opt_field J.get_int at kvs "rep" in
     let node_places =
-      List.mapi
-        (fun i p -> any_place_ref places (idx pat i) (get_str (idx pat i) p))
-        (get_arr pat (field at kvs "places"))
+      J.field (J.get_list (any_place_ref places)) at kvs "places"
     in
-    let aat = key at "activities" in
-    let activities =
-      List.mapi
-        (fun i a ->
-          let n = get_str (idx aat i) a in
-          match San.Model.find_activity model n with
-          | _ -> n
-          | exception Not_found -> fail (idx aat i) "unknown activity %S" n)
-        (get_arr aat (field at kvs "activities"))
-    in
+    let activities = J.field (J.get_list activity) at kvs "activities" in
     let params =
-      match opt_field kvs "params" with
-      | None -> []
-      | Some v ->
-          let pat = key at "params" in
-          List.map
-            (fun (k, v) -> (k, get_str (key pat k) v))
-            (get_obj pat v)
+      Option.value (J.opt_field params at kvs "params") ~default:[]
     in
-    let chat = key at "children" in
     let children =
-      List.mapi
-        (fun i c -> node path ~root:false (idx chat i) c)
-        (get_arr chat (field at kvs "children"))
+      J.field (J.get_list (node path ~root:false)) at kvs "children"
     in
-    { Compose.path; label; rep_copies; places = node_places; activities;
-      params; children }
+    {
+      Compose.path;
+      label;
+      rep_copies;
+      places = node_places;
+      activities;
+      params;
+      children;
+    }
   in
   node "" ~root:true at j
 
@@ -589,41 +522,35 @@ type loaded = {
   annotations : (string * J.t) list;
 }
 
-let of_json j =
-  try
-    let at = "$" in
-    let kvs = get_obj at j in
-    let s = get_str (key at "schema") (field at kvs "schema") in
-    if s <> schema then
-      fail (key at "schema") "unsupported schema %S (this reader reads %S)" s
-        schema;
-    let name = get_str (key at "name") (field at kvs "name") in
-    let b = San.Model.Builder.create name in
-    let places = Hashtbl.create 64 in
-    let bounds = ref [] in
-    let pat = key at "places" in
-    List.iteri
-      (fun i p -> p_place b places bounds (idx pat i) p)
-      (get_arr pat (field at kvs "places"));
-    let aat = key at "activities" in
-    List.iteri
-      (fun i a -> p_activity b places (idx aat i) a)
-      (get_arr aat (field at kvs "activities"));
-    let model = San.Model.Builder.build b in
-    let composition =
-      match opt_field kvs "composition" with
-      | Some c -> Some (p_composition model places (key at "composition") c)
-      | None -> None
-    in
-    let annotations =
-      match opt_field kvs "annotations" with
-      | None -> []
-      | Some (J.Obj l) -> l
-      | Some j -> fail (key at "annotations") "expected an object, got %s"
-                    (short j)
-    in
-    Ok { model; composition; bounds = List.rev !bounds; annotations }
-  with Parse_error msg -> Error msg
+let decode j =
+  let at = "$" in
+  let kvs = J.get_obj at j in
+  let s = J.field J.get_str at kvs "schema" in
+  if s <> schema then
+    J.fail (J.key at "schema") "unsupported schema %S (this reader reads %S)" s
+      schema;
+  let b = San.Model.Builder.create (J.field J.get_str at kvs "name") in
+  let places = Hashtbl.create 64 in
+  let bounds = ref [] in
+  let (_ : unit list) =
+    J.field (J.get_list (p_place b places bounds)) at kvs "places"
+  in
+  let (_ : unit list) =
+    J.field (J.get_list (p_activity b places)) at kvs "activities"
+  in
+  let model =
+    try San.Model.Builder.build b
+    with Invalid_argument msg -> J.fail at "%s" msg
+  in
+  {
+    model;
+    composition = J.opt_field (p_composition model places) at kvs "composition";
+    bounds = List.rev !bounds;
+    annotations =
+      Option.value (J.opt_field J.get_obj at kvs "annotations") ~default:[];
+  }
+
+let of_json = J.decode decode
 
 let parse s = Result.bind (J.of_string s) of_json
 
@@ -673,16 +600,19 @@ module Diff = struct
             List.fold_left
               (fun acc (k, va) ->
                 match List.assoc_opt k kb with
-                | Some vb -> walk acc (key at k) va vb
+                | Some vb -> walk acc (J.key at k) va vb
                 | None ->
-                    { at = key at k; change = "removed (was " ^ short va ^ ")" }
+                    {
+                      at = J.key at k;
+                      change = "removed (was " ^ J.short va ^ ")";
+                    }
                     :: acc)
               acc ka
           in
           List.fold_left
             (fun acc (k, vb) ->
               if List.mem_assoc k ka then acc
-              else { at = key at k; change = "added: " ^ short vb } :: acc)
+              else { at = J.key at k; change = "added: " ^ J.short vb } :: acc)
             acc kb
       | J.Arr la, J.Arr lb -> (
           match (named_arr la, named_arr lb) with
@@ -696,7 +626,7 @@ module Diff = struct
                     | None ->
                         {
                           at = named at n;
-                          change = "removed (was " ^ short va ^ ")";
+                          change = "removed (was " ^ J.short va ^ ")";
                         }
                         :: acc)
                   acc pa
@@ -705,7 +635,7 @@ module Diff = struct
                 List.fold_left
                   (fun acc (n, vb) ->
                     if List.mem_assoc n pa then acc
-                    else { at = named at n; change = "added: " ^ short vb }
+                    else { at = named at n; change = "added: " ^ J.short vb }
                          :: acc)
                   acc pb
               in
@@ -716,23 +646,25 @@ module Diff = struct
               let rec go acc i la lb =
                 match (la, lb) with
                 | [], [] -> acc
-                | va :: ta, vb :: tb -> go (walk acc (idx at i) va vb) (i + 1) ta tb
+                | va :: ta, vb :: tb ->
+                    go (walk acc (J.idx at i) va vb) (i + 1) ta tb
                 | va :: ta, [] ->
                     go
                       ({
-                         at = idx at i;
-                         change = "removed (was " ^ short va ^ ")";
+                         at = J.idx at i;
+                         change = "removed (was " ^ J.short va ^ ")";
                        }
                       :: acc)
                       (i + 1) ta []
                 | [], vb :: tb ->
                     go
-                      ({ at = idx at i; change = "added: " ^ short vb } :: acc)
+                      ({ at = J.idx at i; change = "added: " ^ J.short vb }
+                      :: acc)
                       (i + 1) [] tb
               in
               go acc 0 la lb)
       | _ ->
-          { at; change = "changed: " ^ short a ^ " -> " ^ short b } :: acc
+          { at; change = "changed: " ^ J.short a ^ " -> " ^ J.short b } :: acc
 
   let diff a b = List.rev (walk [] "$" a b)
 

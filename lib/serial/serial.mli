@@ -69,9 +69,10 @@ type loaded = {
     activity names). *)
 
 val of_json : Report.Json.t -> (loaded, string) result
-(** Validate and rebuild. Errors carry a JSON-pointer-style location,
-    e.g. ["$.activities[12].cases[0].effect.ops[3]: unknown place
-    \"foo\""]. *)
+(** Validate and rebuild, through {!Report.Json}'s located decoder.
+    Errors carry a JSON-pointer-style location, e.g.
+    ["$.activities[12].cases[0].effect.ops[3]: unknown place \"foo\""]
+    or ["$.places[4].init: expected an integer, got 1.5"]. *)
 
 val parse : string -> (loaded, string) result
 (** [of_json] after [Report.Json.of_string]; syntax errors carry the

@@ -26,7 +26,6 @@ type checkpoint = {
   cp_now : float;
 }
 
-let checkpoint_time cp = cp.cp_now
 let checkpoint_marking cp = cp.cp_marking
 
 type split_outcome =

@@ -89,9 +89,6 @@ val run :
 
 type checkpoint
 
-val checkpoint_time : checkpoint -> float
-(** Simulation clock at the moment of capture. *)
-
 val checkpoint_marking : checkpoint -> San.Marking.t
 (** The captured marking. The returned value is the checkpoint's own
     snapshot: treat it as read-only. *)

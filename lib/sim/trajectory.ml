@@ -387,82 +387,40 @@ let to_json t =
              t.steps) );
     ]
 
-let ( let* ) = Result.bind
+(* Decoding goes through {!Report.Json}'s located accessors. Floats use
+   [get_float]: a non-finite value (a [nan] first-hit mean, an infinite
+   horizon) is written as [null] and reads back as [nan]. *)
 
-let map_result f xs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> (
-        match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
-  in
-  go [] xs
+let change_of_json at j =
+  match J.get_arr at j with
+  | [ place; value ] ->
+      {
+        place = J.get_str (J.idx at 0) place;
+        value = J.get_float (J.idx at 1) value;
+      }
+  | _ -> J.fail at "expected a [\"place\", value] pair, got %s" (J.short j)
 
-let field name j =
-  match J.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
+let step_of_json at j =
+  let kvs = J.get_obj at j in
+  {
+    time = J.field J.get_float at kvs "t";
+    activity = J.field J.get_str at kvs "act";
+    case = J.field J.get_int at kvs "case";
+    changes = J.field (J.get_list change_of_json) at kvs "changes";
+  }
 
-let as_num ctx j =
-  match j with
-  | J.Num f -> Ok f
-  | J.Null -> Ok Float.nan
-  | _ -> Error (ctx ^ ": expected a number")
-
-let as_int ctx j =
-  let* f = as_num ctx j in
-  Ok (int_of_float f)
-
-let as_str ctx j =
-  match J.str j with Some s -> Ok s | None -> Error (ctx ^ ": expected a string")
-
-let as_arr ctx j =
-  match J.arr j with Some l -> Ok l | None -> Error (ctx ^ ": expected an array")
-
-let as_bool ctx j =
-  match J.bool j with
-  | Some b -> Ok b
-  | None -> Error (ctx ^ ": expected a bool")
-
-let num_field ctx name j =
-  let* v = field name j in
-  as_num (ctx ^ "." ^ name) v
-
-let int_field ctx name j =
-  let* v = field name j in
-  as_int (ctx ^ "." ^ name) v
-
-let change_of_json j =
-  match j with
-  | J.Arr [ J.Str place; (J.Num _ | J.Null) as v ] ->
-      let* value = as_num "change" v in
-      Ok { place; value }
-  | _ -> Error "change: expected [\"place\", value]"
-
-let changes_of_json ctx j =
-  let* xs = as_arr ctx j in
-  map_result change_of_json xs
-
-let step_of_json j =
-  let* time = num_field "step" "t" j in
-  let* act = field "act" j in
-  let* activity = as_str "step.act" act in
-  let* case = int_field "step" "case" j in
-  let* ch = field "changes" j in
-  let* changes = changes_of_json "step.changes" ch in
-  Ok { time; activity; case; changes }
-
-let of_json j =
-  let* rep = int_field "trajectory" "rep" j in
-  let* mv = field "matched" j in
-  let* matched = as_bool "trajectory.matched" mv in
-  let* events = int_field "trajectory" "events" j in
-  let* horizon = num_field "trajectory" "horizon" j in
-  let* iv = field "init" j in
-  let* init = changes_of_json "trajectory.init" iv in
-  let* sv = field "steps" j in
-  let* steps_json = as_arr "trajectory.steps" sv in
-  let* steps = map_result step_of_json steps_json in
-  Ok { rep; matched; events; horizon; init; steps }
+let of_json =
+  J.decode (fun j ->
+      let at = "$" in
+      let kvs = J.get_obj at j in
+      {
+        rep = J.field J.get_int at kvs "rep";
+        matched = J.field J.get_bool at kvs "matched";
+        events = J.field J.get_int at kvs "events";
+        horizon = J.field J.get_float at kvs "horizon";
+        init = J.field (J.get_list change_of_json) at kvs "init";
+        steps = J.field (J.get_list step_of_json) at kvs "steps";
+      })
 
 let occupancy_to_json stats =
   J.Arr
@@ -478,15 +436,14 @@ let occupancy_to_json stats =
            ])
        stats)
 
-let occupancy_of_json j =
-  let* xs = as_arr "occupancy" j in
-  map_result
-    (fun o ->
-      let* pv = field "place" o in
-      let* place = as_str "occupancy.place" pv in
-      let* mean_tokens = num_field "occupancy" "mean" o in
-      let* max_tokens = num_field "occupancy" "max" o in
-      let* hit_runs = int_field "occupancy" "hit_runs" o in
-      let* mean_first_hit = num_field "occupancy" "mean_first_hit" o in
-      Ok { place; mean_tokens; max_tokens; hit_runs; mean_first_hit })
-    xs
+let place_stats_of_json at j =
+  let kvs = J.get_obj at j in
+  {
+    place = J.field J.get_str at kvs "place";
+    mean_tokens = J.field J.get_float at kvs "mean";
+    max_tokens = J.field J.get_float at kvs "max";
+    hit_runs = J.field J.get_int at kvs "hit_runs";
+    mean_first_hit = J.field J.get_float at kvs "mean_first_hit";
+  }
+
+let occupancy_of_json ?(at = "$") = J.decode (J.get_list place_stats_of_json at)

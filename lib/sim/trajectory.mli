@@ -118,8 +118,13 @@ val to_json : t -> Report.Json.t
 
 val of_json : Report.Json.t -> (t, string) result
 (** Round-trips {!to_json} exactly (the deterministic float rendering of
-    {!Report.Json} loses no precision). *)
+    {!Report.Json} loses no precision). Decodes through
+    {!Report.Json.decode}: errors are located ([$.steps[3].case: expected
+    an integer, got 1.5]). *)
 
 val occupancy_to_json : place_stats list -> Report.Json.t
 
-val occupancy_of_json : Report.Json.t -> (place_stats list, string) result
+val occupancy_of_json :
+  ?at:string -> Report.Json.t -> (place_stats list, string) result
+(** Inverse of {!occupancy_to_json}; [at] (default ["$"]) is the path of
+    the array in its document, e.g. ["$.occupancy"]. *)

@@ -71,8 +71,6 @@ let gamma_p a x =
   else if x < a +. 1.0 then gamma_p_series a x
   else 1.0 -. gamma_q_cf a x
 
-let gamma_q a x = 1.0 -. gamma_p a x
-
 (* Continued fraction for the incomplete beta function (Lentz). *)
 let beta_cf a b x =
   let qab = a +. b in

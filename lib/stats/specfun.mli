@@ -13,9 +13,6 @@ val gamma_p : float -> float -> float
 (** [gamma_p a x] is the regularized lower incomplete gamma function
     P(a, x) = γ(a, x) / Γ(a), for [a > 0] and [x >= 0]. *)
 
-val gamma_q : float -> float -> float
-(** [gamma_q a x] = 1 - P(a, x). *)
-
 val beta_inc : float -> float -> float -> float
 (** [beta_inc a b x] is the regularized incomplete beta function
     I_x(a, b), for [a, b > 0] and [0 <= x <= 1]. *)

@@ -132,20 +132,7 @@ let test_itua_check_golden () =
   let orbits =
     Analysis.Orbit.analyse h.Itua.Model.model h.Itua.Model.composition
   in
-  let report =
-    {
-      report with
-      Analysis.Check.diagnostics =
-        List.sort Analysis.Diagnostic.compare
-          (report.Analysis.Check.diagnostics @ Analysis.Orbit.diagnostics orbits);
-    }
-  in
-  let doc =
-    match Analysis.Check.to_json report with
-    | J.Obj fields ->
-        J.Obj (fields @ [ ("symmetry", Analysis.Orbit.to_json orbits) ])
-    | _ -> Alcotest.fail "check report is not a JSON object"
-  in
+  let _, doc = Analysis.Check.certificate ~orbits report in
   Alcotest.(check string) "matches committed golden/itua_small.check.json"
     (read_file "golden/itua_small.check.json")
     (J.to_string doc ^ "\n")
@@ -209,6 +196,258 @@ let malformed =
       {|{"schema":"itua-model/1","name":"x","places":[],"activities":[],"composition":{"label":"root","places":["ghost"],"activities":[],"children":[]}}|},
       [ "$.composition"; {|unknown place "ghost"|} ] );
   ]
+
+(* --- rebinding a loaded model to the ITUA handles --- *)
+
+let loaded_composition l =
+  match l.Serial.composition with
+  | Some c -> c
+  | None -> Alcotest.fail "composition tree lost"
+
+let test_rebind_golden () =
+  let h = Itua.Model.build small_params in
+  let l = parse_exn (read_file "../examples/itua.model.json") in
+  let r =
+    Itua.Model.rebind small_params ~model:l.Serial.model
+      ~composition:(loaded_composition l)
+  in
+  Alcotest.(check bool) "the loaded model" true
+    (r.Itua.Model.model == l.Serial.model);
+  Alcotest.(check bool) "the built place handles" true
+    (r.Itua.Model.apps = h.Itua.Model.apps
+    && r.Itua.Model.domains = h.Itua.Model.domains);
+  Alcotest.(check string) "same structure" h.Itua.Model.structure
+    r.Itua.Model.structure
+
+(* Place order is part of the format: a file whose places come in another
+   order loads as a model, but not as the ITUA model of its parameters. *)
+let test_rebind_reordered () =
+  let _, doc = itua_doc () in
+  let kvs = match doc with J.Obj kvs -> kvs | _ -> assert false in
+  let first, places =
+    match List.assoc "places" kvs with
+    | J.Arr (a :: b :: rest) -> (J.member "name" a, J.Arr (b :: a :: rest))
+    | _ -> Alcotest.fail "too few places"
+  in
+  let first =
+    match first with Some (J.Str n) -> n | _ -> Alcotest.fail "unnamed place"
+  in
+  let swapped =
+    J.Obj (List.map (fun (k, v) -> (k, if k = "places" then places else v)) kvs)
+  in
+  let l = parse_exn (J.to_string swapped) in
+  match
+    Itua.Model.rebind small_params ~model:l.Serial.model
+      ~composition:(loaded_composition l)
+  with
+  | _ -> Alcotest.fail "reordered places accepted"
+  | exception Invalid_argument msg ->
+      if not (contains msg (Printf.sprintf "%S" first)) then
+        Alcotest.failf "%S does not name the first place %S" msg first
+
+(* --- hostile inputs: every mutation is a located error --- *)
+
+type step = K of string | I of int
+
+let render path =
+  List.fold_left
+    (fun at -> function K k -> J.key at k | I i -> J.idx at i)
+    "$" path
+
+(* Every non-root node of a tree — its path, the node and its parent —
+   in document order. *)
+let nodes doc =
+  let rec go rev_path parent j acc =
+    children rev_path j ((List.rev rev_path, j, parent) :: acc)
+  and children rev_path j acc =
+    match j with
+    | J.Obj kvs ->
+        List.fold_left (fun acc (k, v) -> go (K k :: rev_path) j v acc) acc kvs
+    | J.Arr l ->
+        snd
+          (List.fold_left
+             (fun (i, acc) v -> (i + 1, go (I i :: rev_path) j v acc))
+             (0, acc) l)
+    | _ -> acc
+  in
+  List.rev (children [] doc [])
+
+(* [replace path f j] puts [f node] in place of the node at [path]. *)
+let rec replace path f j =
+  match (path, j) with
+  | [], _ -> f j
+  | K k :: rest, J.Obj kvs ->
+      J.Obj
+        (List.map
+           (fun (k', v) -> (k', if k' = k then replace rest f v else v))
+           kvs)
+  | I i :: rest, J.Arr l ->
+      J.Arr (List.mapi (fun i' v -> if i' = i then replace rest f v else v) l)
+  | _ -> invalid_arg "replace: no such path"
+
+(* A value of another JSON type, which no decoder accepts in its place. *)
+let swap = function
+  | J.Num _ | J.Null -> J.Str "x"
+  | J.Str _ | J.Bool _ -> J.Num 1.0
+  | J.Arr _ -> J.Obj []
+  | J.Obj _ -> J.Arr []
+
+let last_key path = match List.rev path with K k :: _ -> k | _ -> ""
+
+(* The mutations of [doc] at the given [nodes], each with its path: the
+   node swapped for another type, each field of an object that is not
+   [optional] dropped, and 1.5 and 1e30 at an integer position. *)
+let mutations ~optional ~int_at doc nodes =
+  nodes
+  |> List.concat_map (fun ((path, j, _) as node) ->
+         let at = render path in
+         let set v = (at, replace path (fun _ -> v) doc) in
+         let dropped =
+           match j with
+           | J.Obj kvs ->
+               List.filter_map
+                 (fun (k, _) ->
+                   if List.mem k optional then None
+                   else Some (set (J.Obj (List.remove_assoc k kvs))))
+                 kvs
+           | _ -> []
+         in
+         let ints =
+           if int_at node then [ set (J.Num 1.5); set (J.Num 1e30) ] else []
+         in
+         (set (swap j) :: dropped) @ ints)
+
+let expect_located what decode cases =
+  List.iter
+    (fun (at, j) ->
+      match decode j with
+      | Ok _ -> Alcotest.failf "%s: mutation at %s decoded" what at
+      | Error e ->
+          if not (String.starts_with ~prefix:"$." e) then
+            Alcotest.failf "%s: mutation at %s: unlocated error %S" what at e
+      | exception ex ->
+          Alcotest.failf "%s: mutation at %s raised %s" what at
+            (Printexc.to_string ex))
+    cases;
+  Alcotest.(check bool) (what ^ ": mutations tried") true (cases <> [])
+
+(* The first node of each shape — the key or tuple position that reaches
+   it, its JSON type, and its parent's operator tag — so that every kind
+   of node of a large file is mutated once. *)
+let one_per_shape nodes =
+  let shape (path, j, parent) =
+    let tag =
+      match parent with
+      | J.Arr (J.Str t :: _) when String.length t <= 6 -> t
+      | _ -> ""
+    in
+    let step =
+      match List.rev path with
+      | K k :: _ -> k
+      | I i :: _ -> if tag = "" then "[]" else string_of_int i
+      | [] -> ""
+    in
+    let kind =
+      match j with
+      | J.Obj _ -> "object"
+      | J.Arr _ -> "array"
+      | J.Str _ -> "string"
+      | J.Num x -> if Float.is_integer x then "integer" else "number"
+      | J.Bool _ -> "boolean"
+      | J.Null -> "null"
+    in
+    (step, kind, tag)
+  in
+  let seen = Hashtbl.create 256 in
+  List.filter
+    (fun n ->
+      let k = shape n in
+      (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+    nodes
+
+let golden_doc () =
+  match J.of_string (read_file "../examples/itua.model.json") with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "golden does not parse: %s" e
+
+(* Integer positions of a model file: int place inits, Rep counts,
+   Erlang stages, and the operands of integer comparisons and ops. *)
+let model_int_at (path, j, parent) =
+  match (j, parent) with
+  | J.Num _, J.Obj kvs when last_key path = "init" ->
+      List.assoc_opt "kind" kvs = Some (J.Str "int")
+  | J.Num _, _ when List.mem (last_key path) [ "rep"; "k" ] -> true
+  | J.Num _, J.Arr [ J.Str ("set" | "inc"); _; _ ] -> true
+  | J.Num _, J.Arr [ J.Str ("=" | "!=" | "<" | "<=" | ">" | ">="); _; _ ] ->
+      true
+  | _ -> false
+
+let test_hostile_model () =
+  let doc =
+    match golden_doc () with
+    | J.Obj kvs -> J.Obj (List.remove_assoc "annotations" kvs)
+    | _ -> Alcotest.fail "golden is not an object"
+  in
+  expect_located "Serial.parse"
+    (fun j -> Serial.parse (J.to_string j))
+    (mutations
+       ~optional:[ "init"; "bound"; "rep"; "params"; "else" ]
+       ~int_at:model_int_at doc
+       (one_per_shape (nodes doc)))
+
+let test_hostile_params () =
+  let params =
+    match J.member "annotations" (golden_doc ()) with
+    | Some a -> Option.get (J.member "params" a)
+    | None -> Alcotest.fail "golden carries no annotations"
+  in
+  let int_fields =
+    [ "num_domains"; "hosts_per_domain"; "num_apps"; "num_reps";
+      "ids_latency_stages" ]
+  in
+  expect_located "Itua.Params.of_json" Itua.Params.of_json
+    (mutations ~optional:[ "host_rate_multipliers" ]
+       ~int_at:(fun (path, _, _) -> List.mem (last_key path) int_fields)
+       params (nodes params));
+  match
+    Itua.Params.of_json
+      (replace [ K "num_domains" ] (fun _ -> J.Num 1e20) params)
+  with
+  | Error e ->
+      Alcotest.(check bool) (e ^ " names the field") true
+        (String.starts_with ~prefix:"$.num_domains: expected an integer" e)
+  | Ok _ -> Alcotest.fail "num_domains 1e20 accepted"
+
+let recorded_trajectory () =
+  let h = Itua.Model.build small_params in
+  let spec =
+    Sim.Runner.spec ~model:h.Itua.Model.model ~horizon:5.0
+      [ Itua.Measures.unreliability h ~until:5.0 ]
+  in
+  let sink =
+    Sim.Trajectory.sink ~k:2 ~predicate:(Itua.Forensics.failed_now h)
+      ~model:h.Itua.Model.model ()
+  in
+  let (_ : Sim.Runner.result list) =
+    Sim.Runner.run ~domains:1 ~seed:3L ~reps:40 ~record:sink spec
+  in
+  match Sim.Trajectory.matching sink with
+  | t :: _ -> (t, Sim.Trajectory.occupancy sink)
+  | [] -> Alcotest.fail "no failing run recorded"
+
+let test_hostile_trajectory () =
+  let t, occupancy = recorded_trajectory () in
+  let int_at (path, _, _) =
+    List.mem (last_key path) [ "rep"; "events"; "case"; "hit_runs" ]
+  in
+  let doc = Sim.Trajectory.to_json t in
+  Alcotest.(check bool) "the trajectory has steps" true (t.steps <> []);
+  expect_located "Sim.Trajectory.of_json" Sim.Trajectory.of_json
+    (mutations ~optional:[] ~int_at doc (nodes doc));
+  expect_located "Sim.Trajectory.occupancy_of_json"
+    (Sim.Trajectory.occupancy_of_json ~at:"$.occupancy")
+    (let doc = Sim.Trajectory.occupancy_to_json occupancy in
+     mutations ~optional:[] ~int_at doc (nodes doc))
 
 (* --- structural diff --- *)
 
@@ -404,6 +643,18 @@ let () =
           (fun (name, s, subs) ->
             Alcotest.test_case name `Quick (expect_error name s subs))
           malformed );
+      ( "rebind",
+        [
+          Alcotest.test_case "golden" `Quick test_rebind_golden;
+          Alcotest.test_case "reordered places rejected" `Quick
+            test_rebind_reordered;
+        ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "model file" `Quick test_hostile_model;
+          Alcotest.test_case "params annotation" `Quick test_hostile_params;
+          Alcotest.test_case "trajectory" `Quick test_hostile_trajectory;
+        ] );
       ( "diff",
         [
           Alcotest.test_case "self diff empty" `Quick test_diff_self_empty;

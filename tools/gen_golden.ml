@@ -11,7 +11,7 @@
    The fixture parameters and the ITUA topology must stay in sync with
    test/test_serial.ml and the CI golden gate. The certificate is what
    [itua_sim check --strict --invariants --symmetry --json] writes for
-   that configuration. *)
+   that configuration ([Analysis.Check.certificate] assembles both). *)
 
 let write path doc =
   Serial.save path doc;
@@ -53,17 +53,5 @@ let () =
   let orbits =
     Analysis.Orbit.analyse h.Itua.Model.model h.Itua.Model.composition
   in
-  let report =
-    {
-      report with
-      Analysis.Check.diagnostics =
-        List.sort Analysis.Diagnostic.compare
-          (report.Analysis.Check.diagnostics @ Analysis.Orbit.diagnostics orbits);
-    }
-  in
-  match Analysis.Check.to_json report with
-  | Report.Json.Obj fields ->
-      write "test/golden/itua_small.check.json"
-        (Report.Json.Obj
-           (fields @ [ ("symmetry", Analysis.Orbit.to_json orbits) ]))
-  | _ -> assert false
+  write "test/golden/itua_small.check.json"
+    (snd (Analysis.Check.certificate ~orbits report))
