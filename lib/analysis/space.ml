@@ -33,35 +33,35 @@ let sampled ~runs ~horizon ~max_markings ~seed ~fallback ~loop model =
      stabilization, but the checker wants to evaluate the setup
      instantaneous activities too. *)
   consider (San.Model.initial_marking model);
-  let root = Prng.Stream.create ~seed in
-  for i = 0 to runs - 1 do
-    let observer =
-      {
-        Sim.Observer.nop with
-        on_init = (fun _ m -> consider m);
-        on_fire = (fun _ _ _ m -> consider m);
-        on_finish = (fun _ m -> consider m);
-      }
-    in
-    let cfg = Sim.Executor.config ~max_inst_chain:10_000 ~horizon () in
-    match
-      Sim.Executor.run ~model ~config:cfg
-        ~stream:(Prng.Stream.substream root i)
-        ~observer ()
-    with
-    | (_ : Sim.Executor.outcome) -> ()
-    | exception Sim.Executor.Stabilization_diverged msg ->
-        if !loop_msg = None then loop_msg := Some msg
-    | exception Invalid_argument _ -> ()
-  done;
+  (* Run [i] draws from substream [i] of the seed. A run that raises
+     leaves the shared workspace reusable. *)
+  let workspace = Sim.Executor.workspace model in
+  let cfg = Sim.Executor.config ~max_inst_chain:10_000 ~horizon () in
+  let observer =
+    {
+      Sim.Observer.nop with
+      on_init = (fun _ m -> consider m);
+      on_fire = (fun _ _ _ m -> consider m);
+      on_finish = (fun _ m -> consider m);
+    }
+  in
+  let after =
+    Prng.Stream.walk (Prng.Stream.create ~seed) runs (fun _ stream ->
+        match
+          Sim.Executor.run ~workspace ~model ~config:cfg ~stream ~observer ()
+        with
+        | (_ : Sim.Executor.outcome) -> ()
+        | exception Sim.Executor.Stabilization_diverged msg ->
+            if !loop_msg = None then loop_msg := Some msg
+        | exception Invalid_argument _ -> ())
+  in
   {
     model;
     mode = Sampled;
     markings = List.rev !samples;
     n_stable = !count;
     n_vanishing = 0;
-    ctx =
-      { San.Effect.time = 0.0; stream = Some (Prng.Stream.substream root runs) };
+    ctx = { San.Effect.time = 0.0; stream = Some after };
     loop = !loop_msg;
     truncated = !count >= max_markings;
     fallback = Some fallback;

@@ -17,6 +17,16 @@ let successor s =
   Xoshiro256.jump gen;
   { gen; seed = s.seed }
 
+let walk s n f =
+  let cur = ref (substream s 0) in
+  for i = 0 to n - 1 do
+    (* Taken before [f] draws from the stream. *)
+    let next = successor !cur in
+    f i !cur;
+    cur := next
+  done;
+  !cur
+
 let bits64 s = Xoshiro256.next s.gen
 
 let split s =
@@ -24,9 +34,7 @@ let split s =
   { gen = Xoshiro256.of_seed derived; seed = s.seed }
 
 (* Top 53 bits of a draw, scaled by 2^-53: uniform on [0,1). *)
-let float s =
-  let bits = Int64.shift_right_logical (bits64 s) 11 in
-  Int64.to_float bits *. 0x1p-53
+let float s = float_of_int (Xoshiro256.next_top s.gen 53) *. 0x1p-53
 
 let float_pos s = 1.0 -. float s
 
@@ -34,19 +42,18 @@ let float_range s lo hi =
   if not (lo <= hi) then invalid_arg "Stream.float_range: lo > hi";
   lo +. ((hi -. lo) *. float s)
 
-(* Lemire-style rejection on the top bits to avoid modulo bias. *)
+(* Rejection on the top 62 bits to avoid modulo bias: draws at or above
+   the largest multiple of n below 2^62 are redrawn, keeping the result
+   exactly uniform. A 62-bit draw fits an OCaml [int] (2^62 - 1 is
+   [max_int]), so nothing is boxed. *)
 let int s n =
   if n <= 0 then invalid_arg "Stream.int: bound must be positive";
-  let n64 = Int64.of_int n in
-  (* Draw 62-bit non-negative values; reject those above the largest
-     multiple of n to keep the result exactly uniform. *)
-  let max62 = Int64.shift_right_logical Int64.minus_one 2 in
-  let limit = Int64.sub max62 (Int64.rem max62 n64) in
-  let rec draw () =
-    let v = Int64.shift_right_logical (bits64 s) 2 in
-    if v >= limit then draw () else Int64.to_int (Int64.rem v n64)
-  in
-  draw ()
+  let limit = max_int - (max_int mod n) in
+  let v = ref (Xoshiro256.next_top s.gen 62) in
+  while !v >= limit do
+    v := Xoshiro256.next_top s.gen 62
+  done;
+  !v mod n
 
 let bool s = Int64.logand (bits64 s) 1L = 1L
 

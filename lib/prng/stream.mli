@@ -30,6 +30,12 @@ val successor : t -> t
     [successor] enumerates the same family as {!substream} at O(1) jumps per
     stream. *)
 
+val walk : t -> int -> (int -> t -> unit) -> t
+(** [walk s n f] calls [f i (substream s i)] for [i = 0, ..., n - 1] in
+    order and returns [substream s n], at one jump per stream. [f] may
+    draw from the stream it is given; [s] itself is not disturbed. This
+    is how replication runners visit consecutive substreams. *)
+
 val split : t -> t
 (** [split s] deterministically derives a stream whose seed is a hash of
     [s]'s next output, and advances [s] by one draw. Unlike {!substream},

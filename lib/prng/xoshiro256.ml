@@ -1,57 +1,84 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four 64-bit state words live unboxed in 32 bytes, so advancing
+   the generator allocates nothing (mutable [int64] record fields would
+   box every write). *)
+type t = Bytes.t
+
+let[@inline] get g i = Bytes.get_int64_ne g (8 * i)
+let[@inline] set g i v = Bytes.set_int64_ne g (8 * i) v
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let of_seed seed =
   let sm = Splitmix64.create seed in
-  let s0 = Splitmix64.next sm in
-  let s1 = Splitmix64.next sm in
-  let s2 = Splitmix64.next sm in
-  let s3 = Splitmix64.next sm in
+  let g = Bytes.create 32 in
+  for i = 0 to 3 do
+    set g i (Splitmix64.next sm)
+  done;
   (* The all-zero state is a fixed point of xoshiro; SplitMix64 cannot
      produce four consecutive zeros, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    { s0 = 1L; s1 = 0L; s2 = 0L; s3 = 0L }
-  else { s0; s1; s2; s3 }
+  if get g 0 = 0L && get g 1 = 0L && get g 2 = 0L && get g 3 = 0L then
+    set g 0 1L;
+  g
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
+
+(* Advance the state by one step; [next] without the output. *)
+let[@inline] step g =
+  let s0 = get g 0 and s1 = get g 1 and s2 = get g 2 and s3 = get g 3 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set g 0 (Int64.logxor s0 s3);
+  set g 1 (Int64.logxor s1 s2);
+  set g 2 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set g 3 (rotl s3 45)
+
+let[@inline] output g =
+  Int64.add (rotl (Int64.add (get g 0) (get g 3)) 23) (get g 0)
 
 let next g =
-  let result = Int64.add (rotl (Int64.add g.s0 g.s3) 23) g.s0 in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let result = output g in
+  step g;
   result
+
+let next_top g bits =
+  let result = output g in
+  step g;
+  Int64.to_int (Int64.shift_right_logical result (64 - bits))
 
 (* Jump polynomial constants from the reference implementation. *)
 let jump_table =
   [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL;
      0x39ABDC4529B1661CL |]
 
+(* The state is stepped in local (unboxed) variables rather than
+   through [step]. Both versions allocate nothing, but calling [step]
+   and reading the bytes back at every bit made [Stream.successor] about
+   four times slower: 2.1-2.3 µs against 0.53-0.57 µs per call (best of
+   5 x 200k calls, OCaml 5.1 without flambda, 2-vCPU Intel Xeon). *)
 let jump g =
+  let a0 = ref (get g 0) and a1 = ref (get g 1) in
+  let a2 = ref (get g 2) and a3 = ref (get g 3) in
   let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
   for i = 0 to 3 do
+    let word = jump_table.(i) in
     for b = 0 to 63 do
-      if Int64.logand jump_table.(i) (Int64.shift_left 1L b) <> 0L then begin
-        s0 := Int64.logxor !s0 g.s0;
-        s1 := Int64.logxor !s1 g.s1;
-        s2 := Int64.logxor !s2 g.s2;
-        s3 := Int64.logxor !s3 g.s3
+      if Int64.logand word (Int64.shift_left 1L b) <> 0L then begin
+        s0 := Int64.logxor !s0 !a0;
+        s1 := Int64.logxor !s1 !a1;
+        s2 := Int64.logxor !s2 !a2;
+        s3 := Int64.logxor !s3 !a3
       end;
-      ignore (next g)
+      let t = Int64.shift_left !a1 17 in
+      a2 := Int64.logxor !a2 !a0;
+      a3 := Int64.logxor !a3 !a1;
+      a1 := Int64.logxor !a1 !a2;
+      a0 := Int64.logxor !a0 !a3;
+      a2 := Int64.logxor !a2 t;
+      a3 := rotl !a3 45
     done
   done;
-  g.s0 <- !s0;
-  g.s1 <- !s1;
-  g.s2 <- !s2;
-  g.s3 <- !s3
+  set g 0 !s0;
+  set g 1 !s1;
+  set g 2 !s2;
+  set g 3 !s3

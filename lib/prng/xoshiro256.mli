@@ -6,7 +6,8 @@
     behind {!Stream}. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: advancing it allocates
+    nothing. *)
 
 val of_seed : int64 -> t
 (** [of_seed seed] expands [seed] into a full 256-bit state using
@@ -18,6 +19,12 @@ val copy : t -> t
 
 val next : t -> int64
 (** [next g] returns the next 64-bit output and advances the state. *)
+
+val next_top : t -> int -> int
+(** [next_top g bits] is the top [bits] bits of [next g], as a
+    non-negative [int]: [Int64.to_int (Int64.shift_right_logical (next g)
+    (64 - bits))], for [1 <= bits <= 62]. Unlike [next] it allocates
+    nothing. *)
 
 val jump : t -> unit
 (** [jump g] advances [g] by 2^128 steps of [next]. Calling [jump] [i]

@@ -88,9 +88,32 @@ let fset m p v =
 
 let fadd m p d = fset m p (fget m p +. d)
 
+let rec unflag flags = function
+  | [] -> ()
+  | uid :: rest ->
+      Bytes.set flags uid '\000';
+      unflag flags rest
+
 let clear_journal m =
-  List.iter (fun uid -> Bytes.set m.journalled uid '\000') m.journal;
+  unflag m.journalled m.journal;
   m.journal <- []
+
+(* Element loops rather than [Array.blit]: on an int array in the major
+   heap the runtime's blit goes through the write barrier per element. *)
+let blit ~src ~dst =
+  if
+    Array.length src.ints <> Array.length dst.ints
+    || Array.length src.floats <> Array.length dst.floats
+  then invalid_arg "Marking.blit: markings of different shapes";
+  let si = src.ints and di = dst.ints in
+  for i = 0 to Array.length si - 1 do
+    di.(i) <- si.(i)
+  done;
+  let sf = src.floats and df = dst.floats in
+  for i = 0 to Array.length sf - 1 do
+    df.(i) <- sf.(i)
+  done;
+  clear_journal dst
 
 let journal m = m.journal
 

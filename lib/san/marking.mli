@@ -17,6 +17,12 @@ val create : ints:int -> floats:int -> t
 val copy : t -> t
 (** Deep copy (journal not copied). Used for state-space exploration. *)
 
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] overwrites every place of [dst] with its value in
+    [src] and clears [dst]'s journal, without allocating. The markings
+    must have the same numbers of int and float places
+    ([Invalid_argument] otherwise). *)
+
 val get : t -> Place.t -> int
 val set : t -> Place.t -> int -> unit
 (** [set m p v] writes [v]; raises [Invalid_argument] if [v < 0]. *)

@@ -2,8 +2,6 @@ type t = {
   name : string;
   int_places : Place.t array;
   float_places : Place.fl array;
-  initial_ints : int array;
-  initial_floats : float array;
   activities : Activity.t array;
   by_place_name : (string, Place.any) Hashtbl.t;
   by_activity_name : (string, Activity.t) Hashtbl.t;
@@ -11,6 +9,11 @@ type t = {
      every domain. *)
   dependents : Activity.t array array;  (* place uid -> reading activities *)
   instantaneous : int array;  (* ids of instantaneous activities *)
+  (* The t = 0 template (see [reset_marking], [initial_instantaneous],
+     [initial_timed]). *)
+  initial : Marking.t;
+  initial_inst : int array;
+  initial_timed : int array;
 }
 
 module Builder = struct
@@ -185,42 +188,67 @@ module Builder = struct
     Array.iter
       (fun (a : Activity.t) -> Hashtbl.replace by_activity_name a.name a)
       activities;
-    (* An instantaneous activity also depends on every place its guard
-       reads, declared or not, so the executor can track its enabledness
-       through this table alone. *)
+    let ids_where pred =
+      Array.of_list
+        (List.filter_map
+           (fun (a : Activity.t) -> if pred a then Some a.id else None)
+           (Array.to_list activities))
+    in
+    (* Per activity, the places its guard reads that its [reads] does not
+       declare. An instantaneous activity also depends on them, so the
+       executor can track its enabledness through the dependents table
+       alone. A timed activity is never re-evaluated when they change, so
+       t = 0 scheduling must look at it whatever the initial marking (see
+       [initial_timed]). *)
+    let declared = Array.make b.next_uid false in
+    let undeclared =
+      Array.map
+        (fun (a : Activity.t) ->
+          let mark v =
+            List.iter (fun p -> declared.(Place.any_uid p) <- v) a.reads
+          in
+          mark true;
+          let extra =
+            List.filter
+              (fun uid -> not declared.(uid))
+              (Effect.cond_reads a.guard)
+          in
+          mark false;
+          extra)
+        activities
+    in
     let deps = Array.make b.next_uid [] in
     Array.iter
       (fun (a : Activity.t) ->
-        let declared = List.map Place.any_uid a.reads in
         let guard_extra =
-          if Activity.is_instantaneous a then
-            List.filter
-              (fun uid -> not (List.mem uid declared))
-              (Effect.cond_reads a.guard)
-          else []
+          if Activity.is_instantaneous a then undeclared.(a.id) else []
         in
         List.iter
           (fun uid -> deps.(uid) <- a :: deps.(uid))
-          (declared @ guard_extra))
+          (List.map Place.any_uid a.reads @ guard_extra))
       activities;
-    let instantaneous =
-      Array.of_list
-        (List.filter_map
-           (fun (a : Activity.t) ->
-             if Activity.is_instantaneous a then Some a.id else None)
-           (Array.to_list activities))
+    let initial =
+      Marking.create ~ints:(Array.length ints) ~floats:(Array.length floats)
     in
+    Array.iter (fun (p, v) -> Marking.set initial p v) ints;
+    Array.iter (fun (p, v) -> Marking.fset initial p v) floats;
+    Marking.clear_journal initial;
     {
       name = b.bname;
       int_places = Array.map fst ints;
       float_places = Array.map fst floats;
-      initial_ints = Array.map snd ints;
-      initial_floats = Array.map snd floats;
       activities;
       by_place_name;
       by_activity_name;
       dependents = Array.map (fun l -> Array.of_list (List.rev l)) deps;
-      instantaneous;
+      instantaneous = ids_where Activity.is_instantaneous;
+      initial;
+      initial_inst =
+        ids_where (fun a -> Activity.is_instantaneous a && a.enabled initial);
+      initial_timed =
+        ids_where (fun a ->
+            (not (Activity.is_instantaneous a))
+            && (a.enabled initial || undeclared.(a.id) <> []));
     }
 end
 
@@ -248,16 +276,8 @@ let find_activity m s =
   | Some a -> a
   | None -> raise Not_found
 
-let initial_marking m =
-  let mk =
-    Marking.create
-      ~ints:(Array.length m.int_places)
-      ~floats:(Array.length m.float_places)
-  in
-  Array.iteri (fun i p -> Marking.set mk p m.initial_ints.(i)) m.int_places;
-  Array.iteri (fun i p -> Marking.fset mk p m.initial_floats.(i)) m.float_places;
-  Marking.clear_journal mk;
-  mk
+let initial_marking m = Marking.copy m.initial
+let reset_marking m mk = Marking.blit ~src:m.initial ~dst:mk
 
 let dependents m uid =
   if uid < 0 || uid >= Array.length m.dependents then []
@@ -265,6 +285,8 @@ let dependents m uid =
 
 let dependents_table m = m.dependents
 let instantaneous_ids m = m.instantaneous
+let initial_instantaneous m = m.initial_inst
+let initial_timed m = m.initial_timed
 
 let all_exponential m =
   let mk = initial_marking m in

@@ -144,7 +144,8 @@ val find_activity : t -> string -> Activity.t
 (** Lookup by exact name; raises [Not_found]. *)
 
 val initial_marking : t -> Marking.t
-(** A fresh marking set to the model's initial state. *)
+(** A fresh marking set to the model's initial state: a copy of the
+    template {!Builder.build} stores. *)
 
 val dependents : t -> int -> Activity.t list
 (** [dependents model uid] lists, in id order, the activities that
@@ -167,6 +168,30 @@ val dependents_table : t -> Activity.t array array
 
 val instantaneous_ids : t -> int array
 (** Ids of the instantaneous activities, in increasing order. *)
+
+(** {2 The t = 0 template}
+
+    Also computed once by {!Builder.build}: the initial marking and the
+    activities enabled in it, so a run starts by copying instead of
+    rebuilding and rescanning. *)
+
+val reset_marking : t -> Marking.t -> unit
+(** [reset_marking model mk] sets every place of [mk] to its initial
+    value and clears [mk]'s journal, in place and without allocating.
+    [mk] must have the model's places ([Invalid_argument] otherwise). *)
+
+val initial_instantaneous : t -> int array
+(** Ids of the instantaneous activities enabled in the initial marking,
+    in increasing order. *)
+
+val initial_timed : t -> int array
+(** Ids, in increasing order, of the timed activities enabled in the
+    initial marking, plus every timed activity whose guard reads a place
+    outside its declared [reads]. The executor never re-evaluates the
+    latter after a marking change, so with them the list is exact for
+    t = 0 scheduling: once the initial instantaneous firings have
+    settled, every enabled timed activity that they have not already
+    scheduled is on it. *)
 
 val all_exponential : t -> bool
 (** True when every timed activity's distribution is exponential in every

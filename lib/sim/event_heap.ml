@@ -106,3 +106,24 @@ let copy h =
     size = h.size;
     next_seq = h.next_seq;
   }
+
+let clear h =
+  for i = 0 to h.size - 1 do
+    h.pos.(h.slots.(i)) <- -1
+  done;
+  h.size <- 0;
+  h.next_seq <- 0
+
+let blit ~src ~dst =
+  if Array.length src.pos <> Array.length dst.pos then
+    invalid_arg "Event_heap.blit: heaps of different capacities";
+  clear dst;
+  for i = 0 to src.size - 1 do
+    let act = src.slots.(i) in
+    dst.slots.(i) <- act;
+    dst.pos.(act) <- i;
+    dst.time.(act) <- src.time.(act);
+    dst.seq.(act) <- src.seq.(act)
+  done;
+  dst.size <- src.size;
+  dst.next_seq <- src.next_seq

@@ -45,3 +45,16 @@ val copy : t -> t
     counter, so the copy and the original pop the same sequence under
     the same operations. Used to checkpoint executor state for the
     splitting engine. *)
+
+val clear : t -> unit
+(** [clear h] empties [h] and restarts its insertion counter, so it
+    behaves as a fresh {!create}d heap. It touches only the live entries:
+    the cost is the number of scheduled activities, not the capacity. *)
+
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] makes [dst] hold exactly [src]'s entries (times and
+    insertion numbers included) and insertion counter, so [dst] pops the
+    same sequence as [src] or its {!copy} would; [src] is only read. It
+    costs the live entries of both heaps and allocates nothing. The
+    heaps must have the same capacity ([Invalid_argument] otherwise).
+    Used to resume a checkpoint in a reused executor workspace. *)

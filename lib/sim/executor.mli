@@ -6,9 +6,13 @@
     resample their sampled completion times according to their reactivation
     policy, and activities disabled by a marking change are aborted.
 
-    One call to {!run} is one replication: it allocates a fresh marking,
-    so a model can be executed repeatedly (and concurrently from multiple
-    domains). *)
+    One call to {!run} is one replication. Everything a run mutates — the
+    marking, the pending-event heap, the enabled flags and the counters —
+    lives in a {!workspace}, reset in place at the start of every run, so
+    a caller running many replications of one model reuses one workspace
+    and a run allocates no per-model tables. Without [?workspace] a run
+    uses a fresh one; it is the same code path. A model can be executed
+    concurrently from several domains, each with its own workspace. *)
 
 exception Stabilization_diverged of string
 (** Raised when a chain of instantaneous firings exceeds the configured
@@ -32,10 +36,28 @@ type outcome = {
   end_time : float;  (** time of the last firing (or 0 if none) *)
   events : int;  (** number of firings, excluding t = 0 setup *)
   stopped_early : bool;  (** the stop predicate halted the run *)
-  final : San.Marking.t;  (** marking at the horizon *)
+  final : San.Marking.t;
+      (** marking at the horizon: the workspace's own marking, valid until
+          the workspace's next run (copy it to keep it longer) *)
 }
 
+type workspace
+(** The mutable state of a run, bound to one model: its marking, its
+    pending-event heap, the enabled flags of its instantaneous
+    activities, the generation stamps of propagation and the
+    per-activity counters. Every run resets it from the model's t = 0
+    template ({!San.Model.reset_marking}) or from a checkpoint, so a
+    workspace can be reused after any run: finished, crossed, or one
+    that raised (such as {!Stabilization_diverged}). A workspace is not
+    domain-safe: give each domain its own. *)
+
+val workspace : San.Model.t -> workspace
+(** [workspace model] is a fresh workspace for runs of [model]. Passing it
+    with any other model (even one with the same places and activities)
+    raises [Invalid_argument], as checkpoints do. *)
+
 val run :
+  ?workspace:workspace ->
   ?metrics:Metrics.t ->
   ?profile:Obs.Profile.t ->
   ?check_invariants:(San.Marking.t -> unit) ->
@@ -45,7 +67,8 @@ val run :
   observer:Observer.t ->
   unit ->
   outcome
-(** Executes one replication. [metrics], when given, accumulates the
+(** Executes one replication, in [workspace] when given and otherwise in
+    a fresh one. [metrics], when given, accumulates the
     run's telemetry (per-activity firing/cancellation/resample counters,
     stabilization-chain and event-heap statistics — see {!Metrics});
     without it the run pays no instrumentation cost beyond a handful of
@@ -80,7 +103,8 @@ val run :
     replication {e except} randomness: the marking, the pending-event
     heap (sampled completion times and their insertion order are part
     of the state), and the clock. It is immutable and safe to resume
-    from concurrently — every resume works on private copies.
+    from concurrently: every resume copies it into its own workspace,
+    and a [Crossed] run's checkpoint does not share its workspace.
 
     A checkpoint also records the model it was taken on, and resumes
     only on that same model value (physical equality): {!resume} and
@@ -100,6 +124,7 @@ type split_outcome =
           [events] counts firings executed by this (partial) run *)
 
 val run_to_level :
+  ?workspace:workspace ->
   ?metrics:Metrics.t ->
   ?profile:Obs.Profile.t ->
   ?from_:checkpoint ->

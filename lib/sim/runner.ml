@@ -42,7 +42,7 @@ type progress = {
    corrupt elapsed/eta figures or the wall time fed to Metrics. *)
 let now () = Obs.Clock.ns_to_s (Obs.Clock.now_ns ())
 
-let run_one ?metrics ?profile ?record s stream =
+let run_one ?workspace ?metrics ?profile ?record s stream =
   let instances = List.map Reward.instantiate s.rewards in
   let observers =
     List.map Reward.observer instances
@@ -56,8 +56,8 @@ let run_one ?metrics ?profile ?record s stream =
     Executor.config ~max_events:s.max_events ?stop:s.stop ~horizon:s.horizon ()
   in
   let (_ : Executor.outcome) =
-    Executor.run ?metrics ?profile ~model:s.model ~config:cfg ~stream
-      ~observer:(Observer.combine observers) ()
+    Executor.run ?workspace ?metrics ?profile ~model:s.model ~config:cfg
+      ~stream ~observer:(Observer.combine observers) ()
   in
   (match record with
   | Some (sink, rep) -> Trajectory.offer sink ~rep
@@ -77,9 +77,13 @@ let record_segment = 64
    defined-counts per reward, plus an optional per-block metrics sink
    and profiler fork (one each per block, so domains never share one)
    and per-segment trajectory sinks (forked from [record], returned in
-   segment order). GC deltas are captured here, inside the domain that
-   owns the fork, before the block result crosses back. *)
-let run_block s ~root ~first ~count ~with_metrics ~profile ~tid ~record =
+   segment order). Replication [first] runs on [start], which must be
+   substream [first] of the seed; the block also returns substream
+   [first + count], where the next batch starts. All replications of the
+   block share one executor workspace. GC deltas are captured here,
+   inside the domain that owns the fork, before the block result crosses
+   back. *)
+let run_block s ~start ~count ~first ~with_metrics ~profile ~tid ~record =
   let metrics =
     if with_metrics then Some (Metrics.create ~model:s.model) else None
   in
@@ -100,28 +104,24 @@ let run_block s ~root ~first ~count ~with_metrics ~profile ~tid ~record =
   let n_rewards = List.length s.rewards in
   let accs = Array.init n_rewards (fun _ -> Stats.Welford.create ()) in
   let defined = Array.make n_rewards 0 in
-  (* [base] stays pristine (never drawn from), so replication [first + i]
-     always runs on exactly substream [first + i] of the seed, regardless
-     of how replications are split into blocks. *)
-  let base = ref (Prng.Stream.substream root first) in
-  for i = 0 to count - 1 do
-    if i > 0 then base := Prng.Stream.successor !base;
-    let values =
-      run_one ?metrics ?profile:prof
-        ?record:(record_for (first + i))
-        s
-        (Prng.Stream.substream !base 0)
-    in
-    Array.iteri
-      (fun j v ->
-        if not (Float.is_nan v) then begin
-          Stats.Welford.add accs.(j) v;
-          defined.(j) <- defined.(j) + 1
-        end)
-      values
-  done;
+  let workspace = Executor.workspace s.model in
+  let next =
+    Prng.Stream.walk start count (fun i stream ->
+        let values =
+          run_one ~workspace ?metrics ?profile:prof
+            ?record:(record_for (first + i))
+            s stream
+        in
+        Array.iteri
+          (fun j v ->
+            if not (Float.is_nan v) then begin
+              Stats.Welford.add accs.(j) v;
+              defined.(j) <- defined.(j) + 1
+            end)
+          values)
+  in
   Option.iter Obs.Profile.gc_capture prof;
-  (accs, defined, metrics, prof, List.rev_map snd !sinks)
+  (accs, defined, metrics, prof, List.rev_map snd !sinks, next)
 
 let default_domains () =
   Int.max 1 (Int.min 8 (Domain.recommended_domain_count ()))
@@ -148,27 +148,32 @@ let blocks_of_aligned ~domains ~first ~count =
       let hi = lo + base + if i < extra then 1 else 0 in
       (first + (lo * seg), Int.min count (hi * seg) - (lo * seg)))
 
-let run_blocks s ~root ~with_metrics ~profile ~record blocks =
-  match blocks with
-  | [ (first, count) ] ->
-      [ run_block s ~root ~first ~count ~with_metrics ~profile ~tid:0 ~record ]
-  | _ ->
-      let handles =
-        List.mapi
-          (fun tid (first, count) ->
-            Domain.spawn (fun () ->
-                run_block s ~root ~first ~count ~with_metrics ~profile ~tid
-                  ~record))
-          blocks
-      in
-      List.map Domain.join handles
+(* Run [blocks], which cover [completed, completed + count), from
+   [cursor], substream [completed] of the seed. Returns the block results
+   in block order and substream [completed + count]. *)
+let run_blocks s ~cursor ~completed ~with_metrics ~profile ~record blocks =
+  let go tid (first, count) =
+    (* Each block jumps from the shared cursor on its own domain. *)
+    let start = Prng.Stream.substream cursor (first - completed) in
+    run_block s ~start ~count ~first ~with_metrics ~profile ~tid ~record
+  in
+  let results =
+    match blocks with
+    | [ b ] -> [ go 0 b ]
+    | _ ->
+        List.map Domain.join
+          (List.mapi (fun tid b -> Domain.spawn (fun () -> go tid b)) blocks)
+  in
+  let _, _, _, _, _, next = List.nth results (List.length results - 1) in
+  (results, next)
 
 (* Fold one run_blocks result into the shared accumulators (and the
    caller's metrics and trajectory sinks), preserving block order so
    estimates — and recorded occupancy sums — stay deterministic. *)
 let consume ~accs ~defined ~metrics ~profile ~record results =
   List.iter
-    (fun (block_accs, block_defined, block_metrics, block_prof, block_sinks) ->
+    (fun (block_accs, block_defined, block_metrics, block_prof, block_sinks, _)
+       ->
       Array.iteri
         (fun j acc ->
           accs.(j) <- Stats.Welford.merge accs.(j) acc;
@@ -263,7 +268,9 @@ let results_of ~confidence ~rewards ~accs ~defined ~n_runs =
 let batch_loop ~domains ~confidence ?metrics ?profile ?convergence ?progress
     ?record ~seed ~target ~next_batch ~finished ~estimated s =
   let t0 = now () in
-  let root = Prng.Stream.create ~seed in
+  (* Substream [!completed] of the seed: each batch starts where the
+     previous one ended, so no batch jumps from the root. *)
+  let cursor = ref (Prng.Stream.create ~seed) in
   let n_rewards = List.length s.rewards in
   let accs = Array.init n_rewards (fun _ -> Stats.Welford.create ()) in
   let defined = Array.make n_rewards 0 in
@@ -277,7 +284,11 @@ let batch_loop ~domains ~confidence ?metrics ?profile ?convergence ?progress
         blocks_of_aligned ~domains:d ~first:!completed ~count
       else blocks_of ~domains:d ~first:!completed ~count
     in
-    let results = run_blocks s ~root ~with_metrics ~profile ~record blocks in
+    let results, next =
+      run_blocks s ~cursor:!cursor ~completed:!completed ~with_metrics
+        ~profile ~record blocks
+    in
+    cursor := next;
     consume ~accs ~defined ~metrics ~profile ~record results;
     completed := !completed + count;
     record_convergence ~convergence ~confidence ~rewards:s.rewards ~accs

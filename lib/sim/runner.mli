@@ -59,13 +59,15 @@ type progress = {
     on the calling domain, between batches — never concurrently. *)
 
 val run_one :
+  ?workspace:Executor.workspace ->
   ?metrics:Metrics.t ->
   ?profile:Obs.Profile.t ->
   ?record:Trajectory.sink * int ->
   spec ->
   Prng.Stream.t ->
   float array
-(** One replication; returns the reward values in spec order. [record]
+(** One replication, in [workspace] when given (see
+    {!Executor.workspace}); returns the reward values in spec order. [record]
     attaches the sink's recording observer and, once the run finishes,
     offers the trajectory for retention under the given replication
     index. *)

@@ -23,35 +23,40 @@ let run ?(domains = 1) ?(confidence = 0.95) ?(max_stage_trials = 1 lsl 20)
   if domains < 1 then invalid_arg "Splitting.run: domains must be >= 1";
   if initial > max_stage_trials then
     invalid_arg "Splitting.run: initial exceeds max_stage_trials";
-  let root = Prng.Stream.create ~seed in
   let total_events = ref 0 in
   let total_trials = ref 0 in
-  (* Global trial counter: trial [stream_base + j] of the whole run uses
-     substream [stream_base + j], whatever the stage or domain split. *)
-  let stream_base = ref 0 in
+  (* Trial [k] of the whole run uses substream [k] of the seed, whatever
+     the stage or domain split. [cursor] is the substream of the next
+     stage's first trial: each stage starts where the previous one
+     ended, so no stage jumps from the root. *)
+  let cursor = ref (Prng.Stream.create ~seed) in
   let stages = ref [] in
   (* One stage: race every source toward [threshold]; [None] sources
      start fresh (stage 0 only). Returns the captured checkpoints in
      trial order. *)
   let run_stage ~threshold (sources : Executor.checkpoint option array) =
     let n = Array.length sources in
-    let first_global = !stream_base in
-    stream_base := !stream_base + n;
+    let stage_start = !cursor in
     let run_block (first, count) =
-      (* [base] stays pristine (never drawn from), so trial
-         [first_global + first + i] always runs on exactly that
-         substream of the seed, regardless of the domain split. *)
-      let base = ref (Prng.Stream.substream root (first_global + first)) in
-      Array.init count (fun i ->
-          if i > 0 then base := Prng.Stream.successor !base;
-          let stream = Prng.Stream.substream !base 0 in
-          match
-            Executor.run_to_level ?from_:sources.(first + i) ~model ~config
-              ~stream ~observer:Observer.nop ~importance ~threshold ()
-          with
-          | Executor.Finished o -> (None, o.Executor.events)
-          | Executor.Crossed { checkpoint; events } ->
-              (Some checkpoint, events))
+      (* Trial [first + i] of the stage runs on the substream [first + i]
+         jumps past the stage's start, regardless of the domain split.
+         All trials of the block share one workspace. *)
+      let workspace = Executor.workspace model in
+      let outcomes = Array.make count (None, 0) in
+      let next =
+        Prng.Stream.walk (Prng.Stream.substream stage_start first) count
+          (fun i stream ->
+            outcomes.(i) <-
+              (match
+                 Executor.run_to_level ~workspace ?from_:sources.(first + i)
+                   ~model ~config ~stream ~observer:Observer.nop ~importance
+                   ~threshold ()
+               with
+              | Executor.Finished o -> (None, o.Executor.events)
+              | Executor.Crossed { checkpoint; events } ->
+                  (Some checkpoint, events)))
+      in
+      (outcomes, next)
     in
     let blocks = blocks_of ~domains ~count:n in
     let results =
@@ -61,7 +66,8 @@ let run ?(domains = 1) ?(confidence = 0.95) ?(max_stage_trials = 1 lsl 20)
           List.map Domain.join
             (List.map (fun b -> Domain.spawn (fun () -> run_block b)) bs)
     in
-    let flat = Array.concat results in
+    cursor := snd (List.nth results (List.length results - 1));
+    let flat = Array.concat (List.map fst results) in
     total_trials := !total_trials + n;
     Array.iter (fun (_, ev) -> total_events := !total_events + ev) flat;
     let hits =

@@ -31,6 +31,25 @@ let test_substream_successor_agree () =
   Alcotest.(check (list int64))
     "substream 3 = successor^3" (draws by_index 32) (draws by_succ 32)
 
+let test_walk_visits_substreams () =
+  let root = stream 7 in
+  let before = draws (Prng.Stream.substream root 0) 4 in
+  let seen = ref [] in
+  let after =
+    Prng.Stream.walk root 4 (fun i s ->
+        (* Drawing from the given stream must not shift the next one. *)
+        seen := (i, draws s 4) :: !seen)
+  in
+  Alcotest.(check (list (pair int (list int64))))
+    "stream i is substream i"
+    (List.init 4 (fun i -> (i, draws (Prng.Stream.substream root i) 4)))
+    (List.rev !seen);
+  Alcotest.(check (list int64))
+    "returns substream n"
+    (draws (Prng.Stream.substream root 4) 8)
+    (draws after 8);
+  Alcotest.(check (list int64)) "root untouched" before (draws root 4)
+
 let test_substreams_distinct () =
   let root = stream 11 in
   let s1 = draws (Prng.Stream.substream root 1) 16 in
@@ -188,6 +207,89 @@ let test_seed_of () =
   Alcotest.(check int64) "substream keeps family seed" 61L
     (Prng.Stream.seed_of (Prng.Stream.substream s 4))
 
+(* Known answers, cross-checked against the xoshiro256++ reference C
+   code of Blackman & Vigna seeded through SplitMix64: the first outputs
+   of two seeds, the outputs after one jump, and the first unit floats
+   and bounded ints drawn from a fresh stream. A change of state layout
+   must leave every replication's draws as they are. *)
+let kat_seeds =
+  [
+    ( 0L,
+      [ 0x53175D61490B23DFL; 0x61DA6F3DC380D507L; 0x5C0FDF91EC9A7BFCL;
+        0x02EEBF8C3BBE5E1AL ],
+      [ 0x2107D23F5380538BL; 0x860C46FBA09246F0L; 0xE824E1AC3BB3B014L ],
+      [ 0x1.4c5d7585242c8p-2; 0x1.8769bcf70e034p-2; 0x1.703f7e47b269ep-2 ],
+      [ 3; 174; 884115843; 2 ] );
+    ( 20030622L,
+      [ 0x53AB1551FB5CF1F8L; 0x8982DED20DD538B8L; 0x9FDBC303F316EA87L;
+        0x33CEE7040EADE1D9L ],
+      [ 0x0149B2946FEC578DL; 0x559B911400BDEBFAL; 0x06F98E21E8AF55EFL ],
+      [ 0x1.4eac5547ed73cp-2; 0x1.1305bda41baa7p-1; 0x1.3fb78607e62ddp-1 ],
+      [ 6; 0; 256938832; 1 ] );
+  ]
+
+let kat_bounds = [ 7; 421; 1_000_000_007; 3 ]
+
+let test_known_answers () =
+  List.iter
+    (fun (seed, next, jumped, floats, ints) ->
+      let name what = Printf.sprintf "seed %Ld: %s" seed what in
+      let fresh () = Prng.Stream.create ~seed in
+      Alcotest.(check (list int64))
+        (name "next") next
+        (draws (fresh ()) (List.length next));
+      Alcotest.(check (list int64))
+        (name "after one jump") jumped
+        (draws (Prng.Stream.successor (fresh ())) (List.length jumped));
+      Alcotest.(check (list int64))
+        (name "substream 1") jumped
+        (draws (Prng.Stream.substream (fresh ()) 1) (List.length jumped));
+      let s = fresh () in
+      Alcotest.(check (list (float 0.0)))
+        (name "float") floats
+        (List.map (fun _ -> Prng.Stream.float s) floats);
+      let s = fresh () in
+      Alcotest.(check (list int))
+        (name "int") ints
+        (List.map (fun n -> Prng.Stream.int s n) kat_bounds))
+    kat_seeds
+
+(* Words allocated per call of [f], averaged over many calls. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The generator keeps its state unboxed: a draw allocates at most the
+   boxed float it returns, and a successor only the new stream. Only
+   native code unboxes, so bytecode skips the check. *)
+let test_draws_do_not_allocate () =
+  if Sys.backend_type = Sys.Native then begin
+    let s = stream 67 in
+    let sink = ref 0.0 in
+    let float_words =
+      words_per_call 10_000 (fun () -> sink := Prng.Stream.float s)
+    in
+    let int_words =
+      words_per_call 10_000 (fun () ->
+          ignore (Sys.opaque_identity (Prng.Stream.int s 421)))
+    in
+    let succ_words =
+      words_per_call 1_000 (fun () ->
+          ignore (Sys.opaque_identity (Prng.Stream.successor s)))
+    in
+    let check what bound words =
+      if words > bound then
+        Alcotest.failf "%s allocates %.1f words per call (bound %.0f)" what
+          words bound
+    in
+    check "Stream.float" 3.0 float_words;
+    check "Stream.int" 1.0 int_words;
+    check "Stream.successor" 16.0 succ_words
+  end
+
 (* qcheck properties *)
 
 let prop_int_in_range =
@@ -230,6 +332,8 @@ let () =
             test_substream_zero_is_identity;
           Alcotest.test_case "substream/successor agree" `Quick
             test_substream_successor_agree;
+          Alcotest.test_case "walk visits substreams" `Quick
+            test_walk_visits_substreams;
           Alcotest.test_case "substreams distinct" `Quick
             test_substreams_distinct;
           Alcotest.test_case "substream preserves root" `Quick
@@ -238,6 +342,9 @@ let () =
             test_split_differs_from_parent;
           Alcotest.test_case "seed_of" `Quick test_seed_of;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_arguments;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
+          Alcotest.test_case "draws do not allocate" `Quick
+            test_draws_do_not_allocate;
         ] );
       ( "statistics",
         [

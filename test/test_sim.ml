@@ -73,6 +73,40 @@ let test_heap_copy_independent () =
     [ (2, 0.5); (1, 1.0); (0, 3.0) ]
     (drain_heap h)
 
+(* [clear] leaves a heap that behaves as a fresh one, and [blit] one
+   that pops exactly what the source (or its copy) pops, equal-time ties
+   included, whatever the destination held before. *)
+let test_heap_clear_and_blit () =
+  let times = [ 3.0; 1.0; 2.0; 1.0; 5.0 ] in
+  let dirty () =
+    let h = heap_of_times [ 0.5; 4.0; 0.5; 9.0; 1.0 ] in
+    ignore (Sim.Event_heap.pop h : int);
+    h
+  in
+  let h = dirty () in
+  Sim.Event_heap.clear h;
+  Alcotest.(check int) "cleared heap is empty" 0 (Sim.Event_heap.size h);
+  List.iteri (fun act time -> Sim.Event_heap.push h ~act ~time) times;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "cleared heap pops as a fresh one"
+    (drain_heap (heap_of_times times))
+    (drain_heap h);
+  let src = heap_of_times times in
+  ignore (Sim.Event_heap.pop src : int);
+  Sim.Event_heap.push src ~act:1 ~time:2.0;
+  let live = Sim.Event_heap.size src in
+  let dst = dirty () in
+  Sim.Event_heap.blit ~src ~dst;
+  Sim.Event_heap.push dst ~act:4 ~time:2.0;
+  let expected = Sim.Event_heap.copy src in
+  Sim.Event_heap.push expected ~act:4 ~time:2.0;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "blit pops as the source's copy" (drain_heap expected) (drain_heap dst);
+  Alcotest.(check int) "source untouched" live (Sim.Event_heap.size src);
+  Alcotest.check_raises "capacities must match"
+    (Invalid_argument "Event_heap.blit: heaps of different capacities")
+    (fun () -> Sim.Event_heap.blit ~src ~dst:(Sim.Event_heap.create 3))
+
 let prop_heap_sorts =
   QCheck2.Test.make ~name:"heap pops sorted" ~count:300
     QCheck2.Gen.(list_size (int_range 0 200) (float_range 0.0 1e6))
@@ -1167,6 +1201,276 @@ let test_checkpoint_clones_independent () =
       Alcotest.(check bool) "seeds diverge" true
         (List.exists (fun r -> r <> List.hd different) different)
 
+(* --- reusable executor workspaces --- *)
+
+(* Everything one run reports: each event (time, activity, case), the
+   outcome's counters, the final marking and the run's metrics. *)
+type run_record = {
+  fired : (float * int * int) list;
+  events : int;
+  end_time : float;
+  final_ints : int array;
+  final_floats : float array;
+  metrics : Sim.Metrics.t;
+}
+
+let recording_observer () =
+  let fired = ref [] in
+  ( { Sim.Observer.nop with
+      on_fire = (fun t a c _ -> fired := (t, a.San.Activity.id, c) :: !fired)
+    },
+    fun () -> List.rev !fired )
+
+let record_of ~fired ~metrics (o : Sim.Executor.outcome) =
+  {
+    fired;
+    events = o.Sim.Executor.events;
+    end_time = o.Sim.Executor.end_time;
+    final_ints = San.Marking.int_snapshot o.Sim.Executor.final;
+    final_floats = San.Marking.float_snapshot o.Sim.Executor.final;
+    metrics;
+  }
+
+let ws_config = Sim.Executor.config ~horizon:20.0 ()
+
+let recorded_run ?workspace model seed =
+  let observer, fired = recording_observer () in
+  let metrics = Sim.Metrics.create ~model in
+  let o =
+    Sim.Executor.run ?workspace ~metrics ~model ~config:ws_config
+      ~stream:(stream seed) ~observer ()
+  in
+  record_of ~fired:(fired ()) ~metrics o
+
+(* A resume from [checkpoint] as splitting runs one: [run_to_level] from
+   the checkpoint, to a level no marking reaches. *)
+let recorded_resume ?workspace model seed checkpoint =
+  let observer, fired = recording_observer () in
+  let metrics = Sim.Metrics.create ~model in
+  match
+    Sim.Executor.run_to_level ?workspace ~metrics ~from_:checkpoint ~model
+      ~config:ws_config ~stream:(stream seed) ~observer
+      ~importance:(fun _ -> 0)
+      ~threshold:1 ()
+  with
+  | Sim.Executor.Finished o -> record_of ~fired:(fired ()) ~metrics o
+  | Sim.Executor.Crossed _ -> Alcotest.fail "crossed an unreachable level"
+
+let check_record label (expected : run_record) (got : run_record) =
+  Alcotest.(check (list (triple (float 0.0) int int)))
+    (label ^ ": events") expected.fired got.fired;
+  Alcotest.(check (pair int (float 0.0)))
+    (label ^ ": outcome")
+    (expected.events, expected.end_time)
+    (got.events, got.end_time);
+  Alcotest.(check (array int))
+    (label ^ ": final int marking") expected.final_ints got.final_ints;
+  Alcotest.(check (array (float 0.0)))
+    (label ^ ": final float marking") expected.final_floats got.final_floats;
+  Alcotest.(check bool)
+    (label ^ ": metrics") true
+    (expected.metrics = got.metrics)
+
+(* A small ITUA model: instantaneous chains, both reactivation policies
+   and marking-dependent rates, so a run leaves every part of a
+   workspace dirty. *)
+let ws_model () =
+  (Itua.Model.build
+     {
+       Itua.Params.default with
+       Itua.Params.num_domains = 3;
+       hosts_per_domain = 2;
+       num_apps = 2;
+     })
+    .Itua.Model.model
+
+(* Number of int places away from their initial value: grows as the
+   attacks and failures spread. *)
+let ws_importance model =
+  let init = San.Marking.int_snapshot (San.Model.initial_marking model) in
+  fun m ->
+    let cur = San.Marking.int_snapshot m in
+    let d = ref 0 in
+    Array.iteri (fun i v -> if v <> init.(i) then incr d) cur;
+    !d
+
+let test_workspace_reuse_across_seeds () =
+  let model = ws_model () in
+  let workspace = Sim.Executor.workspace model in
+  List.iter
+    (fun seed ->
+      check_record
+        (Printf.sprintf "seed %d" seed)
+        (recorded_run model seed)
+        (recorded_run ~workspace model seed))
+    [ 1; 2; 3; 1; 4; 5; 2 ]
+
+(* Every tick puts four tokens in [buf]; two competing instantaneous
+   activities drain it, one token per step, so each tick sets off a
+   four-step chain with random choices. *)
+let burst_model () =
+  let b = San.Model.Builder.create "burst" in
+  let buf = San.Model.Builder.int_place b "buf" in
+  San.Model.Builder.timed_exp_rate_ir b ~name:"tick"
+    ~rate:(San.Effect.RConst 1.0) ~guard:(San.Effect.Const true) ~reads:[]
+    San.Effect.(Ops [ Inc (buf, Int 4) ]);
+  List.iter
+    (fun name ->
+      let out = San.Model.Builder.int_place b name in
+      San.Model.Builder.instantaneous_ir b ~name:("drain_" ^ name)
+        ~guard:San.Effect.(Cmp (Mark buf, Gt, Int 0))
+        ~reads:[ San.Place.P buf ]
+        San.Effect.(Ops [ Inc (buf, Int (-1)); Inc (out, Int 1) ]))
+    [ "a"; "b" ];
+  San.Model.Builder.build b
+
+(* A run that raises [Stabilization_diverged] mid-chain leaves a dirty
+   marking, heap and enabled flags behind: on the ITUA model it raises
+   in the t = 0 setup chain, on the burst model in the first tick's. *)
+let test_workspace_reuse_after_raise () =
+  List.iter
+    (fun (label, model, max_inst_chain) ->
+      let workspace = Sim.Executor.workspace model in
+      let tight = Sim.Executor.config ~max_inst_chain ~horizon:5.0 () in
+      List.iter
+        (fun seed ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, seed %d: the chain bound raises" label seed)
+            true
+            (match
+               Sim.Executor.run ~workspace ~model ~config:tight
+                 ~stream:(stream seed) ~observer:Sim.Observer.nop ()
+             with
+            | (_ : Sim.Executor.outcome) -> false
+            | exception Sim.Executor.Stabilization_diverged _ -> true);
+          for after = 10 * seed to (10 * seed) + 4 do
+            check_record
+              (Printf.sprintf "%s, after the raise on seed %d, seed %d" label
+                 seed after)
+              (recorded_run model after)
+              (recorded_run ~workspace model after)
+          done)
+        [ 1; 2; 3 ])
+    [ ("itua", ws_model (), 1); ("burst", burst_model (), 2) ]
+
+(* A crossed run and one clone resumed from its checkpoint. *)
+let crossing model seed =
+  match
+    Sim.Executor.run_to_level ~model ~config:ws_config ~stream:(stream seed)
+      ~observer:Sim.Observer.nop ~importance:(ws_importance model)
+      ~threshold:6 ()
+  with
+  | Sim.Executor.Finished _ -> Alcotest.fail "expected a crossing"
+  | Sim.Executor.Crossed { checkpoint; _ } -> checkpoint
+
+let test_workspace_reuse_after_crossing () =
+  let model = ws_model () in
+  let workspace = Sim.Executor.workspace model in
+  (match
+     Sim.Executor.run_to_level ~workspace ~model ~config:ws_config
+       ~stream:(stream 21) ~observer:Sim.Observer.nop
+       ~importance:(ws_importance model) ~threshold:6 ()
+   with
+  | Sim.Executor.Finished _ -> Alcotest.fail "expected a crossing"
+  | Sim.Executor.Crossed _ -> ());
+  check_record "run after a crossing" (recorded_run model 22)
+    (recorded_run ~workspace model 22)
+
+let test_workspace_resume_dirty () =
+  let model = ws_model () in
+  let checkpoint = crossing model 31 in
+  let workspace = Sim.Executor.workspace model in
+  ignore (recorded_run ~workspace model 32 : run_record);
+  check_record "resume into a dirty workspace"
+    (recorded_resume model 33 checkpoint)
+    (recorded_resume ~workspace model 33 checkpoint);
+  check_record "run after a resume" (recorded_run model 34)
+    (recorded_run ~workspace model 34);
+  check_record "resume again"
+    (recorded_resume model 35 checkpoint)
+    (recorded_resume ~workspace model 35 checkpoint)
+
+(* Past 256 words an array goes straight to the major heap, and the
+   per-activity arrays of a 421-activity model are all that long: a
+   replication in a reused workspace must allocate none of them. Only
+   native code has the allocation profile the bound assumes. *)
+let test_workspace_no_major_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let model =
+      (Itua.Model.build
+         {
+           Itua.Params.default with
+           Itua.Params.num_domains = 4;
+           hosts_per_domain = 3;
+           num_apps = 8;
+         })
+        .Itua.Model.model
+    in
+    Alcotest.(check int) "activities" 421
+      (Array.length (San.Model.activities model));
+    let workspace = Sim.Executor.workspace model in
+    let cfg = Sim.Executor.config ~horizon:5.0 () in
+    let direct_major () =
+      let _, promoted, major = Gc.counters () in
+      major -. promoted
+    in
+    let runs = 200 in
+    let before = direct_major () in
+    ignore
+      (Prng.Stream.walk (stream 20030622) runs (fun _ stream ->
+           ignore
+             (Sim.Executor.run ~workspace ~model ~config:cfg ~stream
+                ~observer:Sim.Observer.nop ()
+               : Sim.Executor.outcome))
+        : Prng.Stream.t);
+    let per_run = (direct_major () -. before) /. float_of_int runs in
+    if per_run >= 64.0 then
+      Alcotest.failf "%.0f words per run allocated directly in the major heap"
+        per_run
+  end
+
+let test_workspace_other_model_rejected () =
+  let queue lambda =
+    (Test_models.mm1k ~lambda ~mu:1.2 ~k:8).Test_models.q_model
+  in
+  let model = queue 1.0 and twin = queue 2.0 in
+  let raises label f =
+    Alcotest.(check bool) label true
+      (match f () with
+      | (_ : Sim.Executor.outcome) -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let cfg = Sim.Executor.config ~horizon:5.0 () in
+  let run workspace () =
+    Sim.Executor.run ~workspace ~model ~config:cfg ~stream:(stream 1)
+      ~observer:Sim.Observer.nop ()
+  in
+  raises "another model's workspace"
+    (run (Sim.Executor.workspace (Test_models.gong ()).Test_models.g_model));
+  raises "a same-shape model's workspace" (run (Sim.Executor.workspace twin));
+  let checkpoint =
+    match
+      Sim.Executor.run_to_level ~model ~config:cfg ~stream:(stream 99)
+        ~observer:Sim.Observer.nop
+        ~importance:(fun _ -> 1)
+        ~threshold:1 ()
+    with
+    | Sim.Executor.Crossed { checkpoint; _ } -> checkpoint
+    | Sim.Executor.Finished _ -> Alcotest.fail "expected a crossing"
+  in
+  raises "resume in a same-shape model's workspace" (fun () ->
+      match
+        Sim.Executor.run_to_level ~workspace:(Sim.Executor.workspace twin)
+          ~from_:checkpoint ~model ~config:cfg ~stream:(stream 1)
+          ~observer:Sim.Observer.nop
+          ~importance:(fun _ -> 0)
+          ~threshold:1 ()
+      with
+      | Sim.Executor.Finished o -> o
+      | Sim.Executor.Crossed _ -> Alcotest.fail "crossed an unreachable level");
+  (* The model's own workspace still works after the rejections. *)
+  ignore (run (Sim.Executor.workspace model) () : Sim.Executor.outcome)
+
 (* --- the model's shared run tables --- *)
 
 (* [San.Model.Builder.build] computes the instantaneous ids and the
@@ -1358,6 +1662,42 @@ let test_undeclared_guard_read_fires () =
   Alcotest.(check int) "fired" 1
     (San.Marking.get outcome.Sim.Executor.final fired)
 
+(* The t = 0 template: the setup chain arms "go", whose guard reads the
+   undeclared place [armed], so propagation never wakes it; it is on the
+   template's timed list anyway and is scheduled after setup. "idle" is
+   disabled initially and declares its reads, so it is not on the list. *)
+let test_template_undeclared_timed_guard () =
+  let b = San.Model.Builder.create "template" in
+  let armed = San.Model.Builder.int_place b "armed" in
+  let gone = San.Model.Builder.int_place b "gone" in
+  San.Model.Builder.instantaneous_ir b ~name:"arm"
+    ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 0))
+    ~reads:[ San.Place.P armed ]
+    San.Effect.(Ops [ Set (armed, Int 1) ]);
+  San.Model.Builder.timed_exp_rate_ir b ~name:"go"
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:
+      San.Effect.(
+        All [ Cmp (Mark armed, Eq, Int 1); Cmp (Mark gone, Eq, Int 0) ])
+    ~reads:[ San.Place.P gone ]
+    San.Effect.(Ops [ Set (gone, Int 1) ]);
+  San.Model.Builder.timed_exp_rate_ir b ~name:"idle"
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark gone, Eq, Int 2))
+    ~reads:[ San.Place.P gone ]
+    San.Effect.Skip;
+  let model = San.Model.Builder.build b in
+  let id name = (San.Model.find_activity model name).San.Activity.id in
+  Alcotest.(check (array int)) "instantaneous enabled at t = 0"
+    [| id "arm" |] (San.Model.initial_instantaneous model);
+  Alcotest.(check (array int)) "timed candidates" [| id "go" |]
+    (San.Model.initial_timed model);
+  let outcome =
+    run_simple model ~horizon:100.0 ~seed:1 ~observer:Sim.Observer.nop
+  in
+  Alcotest.(check int) "go fired" 1
+    (San.Marking.get outcome.Sim.Executor.final gone)
+
 (* Two domains read the same model tables concurrently; the result must
    equal the one-domain run replication for replication. *)
 let test_runner_two_domains_match_one () =
@@ -1527,6 +1867,7 @@ let () =
           Alcotest.test_case "re-push tie" `Quick test_heap_repush_tie;
           Alcotest.test_case "copy independent" `Quick
             test_heap_copy_independent;
+          Alcotest.test_case "clear and blit" `Quick test_heap_clear_and_blit;
         ] );
       ( "splitting",
         [
@@ -1541,6 +1882,21 @@ let () =
           Alcotest.test_case "cross-core identical" `Slow
             test_splitting_deterministic_across_domains;
           Alcotest.test_case "validation" `Quick test_splitting_validation;
+        ] );
+      ( "workspace",
+        [
+          Alcotest.test_case "reuse across seeds" `Quick
+            test_workspace_reuse_across_seeds;
+          Alcotest.test_case "reuse after a raise" `Quick
+            test_workspace_reuse_after_raise;
+          Alcotest.test_case "reuse after a crossing" `Quick
+            test_workspace_reuse_after_crossing;
+          Alcotest.test_case "resume into a dirty workspace" `Quick
+            test_workspace_resume_dirty;
+          Alcotest.test_case "other model rejected" `Quick
+            test_workspace_other_model_rejected;
+          Alcotest.test_case "no major-heap allocation" `Quick
+            test_workspace_no_major_allocation;
         ] );
       ( "executor",
         [
@@ -1567,6 +1923,8 @@ let () =
             test_stable_markings_golden;
           Alcotest.test_case "undeclared guard read fires" `Quick
             test_undeclared_guard_read_fires;
+          Alcotest.test_case "template: undeclared timed guard" `Quick
+            test_template_undeclared_timed_guard;
         ] );
       ( "rewards",
         [

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Same-machine A/B perf gate. Builds BASE (any git ref) in a temporary
 # worktree, then runs the benchmark harness on BASE and on this checkout
-# in alternating pairs, and judges the two sets of runs with
-# `itua_bench compare` (bounds from BENCHMARK.json). Run from anywhere
-# inside the repository:
+# in alternating pairs of every workload in BENCHMARK.json (read with
+# jq), and judges the two sets of runs with `itua_bench compare` (bounds
+# from BENCHMARK.json). Run from anywhere inside the repository:
 #
 #   bash tools/perf_ab.sh origin/main
 #
@@ -12,10 +12,11 @@
 set -euo pipefail
 base_ref=${1:?usage: tools/perf_ab.sh BASE}
 pairs=10
-workloads="fig3_sweep fig5_sweep rare_tail"
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
+# Every workload BENCHMARK.json declares.
+workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
 work=$(mktemp -d)
 trap 'rm -rf "$work"; git worktree prune' EXIT
 git worktree add --quiet --detach "$work/base" "$base_ref"
