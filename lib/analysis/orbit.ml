@@ -44,28 +44,20 @@ let strip_prefix prefix s =
 
 (* ------------------------------------------------------------------ *)
 (* Declarative-readability scan: the verification below can only reason
-   about what it can read. One closure distribution or weight anywhere
-   and every certificate would be a guess, so the whole model must be
+   about what it can read. One closure timing anywhere and every
+   certificate would be a guess, so the whole model must be
    declarative. *)
 
 let blockers_of model =
-  let out = ref [] in
-  let add name what = out := Printf.sprintf "activity %S: %s" name what :: !out in
-  Array.iter
-    (fun (a : A.t) ->
-      (match a.A.timing with
-      | A.Instantaneous -> ()
-      | A.Timed { dist_ir = None; _ } ->
-          add a.A.name "closure-only timing distribution"
-      | A.Timed { dist_ir = Some _; _ } -> ());
-      Array.iter
-        (fun (c : A.case) ->
-          match c.A.weight_ir with
-          | None -> add a.A.name "closure-only case weight"
-          | Some _ -> ())
-        a.A.cases)
-    (San.Model.activities model);
-  List.sort_uniq Stdlib.compare !out
+  Array.to_list (San.Model.activities model)
+  |> List.filter_map (fun (a : A.t) ->
+         match a.A.timing with
+         | A.Timed { dist_ir = None; _ } ->
+             Some
+               (Printf.sprintf "activity %S: closure-only timing distribution"
+                  a.A.name)
+         | A.Timed { dist_ir = Some _; _ } | A.Instantaneous -> None)
+  |> List.sort_uniq Stdlib.compare
 
 (* ------------------------------------------------------------------ *)
 (* A copy's structural signature: relative place names with kind and
@@ -355,13 +347,10 @@ let shape_of sub (a : A.t) : (string * string) list =
   let cases =
     Array.to_list a.A.cases
     |> List.map (fun (c : A.case) ->
-           let w =
-             match c.A.weight_ir with
-             | Some w -> render E.pp_rexpr (n_re (r_re sub w))
-             | None ->
-                 raise (Unverifiable ("closure-only case weight of " ^ a.A.name))
-           in
-           "w=" ^ w ^ "; eff=" ^ render E.pp (n_eff (r_eff sub c.A.effect)))
+           "w="
+           ^ render E.pp_rexpr (n_re (r_re sub c.A.weight_ir))
+           ^ "; eff="
+           ^ render E.pp (n_eff (r_eff sub c.A.effect)))
     |> List.sort Stdlib.compare
     |> String.concat " | "
   in

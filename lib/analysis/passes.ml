@@ -15,7 +15,7 @@ type facts = {
   act_name : string array;  (* activity id -> name *)
   place_name : string array;  (* place uid -> name *)
   declared : Bytes.t array;  (* activity id -> declared-reads uid set *)
-  traced_reads : Bytes.t array;  (* 4 * id + via_index -> traced uid set *)
+  reads_by : Bytes.t array;  (* 4 * id + via_index -> read uid set *)
   writes : Bytes.t array;  (* activity id -> static write uid set *)
   ever_enabled : bool array;
   negative : (int * int * string) list;  (* activity id, case, message *)
@@ -23,6 +23,17 @@ type facts = {
 }
 
 let space f = f.space
+
+let dist_reads (d : San.Activity.dist_ir) =
+  let r = San.Effect.rexpr_reads in
+  match d with
+  | DExp a | DDet a | DErlang (_, a) -> r a
+  | DUniform (a, b)
+  | DGamma (a, b)
+  | DWeibull (a, b)
+  | DLognormal (a, b)
+  | DNormal (a, b) ->
+      r a @ r b
 
 let gather (space : Space.t) =
   let model = space.Space.model in
@@ -45,7 +56,7 @@ let gather (space : Space.t) =
         b)
       acts
   in
-  let traced_reads =
+  let reads_by =
     Array.init (4 * n_acts) (fun _ -> Bytes.make n_uids '\000')
   in
   let writes = Array.init n_acts (fun _ -> Bytes.make n_uids '\000') in
@@ -55,19 +66,27 @@ let gather (space : Space.t) =
   let record set uids =
     List.iter (fun uid -> Bytes.set set uid '\001') uids
   in
-  (* Guard and effect reads and effect writes come from the IR syntax:
-     a superset of what any firing can touch, so liveness (A005/A006)
-     and composition coverage are exact. Only the closure forms —
-     distributions and case weights — are traced on the markings. *)
+  (* Reads and writes come from the IR syntax: a superset of what any
+     firing can touch, so liveness (A005/A006), composition coverage and
+     the undeclared-read checks are exact whether or not an activity is
+     ever enabled. Weights count only for activities with several cases:
+     a lone case's weight never changes the outcome. Only a closure
+     timing ([dist_ir = None]) is traced on the markings. *)
   Array.iter
     (fun (a : San.Activity.t) ->
-      record traced_reads.((4 * a.id) + via_index Enabled)
-        (San.Effect.cond_reads a.guard);
+      let bits via = reads_by.((4 * a.id) + via_index via) in
+      record (bits Enabled) (San.Effect.cond_reads a.guard);
+      (match a.timing with
+      | San.Activity.Timed { dist_ir = Some d; _ } ->
+          record (bits Dist) (dist_reads d)
+      | San.Activity.Timed { dist_ir = None; _ } | San.Activity.Instantaneous
+        ->
+          ());
       Array.iter
         (fun (c : San.Activity.case) ->
-          record
-            traced_reads.((4 * a.id) + via_index Effect)
-            (San.Effect.static_reads c.effect);
+          if Array.length a.cases > 1 then
+            record (bits Weight) (San.Effect.rexpr_reads c.weight_ir);
+          record (bits Effect) (San.Effect.static_reads c.effect);
           record writes.(a.id) (San.Effect.static_writes c.effect))
         a.cases)
     acts;
@@ -89,21 +108,18 @@ let gather (space : Space.t) =
           if a.enabled m then begin
             ever_enabled.(a.id) <- true;
             (match a.timing with
-            | San.Activity.Instantaneous -> ()
-            | San.Activity.Timed { dist; _ } ->
+            | San.Activity.Timed { dist; dist_ir = None; _ } ->
                 let (_ : Dist.t), reads =
                   San.Marking.trace_reads m (fun () -> dist m)
                 in
-                record traced_reads.((4 * a.id) + via_index Dist) reads);
+                record reads_by.((4 * a.id) + via_index Dist) reads
+            | San.Activity.Timed { dist_ir = Some _; _ }
+            | San.Activity.Instantaneous ->
+                ());
             let weights =
               if Array.length a.cases > 1 then
                 Array.map
-                  (fun (c : San.Activity.case) ->
-                    let w, reads =
-                      San.Marking.trace_reads m (fun () -> c.case_weight m)
-                    in
-                    record traced_reads.((4 * a.id) + via_index Weight) reads;
-                    w)
+                  (fun (c : San.Activity.case) -> c.case_weight m)
                   a.cases
               else [| 1.0 |]
             in
@@ -148,27 +164,27 @@ let gather (space : Space.t) =
     act_name;
     place_name;
     declared;
-    traced_reads;
+    reads_by;
     writes;
     ever_enabled;
     negative;
     ties;
   }
 
-let traced f id via uid =
-  Bytes.get f.traced_reads.((4 * id) + via_index via) uid = '\001'
+let reads f id via uid =
+  Bytes.get f.reads_by.((4 * id) + via_index via) uid = '\001'
 
 let is_declared f id uid = Bytes.get f.declared.(id) uid = '\001'
 
-(* Guard and effect reads are checked exactly by A013; only the closure
-   forms are left to the trace. *)
+(* Guard and effect reads are checked by A013; A001 covers the timing
+   and the weights, exactly for IR and traced for a closure timing. *)
 let undeclared_reads f =
   let out = ref [] in
   for id = 0 to f.n_acts - 1 do
     List.iter
       (fun via ->
         for uid = 0 to f.n_uids - 1 do
-          if traced f id via uid && not (is_declared f id uid) then
+          if reads f id via uid && not (is_declared f id uid) then
             out :=
               Diagnostic.v ~code:Diagnostic.undeclared_read
                 ~severity:Diagnostic.Error
@@ -269,8 +285,8 @@ let ir_decls f =
           for r = f.n_acts - 1 downto 0 do
             if
               (not (is_declared f r uid))
-              && (traced f r Enabled uid || traced f r Dist uid
-                || traced f r Weight uid)
+              && (reads f r Enabled uid || reads f r Dist uid
+                || reads f r Weight uid)
             then readers := f.act_name.(r) :: !readers
           done;
           if !readers <> [] then
@@ -320,8 +336,8 @@ let liveness f =
       if Bytes.get f.writes.(id) uid = '\001' then
         Bytes.set written uid '\001';
       if
-        traced f id Enabled uid || traced f id Dist uid
-        || traced f id Weight uid || traced f id Effect uid
+        reads f id Enabled uid || reads f id Dist uid
+        || reads f id Weight uid || reads f id Effect uid
       then Bytes.set read uid '\001'
     done
   done;
@@ -372,8 +388,8 @@ let composition f (root : Compose.info) =
   let touched id uid =
     is_declared f id uid
     || Bytes.get f.writes.(id) uid = '\001'
-    || traced f id Enabled uid || traced f id Dist uid
-    || traced f id Weight uid || traced f id Effect uid
+    || reads f id Enabled uid || reads f id Dist uid
+    || reads f id Weight uid || reads f id Effect uid
   in
   let out = ref [] in
   let rec subtree_ids (n : Compose.info) =

@@ -1,14 +1,14 @@
 (** Checking passes over a marking space.
 
     The passes share one {e facts sweep} ({!gather}). Guard reads,
-    effect reads and effect writes are read off the IR syntax
-    ({!San.Effect.cond_reads}, {!San.Effect.static_reads},
-    {!San.Effect.static_writes}); the closure forms — firing
-    distributions and case weights — are evaluated on every marking in
-    the {!Space.t} under {!San.Marking.trace_reads}. Both are
-    accumulated into dense per-activity bitsets (place uids are dense,
-    so a set of places is a [Bytes.t]). Each pass is then a pure scan
-    over the facts.
+    timing and weight reads, effect reads and effect writes are read off
+    the IR syntax ({!San.Effect.cond_reads}, {!San.Effect.rexpr_reads},
+    {!San.Effect.static_reads}, {!San.Effect.static_writes}), so they
+    are exact for every activity, enabled or not. Only a closure timing
+    ([dist_ir = None]) is evaluated on every marking in the {!Space.t}
+    under {!San.Marking.trace_reads}. Both are accumulated into dense
+    per-activity bitsets (place uids are dense, so a set of places is a
+    [Bytes.t]). Each pass is then a pure scan over the facts.
 
     Effects are fired on scratch copies, for every case with positive
     weight, but only where the executor could actually fire them: timed
@@ -25,10 +25,12 @@ val gather : Space.t -> facts
 val space : facts -> Space.t
 
 val undeclared_reads : facts -> Diagnostic.t list
-(** [A001]: a firing-distribution or case-weight closure read a place
-    not in the activity's [reads] list — the executor will miss
-    wake-ups. Always [Error]. Guards and effects are checked exactly by
-    {!ir_decls}. *)
+(** [A001]: a firing distribution, or a case weight of an activity with
+    several cases, reads a place not in the activity's [reads] list —
+    the executor will miss wake-ups. Exact for IR rates and weights
+    (every branch counts, whether or not a marking takes it); traced on
+    the visited markings for a closure timing. Always [Error]. Guards
+    and effects are checked exactly by {!ir_decls}. *)
 
 val negative_writes : facts -> Diagnostic.t list
 (** [A003]: an effect drove an int place negative ([Invalid_argument]

@@ -122,32 +122,26 @@ let explore ?(max_states = 200_000) ?(canon = fun k -> k) ?(audit = false)
     resolve_vanishing model (San.Model.initial_marking model)
     |> List.map (fun (k, p) -> (intern k, p))
   in
-  let transitions = ref [] (* (source, target, rate), reversed *) in
+  (* The frontier pops states in id order, so each state's outgoing
+     transitions are merged (parallel ones summed in emission order) and
+     stored as soon as it is expanded. *)
+  let rows = ref [] (* merged transitions of states 0, 1, ..., reversed *) in
   while not (Queue.is_empty frontier) do
     let i = Queue.pop frontier in
     let m = restore model (Walker.Pool.get pool i) in
+    let tbl = Hashtbl.create 8 in
     expand model m (fun k r ->
         let j = intern k in
-        if j <> i then transitions := (i, j, r) :: !transitions)
+        if j <> i then
+          let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl j) in
+          Hashtbl.replace tbl j (prev +. r));
+    rows :=
+      (Hashtbl.fold (fun j r acc -> (j, r) :: acc) tbl []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+      :: !rows
   done;
   let n = Walker.Pool.size pool in
-  let merged = Array.make n [] in
-  (* Merge parallel transitions (same source and target). *)
-  let per_source = Array.make n [] in
-  List.iter
-    (fun (i, j, r) -> per_source.(i) <- (j, r) :: per_source.(i))
-    !transitions;
-  for i = 0 to n - 1 do
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (j, r) ->
-        let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl j) in
-        Hashtbl.replace tbl j (prev +. r))
-      per_source.(i);
-    merged.(i) <-
-      Hashtbl.fold (fun j r acc -> (j, r) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  done;
+  let merged = Array.of_list (List.rev !rows) in
   let exit_rates =
     Array.map (List.fold_left (fun acc (_, r) -> acc +. r) 0.0) merged
   in

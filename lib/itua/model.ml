@@ -79,13 +79,6 @@ let nh sk = sk.p.Params.hosts_per_domain
 let host_places_of sk g = sk.s_domains.(g / nh sk).hosts.(g mod nh sk)
 let domain_idx sk g = g / nh sk
 
-(* --- state predicates (marking closures) --- *)
-
-let app_improper sk a m =
-  let ap = sk.s_apps.(a) in
-  let corrupt = M.get m ap.rep_corr_undetected in
-  corrupt > 0 && 3 * corrupt >= M.get m ap.replicas_running
-
 (* --- IR condition vocabulary ---
 
    The same predicates as declarative {!San.Effect.cond} terms, so both
@@ -494,7 +487,7 @@ let build params =
   let ids_cases b ~name ~guard ~reads cases =
     B.timed_dist_ir b ~name ~dist:ids_latency_dist ~guard ~reads
       (List.map
-         (fun (w, eff) -> San.Activity.make_case ~weight_ir:(E.RConst w) eff)
+         (fun (w, eff) -> San.Activity.make_case ~weight:(E.RConst w) eff)
          cases)
   in
   (* Is the replica's host corrupt?  Only meaningful while running.  The
@@ -975,21 +968,10 @@ let rebind params ~model ~composition =
 
 (* --- public predicates on handles --- *)
 
-let skeleton_of h =
-  {
-    p = h.params;
-    s_apps = h.apps;
-    s_domains = h.domains;
-    s_mgrs_running = h.mgrs_running;
-    s_undetected = h.undetected_corr_mgrs;
-    s_spread_sys = h.spread_system;
-    s_excl_domains = h.excl_domains;
-    s_excl_hosts = h.excl_hosts;
-    s_excl_corrupt = h.excl_corrupt_hosts;
-    s_excl_frac = h.excl_frac_sum;
-  }
-
-let improper h a m = app_improper (skeleton_of h) a m
+let improper h a m =
+  let ap = h.apps.(a) in
+  let corrupt = M.get m ap.rep_corr_undetected in
+  corrupt > 0 && 3 * corrupt >= M.get m ap.replicas_running
 
 let starved h a m = M.get m h.apps.(a).replicas_running = 0
 

@@ -10,27 +10,26 @@ type dist_ir =
   | DLognormal of Effect.rexpr * Effect.rexpr
   | DNormal of Effect.rexpr * Effect.rexpr
 
+let constant_dist ir =
+  let open Effect in
+  match ir with
+  | DExp (RConst rate) -> Some (Dist.Exponential { rate })
+  | DDet (RConst value) -> Some (Dist.Deterministic { value })
+  | DUniform (RConst lo, RConst hi) -> Some (Dist.Uniform { lo; hi })
+  | DErlang (k, RConst rate) -> Some (Dist.Erlang { k; rate })
+  | DGamma (RConst shape, RConst rate) -> Some (Dist.Gamma { shape; rate })
+  | DWeibull (RConst shape, RConst scale) ->
+      Some (Dist.Weibull { shape; scale })
+  | DLognormal (RConst mu, RConst sigma) -> Some (Dist.Lognormal { mu; sigma })
+  | DNormal (RConst mean, RConst stddev) -> Some (Dist.Normal { mean; stddev })
+  | _ -> None
+
 (* All-constant parameters fold to one preallocated [Dist.t]; otherwise
    each parameter compiles via [Effect.rexpr_fn] and a fresh record is
    built per evaluation, exactly like the historical closures did. *)
 let dist_fn ir =
   let open Effect in
-  let constant =
-    match ir with
-    | DExp (RConst rate) -> Some (Dist.Exponential { rate })
-    | DDet (RConst value) -> Some (Dist.Deterministic { value })
-    | DUniform (RConst lo, RConst hi) -> Some (Dist.Uniform { lo; hi })
-    | DErlang (k, RConst rate) -> Some (Dist.Erlang { k; rate })
-    | DGamma (RConst shape, RConst rate) -> Some (Dist.Gamma { shape; rate })
-    | DWeibull (RConst shape, RConst scale) ->
-        Some (Dist.Weibull { shape; scale })
-    | DLognormal (RConst mu, RConst sigma) ->
-        Some (Dist.Lognormal { mu; sigma })
-    | DNormal (RConst mean, RConst stddev) ->
-        Some (Dist.Normal { mean; stddev })
-    | _ -> None
-  in
-  match constant with
+  match constant_dist ir with
   | Some d -> fun _ -> d
   | None -> (
       match ir with
@@ -70,7 +69,7 @@ type timing =
 
 type case = {
   case_weight : Marking.t -> float;
-  weight_ir : Effect.rexpr option;
+  weight_ir : Effect.rexpr;
   effect : Effect.t;
   prog : Effect.prog;
 }
@@ -85,14 +84,13 @@ type t = {
   cases : case array;
 }
 
-let make_case ?weight ?weight_ir effect =
-  let case_weight, weight_ir =
-    match (weight, weight_ir) with
-    | Some w, ir -> (w, ir)
-    | None, Some r -> (Effect.rexpr_fn r, Some r)
-    | None, None -> ((fun _ -> 1.0), Some (Effect.RConst 1.0))
-  in
-  { case_weight; weight_ir; effect; prog = Effect.PSkip }
+let make_case ?(weight = Effect.RConst 1.0) effect =
+  {
+    case_weight = Effect.rexpr_fn weight;
+    weight_ir = weight;
+    effect;
+    prog = Effect.PSkip;
+  }
 
 let is_instantaneous a =
   match a.timing with Instantaneous -> true | Timed _ -> false

@@ -45,6 +45,10 @@ type dist_ir =
   | DLognormal of Effect.rexpr * Effect.rexpr  (** mu, sigma *)
   | DNormal of Effect.rexpr * Effect.rexpr  (** mean, stddev *)
 
+val constant_dist : dist_ir -> Dist.t option
+(** [Some d] when every parameter is an [Effect.RConst]: the one
+    distribution the activity samples in every marking. *)
+
 val dist_fn : dist_ir -> Marking.t -> Dist.t
 (** Compile a declarative distribution to the closure form the executor
     samples from. Evaluates each parameter with {!Effect.rexpr_fn}, so
@@ -58,17 +62,18 @@ type timing =
       dist_ir : dist_ir option;
           (** When present, the declarative form of [dist] (builders
               derive [dist] from it via {!dist_fn}). [None] marks a
-              closure-only distribution, which serialization rejects. *)
+              closure-only exponential, which only
+              [Model.Builder.timed_exp_ir] builds and serialization
+              rejects. *)
     }
 
 type case = {
   case_weight : Marking.t -> float;
+      (** [weight_ir] compiled by {!Effect.rexpr_fn}; the executor's hot
+          path calls this instead of interpreting [weight_ir]. *)
+  weight_ir : Effect.rexpr;
       (** Non-negative, marking-dependent; normalized over the activity's
           cases at firing time. *)
-  weight_ir : Effect.rexpr option;
-      (** When present, the declarative form of [case_weight] (builders
-          derive [case_weight] from it). [None] marks a closure-only
-          weight, which serialization rejects. *)
   effect : Effect.t;
   prog : Effect.prog;
       (** [effect] compiled by [Model.Builder] when the activity is
@@ -95,15 +100,11 @@ type t = {
   cases : case array;
 }
 
-val make_case :
-  ?weight:(Marking.t -> float) -> ?weight_ir:Effect.rexpr -> Effect.t -> case
-(** Build a case. It does not compile the effect: [prog] is
-    [Effect.PSkip] until the case is passed to a [Model.Builder]
-    activity declaration, which compiles it. With [weight_ir] (and no
-    [weight]) the closure weight is derived from it; with neither, the
-    weight is the constant 1.0 (recorded declaratively). An explicit
-    [weight] closure wins and leaves [weight_ir] as passed (default
-    [None], i.e. non-portable). *)
+val make_case : ?weight:Effect.rexpr -> Effect.t -> case
+(** Build a case with the given weight (default [Effect.RConst 1.0]).
+    It does not compile the effect: [prog] is [Effect.PSkip] until the
+    case is passed to a [Model.Builder] activity declaration, which
+    compiles it. *)
 
 val is_instantaneous : t -> bool
 

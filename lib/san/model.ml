@@ -74,24 +74,39 @@ module Builder = struct
     b.floats <- (p, init) :: b.floats;
     p
 
-  let check_weight name w =
-    if w < 0.0 then
-      invalid_arg
-        (Printf.sprintf
-           "Model.Builder: activity %S has negative case probability" name)
-
   (* The enabling predicate is a declarative guard, compiled to the
      [enabled] closure, and effects are [Effect.t] terms, so structural
      analysis reads the activity exactly. Each case's effect compiles
      here, under the build's memo: a node shared between activities
-     compiles once. *)
+     compiles once. A constant parameter or weight out of range is
+     rejected here rather than at its first sample. *)
 
   let activity_ir b ~name ~timing ~guard ~reads cases =
     check_fresh b "activity" b.act_names name;
-    if cases = [] then
-      invalid_arg
-        (Printf.sprintf "Model.Builder: activity %S needs at least one case"
-           name);
+    let reject fmt =
+      Printf.ksprintf
+        (fun msg ->
+          invalid_arg
+            (Printf.sprintf "Model.Builder: activity %S %s" name msg))
+        fmt
+    in
+    if cases = [] then reject "needs at least one case";
+    (match timing with
+    | Activity.Timed { dist_ir = Some (Activity.DErlang (k, _)); _ } when k < 1
+      ->
+        reject "has an Erlang distribution with k = %d (must be >= 1)" k
+    | Activity.Timed { dist_ir = Some d; _ } -> (
+        match Option.map Dist.validate (Activity.constant_dist d) with
+        | Some (Error msg) -> reject "has an invalid distribution: %s" msg
+        | Some (Ok ()) | None -> ())
+    | Activity.Timed { dist_ir = None; _ } | Activity.Instantaneous -> ());
+    List.iteri
+      (fun i (c : Activity.case) ->
+        match c.weight_ir with
+        | Effect.RConst w when not (Float.is_finite w && w >= 0.0) ->
+            reject "has case %d weight %g (must be finite and >= 0)" i w
+        | _ -> ())
+      cases;
     (* [check_fresh] has rejected a built builder. *)
     let memo = Option.get b.memo in
     let act =
@@ -113,33 +128,9 @@ module Builder = struct
     b.n_acts <- b.n_acts + 1;
     b.acts <- act :: b.acts
 
-  let timed_ir b ~name ?(policy = Activity.Resample) ~dist ~guard ~reads cases
-      =
-    activity_ir b ~name
-      ~timing:(Activity.Timed { dist; policy; dist_ir = None })
-      ~guard ~reads cases
-
-  let timed_exp_ir b ~name ?policy ~rate ~guard ~reads effect =
-    timed_ir b ~name ?policy
-      ~dist:(fun m -> Dist.Exponential { rate = rate m })
-      ~guard ~reads
-      [ Activity.make_case effect ]
-
-  let timed_exp_cases_ir b ~name ?policy ~rate ~guard ~reads cases =
-    let cases =
-      List.map
-        (fun (w, effect) ->
-          check_weight name w;
-          Activity.make_case ~weight:(fun _ -> w) effect)
-        cases
-    in
-    timed_ir b ~name ?policy
-      ~dist:(fun m -> Dist.Exponential { rate = rate m })
-      ~guard ~reads cases
-
-  (* Fully-declarative entry points: the timing distribution (and case
-     weights) are data, so the activity serializes. The derived
-     closures evaluate the same float operations in the same order as a
+  (* Fully-declarative entry points: the timing distribution and case
+     weights are data, so the activity serializes. The derived closures
+     evaluate the same float operations in the same order as a
      hand-written closure, keeping trajectories bit-identical when a
      model is ported (or reloaded from disk). *)
 
@@ -156,15 +147,26 @@ module Builder = struct
       [ Activity.make_case effect ]
 
   let timed_exp_cases_rate_ir b ~name ?policy ~rate ~guard ~reads cases =
-    let cases =
-      List.map
-        (fun (w, effect) ->
-          check_weight name w;
-          Activity.make_case ~weight_ir:(Effect.RConst w) effect)
-        cases
-    in
     timed_dist_ir b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads
-      cases
+      (List.map
+         (fun (w, effect) ->
+           Activity.make_case ~weight:(Effect.RConst w) effect)
+         cases)
+
+  (* The one closure-rate builder: its timing has no declarative form, so
+     the activity cannot be serialized or orbit-verified. *)
+  let timed_exp_ir b ~name ?(policy = Activity.Resample) ~rate ~guard ~reads
+      effect =
+    activity_ir b ~name
+      ~timing:
+        (Activity.Timed
+           {
+             dist = (fun m -> Dist.Exponential { rate = rate m });
+             policy;
+             dist_ir = None;
+           })
+      ~guard ~reads
+      [ Activity.make_case effect ]
 
   let instantaneous_ir b ~name ~guard ~reads effect =
     activity_ir b ~name ~timing:Activity.Instantaneous ~guard ~reads

@@ -28,11 +28,16 @@ module Builder : sig
 
       Every activity takes an {!Effect.cond} guard (its [enabled]
       closure is compiled from the guard) and {!Effect.t} effects, so
-      structural analysis reads it exactly. Activity names must be
-      unique and at least one case is required; [Invalid_argument]
-      otherwise. Timed activities default to the {!Activity.Resample}
-      policy (see {!Activity.policy} for why that is the safe default
-      under marking-dependent rates). *)
+      structural analysis reads it exactly. Timing distributions are
+      {!Activity.dist_ir} data and case weights {!Effect.rexpr}s, so
+      the whole activity is serializable ([Serial], [itua_sim save]);
+      the derived sampling closures are bit-identical to hand-written
+      ones. Activity names must be unique, at least one case is
+      required, an all-constant distribution must pass
+      {!Dist.validate}, an Erlang needs [k >= 1] and a constant case
+      weight must be finite and [>= 0]; [Invalid_argument] otherwise. Timed activities default to
+      the {!Activity.Resample} policy (see {!Activity.policy} for why
+      that is the safe default under marking-dependent rates). *)
 
   val activity_ir :
     t ->
@@ -43,36 +48,6 @@ module Builder : sig
     Activity.case list ->
     unit
 
-  val timed_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    dist:(Marking.t -> Dist.t) ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    Activity.case list ->
-    unit
-
-  val timed_exp_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    rate:(Marking.t -> float) ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    Effect.t ->
-    unit
-
-  val timed_exp_cases_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    rate:(Marking.t -> float) ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    (float * Effect.t) list ->
-    unit
-
   val instantaneous_ir :
     t ->
     name:string ->
@@ -80,14 +55,6 @@ module Builder : sig
     reads:Place.any list ->
     Effect.t ->
     unit
-
-  (** {2 Fully-declarative activities}
-
-      These variants additionally take the timing distribution as
-      {!Activity.dist_ir} data (and case weights as {!Effect.rexpr}),
-      so the whole activity — guard, timing, weights, effects — is
-      serializable ([Serial], [itua_sim save]). The derived sampling
-      closures are bit-identical to hand-written ones. *)
 
   val timed_dist_ir :
     t ->
@@ -121,6 +88,23 @@ module Builder : sig
     unit
   (** Exponential activity with constant-probability cases; each weight
       is recorded declaratively as [Effect.RConst]. *)
+
+  val timed_exp_ir :
+    t ->
+    name:string ->
+    ?policy:Activity.policy ->
+    rate:(Marking.t -> float) ->
+    guard:Effect.cond ->
+    reads:Place.any list ->
+    Effect.t ->
+    unit
+  (** The last closure builder: a single-case exponential activity whose
+      rate is an opaque closure, so its timing has no declarative form
+      ([dist_ir = None]). Serialization rejects it, orbit verification
+      treats it as a blocker and the model checker traces its reads
+      instead of reading them. It is kept only because the benchmark
+      harness's [two_state] fixture still builds with it; new code uses
+      {!timed_exp_rate_ir}. *)
 
   val build : t -> model
   (** Freezes the builder. The builder must not be reused afterwards. *)

@@ -8,33 +8,20 @@ let unportable act what =
   raise (Unportable (Printf.sprintf "activity %S: %s" act what))
 
 (* Aggregated portability scan, run before any emission: one [Unportable]
-   naming EVERY offending activity with all of its reasons, so a model
-   with several closure distributions or weights is fixed in one round
-   trip instead of one error per attempt. The per-site [unportable]
-   raises in the emitters below remain as backstops but are unreachable
-   after this. *)
+   naming EVERY activity with a closure-only timing, so a model with
+   several is fixed in one round trip instead of one error per attempt.
+   The per-site [unportable] raise in [timing_json] remains as a
+   backstop but is unreachable after this. *)
 let check_portable model =
   let problems =
     Array.to_list (San.Model.activities model)
     |> List.filter_map (fun (a : San.Activity.t) ->
-           let ps = ref [] in
-           let add what = ps := what :: !ps in
-           (match a.timing with
+           match a.timing with
            | San.Activity.Timed { dist_ir = None; _ } ->
-               add "closure-only timing distribution"
-           | _ -> ());
-           Array.iteri
-             (fun i (c : San.Activity.case) ->
-               match c.weight_ir with
-               | None -> add (Printf.sprintf "closure weight of case %d" i)
-               | Some _ -> ())
-             a.cases;
-           match List.rev !ps with
-           | [] -> None
-           | ps ->
                Some
-                 (Printf.sprintf "activity %S: %s" a.name
-                    (String.concat ", " ps)))
+                 (Printf.sprintf
+                    "activity %S: closure-only timing distribution" a.name)
+           | _ -> None)
   in
   match problems with
   | [] -> ()
@@ -157,12 +144,8 @@ let timing_json ~act = function
 let activity_json (a : San.Activity.t) =
   let act = a.name in
   let case_json (c : San.Activity.case) =
-    let w =
-      match c.weight_ir with
-      | Some r -> rexpr_json r
-      | None -> unportable act "closure case weight"
-    in
-    J.Obj [ ("weight", w); ("effect", effect_json c.effect) ]
+    J.Obj
+      [ ("weight", rexpr_json c.weight_ir); ("effect", effect_json c.effect) ]
   in
   J.Obj
     [
@@ -461,8 +444,8 @@ let p_place b places bounds at j =
 
 let p_case places at j =
   let kvs = J.get_obj at j in
-  let weight_ir = J.field (p_rexpr places) at kvs "weight" in
-  San.Activity.make_case ~weight_ir (J.field (p_effect places) at kvs "effect")
+  let weight = J.field (p_rexpr places) at kvs "weight" in
+  San.Activity.make_case ~weight (J.field (p_effect places) at kvs "effect")
 
 let p_activity b places at j =
   let kvs = J.get_obj at j in

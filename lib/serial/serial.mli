@@ -16,10 +16,9 @@
     {- Places serialize in uid (creation) order, so the rebuilt model
        assigns identical uids and indices — journal order, dependents,
        and therefore trajectories are preserved exactly.}
-    {- Closure timing distributions and closure case weights are
-       {e not} portable: {!to_json} raises {!Unportable} naming the
-       offending activity. Build with the [*_rate_ir]/[timed_dist_ir]
-       entry points of {!San.Model.Builder} to stay portable.}
+    {- A closure timing ([San.Model.Builder.timed_exp_ir]) is {e not}
+       portable: {!to_json} raises {!Unportable} naming the offending
+       activity. Every other builder is portable.}
     {- An effect tagged [{"checked": e}] still parses as [e], so older
        documents keep loading; the tag is never emitted.}
     {- The format reserves an optional per-place ["bound"] (declared
@@ -32,10 +31,9 @@ val schema : string
 
 exception Unportable of string
 (** Raised by {!to_json}/{!emit} when the model contains a closure
-    (timing distribution or case weight) that cannot be represented in
-    the format. The message aggregates {e every} offending activity with
-    all of its reasons, so one round trip surfaces the full porting
-    worklist rather than the first blocker. *)
+    timing distribution, which cannot be represented in the format. The
+    message names {e every} offending activity, so one round trip
+    surfaces the full porting worklist rather than the first blocker. *)
 
 val to_json :
   ?bounds:(string * int) list ->

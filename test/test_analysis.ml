@@ -76,13 +76,13 @@ let test_a001_weight () =
   let b = B.create "buggy_weight" in
   let bias = B.int_place b ~init:3 "bias" in
   let fired = B.int_place b "fired" in
-  B.timed_ir b ~name:"choose"
-    ~dist:(fun _ -> Dist.Exponential { rate = 1.0 })
+  B.timed_dist_ir b ~name:"choose"
+    ~dist:(San.Activity.DExp (E.RConst 1.0))
     ~guard:E.(Cmp (Mark fired, Eq, Int 0))
     ~reads:[ San.Place.P fired ]
     [
       San.Activity.make_case
-        ~weight:(fun m -> float_of_int (M.get m bias))
+        ~weight:E.(RExpr (OfInt (Mark bias)))
         (San.Effect.Ops [ San.Effect.Set (fired, San.Effect.Int 1) ]);
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (fired, San.Effect.Int 1) ]);
@@ -96,6 +96,65 @@ let test_a001_weight () =
          && message_mentions ~needle:"\"bias\"" d)
        (with_code D.undeclared_read r))
 
+(* A001 reads IR rates and weights off the syntax, so it finds an
+   undeclared read in a branch no visited marking takes and in an
+   activity that is never enabled. [go] reads [hidden] only in the
+   [flag = 1] arm of its rate (or, with [~weight], of its first case's
+   weight), and [flag] stays 0. With [~dead], [go] needs [flag = 1] and
+   never fires. *)
+let a001_exact ?(weight = false) ?(dead = false) () =
+  let b = B.create "a001_exact" in
+  let flag = B.int_place b "flag" in
+  let hidden = B.int_place b ~init:1 "hidden" in
+  let n = B.int_place b "n" in
+  let reads_hidden =
+    E.(RIf (Cmp (Mark flag, Eq, Int 1), RExpr (OfInt (Mark hidden)), RConst 1.0))
+  in
+  let step = E.(Ops [ Inc (n, Int 1) ]) in
+  let rate, cases =
+    if weight then
+      ( E.RConst 1.0,
+        San.Activity.
+          [ make_case ~weight:reads_hidden step; make_case step ] )
+    else (reads_hidden, [ San.Activity.make_case step ])
+  in
+  B.timed_dist_ir b ~name:"go" ~dist:(San.Activity.DExp rate)
+    ~guard:
+      E.(
+        All
+          [
+            Cmp (Mark n, Lt, Int 3);
+            (if dead then Cmp (Mark flag, Eq, Int 1) else Const true);
+          ])
+    ~reads:[ San.Place.P flag; San.Place.P n ]
+    cases;
+  B.timed_exp_rate_ir b ~name:"reset" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark n, Eq, Int 3))
+    ~reads:[ San.Place.P n ]
+    E.(Ops [ Set (n, Int 0) ]);
+  List.map (Format.asprintf "%a" D.pp)
+    (with_code D.undeclared_read (check (B.build b)))
+
+let a001_on_hidden via =
+  [
+    Printf.sprintf
+      "[error] A001-undeclared-read activity \"go\": %s reads undeclared \
+       place \"hidden\""
+      via;
+  ]
+
+let test_a001_untaken_branch () =
+  Alcotest.(check (list string)) "dist read in the untaken arm"
+    (a001_on_hidden "dist") (a001_exact ())
+
+let test_a001_untaken_weight () =
+  Alcotest.(check (list string)) "weight read in the untaken arm"
+    (a001_on_hidden "weight") (a001_exact ~weight:true ())
+
+let test_a001_never_enabled () =
+  Alcotest.(check (list string)) "dist read of a dead activity"
+    (a001_on_hidden "dist") (a001_exact ~dead:true ())
+
 (* --- A013: undeclared writes (stale wake-up, writer side) --- *)
 
 let test_a013_rate_reader_write () =
@@ -104,8 +163,8 @@ let test_a013_rate_reader_write () =
   let done_ = B.int_place b "done" in
   (* [raise_flag] writes [flag]; [consume]'s rate closure reads it
      without declaring it, so the write cannot refresh [consume]. *)
-  B.timed_exp_ir b ~name:"raise_flag"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"raise_flag"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(All [ Cmp (Mark flag, Eq, Int 0); Cmp (Mark done_, Eq, Int 0) ])
     ~reads:[ San.Place.P flag; San.Place.P done_ ]
     E.(Ops [ Set (flag, Int 1) ]);
@@ -180,8 +239,8 @@ let test_a005_a006_dead_places () =
   let speed = B.int_place b ~init:2 "speed" in
   (* Never read: only ever written. *)
   let echo = B.int_place b "echo" in
-  B.timed_exp_ir b ~name:"cycle"
-    ~rate:(fun m -> float_of_int (M.get m speed))
+  B.timed_exp_rate_ir b ~name:"cycle"
+    ~rate:E.(RExpr (OfInt (Mark speed)))
     ~guard:(E.Const true)
     ~reads:[ San.Place.P lvl; San.Place.P speed ]
     E.(Ops [ Set (lvl, Sub (Int 1, Mark lvl)); Set (echo, Int 1) ]);
@@ -577,6 +636,12 @@ let () =
         [
           Alcotest.test_case "dist" `Quick test_a001_dist;
           Alcotest.test_case "weight" `Quick test_a001_weight;
+          Alcotest.test_case "dist in an untaken branch" `Quick
+            test_a001_untaken_branch;
+          Alcotest.test_case "weight in an untaken branch" `Quick
+            test_a001_untaken_weight;
+          Alcotest.test_case "never-enabled activity" `Quick
+            test_a001_never_enabled;
         ] );
       ( "A013 undeclared writes",
         [

@@ -52,12 +52,12 @@ let test_mm1k_space_and_rates () =
 let test_non_markovian_rejected () =
   let b = San.Model.Builder.create "det" in
   let p = San.Model.Builder.int_place b "p" in
-  San.Model.Builder.timed_ir b ~name:"d"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"d"
+    ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark p, Eq, Int 0))
     ~reads:[ San.Place.P p ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (p, San.Effect.Int 1) ]);
     ];
   let model = San.Model.Builder.build b in
@@ -111,9 +111,9 @@ let branching_model () =
     ~guard:San.Effect.(All [ Cmp (Mark fired, Eq, Int 1); Cmp (Mark sort, Eq, Int 0) ])
     ~reads:[ San.Place.P fired; San.Place.P sort ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 0.25)
+      San.Activity.make_case ~weight:(San.Effect.RConst 0.25)
         (San.Effect.Ops [ San.Effect.Set (sort, San.Effect.Int 1) ]);
-      San.Activity.make_case ~weight:(fun _ -> 0.75)
+      San.Activity.make_case ~weight:(San.Effect.RConst 0.75)
         (San.Effect.Ops [ San.Effect.Set (sort, San.Effect.Int 2) ]);
     ];
   (San.Model.Builder.build b, sort)

@@ -101,8 +101,8 @@ let branching_model () =
   let p = B.int_place b ~init:5 "p" in
   let q = B.int_place b "q" in
   let acc = B.float_place b "acc" in
-  B.timed_exp_cases_ir b ~name:"churn"
-    ~rate:(fun m -> 1.0 +. (0.1 *. float_of_int (M.get m p)))
+  B.timed_exp_cases_rate_ir b ~name:"churn"
+    ~rate:E.(RExpr (FAdd (Flt 1.0, FMul (Flt 0.1, OfInt (Mark p)))))
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
     ~reads:[ San.Place.P p; San.Place.P q ]
     [
@@ -124,8 +124,8 @@ let branching_model () =
               (Const true, Ops [ Inc (q, Int 2) ]);
             ]) );
     ];
-  B.timed_exp_ir b ~name:"refill"
-    ~rate:(fun _ -> 0.7)
+  B.timed_exp_rate_ir b ~name:"refill"
+    ~rate:(E.RConst 0.7)
     ~guard:E.(Cmp (Mark p, Lt, Int 5))
     ~reads:[ San.Place.P p ]
     E.(Ops [ Inc (p, Int 1) ]);
@@ -300,8 +300,8 @@ let test_a013_guard_read_undeclared () =
   let gate = B.int_place b ~init:1 "gate" in
   let tokens = B.int_place b ~init:1 "tokens" in
   (* Bug: the guard reads [gate] but declares only [tokens]. *)
-  B.timed_exp_ir b ~name:"tick"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"tick"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(All [ Cmp (Mark gate, Eq, Int 1); Cmp (Mark tokens, Gt, Int 0) ])
     ~reads:[ San.Place.P tokens ]
     E.(Ops [ Inc (tokens, Int (-1)) ]);
@@ -325,8 +325,8 @@ let test_a013_effect_reads_aggregated () =
   let dst = B.int_place b "dst" in
   (* The effect reads src1/src2 without declaring them: one aggregated
      Info, not two warnings. *)
-  B.timed_exp_ir b ~name:"sum"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"sum"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark dst, Eq, Int 0))
     ~reads:[ San.Place.P dst ]
     E.(Ops [ Set (dst, Add (Mark src1, Mark src2)) ]);
@@ -349,13 +349,13 @@ let test_a013_stale_wakeup_write () =
   let work = B.int_place b ~init:1 "work" in
   (* The writer flips [sem]; the reader's guard reads [sem] without
      declaring it, so the write cannot wake it. *)
-  B.timed_exp_ir b ~name:"writer"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"writer"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark work, Gt, Int 0))
     ~reads:[ San.Place.P work ]
     E.(Ops [ Inc (work, Int (-1)); Set (sem, Int 0) ]);
-  B.timed_exp_ir b ~name:"reader"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"reader"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark sem, Eq, Int 1))
     ~reads:[] (* bug: sem missing *)
     E.Skip;
@@ -383,8 +383,8 @@ let test_a013_stale_wakeup_write () =
 let test_a014_dead_branch () =
   let b = B.create "a014" in
   let p = B.int_place b ~init:1 "p" in
-  B.timed_exp_ir b ~name:"tick"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"tick"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
     ~reads:[ San.Place.P p ]
     (* The then-branch is statically unreachable. *)
@@ -404,8 +404,8 @@ let test_a015_negative_capable () =
   let p = B.int_place b "p" in
   let tick = B.int_place b ~init:1 "tick" in
   (* The guard pins p = 0, and the effect decrements it anyway. *)
-  B.timed_exp_ir b ~name:"drain"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"drain"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(All [ Cmp (Mark p, Eq, Int 0); Cmp (Mark tick, Gt, Int 0) ])
     ~reads:[ San.Place.P p; San.Place.P tick ]
     E.(Ops [ Inc (p, Int (-1)) ]);
@@ -424,13 +424,13 @@ let test_law_implied_by_basis () =
   let b = B.create "conserved" in
   let here = B.int_place b ~init:1 "here" in
   let there = B.int_place b "there" in
-  B.timed_exp_ir b ~name:"go"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"go"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark here, Gt, Int 0))
     ~reads:[ San.Place.P here; San.Place.P there ]
     E.(Ops [ Inc (here, Int (-1)); Inc (there, Int 1) ]);
-  B.timed_exp_ir b ~name:"back"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"back"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark there, Gt, Int 0))
     ~reads:[ San.Place.P here; San.Place.P there ]
     E.(Ops [ Inc (there, Int (-1)); Inc (here, Int 1) ]);
@@ -458,8 +458,8 @@ let test_law_proven_symbolically () =
   let x = B.int_place b ~init:2 "x" in
   let y = B.int_place b "y" in
   let mode = B.int_place b ~init:1 "mode" in
-  B.timed_exp_ir b ~name:"shuffle"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp_rate_ir b ~name:"shuffle"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark x, Gt, Int 0))
     ~reads:[ San.Place.P x; San.Place.P y; San.Place.P mode ]
     E.(

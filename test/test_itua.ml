@@ -260,6 +260,26 @@ let test_no_attacks_no_byzantine () =
 
 (* --- measures --- *)
 
+(* The unavailability and unreliability rewards call [unavailable] for
+   every application at every event, so it reads the handles in place
+   and allocates nothing. Only native code has the allocation profile
+   the bound assumes. *)
+let test_unavailable_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let h = Itua.Model.build small_params in
+    let m = San.Model.initial_marking h.Itua.Model.model in
+    let calls = 10_000 and hits = ref 0 in
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      if Itua.Model.unavailable h (i mod small_params.Itua.Params.num_apps) m
+      then incr hits
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int calls in
+    ignore (Sys.opaque_identity !hits);
+    if words > 0.01 then
+      Alcotest.failf "Model.unavailable allocates %.2f words per call" words
+  end
+
 let test_measures_in_range () =
   let h = Itua.Model.build small_params in
   let spec =
@@ -909,6 +929,8 @@ let () =
           Alcotest.test_case "conditional measure undefined" `Quick
             test_fraction_corrupt_undefined_without_exclusions;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "unavailable allocates nothing" `Quick
+            test_unavailable_allocates_nothing;
         ] );
       ( "ablation",
         [

@@ -128,8 +128,8 @@ let test_model_queries () =
 let test_all_exponential_false () =
   let b = San.Model.Builder.create "m" in
   let p = San.Model.Builder.int_place b "x" in
-  San.Model.Builder.timed_ir b ~name:"det"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"det"
+    ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:(E.Const true)
     ~reads:[ San.Place.P p ]
     [ San.Activity.make_case San.Effect.Skip ];

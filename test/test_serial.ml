@@ -395,6 +395,91 @@ let test_hostile_model () =
        ~int_at:model_int_at doc
        (one_per_shape (nodes doc)))
 
+(* Well-typed constants out of range would load and then raise only at
+   their first sample; the builder must reject each with a located
+   error. Activity 1 is an exponential with two constant-weight cases. *)
+let test_hostile_constants () =
+  let doc = golden_doc () in
+  let act = [ K "activities"; I 1 ] in
+  let mutate path v = replace (act @ path) (fun _ -> v) doc in
+  List.iter
+    (fun (what, j) ->
+      match Serial.of_json j with
+      | Ok _ -> Alcotest.failf "%s loaded" what
+      | Error e ->
+          if not (String.starts_with ~prefix:"$.activities[1]" e) then
+            Alcotest.failf "%s: error %S is not located at the activity" what
+              e)
+    [
+      ("rate -0.8", mutate [ K "timing"; K "dist"; K "rate" ] (J.Num (-0.8)));
+      ("weight -1", mutate [ K "cases"; I 0; K "weight" ] (J.Num (-1.0)));
+      ( "erlang k 0",
+        mutate [ K "timing"; K "dist" ]
+          (J.Obj
+             [
+               ("kind", J.Str "erlang"); ("k", J.Num 0.0); ("rate", J.Num 1.0);
+             ]) );
+    ]
+
+(* Byte-level fuzzing of the committed model files: a flipped byte, a
+   spliced-in run of bytes from another file, or a truncation. The JSON
+   reader must never raise, and the model decoder must turn whatever
+   parses into a model or a located error. *)
+let prop_byte_mutations =
+  let docs =
+    lazy
+      (Array.of_list
+         (List.map read_file
+            ("../examples/itua.model.json"
+            :: List.map
+                 (fun (name, _) -> Printf.sprintf "golden/%s.model.json" name)
+                 fixtures)))
+  in
+  let mutate (d, kind, a, b, len, byte) =
+    let docs = Lazy.force docs in
+    let s = docs.(d mod Array.length docs) in
+    let n = String.length s in
+    let a = a mod n in
+    match kind mod 3 with
+    | 0 ->
+        String.mapi
+          (fun i c ->
+            if i = a then Char.chr (Char.code c lxor (1 + (byte mod 255)))
+            else c)
+          s
+    | 1 ->
+        (* [len] bytes of a file replace [byte mod 8] bytes at [a]. *)
+        let t = docs.(b mod Array.length docs) in
+        let b = b mod String.length t in
+        let resume = min n (a + (byte mod 8)) in
+        String.sub s 0 a
+        ^ String.sub t b (min len (String.length t - b))
+        ^ String.sub s resume (n - resume)
+    | _ -> String.sub s 0 a
+  in
+  QCheck2.Test.make ~name:"byte mutations of the model goldens"
+    ~count:3000
+    ~print:(fun (d, kind, a, b, len, byte) ->
+      Printf.sprintf "doc %d kind %d at %d from %d len %d byte %d" d kind a b
+        len byte)
+    QCheck2.Gen.(
+      tup6 nat (int_bound 2) nat nat (int_bound 64) (int_bound 255))
+    (fun m ->
+      let text = mutate m in
+      match J.of_string text with
+      | exception ex ->
+          QCheck2.Test.fail_reportf "Report.Json.of_string raised %s"
+            (Printexc.to_string ex)
+      | Error _ -> true
+      | Ok j -> (
+          match Serial.of_json j with
+          | Ok _ -> true
+          | Error e when String.starts_with ~prefix:"$" e -> true
+          | Error e -> QCheck2.Test.fail_reportf "unlocated error %S" e
+          | exception ex ->
+              QCheck2.Test.fail_reportf "Serial.of_json raised %s"
+                (Printexc.to_string ex)))
+
 let test_hostile_params () =
   let params =
     match J.member "annotations" (golden_doc ()) with
@@ -570,20 +655,19 @@ let test_unportable_closure () =
         (contains msg "opaque_rate")
   | _ -> Alcotest.fail "expected Unportable for a closure-built activity"
 
-(* Several closure escapes of different kinds must surface in ONE
-   aggregated error naming every offending activity with its reasons —
-   not just the first blocker hit during emission. *)
+(* Several closure timings must surface in ONE aggregated error naming
+   every offending activity — not just the first blocker hit during
+   emission. *)
 let test_unportable_aggregates () =
   let b = B.create "closures" in
   let p = B.int_place b ~init:1 "p" in
   let q = B.int_place b ~init:0 "q" in
-  (* Offender 1: closure rate and closure case weights. *)
-  B.timed_exp_cases_ir b ~name:"bad_rate"
+  (* Two offenders, each with a closure-only timing. *)
+  B.timed_exp_ir b ~name:"bad_rate"
     ~rate:(fun _ -> 1.0)
     ~guard:(E.Cmp (E.Mark p, E.Gt, E.Int 0))
     ~reads:[ San.Place.P p ]
-    [ (0.5, E.Ops [ E.Set (p, E.Int 0) ]); (0.5, E.Skip) ];
-  (* Offender 2: closure-only timing, nothing else. *)
+    (E.Ops [ E.Set (p, E.Int 0) ]);
   B.timed_exp_ir b ~name:"bad_timing"
     ~rate:(fun _ -> 2.0)
     ~guard:(E.Cmp (E.Mark q, E.Eq, E.Int 0))
@@ -607,8 +691,6 @@ let test_unportable_aggregates () =
           "2 unportable activities";
           "bad_rate";
           "bad_timing";
-          "closure weight of case 0";
-          "closure weight of case 1";
           "closure-only timing distribution";
         ];
       Alcotest.(check bool) "portable activity not blamed" false
@@ -654,6 +736,11 @@ let () =
           Alcotest.test_case "model file" `Quick test_hostile_model;
           Alcotest.test_case "params annotation" `Quick test_hostile_params;
           Alcotest.test_case "trajectory" `Quick test_hostile_trajectory;
+          Alcotest.test_case "out-of-range constants" `Quick
+            test_hostile_constants;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20030622 |])
+            prop_byte_mutations;
         ] );
       ( "diff",
         [

@@ -193,12 +193,12 @@ let prop_heap_matches_lazy_reference =
 let clock_model ~period =
   let b = San.Model.Builder.create "clock" in
   let count = San.Model.Builder.int_place b "count" in
-  San.Model.Builder.timed_ir b ~name:"tick"
-    ~dist:(fun _ -> Dist.Deterministic { value = period })
+  San.Model.Builder.timed_dist_ir b ~name:"tick"
+    ~dist:San.(Activity.DDet (Effect.RConst period))
     ~guard:(San.Effect.Const true)
     ~reads:[]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (count, San.Effect.Int 1) ]);
     ];
   (San.Model.Builder.build b, count)
@@ -236,12 +236,12 @@ let test_instantaneous_chain () =
   let trigger = San.Model.Builder.int_place b "trigger" in
   let s1 = San.Model.Builder.int_place b "s1" in
   let s2 = San.Model.Builder.int_place b "s2" in
-  San.Model.Builder.timed_ir b ~name:"pulse"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"pulse"
+    ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark trigger, Eq, Int 0))
     ~reads:[ San.Place.P trigger ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (trigger, San.Effect.Int 1) ]);
     ];
   San.Model.Builder.instantaneous_ir b ~name:"step1"
@@ -296,20 +296,20 @@ let policy_model ~policy =
   let b = San.Model.Builder.create "policy" in
   let kick = San.Model.Builder.int_place b "kick" in
   let done_ = San.Model.Builder.int_place b "done" in
-  San.Model.Builder.timed_ir b ~name:"kicker"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"kicker"
+    ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark kick, Eq, Int 0))
     ~reads:[ San.Place.P kick ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (kick, San.Effect.Int 1) ]);
     ];
-  San.Model.Builder.timed_ir b ~name:"slow" ~policy
-    ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"slow" ~policy
+    ~dist:San.(Activity.DDet (Effect.RConst 2.0))
     ~guard:San.Effect.(Cmp (Mark done_, Eq, Int 0))
     ~reads:[ San.Place.P kick; San.Place.P done_ ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (done_, San.Effect.Int 1) ]);
     ];
   (San.Model.Builder.build b, done_)
@@ -380,20 +380,20 @@ let test_disabling_aborts () =
   let b = San.Model.Builder.create "abort" in
   let blocked = San.Model.Builder.int_place b "blocked" in
   let fired = San.Model.Builder.int_place b "fired" in
-  San.Model.Builder.timed_ir b ~name:"blocker"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"blocker"
+    ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (blocked, San.Effect.Int 1) ]);
     ];
-  San.Model.Builder.timed_ir b ~name:"victim"
-    ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"victim"
+    ~dist:San.(Activity.DDet (Effect.RConst 2.0))
     ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (fired, San.Effect.Int 1) ]);
     ];
   let model = San.Model.Builder.build b in
@@ -588,12 +588,12 @@ let test_erlang_first_passage_distribution () =
   let dist = Dist.Erlang { k = 3; rate = 6.0 } in
   let b = San.Model.Builder.create "erlang_once" in
   let done_ = San.Model.Builder.int_place b "done" in
-  San.Model.Builder.timed_ir b ~name:"go" ~policy:San.Activity.Keep
-    ~dist:(fun _ -> dist)
+  San.Model.Builder.timed_dist_ir b ~name:"go" ~policy:San.Activity.Keep
+    ~dist:San.(Activity.DErlang (3, Effect.RConst 6.0))
     ~guard:San.Effect.(Cmp (Mark done_, Eq, Int 0))
     ~reads:[ San.Place.P done_ ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (done_, San.Effect.Int 1) ]);
     ];
   let model = San.Model.Builder.build b in
@@ -846,20 +846,20 @@ let test_metrics_cancellations_and_never_fired () =
   let b = San.Model.Builder.create "abort" in
   let blocked = San.Model.Builder.int_place b "blocked" in
   let fired = San.Model.Builder.int_place b "fired" in
-  San.Model.Builder.timed_ir b ~name:"blocker"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"blocker"
+    ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (blocked, San.Effect.Int 1) ]);
     ];
-  San.Model.Builder.timed_ir b ~name:"victim"
-    ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"victim"
+    ~dist:San.(Activity.DDet (Effect.RConst 2.0))
     ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (fired, San.Effect.Int 1) ]);
     ];
   let model = San.Model.Builder.build b in
@@ -1633,8 +1633,8 @@ let test_undeclared_guard_read_fires () =
   let b = San.Model.Builder.create "undeclared" in
   let x = San.Model.Builder.int_place b "x" in
   let fired = San.Model.Builder.int_place b "fired" in
-  San.Model.Builder.timed_ir b ~name:"tick"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
+  San.Model.Builder.timed_dist_ir b ~name:"tick"
+    ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:(San.Effect.Const true) ~reads:[]
     [ San.Activity.make_case San.Effect.(Ops [ Inc (x, Int 1) ]) ];
   San.Model.Builder.instantaneous_ir b ~name:"react"

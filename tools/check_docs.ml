@@ -1,4 +1,4 @@
-(* Docs gate: keeps the markdown honest. Two checks, both strict:
+(* Docs gate: keeps the markdown honest. Three checks, all strict:
 
    1. Every relative link and anchor in every *.md file of the repo
       resolves: the target file exists, and a #fragment names a real
