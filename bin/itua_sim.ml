@@ -631,27 +631,39 @@ let explain_cmd =
     let module T = Sim.Trajectory in
     let module J = Report.Json in
     let* lines =
-      Result.map_error (fun e -> `Msg e) (Report.read_jsonl file)
+      Result.map_error (fun e -> `Msg e) (Report.read_jsonl_numbered file)
+    in
+    let located line =
+      Result.map_error (fun e -> `Msg (Printf.sprintf "%s:%d: %s" file line e))
+    in
+    (* A first line with a [schema] field is the header; without one the
+       file is headerless and every line is a trajectory. *)
+    let header_of =
+      J.decode (fun j ->
+          let kvs = J.get_obj "$" j in
+          match J.opt_field J.get_str "$" kvs "schema" with
+          | None -> None
+          | Some "itua-trajectories/1" ->
+              let reps = J.field J.get_int "$" kvs "reps" in
+              let matched = J.field J.get_int "$" kvs "matched_runs" in
+              Some (reps, matched, List.assoc_opt "occupancy" kvs)
+          | Some s -> J.fail "$.schema" "unknown schema %S" s)
     in
     let* header, body =
       match lines with
       | [] -> Error (`Msg (file ^ ": empty file"))
-      | first :: rest -> (
-          match J.member "schema" first with
-          | Some (J.Str "itua-trajectories/1") -> Ok (Some first, rest)
-          | Some (J.Str s) ->
-              Error (`Msg (Printf.sprintf "%s: unknown schema %S" file s))
-          | Some _ | None ->
-              (* headerless file: every line is a trajectory *)
-              Ok (None, lines))
+      | (line, first) :: rest -> (
+          let* h = located line (header_of first) in
+          match h with
+          | None -> Ok (None, lines)
+          | Some h -> Ok (Some (line, h), rest))
     in
     let* trajectories =
       let rec go acc = function
         | [] -> Ok (List.rev acc)
-        | j :: rest -> (
-            match T.of_json j with
-            | Ok t -> go (t :: acc) rest
-            | Error e -> Error (`Msg (Printf.sprintf "%s: %s" file e)))
+        | (line, j) :: rest ->
+            let* t = located line (T.of_json j) in
+            go (t :: acc) rest
       in
       go [] body
     in
@@ -676,20 +688,15 @@ let explain_cmd =
       (Itua.Forensics.summarize chains);
     (match header with
     | None -> Ok ()
-    | Some h ->
-        (match (J.member "reps" h, J.member "matched_runs" h) with
-        | Some (J.Num reps), Some (J.Num matched) ->
-            Format.printf
-              "recorded from %.0f replications, %.0f hit the failure \
-               predicate@."
-              reps matched
-        | _ -> ());
-        (match J.member "occupancy" h with
+    | Some (line, (reps, matched, occupancy)) ->
+        Format.printf
+          "recorded from %d replications, %d hit the failure predicate@."
+          reps matched;
+        (match occupancy with
         | None -> Ok ()
         | Some occ_json ->
             let* occupancy =
-              Result.map_error (fun e -> `Msg (file ^ ": " ^ e))
-                (T.occupancy_of_json ~at:"$.occupancy" occ_json)
+              located line (T.occupancy_of_json ~at:"$.occupancy" occ_json)
             in
             (* Places that were zero after setup and became non-zero later
                are the event outcomes (intrusions, corruptions,

@@ -32,6 +32,20 @@ exception Unverifiable of string
 
 let truncate n s = if String.length s <= n then s else String.sub s 0 n ^ "..."
 
+(* Excerpts of two differing renderings around their first differing
+   character, so the reader sees the difference even past [width]. *)
+let excerpts ?(width = 120) x y =
+  let n = min (String.length x) (String.length y) in
+  let rec first i = if i < n && x.[i] = y.[i] then first (i + 1) else i in
+  let start = max 0 (first 0 - (width / 3)) in
+  let cut s =
+    let len = min width (String.length s - start) in
+    (if start > 0 then "..." else "")
+    ^ String.sub s start len
+    ^ if start + len < String.length s then "..." else ""
+  in
+  (cut x, cut y)
+
 let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
@@ -396,21 +410,24 @@ let verify model id_shapes sub ~rpath ~cpath =
         | Some expected ->
             let got = shape_of sub a in
             if got <> expected then begin
-              let comp, mine, theirs =
-                match
-                  List.find_opt
-                    (fun ((_, x), (_, y)) -> (x : string) <> y)
-                    (List.combine got expected)
-                with
-                | Some ((k, x), (_, y)) -> (k, x, y)
-                | None -> ("shape", "?", "?")
+              (* Both shapes list the same components in the same order,
+                 so one of them differs. *)
+              let (comp, x), (_, y) =
+                List.find
+                  (fun ((_, x), (_, y)) -> (x : string) <> y)
+                  (List.combine got expected)
               in
+              let mine, theirs = excerpts x y in
               raise
                 (Break
-                   (Printf.sprintf
-                      "activity %S is not exchangeable with %S: %s differs (%s vs %s)"
-                      a.A.name pname comp (truncate 120 mine)
-                      (truncate 120 theirs)))
+                   (Printf.sprintf "activity %S %s: %s differs (%s vs %s)"
+                      a.A.name
+                      (if pname = a.A.name then
+                         Printf.sprintf
+                           "is not invariant under swapping copies %s and %s"
+                           rpath cpath
+                       else Printf.sprintf "is not exchangeable with %S" pname)
+                      comp mine theirs))
             end)
       (San.Model.activities model);
     Ok ()

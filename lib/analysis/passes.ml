@@ -406,9 +406,10 @@ let composition f (root : Compose.info) =
   let all_ids = List.init f.n_acts (fun id -> id) in
   let rec walk (n : Compose.info) =
     if n.children <> [] then begin
-      (* Subtrees that declared their activities outside the composition
-         contexts record none; attribution is then impossible, so degrade
-         to "unused by the whole model" rather than flagging everything. *)
+      (* A subtree that records no activities (say, a tree saved before
+         its model named activities through [Compose.Ctx.activity])
+         cannot be attributed, so degrade to "unused by the whole model"
+         rather than flagging everything. *)
       let ids =
         match subtree_ids n with [] -> all_ids | ids -> ids
       in

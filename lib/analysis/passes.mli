@@ -62,11 +62,12 @@ val composition : facts -> Compose.info -> Diagnostic.t list
 (** [A009]: a place created at an {e internal} composition-tree node —
     a shared place — is neither declared, read, nor written by any
     activity in that node's subtree. The sharing the composition
-    promises never happens. [Warning]. When a subtree recorded no
-    activities (they were declared directly on the builder rather than
-    through {!Compose.Ctx}), attribution is impossible and the audit
-    degrades to checking the place against every activity in the
-    model. *)
+    promises never happens. [Warning]. Activities are attributed to
+    the node that named them through {!Compose.Ctx.activity}. Only when
+    a subtree records no activities at all — for example a composition
+    tree saved before its model named activities that way — is
+    attribution impossible, and the audit degrades to checking the
+    place against every activity in the model. *)
 
 val all : ?composition:Compose.info -> facts -> Diagnostic.t list
 (** Every pass, concatenated (the composition audit only when a tree is

@@ -225,8 +225,7 @@ let rank_and_basis ~max_basis_places ~active rows =
                  | None -> ()
                  | Some e -> terms := (p, Rat.neg e) :: !terms)
                pcols;
-             ( f,
-               List.sort (fun (a, _) (b, _) -> Int.compare a b) !terms ))
+             List.sort (fun (a, _) (b, _) -> Int.compare a b) !terms)
            free)
     end
   in
@@ -392,11 +391,10 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
      every P-semiflow and basis invariant to zero coefficient there —
      the sound reading of "we cannot say how this place moves". *)
   let synthetic = List.map (fun i -> [ (i, 1) ]) extra.ex_unresolved in
-  let rank, tagged_basis =
+  let rank, p_basis =
     rank_and_basis ~max_basis_places ~active
       (Array.to_list (Array.map (fun md -> md.delta) modes) @ synthetic)
   in
-  let p_basis = Option.map (List.map snd) tagged_basis in
   let n_active = List.length active in
   let n_modes = Array.length modes in
   let n_unres = List.length extra.ex_unresolved in
@@ -472,85 +470,29 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
   in
   (* {3 Declared laws}
 
-     A law already implied by the computed invariant basis needs no
-     second pass (the certificate says so); otherwise the symbolic drift
-     interpreter proves it per case, and only if some case defeats the
-     interpreter do we fall back to validating on the space's markings. *)
-  let law_terms_of l =
-    List.map (fun (p, k) -> (San.Place.index p, k)) l.law_terms
-    |> List.sort Stdlib.compare
-  in
-  let implied_by_basis terms =
-    match tagged_basis with
-    | None -> false
-    | Some basis ->
-        let law_active =
-          List.filter (fun (i, _) -> List.mem i active) terms
-        in
-        let coeff i =
-          Rat.of_int (Option.value ~default:0 (List.assoc_opt i law_active))
-        in
-        (* Each basis vector has its free column with coefficient 1 and
-           zero in every other vector, so membership in the span has a
-           closed form: the candidate combination scaled by the law's
-           free-column coefficients must reproduce the law exactly. *)
-        let acc = Hashtbl.create 16 in
-        List.iter
-          (fun (f, bterms) ->
-            let c = coeff f in
-            if not (Rat.is_zero c) then
-              List.iter
-                (fun (i, r) ->
-                  let cur =
-                    Option.value ~default:Rat.zero (Hashtbl.find_opt acc i)
-                  in
-                  Hashtbl.replace acc i (Rat.add cur (Rat.mul c r)))
-                bterms)
-          basis;
-        let candidate =
-          Hashtbl.fold
-            (fun i r l -> if Rat.is_zero r then l else (i, r) :: l)
-            acc []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        in
-        let law_rat =
-          List.filter_map
-            (fun (i, k) -> if k = 0 then None else Some (i, Rat.of_int k))
-            law_active
-        in
-        List.length candidate = List.length law_rat
-        && List.for_all2
-             (fun (i, a) (j, b) -> i = j && Rat.equal a b)
-             candidate law_rat
-  in
+     The symbolic drift interpreter proves every law per case; only if
+     some case defeats the interpreter do we fall back to validating on
+     the space's markings. *)
   let laws =
-    let reports =
-      List.map
-        (fun l ->
-          let terms = law_terms_of l in
-          let value =
-            List.fold_left (fun s (i, k) -> s + (k * initial.(i))) 0 terms
-          in
-          (l, terms, value, implied_by_basis terms))
-        laws
+    let terms =
+      Array.of_list
+        (List.map
+           (fun l ->
+             List.map (fun (p, k) -> (San.Place.index p, k)) l.law_terms
+             |> List.sort Stdlib.compare)
+           laws)
     in
-    (* One symbolic sweep proves every not-yet-implied law at once. *)
-    let pending =
-      List.filter (fun (_, _, _, implied) -> not implied) reports
-    in
-    let pending_terms =
-      Array.of_list (List.map (fun (_, t, _, _) -> t) pending)
-    in
-    let violations = Array.make (List.length pending) [] in
-    let unproven = Array.make (List.length pending) [] in
-    if pending <> [] then
+    (* One symbolic sweep proves every law at once. *)
+    let violations = Array.make (Array.length terms) [] in
+    let unproven = Array.make (Array.length terms) [] in
+    if laws <> [] then
       Array.iter
         (fun (a : San.Activity.t) ->
           Array.iteri
             (fun case (c : San.Activity.case) ->
               let verdicts =
-                Symbolic.case_drifts ~n_int ~guard:a.San.Activity.guard
-                  pending_terms c.San.Activity.effect
+                Symbolic.case_drifts ~n_int ~guard:a.San.Activity.guard terms
+                  c.San.Activity.effect
               in
               Array.iteri
                 (fun li v ->
@@ -565,54 +507,42 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
                 verdicts)
             a.San.Activity.cases)
         (San.Model.activities model);
-    let li = ref (-1) in
-    List.map
-      (fun (l, terms, value, implied) ->
-        if implied then
-          {
-            lr_name = l.law_name;
-            lr_terms = terms;
-            lr_value = value;
-            lr_violations = [];
-            lr_how = "implied by the invariant basis; re-validation skipped";
-            lr_unproven = [];
-          }
-        else begin
-          incr li;
-          let vs = List.rev violations.(!li) in
-          let unp = List.rev unproven.(!li) in
-          let vs, how =
-            if unp = [] then
-              (vs, "proven symbolically over the effect IR")
-            else begin
-              (* Backstop: the symbolic engine gave up on some case —
-                 validate the law on every collected marking so a
-                 plainly broken law is still reported. *)
-              let marking_bad =
-                List.exists
-                  (fun snap ->
-                    List.fold_left
-                      (fun s (i, k) -> s + (k * snap.(i)))
-                      0 terms
-                    <> value)
-                  snapshots
-              in
-              ( (if marking_bad then vs @ [ ("(marking)", 0, 0) ] else vs),
-                Printf.sprintf
-                  "symbolic proof incomplete; validated on %d markings"
-                  (List.length snapshots) )
-            end
-          in
-          {
-            lr_name = l.law_name;
-            lr_terms = terms;
-            lr_value = value;
-            lr_violations = vs;
-            lr_how = how;
-            lr_unproven = unp;
-          }
-        end)
-      reports
+    List.mapi
+      (fun li l ->
+        let terms = terms.(li) in
+        let value =
+          List.fold_left (fun s (i, k) -> s + (k * initial.(i))) 0 terms
+        in
+        let vs = List.rev violations.(li) in
+        let unp = List.rev unproven.(li) in
+        let vs, how =
+          if unp = [] then (vs, "proven symbolically over the effect IR")
+          else begin
+            (* Backstop: the symbolic engine gave up on some case —
+               validate the law on every collected marking so a plainly
+               broken law is still reported. *)
+            let marking_bad =
+              List.exists
+                (fun snap ->
+                  List.fold_left (fun s (i, k) -> s + (k * snap.(i))) 0 terms
+                  <> value)
+                snapshots
+            in
+            ( (if marking_bad then vs @ [ ("(marking)", 0, 0) ] else vs),
+              Printf.sprintf
+                "symbolic proof incomplete; validated on %d markings"
+                (List.length snapshots) )
+          end
+        in
+        {
+          lr_name = l.law_name;
+          lr_terms = terms;
+          lr_value = value;
+          lr_violations = vs;
+          lr_how = how;
+          lr_unproven = unp;
+        })
+      laws
   in
   let structural_bound = Array.make n_int None in
   let apply_flow terms value =

@@ -9,10 +9,9 @@
     sampling. Places whose delta cannot be resolved statically are
     listed in [unresolved] and receive a synthetic unit row, which
     soundly forces their coefficient to zero in every semiflow.
-    Declared laws are verified symbolically ({!Symbolic.case_drifts})
-    or recognized as implied by the computed invariant basis, in which
-    case the redundant re-validation pass is skipped and the
-    certificate says so.
+    Declared laws are proven symbolically ({!Symbolic.case_drifts}),
+    and validated on the collected markings only when that proof is
+    incomplete.
 
     From the mode matrix [C] (places x modes) the analysis computes:
 
@@ -92,9 +91,8 @@ type law_report = {
           constant drift that changes the weighted sum; empty means the
           law holds *)
   lr_how : string;
-      (** how the verdict was reached: symbolic proof, implication by
-          the invariant basis (re-validation skipped), or validation on
-          the space's markings when the proof is incomplete *)
+      (** how the verdict was reached: symbolic proof, or validation
+          on the space's markings when the proof is incomplete *)
   lr_unproven : (string * int * string) list;
       (** [(activity, case, reason)] for cases the symbolic engine
           could not decide; such laws fall back to marking validation

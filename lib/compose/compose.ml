@@ -41,8 +41,10 @@ module Ctx = struct
     ctx.node.node_places <- San.Place.F p :: ctx.node.node_places;
     p
 
-  let record_activity ctx name =
-    ctx.node.node_activities <- name :: ctx.node.node_activities
+  let activity ctx s =
+    let name = qualify ctx s in
+    ctx.node.node_activities <- name :: ctx.node.node_activities;
+    name
 
   let note ctx key value =
     if List.mem_assoc key ctx.node.node_params then
@@ -51,21 +53,8 @@ module Ctx = struct
     ctx.node.node_params <- (key, value) :: ctx.node.node_params
 
   let timed_exp_rate_ir ctx ~name ?policy ~rate ~guard ~reads effect =
-    let name = qualify ctx name in
-    record_activity ctx name;
-    San.Model.Builder.timed_exp_rate_ir ctx.b ~name ?policy ~rate ~guard
-      ~reads effect
-
-  let timed_exp_cases_rate_ir ctx ~name ?policy ~rate ~guard ~reads cases =
-    let name = qualify ctx name in
-    record_activity ctx name;
-    San.Model.Builder.timed_exp_cases_rate_ir ctx.b ~name ?policy ~rate
-      ~guard ~reads cases
-
-  let instantaneous_ir ctx ~name ~guard ~reads effect =
-    let name = qualify ctx name in
-    record_activity ctx name;
-    San.Model.Builder.instantaneous_ir ctx.b ~name ~guard ~reads effect
+    San.Model.Builder.timed_exp_rate_ir ctx.b ~name:(activity ctx name)
+      ?policy ~rate ~guard ~reads effect
 
   let child ctx label kind =
     let node = make_node label kind in

@@ -32,9 +32,6 @@ module Ctx : sig
   (** Dotted path of this node, e.g. ["itua.app[1].replica[4]"] (without
       the root name). *)
 
-  val qualify : t -> string -> string
-  (** [qualify ctx s] prefixes [s] with the node path. *)
-
   val int_place : t -> ?init:int -> string -> San.Place.t
   (** Creates a namespaced int place owned by this node. A place created on
       a node is shared by (visible to) everything built below that node. *)
@@ -43,10 +40,15 @@ module Ctx : sig
 
   (** {2 Activities}
 
-      Namespaced counterparts of the {!San.Model.Builder} entry points:
-      guard, rate and effect are declarative data, so composed submodels
-      built through these are serializable and exactly analyzable
-      (including the orbit pass of [Analysis.Orbit]). *)
+      A composed model names an activity in one way: through the node
+      that owns it. *)
+
+  val activity : t -> string -> string
+  (** [activity ctx s] is [s] qualified with the node path
+      (["app[1].replica[4].attack"]; [s] itself at the root), recorded as
+      an activity of this node in {!info}. Pass it as [~name] to any
+      {!San.Model.Builder} entry point, once per declared activity:
+      [B.timed_dist_ir b ~name:(Compose.Ctx.activity ctx "repair") ...]. *)
 
   val timed_exp_rate_ir :
     t ->
@@ -57,24 +59,9 @@ module Ctx : sig
     reads:San.Place.any list ->
     San.Effect.t ->
     unit
-
-  val timed_exp_cases_rate_ir :
-    t ->
-    name:string ->
-    ?policy:San.Activity.policy ->
-    rate:San.Effect.rexpr ->
-    guard:San.Effect.cond ->
-    reads:San.Place.any list ->
-    (float * San.Effect.t) list ->
-    unit
-
-  val instantaneous_ir :
-    t ->
-    name:string ->
-    guard:San.Effect.cond ->
-    reads:San.Place.any list ->
-    San.Effect.t ->
-    unit
+  (** [San.Model.Builder.timed_exp_rate_ir (builder ctx)
+      ~name:(activity ctx name)]. Kept only for the benchmark harness's
+      fixture model; new code calls {!activity}. *)
 
   val note : t -> string -> string -> unit
   (** [note ctx key value] records a per-copy parameter on this node —

@@ -64,7 +64,7 @@ let chain_of_trajectory (t : Sim.Trajectory.t) =
         | Some (_, old, v) -> int_of_float (v -. old)
         | None -> 0
       in
-      (match scan s.activity "app[%d].management.recovery%!" (fun a -> a) with
+      (match scan s.activity "apps.app[%d].recovery%!" (fun a -> a) with
       | Some a -> emit (Recovery { app = a; time })
       | None -> ());
       List.iter

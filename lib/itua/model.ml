@@ -323,8 +323,10 @@ let build params =
   let excl_frac = Compose.Ctx.float_place root "excluded_corrupt_fraction_sum" in
 
   (* Composition tree, phase 1: places.  Activities are added afterwards
-     because Replica and Host submodels read each other's shared state. *)
-  let apps =
+     because Replica and Host submodels read each other's shared state;
+     each node's context is kept so phase 2 declares every activity at
+     the node that owns it. *)
+  let app_nodes =
     Compose.join root "apps" (fun apps_ctx ->
         Compose.replicate apps_ctx "app" ~n:na (fun app_ctx _a ->
             let replicas_running =
@@ -338,28 +340,32 @@ let build params =
             in
             let need_recovery = Compose.Ctx.int_place app_ctx "need_recovery" in
             let to_start = Compose.Ctx.int_place app_ctx ~init:nr "to_start" in
-            let slots =
+            let slot_nodes =
               Compose.replicate app_ctx "replica" ~n:nr (fun r_ctx _r ->
-                  {
-                    running = Compose.Ctx.int_place r_ctx "running";
-                    corrupt = Compose.Ctx.int_place r_ctx "corrupt";
-                    convicted = Compose.Ctx.int_place r_ctx "convicted";
-                    convicted_by_ids =
-                      Compose.Ctx.int_place r_ctx "convicted_by_ids";
-                    id_missed = Compose.Ctx.int_place r_ctx "id_missed";
-                    on_host = Compose.Ctx.int_place r_ctx "on_host";
-                  })
+                  ( r_ctx,
+                    {
+                      running = Compose.Ctx.int_place r_ctx "running";
+                      corrupt = Compose.Ctx.int_place r_ctx "corrupt";
+                      convicted = Compose.Ctx.int_place r_ctx "convicted";
+                      convicted_by_ids =
+                        Compose.Ctx.int_place r_ctx "convicted_by_ids";
+                      id_missed = Compose.Ctx.int_place r_ctx "id_missed";
+                      on_host = Compose.Ctx.int_place r_ctx "on_host";
+                    } ))
             in
-            {
-              replicas_running;
-              rep_corr_undetected;
-              rep_grp_failure;
-              need_recovery;
-              to_start;
-              slots;
-            }))
+            ( app_ctx,
+              Array.map fst slot_nodes,
+              {
+                replicas_running;
+                rep_corr_undetected;
+                rep_grp_failure;
+                need_recovery;
+                to_start;
+                slots = Array.map snd slot_nodes;
+              } )))
   in
-  let domains =
+  let apps = Array.map (fun (_, _, ap) -> ap) app_nodes in
+  let domain_nodes =
     Compose.join root "security_domains" (fun doms_ctx ->
         Compose.replicate doms_ctx "domain" ~n:nd (fun d_ctx d ->
             let excluded = Compose.Ctx.int_place d_ctx "excluded" in
@@ -374,7 +380,7 @@ let build params =
               Array.init na (fun a ->
                   Compose.Ctx.int_place d_ctx (Printf.sprintf "has_app[%d]" a))
             in
-            let hosts =
+            let host_nodes =
               Compose.replicate d_ctx "host" ~n:nhosts (fun h_ctx h ->
                   (* A heterogeneous fleet is declared per copy: the orbit
                      pass reads these notes as the copies' coloring, so
@@ -384,33 +390,40 @@ let build params =
                     Compose.Ctx.note h_ctx "host_rate_multiplier"
                       (Report.Json.float_to_string
                          (Params.host_rate_multiplier p ((d * nhosts) + h)));
-                  {
-                    alive = Compose.Ctx.int_place h_ctx ~init:1 "alive";
-                    attacked = Compose.Ctx.int_place h_ctx "attacked";
-                    ever_attacked =
-                      Compose.Ctx.int_place h_ctx "ever_attacked";
-                    host_id_missed =
-                      Compose.Ctx.int_place h_ctx "host_id_missed";
-                    host_detected = Compose.Ctx.int_place h_ctx "host_detected";
-                    mgr_running =
-                      Compose.Ctx.int_place h_ctx ~init:1 "mgr_running";
-                    mgr_corrupt = Compose.Ctx.int_place h_ctx "mgr_corrupt";
-                    mgr_id_missed = Compose.Ctx.int_place h_ctx "mgr_id_missed";
-                    mgr_detected = Compose.Ctx.int_place h_ctx "mgr_detected";
-                    num_replicas = Compose.Ctx.int_place h_ctx "num_replicas";
-                    prop_dom_done = Compose.Ctx.int_place h_ctx "prop_dom_done";
-                    prop_sys_done = Compose.Ctx.int_place h_ctx "prop_sys_done";
-                  })
+                  ( h_ctx,
+                    {
+                      alive = Compose.Ctx.int_place h_ctx ~init:1 "alive";
+                      attacked = Compose.Ctx.int_place h_ctx "attacked";
+                      ever_attacked =
+                        Compose.Ctx.int_place h_ctx "ever_attacked";
+                      host_id_missed =
+                        Compose.Ctx.int_place h_ctx "host_id_missed";
+                      host_detected =
+                        Compose.Ctx.int_place h_ctx "host_detected";
+                      mgr_running =
+                        Compose.Ctx.int_place h_ctx ~init:1 "mgr_running";
+                      mgr_corrupt = Compose.Ctx.int_place h_ctx "mgr_corrupt";
+                      mgr_id_missed =
+                        Compose.Ctx.int_place h_ctx "mgr_id_missed";
+                      mgr_detected = Compose.Ctx.int_place h_ctx "mgr_detected";
+                      num_replicas = Compose.Ctx.int_place h_ctx "num_replicas";
+                      prop_dom_done =
+                        Compose.Ctx.int_place h_ctx "prop_dom_done";
+                      prop_sys_done =
+                        Compose.Ctx.int_place h_ctx "prop_sys_done";
+                    } ))
             in
-            {
-              excluded;
-              spread;
-              dom_mgrs_running;
-              dom_mgrs_corrupt;
-              has_app;
-              hosts;
-            }))
+            ( Array.map fst host_nodes,
+              {
+                excluded;
+                spread;
+                dom_mgrs_running;
+                dom_mgrs_corrupt;
+                has_app;
+                hosts = Array.map snd host_nodes;
+              } )))
   in
+  let domains = Array.map snd domain_nodes in
   let structure = Compose.structure root in
   let sk =
     {
@@ -550,18 +563,18 @@ let build params =
   in
 
   (* --- Replica submodel activities --- *)
-  let replica_name a r s = Printf.sprintf "app[%d].replica[%d].%s" a r s in
   Array.iteri
-    (fun a ap ->
+    (fun a (_, slot_ctxs, ap) ->
       Array.iteri
         (fun r sl ->
+          let name = Compose.Ctx.activity slot_ctxs.(r) in
           let slot_reads =
             [ P.P sl.running; P.P sl.corrupt; P.P sl.convicted; P.P sl.on_host ]
           in
           (* attack_rep: successful attack on the replica; faster when its
              host is corrupt. *)
           B.timed_exp_rate_ir b
-            ~name:(replica_name a r "attack_rep")
+            ~name:(name "attack_rep")
             ~rate:
               (let base = Params.replica_attack_rate p in
                E.RIf
@@ -581,7 +594,7 @@ let build params =
                ]);
           (* valid_ID: the host IDS decides; a miss is final. *)
           ids_cases b
-            ~name:(replica_name a r "valid_ID")
+            ~name:(name "valid_ID")
             ~guard:
               (E.All [ pe sl.corrupt 1; pe sl.convicted 0; pe sl.id_missed 0 ])
             ~reads:[ P.P sl.corrupt; P.P sl.convicted; P.P sl.id_missed ]
@@ -593,7 +606,7 @@ let build params =
              is always caught while the group can reach agreement. *)
           if p.Params.misbehave_rate > 0.0 then
             B.timed_exp_rate_ir b
-              ~name:(replica_name a r "rep_misbehave")
+              ~name:(name "rep_misbehave")
               ~rate:(E.RConst p.Params.misbehave_rate)
               ~guard:
                 (E.All
@@ -618,7 +631,7 @@ let build params =
              really do hit clean hosts; see false_ID on the Host SAN. *)
           if Params.replica_false_alarm_rate p > 0.0 then
             B.timed_exp_rate_ir b
-              ~name:(replica_name a r "false_ID")
+              ~name:(name "false_ID")
               ~rate:(E.RConst (Params.replica_false_alarm_rate p))
               ~guard:(E.All [ pe sl.corrupt 1; pe sl.convicted 0 ])
               ~reads:[ P.P sl.corrupt; P.P sl.convicted ]
@@ -629,7 +642,7 @@ let build params =
              (IDS conviction) and otherwise just kills and replaces the
              convicted replica. *)
           B.instantaneous_ir b
-            ~name:(replica_name a r "respond_conviction")
+            ~name:(name "respond_conviction")
             ~guard:
               (E.All
                  [
@@ -650,14 +663,13 @@ let build params =
                     dispatch_host sl (fun g -> exclude_host.(g)),
                     dispatch_host sl (fun g -> kill_replica.(g).(a).(r)) )))
         ap.slots)
-    apps;
+    app_nodes;
 
   (* --- Management submodel activities (one per application) --- *)
-  Array.iteri
-    (fun a ap ->
-      ignore a;
+  Array.iter
+    (fun (app_ctx, _, ap) ->
       B.timed_exp_rate_ir b
-        ~name:(Printf.sprintf "app[%d].management.recovery" a)
+        ~name:(Compose.Ctx.activity app_ctx "recovery")
         ~rate:(E.RConst p.Params.recovery_rate)
         ~guard:
           (if p.Params.quorum_gates_recovery then
@@ -666,7 +678,7 @@ let build params =
         ~reads:(P.P ap.need_recovery :: mgr_group_reads)
         (E.Ops
            [ E.Inc (ap.need_recovery, E.Int (-1)); E.Inc (ap.to_start, E.Int 1) ]))
-    apps;
+    app_nodes;
 
   (* --- Replica placement (the Host SANs' start_replica race) --- *)
   let domain_qualifies_c d a =
@@ -684,7 +696,8 @@ let build params =
      [Pick] branches) consume no randomness, so configurations whose
      placement is deterministic (e.g. one domain with one host) remain
      explorable by the analytical CTMC path. *)
-  B.instantaneous_ir b ~name:"place_replicas"
+  B.instantaneous_ir b
+    ~name:(Compose.Ctx.activity root "place_replicas")
     ~guard:
       (E.Any
          (List.init na (fun a ->
@@ -714,15 +727,15 @@ let build params =
                                   E.Skip )))) )) ))));
 
   (* --- Host submodel activities --- *)
-  let host_name g s = Printf.sprintf "domain[%d].host[%d].%s" (g / nhosts) (g mod nhosts) s in
   for g = 0 to (nd * nhosts) - 1 do
     let d = domain_idx sk g in
+    let name = Compose.Ctx.activity (fst domain_nodes.(d)).(g mod nhosts) in
     let dp = domains.(d) in
     let hp = host_places_of sk g in
     (* attack_host: three attack classes; the rate grows linearly with the
        accumulated intra-domain and system-wide spread. *)
     B.timed_exp_cases_rate_ir b
-      ~name:(host_name g "attack_host")
+      ~name:(name "attack_host")
       ~rate:
         (E.RExpr
            (E.FAdd
@@ -747,7 +760,7 @@ let build params =
        excluding the compromised host does not erase. *)
     if p.Params.spread_rate_domain > 0.0 then
       B.timed_exp_rate_ir b
-        ~name:(host_name g "propagate_domain")
+        ~name:(name "propagate_domain")
         ~rate:(E.RConst p.Params.spread_rate_domain)
         ~guard:
           (let base = [ pe hp.ever_attacked 1; pe hp.prop_dom_done 0 ] in
@@ -762,7 +775,7 @@ let build params =
            ]);
     if p.Params.spread_rate_system > 0.0 then
       B.timed_exp_rate_ir b
-        ~name:(host_name g "propagate_sys")
+        ~name:(name "propagate_sys")
         ~rate:(E.RConst p.Params.spread_rate_system)
         ~guard:
           (let base = [ pe hp.ever_attacked 1; pe hp.prop_sys_done 0 ] in
@@ -779,7 +792,7 @@ let build params =
     List.iter
       (fun (suffix, cls, prob) ->
         ids_cases b
-          ~name:(host_name g suffix)
+          ~name:(name suffix)
           ~guard:
             (E.All
                [
@@ -805,7 +818,7 @@ let build params =
     (* False alarms of host/manager infiltration. *)
     if Params.host_false_alarm_rate p > 0.0 then
       B.timed_exp_rate_ir b
-        ~name:(host_name g "false_ID")
+        ~name:(name "false_ID")
         ~rate:(E.RConst (Params.host_false_alarm_rate p))
         ~guard:
           (E.All
@@ -824,7 +837,7 @@ let build params =
     (* Response to a host-level detection requires a trustworthy local
        manager and domain manager group (Section 3.4). *)
     B.instantaneous_ir b
-      ~name:(host_name g "respond_host_detect")
+      ~name:(name "respond_host_detect")
       ~guard:
         (E.All
            [
@@ -839,7 +852,7 @@ let build params =
       (respond_e g);
     (* attack_mgmt: attacks against the manager on this host. *)
     B.timed_exp_rate_ir b
-      ~name:(host_name g "attack_mgmt")
+      ~name:(name "attack_mgmt")
       ~rate:
         (let base = Params.manager_attack_rate p in
          E.RIf
@@ -867,7 +880,7 @@ let build params =
          ]);
     (* valid_ID_mgr: IDS detection of manager infiltration. *)
     ids_cases b
-      ~name:(host_name g "valid_ID_mgr")
+      ~name:(name "valid_ID_mgr")
       ~guard:
         (E.All
            [
@@ -895,7 +908,7 @@ let build params =
     (* Response to a detected corrupt manager: the replication/management
        groups know, so the domain group or the global quorum suffices. *)
     B.instantaneous_ir b
-      ~name:(host_name g "respond_mgr_detect")
+      ~name:(name "respond_mgr_detect")
       ~guard:
         (E.All
            [

@@ -7,6 +7,14 @@
     through shared places. The returned {!handles} exposes the shared
     places the measures and the invariant checker need.
 
+    Places and activities are both named by their composition path,
+    through {!Compose.Ctx}: each activity is declared at the node that
+    owns it ([apps.app[0].replica[1].attack_rep] at a replica slot,
+    [apps.app[0].recovery] at an application,
+    [security_domains.domain[2].host[0].attack_host] at a host, and
+    [place_replicas] at the root), so {!handles.composition} lists every
+    activity exactly once.
+
     Modeling notes (deviations from the Möbius encoding are listed in
     DESIGN.md):
 
@@ -103,7 +111,8 @@ type handles = {
       (** sum over domain exclusions of the corrupt-host fraction *)
   structure : string;  (** rendering of the composition tree *)
   composition : Compose.info;
-      (** introspectable composition tree, for the shared-place audit *)
+      (** introspectable composition tree, with each node's places and
+          activities, for the shared-place audit and the orbit pass *)
 }
 
 val build : Params.t -> handles

@@ -415,7 +415,7 @@ let write_jsonl path lines =
      raise e);
   close_out oc
 
-let read_jsonl path =
+let read_jsonl_numbered path =
   match open_in path with
   | exception Sys_error msg -> Error msg
   | ic ->
@@ -425,9 +425,11 @@ let read_jsonl path =
         | "" -> go (lineno + 1) acc
         | line -> (
             match Json.of_string line with
-            | Ok j -> go (lineno + 1) (j :: acc)
+            | Ok j -> go (lineno + 1) ((lineno, j) :: acc)
             | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
       in
       let r = go 1 [] in
       close_in_noerr ic;
       r
+
+let read_jsonl path = Result.map (List.map snd) (read_jsonl_numbered path)

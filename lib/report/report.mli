@@ -149,3 +149,7 @@ val read_jsonl : string -> (Json.t list, string) result
 (** Reads a JSONL file back (blank lines are skipped). The error carries
     [file:line] of the first unparsable line, or the [Sys_error] text if
     the file cannot be opened. *)
+
+val read_jsonl_numbered : string -> ((int * Json.t) list, string) result
+(** {!read_jsonl} with each value's 1-based line number, so a reader
+    can locate its own decoding errors as [file:line]. *)

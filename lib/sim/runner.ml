@@ -126,15 +126,7 @@ let run_block s ~start ~count ~first ~with_metrics ~profile ~tid ~record =
 let default_domains () =
   Int.max 1 (Int.min 8 (Domain.recommended_domain_count ()))
 
-(* Contiguous near-equal blocks covering [first, first + count). *)
-let blocks_of ~domains ~first ~count =
-  let base = count / domains and extra = count mod domains in
-  List.init domains (fun d ->
-      let c = base + if d < extra then 1 else 0 in
-      let f = first + (d * base) + Int.min d extra in
-      (f, c))
-
-(* Like blocks_of, but block boundaries fall on recording-segment
+(* Like [Fanout.blocks], but block boundaries fall on recording-segment
    boundaries (near-equal in whole segments), so no segment straddles two
    domains. Requires [first] to be a multiple of [record_segment]; may
    return fewer than [domains] blocks. *)
@@ -157,13 +149,7 @@ let run_blocks s ~cursor ~completed ~with_metrics ~profile ~record blocks =
     let start = Prng.Stream.substream cursor (first - completed) in
     run_block s ~start ~count ~first ~with_metrics ~profile ~tid ~record
   in
-  let results =
-    match blocks with
-    | [ b ] -> [ go 0 b ]
-    | _ ->
-        List.map Domain.join
-          (List.mapi (fun tid b -> Domain.spawn (fun () -> go tid b)) blocks)
-  in
+  let results = Fanout.run go blocks in
   let _, _, _, _, _, next = List.nth results (List.length results - 1) in
   (results, next)
 
@@ -278,11 +264,10 @@ let batch_loop ~domains ~confidence ?metrics ?profile ?convergence ?progress
   let completed = ref 0 in
   while not (finished ~accs !completed) do
     let count = next_batch !completed in
-    let d = Int.max 1 (Int.min domains count) in
     let blocks =
       if Option.is_some record then
-        blocks_of_aligned ~domains:d ~first:!completed ~count
-      else blocks_of ~domains:d ~first:!completed ~count
+        blocks_of_aligned ~domains ~first:!completed ~count
+      else Fanout.blocks ~domains ~first:!completed ~count
     in
     let results, next =
       run_blocks s ~cursor:!cursor ~completed:!completed ~with_metrics

@@ -6,15 +6,6 @@ type result = {
   clones : int;
 }
 
-(* Contiguous near-equal blocks covering [0, count), as in Runner. *)
-let blocks_of ~domains ~count =
-  let d = Int.max 1 (Int.min domains count) in
-  let base = count / d and extra = count mod d in
-  List.init d (fun i ->
-      let c = base + if i < extra then 1 else 0 in
-      let f = (i * base) + Int.min i extra in
-      (f, c))
-
 let run ?(domains = 1) ?(confidence = 0.95) ?(max_stage_trials = 1 lsl 20)
     ~model ~config ~importance ~levels ~clones ~initial ~seed () =
   if levels < 1 then invalid_arg "Splitting.run: levels must be >= 1";
@@ -37,7 +28,7 @@ let run ?(domains = 1) ?(confidence = 0.95) ?(max_stage_trials = 1 lsl 20)
   let run_stage ~threshold (sources : Executor.checkpoint option array) =
     let n = Array.length sources in
     let stage_start = !cursor in
-    let run_block (first, count) =
+    let run_block _tid (first, count) =
       (* Trial [first + i] of the stage runs on the substream [first + i]
          jumps past the stage's start, regardless of the domain split.
          All trials of the block share one workspace. *)
@@ -58,13 +49,8 @@ let run ?(domains = 1) ?(confidence = 0.95) ?(max_stage_trials = 1 lsl 20)
       in
       (outcomes, next)
     in
-    let blocks = blocks_of ~domains ~count:n in
     let results =
-      match blocks with
-      | [ b ] -> [ run_block b ]
-      | bs ->
-          List.map Domain.join
-            (List.map (fun b -> Domain.spawn (fun () -> run_block b)) bs)
+      Fanout.run run_block (Fanout.blocks ~domains ~first:0 ~count:n)
     in
     cursor := snd (List.nth results (List.length results - 1));
     let flat = Array.concat (List.map fst results) in

@@ -344,6 +344,31 @@ let test_a009_unused_shared_place () =
   Alcotest.(check (list string)) "no A009 when shared place is used" []
     (List.map (Format.asprintf "%a" D.pp) (with_code D.unused_shared_place r))
 
+(* ITUA declares every activity at its composition node, so A009 can
+   attribute a domain's shared place to that domain's subtree: under host
+   exclusion nothing in domain 0 touches its [excluded] flag (only the
+   root's placement reads it). *)
+let test_a009_itua_host_exclusion () =
+  let p =
+    {
+      Itua.Params.default with
+      Itua.Params.num_domains = 2;
+      hosts_per_domain = 2;
+      num_apps = 1;
+      num_reps = 2;
+      policy = Itua.Params.Host_exclusion;
+    }
+  in
+  let h = Itua.Model.build p in
+  let r = check ~composition:h.Itua.Model.composition h.Itua.Model.model in
+  Alcotest.(check bool) "A009 names domain 0's excluded flag" true
+    (List.exists
+       (fun d ->
+         d.D.source = D.Composition "security_domains.domain[0]"
+         && message_mentions ~needle:"\"security_domains.domain[0].excluded\""
+              d)
+       (with_code D.unused_shared_place r))
+
 (* --- structural analysis: semiflows, certificates, A010-A012 --- *)
 
 module St = Analysis.Structure
@@ -666,6 +691,8 @@ let () =
         [
           Alcotest.test_case "A009 unused shared place" `Quick
             test_a009_unused_shared_place;
+          Alcotest.test_case "A009 on ITUA, host excl." `Quick
+            test_a009_itua_host_exclusion;
         ] );
       ( "structure",
         [

@@ -50,7 +50,8 @@ let test_sharing_by_capture () =
     Compose.replicate root "worker" ~n:4 (fun ctx i ->
         ignore i;
         let started = Compose.Ctx.int_place ctx ~init:1 "pending" in
-        Compose.Ctx.instantaneous_ir ctx ~name:"go"
+        San.Model.Builder.instantaneous_ir b
+          ~name:(Compose.Ctx.activity ctx "go")
           ~guard:San.Effect.(Cmp (Mark started, Eq, Int 1))
           ~reads:[ San.Place.P started ]
           San.Effect.(Ops [ Set (started, Int 0); Inc (shared, Int 1) ]))
@@ -114,11 +115,17 @@ let test_qualify () =
   let b = San.Model.Builder.create "sys" in
   let root = Compose.Ctx.root b "sys" in
   Alcotest.(check string) "root path is empty" "" (Compose.Ctx.path root);
-  Alcotest.(check string) "root qualify" "x" (Compose.Ctx.qualify root "x");
+  Alcotest.(check string) "root activity" "x" (Compose.Ctx.activity root "x");
   Compose.join root "sub" (fun sub ->
       Alcotest.(check string) "child path" "sub" (Compose.Ctx.path sub);
-      Alcotest.(check string) "child qualify" "sub.x"
-        (Compose.Ctx.qualify sub "x"))
+      Alcotest.(check string) "child activity" "sub.x"
+        (Compose.Ctx.activity sub "x"));
+  let info = Compose.info root in
+  Alcotest.(check (list string)) "recorded at the root" [ "x" ]
+    info.Compose.activities;
+  Alcotest.(check (list (list string))) "recorded at the child"
+    [ [ "sub.x" ] ]
+    (List.map (fun (c : Compose.info) -> c.activities) info.children)
 
 let () =
   Alcotest.run "compose"

@@ -674,7 +674,7 @@ let test_orbit_impure_degrades () =
     Compose.replicate root "node" ~n:3 (fun ctx _ ->
         let up = Compose.Ctx.int_place ctx ~init:1 "up" in
         San.Model.Builder.timed_exp_ir b
-          ~name:(Compose.Ctx.qualify ctx "toggle")
+          ~name:(Compose.Ctx.activity ctx "toggle")
           ~rate:(fun _ -> 1.0)
           ~guard:(San.Effect.Const true)
           ~reads:[ San.Place.P up ]
@@ -685,6 +685,57 @@ let test_orbit_impure_degrades () =
   Alcotest.(check bool) "not pure" false rep.Analysis.Orbit.pure;
   Alcotest.(check bool) "has blockers" true (rep.Analysis.Orbit.blockers <> []);
   Alcotest.(check bool) "trivial" true (Analysis.Orbit.trivial rep)
+
+(* On ITUA no family verifies; every break must show where the two
+   shapes differ (two distinct excerpts), and an activity that maps to
+   itself is reported as not invariant, never as "not exchangeable"
+   with itself. *)
+let test_orbit_itua_break_reasons () =
+  let h =
+    Itua.Model.build
+      {
+        Itua.Params.default with
+        Itua.Params.num_domains = 2;
+        hosts_per_domain = 2;
+        num_apps = 2;
+        num_reps = 2;
+      }
+  in
+  let rep = Analysis.Orbit.analyse h.Itua.Model.model h.Itua.Model.composition in
+  let reasons =
+    List.concat_map
+      (fun f ->
+        List.map (fun bk -> bk.Analysis.Orbit.bk_reason) f.Analysis.Orbit.fa_breaks)
+      rep.Analysis.Orbit.families
+  in
+  Alcotest.(check int) "one break per family" 6 (List.length reasons);
+  let index_from s i sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i =
+      if i + m > n then None
+      else if String.sub s i m = sub then Some i
+      else go (i + 1)
+    in
+    go i
+  in
+  List.iter
+    (fun r ->
+      (match Scanf.sscanf_opt r "activity %S " Fun.id with
+      | Some name ->
+          if contains r (Printf.sprintf "not exchangeable with %S" name) then
+            Alcotest.failf "names one activity twice: %s" r
+      | None -> Alcotest.failf "no activity named: %s" r);
+      match index_from r 0 " differs (" with
+      | None -> Alcotest.failf "no excerpts: %s" r
+      | Some i -> (
+          let body = String.sub r (i + 10) (String.length r - i - 11) in
+          match index_from body 0 " vs " with
+          | None -> Alcotest.failf "no excerpt pair: %s" r
+          | Some j ->
+              let mine = String.sub body 0 j
+              and theirs = String.sub body (j + 4) (String.length body - j - 4) in
+              if mine = theirs then Alcotest.failf "identical excerpts: %s" r))
+    reasons
 
 let test_symmetry_join_of_replicate () =
   (* Two Rep families under the branches of a Join: detection must keep
@@ -863,6 +914,8 @@ let () =
             test_orbit_params_split;
           Alcotest.test_case "orbit: impure degrades" `Quick
             test_orbit_impure_degrades;
+          Alcotest.test_case "orbit: ITUA reasons" `Quick
+            test_orbit_itua_break_reasons;
           Alcotest.test_case "join of replicate" `Quick
             test_symmetry_join_of_replicate;
           Alcotest.test_case "nested replicate" `Quick

@@ -252,8 +252,8 @@ let test_shared_compile_matches_fresh () =
           (San.Model.find_activity h.Itua.Model.model name).cases.(0).prog
         in
         Alcotest.(check bool) "one program for one shared term" true
-          (prog "domain[1].host[0].respond_host_detect"
-          == prog "domain[1].host[2].respond_mgr_detect")
+          (prog "security_domains.domain[1].host[0].respond_host_detect"
+          == prog "security_domains.domain[1].host[2].respond_mgr_detect")
       end)
     policies;
   let goldens = Test_models.golden_models () in
@@ -418,9 +418,9 @@ let test_a015_negative_capable () =
         (message_mentions ~needle:"guard pins it at 0" d)
   | ds -> Alcotest.failf "expected one A015, got %d" (List.length ds)
 
-(* --- exact laws: span test skips re-validation --- *)
+(* --- exact laws: a law in the invariant basis is proven like any other --- *)
 
-let test_law_implied_by_basis () =
+let test_law_in_basis () =
   let b = B.create "conserved" in
   let here = B.int_place b ~init:1 "here" in
   let there = B.int_place b "there" in
@@ -442,8 +442,8 @@ let test_law_implied_by_basis () =
   Alcotest.(check bool) "exact incidence" true (s.St.incidence = St.Exact);
   (match s.St.laws with
   | [ lr ] ->
-      Alcotest.(check string) "skipped re-validation"
-        "implied by the invariant basis; re-validation skipped" lr.St.lr_how;
+      Alcotest.(check string) "proven symbolically"
+        "proven symbolically over the effect IR" lr.St.lr_how;
       Alcotest.(check (list (triple string int int))) "no violations" [] lr.St.lr_violations
   | _ -> Alcotest.fail "expected one law report");
   Alcotest.(check (list string)) "no sampled fallbacks" []
@@ -566,8 +566,8 @@ let () =
         ] );
       ( "exact laws",
         [
-          Alcotest.test_case "implied by basis, skipped" `Quick
-            test_law_implied_by_basis;
+          Alcotest.test_case "basis law proven symbolically" `Quick
+            test_law_in_basis;
           Alcotest.test_case "proven symbolically" `Quick
             test_law_proven_symbolically;
         ] );

@@ -129,6 +129,48 @@ let test_structure_rendering () =
     [ "itua"; "apps"; "app[0] (Rep, 2 copies)"; "replica[0] (Rep, 3 copies)";
       "security_domains"; "domain[0] (Rep, 4 copies)"; "host[0] (Rep, 2 copies)" ]
 
+(* Every activity is declared through the composition node that owns it:
+   the nodes' activity lists cover the model's activities exactly once,
+   and each name is its node's path, a dot and one local component (the
+   root's names carry no prefix). *)
+let test_activities_named_by_node () =
+  List.iter
+    (fun policy ->
+      let h =
+        Itua.Model.build
+          {
+            base_params with
+            Itua.Params.num_domains = 2;
+            hosts_per_domain = 2;
+            num_apps = 2;
+            num_reps = 2;
+            policy;
+          }
+      in
+      let rec recorded (n : Compose.info) =
+        List.iter
+          (fun name ->
+            let prefix = if n.path = "" then "" else n.path ^ "." in
+            let pl = String.length prefix in
+            if
+              String.length name <= pl
+              || String.sub name 0 pl <> prefix
+              || String.contains_from name pl '.'
+            then Alcotest.failf "%S is not a local name of node %S" name n.path)
+          n.activities;
+        n.activities @ List.concat_map recorded n.children
+      in
+      let names =
+        Array.to_list
+          (Array.map
+             (fun (a : San.Activity.t) -> a.name)
+             (San.Model.activities h.Itua.Model.model))
+      in
+      Alcotest.(check (list string)) "each activity recorded once"
+        (List.sort compare names)
+        (List.sort compare (recorded h.Itua.Model.composition)))
+    [ Itua.Params.Domain_exclusion; Itua.Params.Host_exclusion ]
+
 (* --- initial placement --- *)
 
 let final_marking ?(seed = 5) ?(horizon = 1e-6) params =
@@ -747,7 +789,7 @@ let test_forensics_synthetic_chain () =
               change "excluded_corrupt_hosts" 1.0;
               change "security_domains.domain[0].host[0].alive" 0.0;
             ];
-          step 4.0 "app[1].management.recovery"
+          step 4.0 "apps.app[1].recovery"
             [ change "apps.app[1].replica[2].corrupt" 1.0 ];
           step 5.0 "vote"
             [
@@ -831,6 +873,59 @@ let test_forensics_end_to_end () =
            c.Itua.Forensics.events))
     matching
 
+(* Forensics recognizes a recovery under the name the model declares it
+   with: each app's node holds exactly its recovery activity, and every
+   recorded firing of it becomes one [Recovery] event. *)
+let test_forensics_recovery_names () =
+  let h = Itua.Model.build small_params in
+  let recovery =
+    let apps =
+      List.find
+        (fun (n : Compose.info) -> n.label = "apps")
+        h.Itua.Model.composition.children
+    in
+    List.mapi
+      (fun a (n : Compose.info) ->
+        match n.activities with
+        | [ name ] -> (name, a)
+        | l -> Alcotest.failf "app %d declares %d activities" a (List.length l))
+      apps.children
+  in
+  let sink =
+    Sim.Trajectory.sink ~k:4
+      ~predicate:(fun m ->
+        Array.exists
+          (fun (ap : Itua.Model.app_places) -> M.get m ap.need_recovery > 0)
+          h.Itua.Model.apps)
+      ~model:h.Itua.Model.model ()
+  in
+  let spec =
+    Sim.Runner.spec ~model:h.Itua.Model.model ~horizon:10.0
+      [ Itua.Measures.unreliability h ~until:10.0 ]
+  in
+  ignore (Sim.Runner.run ~seed:23L ~reps:100 ~record:sink spec);
+  let fired, events =
+    List.split
+      (List.map
+         (fun (t : Sim.Trajectory.t) ->
+           ( List.filter_map
+               (fun (s : Sim.Trajectory.step) ->
+                 Option.map
+                   (fun a -> (a, s.time))
+                   (List.assoc_opt s.activity recovery))
+               t.steps,
+             List.filter_map
+               (function
+                 | Itua.Forensics.Recovery { app; time } -> Some (app, time)
+                 | _ -> None)
+               (Itua.Forensics.chain_of_trajectory t).Itua.Forensics.events ))
+         (Sim.Trajectory.matching sink))
+  in
+  Alcotest.(check bool) "some recorded run fires a recovery" true
+    (List.exists (( <> ) []) fired);
+  Alcotest.(check (list (list (pair int (float 0.0)))))
+    "one Recovery event per firing" fired events
+
 let test_failed_now_initially_false () =
   let h = Itua.Model.build small_params in
   let m = San.Model.initial_marking h.Itua.Model.model in
@@ -902,6 +997,8 @@ let () =
           Alcotest.test_case "sizes" `Quick test_model_sizes;
           Alcotest.test_case "structure rendering" `Quick
             test_structure_rendering;
+          Alcotest.test_case "activities named by node" `Quick
+            test_activities_named_by_node;
         ] );
       ( "placement",
         [
@@ -972,6 +1069,8 @@ let () =
             test_forensics_synthetic_chain;
           Alcotest.test_case "empty summary" `Quick test_forensics_summary_empty;
           Alcotest.test_case "end to end" `Slow test_forensics_end_to_end;
+          Alcotest.test_case "recovery by model name" `Quick
+            test_forensics_recovery_names;
           Alcotest.test_case "healthy at start" `Quick
             test_failed_now_initially_false;
         ] );
