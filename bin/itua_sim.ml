@@ -629,7 +629,6 @@ let explain_cmd =
   let run file limit occ_limit =
     let ( let* ) = Result.bind in
     let module T = Sim.Trajectory in
-    let module J = Report.Json in
     let* lines =
       Result.map_error (fun e -> `Msg e) (Report.read_jsonl_numbered file)
     in
@@ -638,25 +637,14 @@ let explain_cmd =
     in
     (* A first line with a [schema] field is the header; without one the
        file is headerless and every line is a trajectory. *)
-    let header_of =
-      J.decode (fun j ->
-          let kvs = J.get_obj "$" j in
-          match J.opt_field J.get_str "$" kvs "schema" with
-          | None -> None
-          | Some "itua-trajectories/1" ->
-              let reps = J.field J.get_int "$" kvs "reps" in
-              let matched = J.field J.get_int "$" kvs "matched_runs" in
-              Some (reps, matched, List.assoc_opt "occupancy" kvs)
-          | Some s -> J.fail "$.schema" "unknown schema %S" s)
-    in
     let* header, body =
       match lines with
       | [] -> Error (`Msg (file ^ ": empty file"))
       | (line, first) :: rest -> (
-          let* h = located line (header_of first) in
+          let* h = located line (T.header_of_json first) in
           match h with
           | None -> Ok (None, lines)
-          | Some h -> Ok (Some (line, h), rest))
+          | Some h -> Ok (Some h, rest))
     in
     let* trajectories =
       let rec go acc = function
@@ -687,17 +675,14 @@ let explain_cmd =
     Format.printf "@.%a@." Itua.Forensics.pp_summary
       (Itua.Forensics.summarize chains);
     (match header with
-    | None -> Ok ()
-    | Some (line, (reps, matched, occupancy)) ->
+    | None -> ()
+    | Some (h : T.header) ->
         Format.printf
           "recorded from %d replications, %d hit the failure predicate@."
-          reps matched;
-        (match occupancy with
-        | None -> Ok ()
-        | Some occ_json ->
-            let* occupancy =
-              located line (T.occupancy_of_json ~at:"$.occupancy" occ_json)
-            in
+          h.reps h.matched_runs;
+        (match h.occupancy with
+        | None -> ()
+        | Some occupancy ->
             (* Places that were zero after setup and became non-zero later
                are the event outcomes (intrusions, corruptions,
                exclusions); order by how often they were hit. *)
@@ -728,8 +713,8 @@ let explain_cmd =
               sorted;
             if List.length sorted > occ_limit then
               Format.printf "  … %d more (raise --occupancy-rows)@."
-                (List.length sorted - occ_limit);
-            Ok ()))
+                (List.length sorted - occ_limit)));
+    Ok ()
   in
   Cmd.v
     (Cmd.info "explain"

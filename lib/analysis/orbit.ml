@@ -33,8 +33,10 @@ exception Unverifiable of string
 let truncate n s = if String.length s <= n then s else String.sub s 0 n ^ "..."
 
 (* Excerpts of two differing renderings around their first differing
-   character, so the reader sees the difference even past [width]. *)
-let excerpts ?(width = 120) x y =
+   character, so the reader sees the difference even past 120
+   characters. *)
+let excerpts x y =
+  let width = 120 in
   let n = min (String.length x) (String.length y) in
   let rec first i = if i < n && x.[i] = y.[i] then first (i + 1) else i in
   let start = max 0 (first 0 - (width / 3)) in

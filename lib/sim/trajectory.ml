@@ -447,3 +447,26 @@ let place_stats_of_json at j =
   }
 
 let occupancy_of_json ?(at = "$") = J.decode (J.get_list place_stats_of_json at)
+
+type header = {
+  reps : int;
+  matched_runs : int;
+  occupancy : place_stats list option;
+}
+
+let header_of_json =
+  J.decode (fun j ->
+      let at = "$" in
+      let kvs = J.get_obj at j in
+      match J.opt_field J.get_str at kvs "schema" with
+      | None -> None
+      | Some "itua-trajectories/1" ->
+          Some
+            {
+              reps = J.field J.get_int at kvs "reps";
+              matched_runs = J.field J.get_int at kvs "matched_runs";
+              occupancy =
+                J.opt_field (J.get_list place_stats_of_json) at kvs
+                  "occupancy";
+            }
+      | Some s -> J.fail "$.schema" "unknown schema %S" s)

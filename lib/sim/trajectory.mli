@@ -128,3 +128,17 @@ val occupancy_of_json :
   ?at:string -> Report.Json.t -> (place_stats list, string) result
 (** Inverse of {!occupancy_to_json}; [at] (default ["$"]) is the path of
     the array in its document, e.g. ["$.occupancy"]. *)
+
+(** The fields [explain] reads from the header line of a
+    [--record-failures] file. *)
+type header = {
+  reps : int;
+  matched_runs : int;
+  occupancy : place_stats list option;
+}
+
+val header_of_json : Report.Json.t -> (header option, string) result
+(** Decodes line 1 of a [--record-failures] file: [None] when it has no
+    ["schema"] field (a headerless file, whose line 1 is a trajectory),
+    a located error for an unknown schema or a mistyped field
+    ([$.matched_runs: expected an integer, got 1.5]). *)

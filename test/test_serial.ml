@@ -534,6 +534,49 @@ let test_hostile_trajectory () =
     (let doc = Sim.Trajectory.occupancy_to_json occupancy in
      mutations ~optional:[] ~int_at doc (nodes doc))
 
+(* The header line of a --record-failures file: each damaged field
+   fails at its path, and a line without "schema" is a headerless file. *)
+let test_hostile_trajectory_header () =
+  let t, occupancy = recorded_trajectory () in
+  let header =
+    J.Obj
+      [
+        ("schema", J.Str "itua-trajectories/1");
+        ("reps", J.int 40);
+        ("matched_runs", J.int 3);
+        ("occupancy", Sim.Trajectory.occupancy_to_json occupancy);
+      ]
+  in
+  (match Sim.Trajectory.header_of_json header with
+  | Ok (Some h) ->
+      Alcotest.(check (pair int int)) "reps, matched_runs" (40, 3)
+        (h.reps, h.matched_runs);
+      Alcotest.(check (option int)) "occupancy rows"
+        (Some (List.length occupancy))
+        (Option.map List.length h.occupancy)
+  | Ok None -> Alcotest.fail "header taken as a trajectory"
+  | Error e -> Alcotest.failf "valid header rejected: %s" e);
+  (match Sim.Trajectory.header_of_json (Sim.Trajectory.to_json t) with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.fail "trajectory taken as a header"
+  | Error e -> Alcotest.failf "headerless line rejected: %s" e);
+  List.iter
+    (fun (key, v, prefix) ->
+      match
+        Sim.Trajectory.header_of_json (replace [ K key ] (fun _ -> v) header)
+      with
+      | Error e ->
+          Alcotest.(check bool) (e ^ " names " ^ prefix) true
+            (String.starts_with ~prefix e)
+      | Ok _ -> Alcotest.failf "%s = %s accepted" key (J.to_string v))
+    [
+      ("reps", J.Str "fifty", "$.reps: expected");
+      ("matched_runs", J.Num 1.5, "$.matched_runs: expected an integer");
+      ("schema", J.Num 7.0, "$.schema: expected a string");
+      ("schema", J.Str "itua-trajectories/2", "$.schema: unknown schema");
+      ("occupancy", J.Arr [ J.Num 1.0 ], "$.occupancy[0]: expected");
+    ]
+
 (* --- structural diff --- *)
 
 let tiny ?(extra = false) ~init () =
@@ -736,6 +779,8 @@ let () =
           Alcotest.test_case "model file" `Quick test_hostile_model;
           Alcotest.test_case "params annotation" `Quick test_hostile_params;
           Alcotest.test_case "trajectory" `Quick test_hostile_trajectory;
+          Alcotest.test_case "trajectory header" `Quick
+            test_hostile_trajectory_header;
           Alcotest.test_case "out-of-range constants" `Quick
             test_hostile_constants;
           QCheck_alcotest.to_alcotest
