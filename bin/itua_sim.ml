@@ -780,7 +780,7 @@ let check_json_arg =
 let check_invariants_arg =
   Arg.(value & flag & info [ "invariants" ]
          ~doc:"Print the structural certificate: incidence modes, \
-               P/T-semiflows, declared conservation-law verdicts, and \
+               P-semiflows, declared conservation-law verdicts, and \
                place bounds.")
 
 let check_strict_arg =

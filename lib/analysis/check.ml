@@ -11,11 +11,8 @@ type t = {
   sampled_fallbacks : string list;
 }
 
-let run ?composition ?laws ?max_states ?runs ?horizon ?max_markings ?seed
-    model =
-  let space =
-    Space.build ?max_states ?runs ?horizon ?max_markings ?seed model
-  in
+let run ?composition ?laws ?max_states ?runs ?horizon model =
+  let space = Space.build ?max_states ?runs ?horizon model in
   let facts = Passes.gather space in
   let structure = Structure.analyse ?laws space in
   let diagnostics =

@@ -18,9 +18,9 @@ type t = {
   fallback : string option;  (** why exhaustive walking was abandoned *)
   diagnostics : Diagnostic.t list;  (** sorted by {!Diagnostic.compare} *)
   structure : Structure.t;
-      (** the structural certificate (incidence modes, semiflows,
-          declared-law verdicts, bounds) — always computed; the CLI
-          prints it only under [--invariants] *)
+      (** the structural certificate (incidence modes, rank,
+          P-semiflows, declared-law verdicts, bounds) — always computed;
+          the CLI prints it only under [--invariants] *)
   incidence : string;
       (** always ["exact"]: delta rows read symbolically off the effect
           IR ({!Structure.incidence}; ["observed"] is no longer
@@ -36,8 +36,6 @@ val run :
   ?max_states:int ->
   ?runs:int ->
   ?horizon:float ->
-  ?max_markings:int ->
-  ?seed:int64 ->
   San.Model.t ->
   t
 (** Builds the marking space (see {!Space.build} for the defaults and

@@ -32,9 +32,27 @@ exception Unverifiable of string
 
 let truncate n s = if String.length s <= n then s else String.sub s 0 n ^ "..."
 
-(* Excerpts of two differing renderings around their first differing
-   character, so the reader sees the difference even past 120
-   characters. *)
+(* Text on one line: each newline and the indentation after it become
+   one space. *)
+let one_line s =
+  let b = Buffer.create (String.length s) in
+  let indent = ref false in
+  String.iter
+    (fun ch ->
+      if ch = '\n' then begin
+        Buffer.add_char b ' ';
+        indent := true
+      end
+      else if not (!indent && ch = ' ') then begin
+        Buffer.add_char b ch;
+        indent := false
+      end)
+    s;
+  Buffer.contents b
+
+(* One-line excerpts of two differing renderings around their first
+   differing character, so the reader sees the difference even past
+   120 characters. *)
 let excerpts x y =
   let width = 120 in
   let n = min (String.length x) (String.length y) in
@@ -43,7 +61,7 @@ let excerpts x y =
   let cut s =
     let len = min width (String.length s - start) in
     (if start > 0 then "..." else "")
-    ^ String.sub s start len
+    ^ one_line (String.sub s start len)
     ^ if start + len < String.length s then "..." else ""
   in
   (cut x, cut y)

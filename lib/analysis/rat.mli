@@ -1,7 +1,7 @@
 (** Exact rational arithmetic on native integers.
 
     The structural passes ({!Structure}) do linear algebra over the
-    rationals: P-invariant ranks and nullspace bases must be exact —
+    rationals: the rank that counts P-invariants must be exact —
     floating point would turn "conserved" into "conserved up to
     epsilon". Incidence entries are small (a firing moves a handful of
     tokens), so native 63-bit integers with eager gcd normalization are

@@ -41,10 +41,13 @@ type t = {
   loop : string option;
       (** Evidence that instantaneous firings failed to stabilize,
           from either the exhaustive walk or a diverged sample run. *)
-  truncated : bool;  (** Sampled mode hit [max_markings]. *)
+  truncated : bool;  (** Sampled mode hit its 500-marking cap. *)
   fallback : string option;
-      (** Why the exhaustive walk was abandoned; [None] when
-          [mode = Exhaustive]. *)
+      (** Why the exhaustive walk was abandoned: an effect failure, an
+          instantaneous loop, or the bound that tripped — [max_states],
+          [max_work], the 4096 outcomes of one firing or the 50,000
+          markings of one vanishing resolution (the fixed caps of
+          {!Ctmc.Walker}); [None] when [mode = Exhaustive]. *)
 }
 
 val build :
@@ -52,8 +55,6 @@ val build :
   ?max_work:int ->
   ?runs:int ->
   ?horizon:float ->
-  ?max_markings:int ->
-  ?seed:int64 ->
   San.Model.t ->
   t
 (** [build model] tries the exhaustive walk (bounded by [max_states],
@@ -62,9 +63,8 @@ val build :
     checker would rather sample than spend minutes enumerating a model
     whose per-state resolution cost explodes; see
     {!Ctmc.Walker.Work_budget}) and falls back to sampling: [runs] (default 3)
-    runs to [horizon] (default 10.0) with root seed [seed] (default
-    7), keeping at most [max_markings] (default 500) distinct
-    markings. Sampling tolerates per-run [Stabilization_diverged]
+    runs to [horizon] (default 10.0) from root seed 7, keeping at most
+    500 distinct markings. Sampling tolerates per-run [Stabilization_diverged]
     (recorded in [loop]) and [Invalid_argument] (negative marking —
     the sweep re-detects and reports it); both end that run early but
     keep its markings. Deterministic for fixed arguments. *)

@@ -15,7 +15,6 @@ type mode = {
 }
 
 type flow = { flow_terms : (int * int) list; flow_value : int }
-type tflow = (int * int) list
 
 type law_report = {
   lr_name : string;
@@ -39,9 +38,7 @@ type t = {
   constant : int list;
   rank : int;
   invariant_dim : int;
-  p_basis : (int * Rat.t) list list option;
   p_semiflows : flow list;
-  t_semiflows : tflow list;
   flows_skipped : string option;
   laws : law_report list;
   observed_max : int array;
@@ -61,13 +58,12 @@ let rec igcd a b = if b = 0 then a else igcd b (a mod b)
    The delta rows are read off the effect syntax trees: one row per
    guard-specialized [Ops] block ([Symbolic.read_case]).
    No marking is fired. Alongside the rows we collect everything the
-   traversal proves statically: unresolved places, per-row completeness
-   (for T-semiflow soundness), dead branches (A014) and resolved
-   decrements (A015 input, judged later once bounds are known). *)
+   traversal proves statically: unresolved places, dead branches (A014)
+   and resolved decrements (A015 input, judged later once bounds are
+   known). *)
 
 type exact_extra = {
   ex_unresolved : int list;  (** ascending place indexes *)
-  ex_incomplete : bool array;  (** by mode position *)
   ex_dead : Diagnostic.t list;  (** A014 *)
   ex_decs : (string * int * int * int * int option) list;
       (** activity, case, place, delta < 0, guard-pinned prior *)
@@ -81,7 +77,6 @@ let read_modes (space : Space.t) =
   in
   let fired = Array.make (Array.length acts) false in
   let modes = ref [] in
-  let incomplete = ref [] in
   let unresolved = Hashtbl.create 8 in
   let dead = ref [] in
   let decs = ref [] in
@@ -135,8 +130,7 @@ let read_modes (space : Space.t) =
                   delta;
                   float_delta = ci.Symbolic.ci_float;
                 }
-                :: !modes;
-              incomplete := (ci.Symbolic.ci_unresolved <> []) :: !incomplete)
+                :: !modes)
             rows)
         a.San.Activity.cases)
     acts;
@@ -145,16 +139,15 @@ let read_modes (space : Space.t) =
       ex_unresolved =
         Hashtbl.fold (fun i () acc -> i :: acc) unresolved []
         |> List.sort Int.compare;
-      ex_incomplete = Array.of_list (List.rev !incomplete);
       ex_dead = List.rev !dead;
       ex_decs = List.rev !decs;
     }
   in
   (Array.of_list (List.rev !modes), fired, extra)
 
-(* {2 Rank and rational nullspace basis}
+(* {2 Rank}
 
-   Sparse rational Gaussian elimination over the mode rows. Rows are
+   Sparse rational forward elimination over the mode rows. Rows are
    [(place index, coefficient)] lists, ascending, zero-free. *)
 
 let row_sub_scaled r c p =
@@ -177,59 +170,22 @@ let normalize_row = function
   | [] -> []
   | (_, lead) :: _ as row -> List.map (fun (i, x) -> (i, Rat.div x lead)) row
 
-let rank_and_basis ~max_basis_places ~active rows =
+(* One pivot row per independent row, keyed by its leading index. *)
+let rank rows =
   let pivots = Hashtbl.create 64 in
-  let rank = ref 0 in
   let rec reduce row =
     match row with
     | [] -> ()
     | (j, c) :: _ -> (
         match Hashtbl.find_opt pivots j with
         | Some prow -> reduce (row_sub_scaled row c prow)
-        | None ->
-            Hashtbl.add pivots j (normalize_row row);
-            incr rank)
+        | None -> Hashtbl.add pivots j (normalize_row row))
   in
   List.iter
     (fun delta ->
       reduce (List.map (fun (i, d) -> (i, Rat.of_int d)) delta))
     rows;
-  let rank = !rank in
-  let basis =
-    if List.length active > max_basis_places then None
-    else begin
-      let pcols =
-        Hashtbl.fold (fun k _ acc -> k :: acc) pivots []
-        |> List.sort Int.compare |> Array.of_list
-      in
-      let rows = Array.map (Hashtbl.find pivots) pcols in
-      (* Back-substitute to reduced row-echelon form. *)
-      for i = Array.length rows - 1 downto 0 do
-        for k = 0 to i - 1 do
-          match List.assoc_opt pcols.(i) rows.(k) with
-          | None -> ()
-          | Some c -> rows.(k) <- row_sub_scaled rows.(k) c rows.(i)
-        done
-      done;
-      let is_pivot i = Array.exists (fun p -> p = i) pcols in
-      let free = List.filter (fun i -> not (is_pivot i)) active in
-      (* One basis vector of the left nullspace per free column: the
-         invariant y with y_free = 1 and y_pivot = -entry. *)
-      Some
-        (List.map
-           (fun f ->
-             let terms = ref [ (f, Rat.one) ] in
-             Array.iteri
-               (fun i p ->
-                 match List.assoc_opt f rows.(i) with
-                 | None -> ()
-                 | Some e -> terms := (p, Rat.neg e) :: !terms)
-               pcols;
-             List.sort (fun (a, _) (b, _) -> Int.compare a b) !terms)
-           free)
-    end
-  in
-  (rank, basis)
+  Hashtbl.length pivots
 
 (* {2 Farkas' algorithm}
 
@@ -237,9 +193,13 @@ let rank_and_basis ~max_basis_places ~active rows =
    column: at each step every row with a zero in the chosen column
    survives, and every (positive, negative) row pair contributes their
    cancelling positive combination. The [y] part starts as the
-   identity, so at the end it holds the semiflows. Row growth is
-   capped; exceeding the cap aborts the enumeration (reported, never
-   silent). *)
+   identity, so at the end it holds the semiflows. The algorithm is
+   worst-case exponential: it is skipped above [max_flow_modes] mode
+   rows, and growth past [max_flow_rows] rows aborts it (reported,
+   never silent). *)
+
+let max_flow_modes = 512
+let max_flow_rows = 4096
 
 type frow = { c : int array; y : (int * int) list }
 
@@ -266,7 +226,7 @@ let merge_y ~la a ~lb b =
   in
   go a b
 
-let farkas ~n_cols ~max_rows rows =
+let farkas ~n_cols rows =
   let remaining = ref (List.init n_cols Fun.id) in
   let rows = ref rows in
   let aborted = ref None in
@@ -305,7 +265,7 @@ let farkas ~n_cols ~max_rows rows =
            List.iter
              (fun rn ->
                incr count;
-               if !count > max_rows then raise Exit;
+               if !count > max_flow_rows then raise Exit;
                let a = rp.c.(best) and b = rn.c.(best) in
                let g = igcd a (-b) in
                let la = -b / g and lb = a / g in
@@ -323,7 +283,8 @@ let farkas ~n_cols ~max_rows rows =
      with Exit ->
        aborted :=
          Some
-           (Printf.sprintf "Farkas row count exceeded the %d cap" max_rows))
+           (Printf.sprintf "Farkas row count exceeded the %d cap"
+              max_flow_rows))
   done;
   match !aborted with
   | Some why -> Error why
@@ -352,8 +313,7 @@ let farkas ~n_cols ~max_rows rows =
 
 (* {2 The analysis} *)
 
-let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
-    ?(max_basis_places = 64) (space : Space.t) =
+let analyse ?(laws = []) (space : Space.t) =
   let model = space.Space.model in
   let modes, fired, extra = read_modes space in
   let initial =
@@ -388,34 +348,29 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
     snapshots;
   (* Unresolved places get a synthetic unit row: it enters the rank and
      (as an extra incidence column) the Farkas enumeration, forcing
-     every P-semiflow and basis invariant to zero coefficient there —
-     the sound reading of "we cannot say how this place moves". *)
+     every P-semiflow to zero coefficient there — the sound reading of
+     "we cannot say how this place moves". *)
   let synthetic = List.map (fun i -> [ (i, 1) ]) extra.ex_unresolved in
-  let rank, p_basis =
-    rank_and_basis ~max_basis_places ~active
-      (Array.to_list (Array.map (fun md -> md.delta) modes) @ synthetic)
+  let rank =
+    rank (Array.to_list (Array.map (fun md -> md.delta) modes) @ synthetic)
   in
   let n_active = List.length active in
   let n_modes = Array.length modes in
   let n_unres = List.length extra.ex_unresolved in
-  let flows_skipped, p_semiflows, t_semiflows =
+  let flows_skipped, p_semiflows =
     if n_modes > max_flow_modes then
       ( Some
           (Printf.sprintf "%d modes exceed the %d semiflow-enumeration cap"
              n_modes max_flow_modes),
-        [],
         [] )
     else if n_active > max_flow_rows then
       ( Some
           (Printf.sprintf "%d active places exceed the %d row cap" n_active
              max_flow_rows),
-        [],
         [] )
-    else begin
-      let col_of = Array.make n_int (-1) in
-      List.iteri (fun j i -> col_of.(i) <- j) active;
-      (* P-semiflows: one row per active place, over the mode columns
-         plus one synthetic column per unresolved place. *)
+    else
+      (* One row per active place, over the mode columns plus one
+         synthetic column per unresolved place. *)
       let prows =
         List.map
           (fun i ->
@@ -432,41 +387,18 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
             { c; y = [ (i, 1) ] })
           active
       in
-      (* T-semiflows: one row per marking-changing mode over the active
-         place columns. Modes with an empty delta are trivially
-         repetitive and excluded as noise; rows of a case with
-         unresolved writes are incomplete and excluded — a firing-count
-         claim over them would be unsound. *)
-      let trows = ref [] in
-      Array.iteri
-        (fun pos md ->
-          if md.delta <> [] && not extra.ex_incomplete.(pos) then begin
-            let c = Array.make n_active 0 in
-            List.iter (fun (i, d) -> c.(col_of.(i)) <- d) md.delta;
-            trows := { c; y = [ (pos, 1) ] } :: !trows
-          end)
-        modes;
-      let trows = List.rev !trows in
-      match
-        ( farkas ~n_cols:(n_modes + n_unres) ~max_rows:max_flow_rows prows,
-          farkas ~n_cols:n_active ~max_rows:max_flow_rows trows )
-      with
-      | Ok ps, Ok ts ->
-          let flows =
+      match farkas ~n_cols:(n_modes + n_unres) prows with
+      | Ok ys ->
+          ( None,
             List.map
               (fun y ->
                 {
                   flow_terms = y;
                   flow_value =
-                    List.fold_left
-                      (fun s (i, k) -> s + (k * initial.(i)))
-                      0 y;
+                    List.fold_left (fun s (i, k) -> s + (k * initial.(i))) 0 y;
                 })
-              ps
-          in
-          (None, flows, ts)
-      | Error why, _ | _, Error why -> (Some why, [], [])
-    end
+              ys )
+      | Error why -> (Some why, [])
   in
   (* {3 Declared laws}
 
@@ -617,9 +549,7 @@ let analyse ?(laws = []) ?(max_flow_modes = 512) ?(max_flow_rows = 4096)
     constant;
     rank;
     invariant_dim = n_active - rank;
-    p_basis;
     p_semiflows;
-    t_semiflows;
     flows_skipped;
     laws;
     observed_max;
@@ -755,8 +685,8 @@ let pp ppf t =
     (Array.length t.modes) t.rank t.invariant_dim;
   (match t.flows_skipped with
   | Some why -> Format.fprintf ppf "  semiflow enumeration skipped: %s@." why
-  | None ->
-      (match t.p_semiflows with
+  | None -> (
+      match t.p_semiflows with
       | [] -> Format.fprintf ppf "  P-semiflows: none@."
       | fs ->
           let n = List.length fs in
@@ -771,22 +701,7 @@ let pp ppf t =
             shown;
           if n > List.length shown then
             Format.fprintf ppf "    ... and %d more (see the JSON report)@."
-              (n - List.length shown));
-      match t.t_semiflows with
-      | [] -> Format.fprintf ppf "  T-semiflows: none@."
-      | ts ->
-          let labels = Array.map (fun md -> md.label) t.modes in
-          let n = List.length ts in
-          let shown = List.filteri (fun k _ -> k < 16) ts in
-          Format.fprintf ppf
-            "  T-semiflows (firing counts with zero net effect, %d):@." n;
-          List.iter
-            (fun tf ->
-              Format.fprintf ppf "    %a@." pp_terms (labels, tf))
-            shown;
-          if n > List.length shown then
-            Format.fprintf ppf "    ... and %d more (see the JSON report)@."
-              (n - List.length shown));
+              (n - List.length shown)));
   (match t.laws with
   | [] -> ()
   | laws ->
@@ -846,7 +761,6 @@ let to_json t =
            Obj [ ("name", Str names.(i)); ("coeff", int k) ])
          terms)
   in
-  let labels = Array.map (fun md -> md.label) t.modes in
   Obj
     [
       ("incidence", Str (incidence_name t.incidence));
@@ -874,29 +788,8 @@ let to_json t =
                    ("value", int f.flow_value);
                  ])
              t.p_semiflows) );
-      ( "t_semiflows",
-        Arr
-          (List.map (fun tf -> terms_json labels tf) t.t_semiflows) );
       ( "flows_skipped",
         match t.flows_skipped with None -> Null | Some why -> Str why );
-      ( "invariant_basis",
-        match t.p_basis with
-        | None -> Null
-        | Some basis ->
-            Arr
-              (List.map
-                 (fun terms ->
-                   Arr
-                     (List.map
-                        (fun (i, r) ->
-                          Obj
-                            [
-                              ("name", Str t.place_names.(i));
-                              ("num", int r.Rat.num);
-                              ("den", int r.Rat.den);
-                            ])
-                        terms))
-                 basis) );
       ( "declared",
         Arr
           (List.map

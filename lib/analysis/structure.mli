@@ -1,4 +1,4 @@
-(** Structural (incidence-based) analysis: P/T-semiflows, conservation
+(** Structural (incidence-based) analysis: P-semiflows, conservation
     certificates, boundedness.
 
     Classic Petri-net structure theory applied to SAN models. The
@@ -19,13 +19,9 @@
     {- {b P-semiflows}: minimal non-negative integer vectors [y] with
        [y . C = 0] (Farkas' algorithm) — weighted token conservation
        laws, each with its conserved value [y . M0];}
-    {- {b T-semiflows}: minimal non-negative integer vectors [x] with
-       [C . x = 0] — firing-count vectors that return the marking to
-       where it started;}
-    {- the {b rank} of [C] over the rationals and, for small models,
-       a full rational basis of the left nullspace (all P-invariants,
-       including mixed-sign ones) via exact Gaussian elimination
-       ({!Rat});}
+    {- the {b rank} of [C] over the rationals by exact Gaussian
+       elimination ({!Rat}), and with it the dimension of the space of
+       P-invariants (mixed-sign ones included);}
     {- {b boundedness certificates}: a structural bound
        [y . M0 / y_p] for every place covered by a semiflow, plus the
        maximum over the space's markings (an exhaustion proof in
@@ -37,9 +33,9 @@
 
     Farkas' algorithm is worst-case exponential, so semiflow
     enumeration is skipped (with the reason recorded in
-    [flows_skipped]) when the mode matrix exceeds the configured
-    caps; declared-law verification and rank are cheap and always
-    run. *)
+    [flows_skipped]) above 512 modes, and aborted when its elimination
+    grows past 4096 rows; declared-law verification and rank are cheap
+    and always run. *)
 
 type incidence =
   | Exact  (** delta rows read symbolically off the effect IR *)
@@ -79,9 +75,6 @@ type flow = {
 }
 (** A P-semiflow. *)
 
-type tflow = (int * int) list
-(** A T-semiflow: [(mode position, coefficient)], coefficients > 0. *)
-
 type law_report = {
   lr_name : string;
   lr_terms : (int * int) list;  (** [(int place index, coefficient)] *)
@@ -115,11 +108,7 @@ type t = {
   invariant_dim : int;
       (** dimension of the left nullspace over the {e active} places:
           [|active| - rank] independent P-invariants *)
-  p_basis : (int * Rat.t) list list option;
-      (** rational left-nullspace basis (sparse, by place index);
-          [None] when the model exceeds [max_basis_places] *)
   p_semiflows : flow list;
-  t_semiflows : tflow list;
   flows_skipped : string option;
       (** semiflow enumeration was skipped or aborted: why *)
   laws : law_report list;
@@ -140,21 +129,12 @@ type t = {
 val incidence_name : incidence -> string
 (** ["exact"] or ["observed"], as the reports spell it. *)
 
-val analyse :
-  ?laws:law list ->
-  ?max_flow_modes:int ->
-  ?max_flow_rows:int ->
-  ?max_basis_places:int ->
-  Space.t ->
-  t
+val analyse : ?laws:law list -> Space.t -> t
 (** [analyse space] reads the delta rows off the effect IR
     ({!Symbolic.read_case}) and computes every certificate; the space's
     markings serve only for [observed_max] and as a backstop when a
-    law's symbolic proof is incomplete. Semiflow enumeration is skipped when there are more than [max_flow_modes]
-    (default 512) rows or when Farkas' elimination exceeds
-    [max_flow_rows] (default 4096) rows; the rational basis is
-    computed when at most [max_basis_places] (default 64) places are
-    active. Deterministic for a fixed space. *)
+    law's symbolic proof is incomplete. Deterministic for a fixed
+    space. *)
 
 val covered : t -> int -> bool
 (** [covered t i]: int place [i] is conserved or bounded by the

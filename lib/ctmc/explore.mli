@@ -19,7 +19,9 @@ exception Vanishing_loop of string
 (** A chain of instantaneous firings did not terminate. *)
 
 exception Too_many_states of int
-(** Exploration exceeded [max_states]. *)
+(** Exploration exceeded [max_states]. The per-firing caps raise their
+    own exceptions: {!San.Effect.Too_many_outcomes} and
+    {!Walker.Too_wide}. *)
 
 exception Unsound_canon of string
 (** The [~audit:true] cross-check caught the supplied [canon] merging

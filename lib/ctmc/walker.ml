@@ -1,5 +1,6 @@
 exception Vanishing_loop of string
 exception Too_many_states of int
+exception Too_wide of int
 exception Work_budget of int
 exception Bad_weights of string
 
@@ -38,23 +39,24 @@ let normalized_weights (a : San.Activity.t) m =
 
 (* Apply one case's effect analytically: a [Pick] in the effect IR forks
    into its feasible branches with uniform weights instead of drawing
-   randomness. Consumes [m]; a fan-out past [max_outcomes] becomes
-   {!Too_many_states} so callers fall back like any other blow-up. *)
-let case_outcomes ?(max_outcomes = 4096) (a : San.Activity.t) case m =
-  try San.Effect.outcomes ~max_outcomes a.cases.(case).San.Activity.effect m
-  with San.Effect.Too_many_outcomes -> raise (Too_many_states max_outcomes)
+   randomness. Consumes [m]. *)
+let case_outcomes (a : San.Activity.t) case m =
+  San.Effect.outcomes a.cases.(case).San.Activity.effect m
 
 (* Resolve a marking into its stable-marking distribution by eliminating
    chains of instantaneous firings: uniform choice among the enabled
    instantaneous activities, case probabilities within each.  A cycle of
    vanishing markings shows up as unbounded recursion depth. *)
-let resolve_vanishing ?(max_depth = 10_000) ?(max_width = 50_000) ?(charge = fun () -> ()) ?on_vanishing model m0 =
+let max_depth = 10_000
+let max_width = 50_000
+
+let resolve_vanishing ?(charge = fun () -> ()) ?on_vanishing model m0 =
   let acc = Hashtbl.create 8 in
   let width = ref 0 in
   let rec go m prob depth =
     incr width;
     charge ();
-    if !width > max_width then raise (Too_many_states max_width);
+    if !width > max_width then raise (Too_wide max_width);
     if depth > max_depth then
       raise
         (Vanishing_loop

@@ -22,6 +22,10 @@ exception Vanishing_loop of string
 exception Too_many_states of int
 (** Enumeration exceeded the caller's state bound. *)
 
+exception Too_wide of int
+(** One {!resolve_vanishing} visited more markings than its fixed
+    50,000 cap — the symptom of a combinatorial [Pick] cascade. *)
+
 exception Work_budget of int
 (** {!reachable} exceeded its [max_work] effort bound before exhausting
     the space — the per-state cost, not the state count, is the
@@ -48,20 +52,14 @@ val normalized_weights : San.Activity.t -> San.Marking.t -> float array
     the weights sum to zero or less. *)
 
 val case_outcomes :
-  ?max_outcomes:int ->
-  San.Activity.t ->
-  int ->
-  San.Marking.t ->
-  (float * San.Marking.t) list
+  San.Activity.t -> int -> San.Marking.t -> (float * San.Marking.t) list
 (** [case_outcomes a case m] applies case [case]'s effect analytically:
     an {!San.Effect.Pick} forks into its feasible branches with uniform
     weights instead of drawing randomness, so IR effects never need a
-    stream. Consumes [m]. A fan-out beyond [max_outcomes] (default
-    4096) raises {!Too_many_states}. *)
+    stream. Consumes [m]. A fan-out beyond 4096 outcomes raises
+    {!San.Effect.Too_many_outcomes}. *)
 
 val resolve_vanishing :
-  ?max_depth:int ->
-  ?max_width:int ->
   ?charge:(unit -> unit) ->
   ?on_vanishing:(San.Marking.t -> San.Activity.t list -> unit) ->
   San.Model.t ->
@@ -77,10 +75,9 @@ val resolve_vanishing :
     vanishing marking with its enabled instantaneous set (two or more
     entries is the tie an executor resolves by a coin flip); the
     marking must not be retained without copying. Raises
-    {!Vanishing_loop} past [max_depth] (default 10_000) firings on one
-    path, and {!Too_many_states} past [max_width] (default 50_000)
-    visited markings in one resolution — the symptom of a
-    combinatorial [Pick] cascade. [m] is not modified. *)
+    {!Vanishing_loop} past 10,000 firings on one path, {!Too_wide}
+    past 50,000 visited markings, and {!San.Effect.Too_many_outcomes}
+    from {!case_outcomes}. [m] is not modified. *)
 
 (** Growable interning pool of state keys. *)
 module Pool : sig

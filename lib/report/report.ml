@@ -383,10 +383,9 @@ module Json = struct
     | Null -> Float.nan
     | j -> fail at "expected a number or null, got %s" (short j)
 
-  let get_int at j =
-    let x = get_num at j in
-    if Float.is_integer x && Float.abs x <= 1e15 then int_of_float x
-    else fail at "expected an integer, got %s" (short j)
+  let get_int at = function
+    | Num x when Float.is_integer x && Float.abs x <= 1e15 -> int_of_float x
+    | j -> fail at "expected an integer, got %s" (short j)
 
   let get_list decode at j =
     List.mapi (fun i v -> decode (idx at i) v) (get_arr at j)

@@ -118,9 +118,11 @@ let rec apply ctx eff m =
       | choices ->
           apply ctx (Prng.Stream.choose_list (stream_exn ctx) choices) m)
 
-exception Too_many_outcomes
+exception Too_many_outcomes of int
 
-let outcomes ?(max_outcomes = 4096) eff m =
+let max_outcomes = 4096
+
+let outcomes eff m =
   let count = ref 1 in
   let rec go eff (w, m) =
     match eff with
@@ -145,7 +147,8 @@ let outcomes ?(max_outcomes = 4096) eff m =
         | choices ->
             let k = List.length choices in
             count := !count + k - 1;
-            if !count > max_outcomes then raise Too_many_outcomes;
+            if !count > max_outcomes then
+              raise (Too_many_outcomes max_outcomes);
             let wk = w /. float_of_int k in
             List.concat_map
               (fun e -> go e (wk, Marking.copy m))

@@ -95,16 +95,17 @@ val apply : ctx -> t -> Marking.t -> unit
     analysis layer uses and {!run_prog} is tested against. [Pick] with
     zero feasible branches and negative [Set] values raise. *)
 
-exception Too_many_outcomes
+exception Too_many_outcomes of int
+(** One application forked into more outcomes than the cap it
+    carries. *)
 
-val outcomes :
-  ?max_outcomes:int -> t -> Marking.t -> (float * Marking.t) list
+val outcomes : t -> Marking.t -> (float * Marking.t) list
 (** [outcomes t m] applies [t] analytically, forking at every [Pick] with
     more than one feasible branch (uniform weights). The input marking is
     consumed (it becomes one of the results); forked branches work on
     copies whose journals do not extend the input's journal. Weights sum
-    to 1. Raises {!Too_many_outcomes} when the fork tree exceeds
-    [max_outcomes] (default 4096). *)
+    to 1. Raises {!Too_many_outcomes} when the fork tree exceeds 4096
+    outcomes. *)
 
 (** {1 Static structure} *)
 

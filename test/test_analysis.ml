@@ -386,10 +386,8 @@ let test_structure_mm1k () =
   Alcotest.(check bool) "serve removes one" true
     (s.St.modes.(1).St.delta = [ (0, -1) ]);
   (* A single place whose row is [+1 -1] admits no non-negative
-     conservation, but firing arrive and serve once each is neutral. *)
+     conservation. *)
   Alcotest.(check int) "no P-semiflows" 0 (List.length s.St.p_semiflows);
-  Alcotest.(check bool) "one T-semiflow: {arrive, serve}" true
-    (s.St.t_semiflows = [ [ (0, 1); (1, 1) ] ]);
   Alcotest.(check int) "rank 1" 1 s.St.rank;
   Alcotest.(check int) "no invariant dimension" 0 s.St.invariant_dim
 
@@ -397,18 +395,25 @@ let test_structure_gong () =
   let g = Test_models.gong () in
   let s = structure (check g.Test_models.g_model) in
   Alcotest.(check int) "fifteen modes" 15 (Array.length s.St.modes);
-  Alcotest.(check int) "no P-semiflows" 0 (List.length s.St.p_semiflows);
-  (* The nine-state graph lives in one integer place, so to the
-     incidence abstraction a T-semiflow is any cancelling pair: 9
-     value-increasing transitions times 6 value-decreasing ones. *)
-  Alcotest.(check int) "54 T-semiflows" 54 (List.length s.St.t_semiflows);
-  let label i = s.St.modes.(i).St.label in
-  Alcotest.(check bool) "probe/patch is one of them" true
-    (List.exists
-       (fun tf ->
-         List.map (fun (i, k) -> (label i, k)) tf
-         = [ ("probe_finds_vulnerability", 1); ("vulnerability_patched", 1) ])
-       s.St.t_semiflows)
+  Alcotest.(check int) "no P-semiflows" 0 (List.length s.St.p_semiflows)
+
+(* The certificate's JSON carries exactly the keys doc/ANALYSIS.md
+   ("JSON schema") lists, in that order. *)
+let test_structure_json_keys () =
+  let q = Test_models.mm1k ~lambda:2.0 ~mu:3.0 ~k:4 in
+  let s = structure (check q.Test_models.q_model) in
+  match St.to_json s with
+  | Report.Json.Obj kvs ->
+      Alcotest.(check (list string))
+        "documented keys"
+        [
+          "incidence"; "mode"; "markings"; "unresolved_places"; "int_places";
+          "active_places"; "constant_places"; "modes"; "rank";
+          "invariant_dimension"; "p_semiflows"; "flows_skipped"; "declared";
+          "bounds";
+        ]
+        (List.map fst kvs)
+  | j -> Alcotest.failf "not an object: %s" (Report.Json.to_string j)
 
 let ring_fixture () =
   let b = B.create "ring" in
@@ -458,6 +463,31 @@ let test_a010_unbounded () =
   | ds ->
       Alcotest.failf "expected exactly one A010, got %d:\n%s" (List.length ds)
         (pp_report r)
+
+(* One firing of [flip] forks 13 binary picks into 8,192 outcomes: the
+   space is small (8,192 markings, far under the state cap), but the
+   walk gives up on the firing's 4096-outcome cap, and the fallback
+   reason must say so. *)
+let test_fallback_names_outcome_cap () =
+  let b = B.create "forks" in
+  let bits = List.init 13 (fun i -> B.int_place b (Printf.sprintf "bit%d" i)) in
+  B.timed_exp_rate_ir b ~name:"flip" ~rate:(E.RConst 1.0) ~guard:(E.Const true)
+    ~reads:[]
+    (E.Seq
+       (List.map
+          (fun p ->
+            E.Pick
+              [
+                (E.Const true, E.Ops [ E.Set (p, E.Int 0) ]);
+                (E.Const true, E.Ops [ E.Set (p, E.Int 1) ]);
+              ])
+          bits));
+  let r = check (B.build b) in
+  Alcotest.(check bool) "sampled mode" true
+    (r.Analysis.Check.mode = Analysis.Space.Sampled);
+  Alcotest.(check (option string)) "fallback names the outcome cap"
+    (Some "one firing forks into more than 4096 outcomes")
+    r.Analysis.Check.fallback
 
 let test_a010_not_on_clean_sampled () =
   (* A bounded model forced into sampled mode must not warn when its
@@ -696,16 +726,19 @@ let () =
         ] );
       ( "structure",
         [
-          Alcotest.test_case "mm1k incidence and T-semiflow" `Quick
+          Alcotest.test_case "mm1k incidence and rank" `Quick
             test_structure_mm1k;
-          Alcotest.test_case "gong cancelling pairs" `Quick
-            test_structure_gong;
+          Alcotest.test_case "gong fifteen modes" `Quick test_structure_gong;
+          Alcotest.test_case "JSON keys as documented" `Quick
+            test_structure_json_keys;
           Alcotest.test_case "token ring P-semiflow" `Quick
             test_p_semiflow_ring;
           Alcotest.test_case "A010 unbounded birth" `Quick
             test_a010_unbounded;
           Alcotest.test_case "A010 silent when covered" `Quick
             test_a010_not_on_clean_sampled;
+          Alcotest.test_case "fallback names outcome cap" `Quick
+            test_fallback_names_outcome_cap;
           Alcotest.test_case "A011 dead effect" `Quick test_a011_dead_effect;
           Alcotest.test_case "A012 violated law" `Quick
             test_a012_invariant_violated;

@@ -687,9 +687,9 @@ let test_orbit_impure_degrades () =
   Alcotest.(check bool) "trivial" true (Analysis.Orbit.trivial rep)
 
 (* On ITUA no family verifies; every break must show where the two
-   shapes differ (two distinct excerpts), and an activity that maps to
-   itself is reported as not invariant, never as "not exchangeable"
-   with itself. *)
+   shapes differ (two distinct excerpts) on one line, and an activity
+   that maps to itself is reported as not invariant, never as "not
+   exchangeable" with itself. *)
 let test_orbit_itua_break_reasons () =
   let h =
     Itua.Model.build
@@ -720,6 +720,7 @@ let test_orbit_itua_break_reasons () =
   in
   List.iter
     (fun r ->
+      if String.contains r '\n' then Alcotest.failf "multi-line reason: %S" r;
       (match Scanf.sscanf_opt r "activity %S " Fun.id with
       | Some name ->
           if contains r (Printf.sprintf "not exchangeable with %S" name) then

@@ -570,7 +570,7 @@ let test_hostile_trajectory_header () =
             (String.starts_with ~prefix e)
       | Ok _ -> Alcotest.failf "%s = %s accepted" key (J.to_string v))
     [
-      ("reps", J.Str "fifty", "$.reps: expected");
+      ("reps", J.Str "fifty", "$.reps: expected an integer");
       ("matched_runs", J.Num 1.5, "$.matched_runs: expected an integer");
       ("schema", J.Num 7.0, "$.schema: expected a string");
       ("schema", J.Str "itua-trajectories/2", "$.schema: unknown schema");
@@ -675,7 +675,7 @@ let test_loaded_certificate_identical () =
     J.to_string
       (Analysis.Check.to_json
          (Analysis.Check.run ~composition ~runs:20 ~horizon:1.0
-            ~max_states:2000 ~seed:7L model))
+            ~max_states:2000 model))
   in
   Alcotest.(check string) "identical analysis certificate"
     (cert ~composition:h.Itua.Model.composition h.Itua.Model.model)
