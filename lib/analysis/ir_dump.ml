@@ -37,7 +37,7 @@ let dump model =
                     all_writes :=
                       merge !all_writes (San.Effect.static_writes eff);
                     let ir =
-                      Symbolic.read_case ~n_int ~guard:a.San.Activity.guard eff
+                      Symbolic.read_case ~guard:a.San.Activity.guard eff
                     in
                     {
                       cd_index = i;

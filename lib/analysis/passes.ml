@@ -90,7 +90,6 @@ let gather (space : Space.t) =
           record writes.(a.id) (San.Effect.static_writes c.effect))
         a.cases)
     acts;
-  let ctx = space.Space.ctx in
   List.iter
     (fun m ->
       let inst = Ctmc.Walker.enabled_instantaneous model m in
@@ -131,18 +130,21 @@ let gather (space : Space.t) =
               Array.iteri
                 (fun case (c : San.Activity.case) ->
                   if weights.(case) > 0.0 then
+                    (* Every feasible [Pick] branch is fired, so a
+                       branch that underflows is found whichever one a
+                       run would choose. *)
                     match
-                      San.Effect.apply ctx c.San.Activity.effect
+                      San.Effect.outcomes c.San.Activity.effect
                         (San.Marking.copy m)
                     with
-                    | () -> ()
+                    | (_ : (float * San.Marking.t) list) -> ()
                     | exception Invalid_argument msg ->
                         if not (Hashtbl.mem negative (a.id, case)) then
                           Hashtbl.add negative (a.id, case) msg
+                    | exception San.Effect.Too_many_outcomes _ -> ()
                     | exception Failure _ ->
-                        (* The effect needed randomness the space's ctx
-                           cannot supply (e.g. a wide Pick during an
-                           exhaustive walk). *)
+                        (* A [Pick] with no feasible branch: the
+                           executor fails the same way. *)
                         ())
                 a.cases
           end)

@@ -6,7 +6,6 @@ type t = {
   markings : San.Marking.t list;
   n_stable : int;
   n_vanishing : int;
-  ctx : San.Effect.ctx;
   loop : string option;
   truncated : bool;
   fallback : string option;
@@ -48,7 +47,7 @@ let sampled ~runs ~horizon ~fallback ~loop model =
       on_finish = (fun _ m -> consider m);
     }
   in
-  let after =
+  let (_ : Prng.Stream.t) =
     Prng.Stream.walk (Prng.Stream.create ~seed) runs (fun _ stream ->
         match
           Sim.Executor.run ~workspace ~model ~config:cfg ~stream ~observer ()
@@ -64,7 +63,6 @@ let sampled ~runs ~horizon ~fallback ~loop model =
     markings = List.rev !samples;
     n_stable = !count;
     n_vanishing = 0;
-    ctx = { San.Effect.time = 0.0; stream = Some after };
     loop = !loop_msg;
     truncated = !count >= max_markings;
     fallback = Some fallback;
@@ -99,7 +97,6 @@ let build ?(max_states = 200_000) ?(max_work = 25_000) ?(runs = 3)
         markings = stable @ List.rev !vanishing;
         n_stable = Array.length keys;
         n_vanishing = !n_vanishing;
-        ctx = San.Effect.null_ctx;
         loop = None;
         truncated = false;
         fallback = None;

@@ -34,10 +34,6 @@ type t = {
       (** Exhaustive: stable-marking (CTMC state) count. Sampled: total
           distinct markings collected. *)
   n_vanishing : int;  (** Exhaustive only; [0] in sampled mode. *)
-  ctx : San.Effect.ctx;
-      (** Evaluation context for effects: no stream in exhaustive mode,
-          a dedicated stream in sampled mode (so a [Pick] with several
-          feasible branches still runs). *)
   loop : string option;
       (** Evidence that instantaneous firings failed to stabilize,
           from either the exhaustive walk or a diverged sample run. *)

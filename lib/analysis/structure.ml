@@ -9,7 +9,6 @@ type mode = {
   act_id : int;
   activity : string;
   case : int;
-  label : string;
   delta : (int * int) list;
   float_delta : bool;
 }
@@ -33,7 +32,6 @@ type t = {
   place_names : string array;
   initial : int array;
   modes : mode array;
-  fired : bool array;
   active : int list;
   constant : int list;
   rank : int;
@@ -72,22 +70,16 @@ type exact_extra = {
 let read_modes (space : Space.t) =
   let model = space.Space.model in
   let acts = San.Model.activities model in
-  let n_int =
-    Array.length (San.Marking.int_snapshot (San.Model.initial_marking model))
-  in
-  let fired = Array.make (Array.length acts) false in
   let modes = ref [] in
   let unresolved = Hashtbl.create 8 in
   let dead = ref [] in
   let decs = ref [] in
   Array.iter
     (fun (a : San.Activity.t) ->
-      let n_cases = Array.length a.San.Activity.cases in
-      if n_cases > 0 then fired.(a.San.Activity.id) <- true;
       Array.iteri
         (fun case (c : San.Activity.case) ->
           let ci =
-            Symbolic.read_case ~n_int ~guard:a.San.Activity.guard
+            Symbolic.read_case ~guard:a.San.Activity.guard
               c.San.Activity.effect
           in
           List.iter
@@ -106,27 +98,18 @@ let read_modes (space : Space.t) =
             (fun (i, d, prior) ->
               decs := (a.San.Activity.name, case, i, d, prior) :: !decs)
             ci.Symbolic.ci_decs;
-          let base = a.San.Activity.name in
-          let base =
-            if n_cases > 1 then Printf.sprintf "%s/c%d" base case else base
-          in
           let rows =
             match ci.Symbolic.ci_deltas with
             | [] -> [ [] ]  (* keep an empty row so A011 can see the case *)
             | rows -> rows
           in
-          let multi = List.length rows > 1 in
-          List.iteri
-            (fun k delta ->
-              let label =
-                if multi then Printf.sprintf "%s/a%d" base k else base
-              in
+          List.iter
+            (fun delta ->
               modes :=
                 {
                   act_id = a.San.Activity.id;
                   activity = a.San.Activity.name;
                   case;
-                  label;
                   delta;
                   float_delta = ci.Symbolic.ci_float;
                 }
@@ -143,7 +126,7 @@ let read_modes (space : Space.t) =
       ex_decs = List.rev !decs;
     }
   in
-  (Array.of_list (List.rev !modes), fired, extra)
+  (Array.of_list (List.rev !modes), extra)
 
 (* {2 Rank}
 
@@ -315,7 +298,7 @@ let farkas ~n_cols rows =
 
 let analyse ?(laws = []) (space : Space.t) =
   let model = space.Space.model in
-  let modes, fired, extra = read_modes space in
+  let modes, extra = read_modes space in
   let initial =
     San.Marking.int_snapshot (San.Model.initial_marking model)
   in
@@ -423,7 +406,7 @@ let analyse ?(laws = []) (space : Space.t) =
           Array.iteri
             (fun case (c : San.Activity.case) ->
               let verdicts =
-                Symbolic.case_drifts ~n_int ~guard:a.San.Activity.guard terms
+                Symbolic.case_drifts ~guard:a.San.Activity.guard terms
                   c.San.Activity.effect
               in
               Array.iteri
@@ -544,7 +527,6 @@ let analyse ?(laws = []) (space : Space.t) =
     place_names;
     initial;
     modes;
-    fired;
     active;
     constant;
     rank;
@@ -589,18 +571,17 @@ let sampled_fallbacks t =
 
 let diagnostics t =
   let out = ref [] in
-  let n_acts = Array.length t.fired in
-  let has_mode = Array.make n_acts false in
+  (* Every activity has a case, so every activity id owns a mode. *)
+  let n_acts = Array.fold_left (fun n md -> max n (md.act_id + 1)) 0 t.modes in
   let all_noop = Array.make n_acts true in
   let name = Array.make n_acts "" in
   Array.iter
     (fun md ->
-      has_mode.(md.act_id) <- true;
       name.(md.act_id) <- md.activity;
       if md.delta <> [] || md.float_delta then all_noop.(md.act_id) <- false)
     t.modes;
   for id = 0 to n_acts - 1 do
-    if has_mode.(id) && all_noop.(id) then
+    if all_noop.(id) then
       out :=
         Diagnostic.v ~code:Diagnostic.dead_effect
           ~severity:Diagnostic.Warning

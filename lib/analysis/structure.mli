@@ -55,10 +55,6 @@ type mode = {
   act_id : int;
   activity : string;
   case : int;
-  label : string;
-      (** unique display label: activity name, plus [/cN] when the
-          activity has several cases and [/aN] when one case has several
-          delta rows *)
   delta : (int * int) list;
       (** net int-place change [(index, change)], ascending index,
           unchanged places omitted *)
@@ -100,7 +96,6 @@ type t = {
   place_names : string array;  (** by int place index *)
   initial : int array;  (** [M0], by int place index *)
   modes : mode array;  (** in activity, case and [Ops]-block order *)
-  fired : bool array;  (** by activity id: the activity has a case *)
   active : int list;  (** int places some mode changes, ascending *)
   constant : int list;
       (** int places no mode changes — trivially conserved *)

@@ -35,14 +35,24 @@ type verdict =
   | Unproven of string  (** the interpreter could not decide; why *)
 
 val case_drifts :
-  n_int:int ->
   guard:San.Effect.cond ->
   (int * int) list array ->
   San.Effect.t ->
   verdict array
-(** [case_drifts ~n_int ~guard laws eff] symbolically executes [eff]
-    (guard refinements applied first) and returns one verdict per law.
-    Each law is a sorted [(int place index, coefficient)] list. *)
+(** [case_drifts ~guard laws eff] symbolically executes [eff] (guard
+    refinements applied first) and returns one verdict per law. Each law
+    is a sorted [(int place index, coefficient)] list.
+
+    The environment holds only the places the walk has written or
+    pinned, in a persistent map; every other place keeps its
+    pre-traversal value. So a walk costs what the effect writes, not
+    the number of places in the model. At an [If] the interpreter
+    cannot decide, and after a [Pick], a place keeps its value only
+    where every branch leaves it the same; any other place becomes
+    untrackable, and a later read of it makes the laws it feeds
+    [Unproven]. The drifts themselves merge through the branch
+    condition's indicator, so a law whose branches drift differently
+    but cancel in combination is still proven. *)
 
 type case_ir = {
   ci_deltas : (int * int) list list;
@@ -59,8 +69,11 @@ type case_ir = {
           every resolved decrement — A015 input *)
 }
 
-val read_case : n_int:int -> guard:San.Effect.cond -> San.Effect.t -> case_ir
-(** Exact atom extraction for one case effect. *)
+val read_case : guard:San.Effect.cond -> San.Effect.t -> case_ir
+(** Exact atom extraction for one case effect. The integer pins (from
+    the guard and the conditions dominating an [Ops] block) are a
+    persistent map like {!case_drifts}' environment; a join of
+    branches unpins every place that either branch wrote. *)
 
 val set_only_bounds : San.Model.t -> int option array
 (** Per int place index: an upper bound valid in every reachable

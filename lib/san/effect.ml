@@ -8,8 +8,6 @@ let stream_exn ctx =
         "Effect.stream_exn: effect requires randomness; this model cannot \
          be explored analytically"
 
-let null_ctx = { time = 0.0; stream = None }
-
 type rel = Eq | Ne | Lt | Le | Gt | Ge
 
 type iexpr =
@@ -150,10 +148,14 @@ let outcomes eff m =
             if !count > max_outcomes then
               raise (Too_many_outcomes max_outcomes);
             let wk = w /. float_of_int k in
-            List.concat_map
-              (fun e -> go e (wk, Marking.copy m))
-              (List.tl choices)
-            @ go (List.hd choices) (wk, m))
+            (* Copy [m] for the other branches before the first one
+               writes to it in place. *)
+            let others =
+              List.concat_map
+                (fun e -> go e (wk, Marking.copy m))
+                (List.tl choices)
+            in
+            others @ go (List.hd choices) (wk, m))
   in
   go eff (1.0, m)
 

@@ -20,9 +20,6 @@ type ctx = { time : float; stream : Prng.Stream.t option }
     raises [Failure]; analytical exploration uses {!outcomes}
     instead. *)
 
-val null_ctx : ctx
-(** [{ time = 0.; stream = None }] — for analytical evaluation. *)
-
 type rel = Eq | Ne | Lt | Le | Gt | Ge
 
 type iexpr =
@@ -91,9 +88,9 @@ val reval : Marking.t -> rexpr -> float
     the same order as {!rexpr_fn}. *)
 
 val apply : ctx -> t -> Marking.t -> unit
-(** Interpret the effect on the marking: the reference semantics the
-    analysis layer uses and {!run_prog} is tested against. [Pick] with
-    zero feasible branches and negative [Set] values raise. *)
+(** Interpret the effect on the marking: the reference semantics
+    {!run_prog} is tested against. [Pick] with zero feasible branches
+    and negative [Set] values raise. *)
 
 exception Too_many_outcomes of int
 (** One application forked into more outcomes than the cap it
@@ -103,7 +100,8 @@ val outcomes : t -> Marking.t -> (float * Marking.t) list
 (** [outcomes t m] applies [t] analytically, forking at every [Pick] with
     more than one feasible branch (uniform weights). The input marking is
     consumed (it becomes one of the results); forked branches work on
-    copies whose journals do not extend the input's journal. Weights sum
+    copies, taken before any branch writes, whose journals do not extend
+    the input's journal. Weights sum
     to 1. Raises {!Too_many_outcomes} when the fork tree exceeds 4096
     outcomes. *)
 

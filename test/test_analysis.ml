@@ -210,6 +210,35 @@ let test_a003_negative_write () =
   | ds -> Alcotest.failf "expected exactly one A003, got %d:\n%s"
             (List.length ds) (pp_report r)
 
+(* Only the second of two feasible [Pick] branches underflows. The walk
+   is exhaustive, so the check must fork every branch rather than draw
+   one: a run that picks the second branch raises. *)
+let test_a003_pick_branch () =
+  let b = B.create "buggy_pick" in
+  let c = B.int_place b ~init:2 "c" in
+  let a = B.int_place b "a" in
+  B.timed_exp_rate_ir b ~name:"step" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark c, Gt, Int 0))
+    ~reads:[ San.Place.P c ]
+    E.(
+      Pick
+        [
+          (Const true, Ops [ Inc (c, Int (-1)) ]);
+          (Const true, Ops [ Inc (c, Int (-1)); Inc (a, Int (-1)) ]);
+        ]);
+  let r = check (B.build b) in
+  Alcotest.(check bool)
+    "exhaustive mode" true
+    (r.Analysis.Check.mode = Analysis.Space.Exhaustive);
+  match with_code D.negative_write r with
+  | [ d ] ->
+      Alcotest.(check bool) "error at the activity, naming the place" true
+        (d.D.severity = D.Error
+        && d.D.source = D.Activity "step"
+        && message_mentions ~needle:"place a would become negative" d)
+  | ds -> Alcotest.failf "expected exactly one A003, got %d:\n%s"
+            (List.length ds) (pp_report r)
+
 (* --- A004/A005/A006: liveness --- *)
 
 let test_a004_dead_activity () =
@@ -380,7 +409,7 @@ let test_structure_mm1k () =
   let s = structure (check q.Test_models.q_model) in
   Alcotest.(check (list string))
     "two modes" [ "arrive"; "serve" ]
-    (Array.to_list (Array.map (fun md -> md.St.label) s.St.modes));
+    (Array.to_list (Array.map (fun md -> md.St.activity) s.St.modes));
   Alcotest.(check bool) "arrive adds one" true
     (s.St.modes.(0).St.delta = [ (0, 1) ]);
   Alcotest.(check bool) "serve removes one" true
@@ -704,7 +733,11 @@ let () =
             test_a013_rate_reader_write;
         ] );
       ( "A003 negative writes",
-        [ Alcotest.test_case "underflow" `Quick test_a003_negative_write ] );
+        [
+          Alcotest.test_case "underflow" `Quick test_a003_negative_write;
+          Alcotest.test_case "Pick branch underflow" `Quick
+            test_a003_pick_branch;
+        ] );
       ( "liveness",
         [
           Alcotest.test_case "A004 dead activity" `Quick

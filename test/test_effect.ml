@@ -53,7 +53,7 @@ let test_apply_ops_order () =
   B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
   let _, m = marking b in
   (* Ops run in order: the Inc sees the Set's value. *)
-  E.apply E.null_ctx
+  E.apply { E.time = 0.0; stream = None }
     E.(Ops [ Set (p, Int 10); Inc (q, Mark p) ])
     m;
   Alcotest.(check int) "set then inc" 10 (M.get m q)
@@ -79,6 +79,26 @@ let test_outcomes_pick () =
   in
   Alcotest.(check (list (pair int (float 1e-9))))
     "feasible branches, uniform" [ (0, 0.5); (2, 0.5) ] outs
+
+(* Every branch forks from the marking before the [Pick]: the first
+   branch writes in place, so the others must copy it first. *)
+let test_outcomes_pick_independent () =
+  let b, p, q = two_places () in
+  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  let _, m = marking b in
+  let outs =
+    E.outcomes
+      E.(
+        Pick
+          [
+            (Const true, Ops [ Inc (p, Int 1) ]);
+            (Const true, Ops [ Inc (q, Int 1) ]);
+          ])
+      m
+  in
+  Alcotest.(check (list (pair int int)))
+    "each branch from (3, 0)" [ (3, 1); (4, 0) ]
+    (List.sort compare (List.map (fun (_, m') -> (M.get m' p, M.get m' q)) outs))
 
 let test_static_reads_writes () =
   let b, p, q = two_places () in
@@ -477,6 +497,152 @@ let test_law_proven_symbolically () =
         r.Analysis.Check.sampled_fallbacks
   | _ -> Alcotest.fail "expected one law report"
 
+(* The law [q + r] is conserved, but only through the value [flag]
+   carries out of an undecided [If]: the else branch takes one from [r]
+   and clears [flag], and the later [Inc (q, 1 - flag)] gives it back.
+   A join keeps only what both branches agree on, so [flag] is
+   untrackable after it and the proof is incomplete; the law is then
+   validated on the markings instead. *)
+let test_law_through_join_unproven () =
+  let b = B.create "join-boundary" in
+  let x = B.int_place b ~init:1 "x" in
+  let flag = B.int_place b "flag" in
+  let q = B.int_place b "q" in
+  let r = B.int_place b ~init:3 "r" in
+  B.timed_exp_rate_ir b ~name:"move"
+    ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark r, Gt, Int 0))
+    ~reads:[ San.Place.P x; San.Place.P flag; San.Place.P r ]
+    E.(
+      Seq
+        [
+          If
+            ( Cmp (Mark x, Eq, Int 0),
+              Ops [ Set (flag, Int 1) ],
+              Ops [ Set (flag, Int 0); Inc (r, Int (-1)) ] );
+          Ops [ Inc (q, Sub (Int 1, Mark flag)) ];
+        ]);
+  let law = { St.law_name = "qr"; law_terms = [ (q, 1); (r, 1) ] } in
+  let r = Analysis.Check.run ~laws:[ law ] (B.build b) in
+  match r.Analysis.Check.structure.St.laws with
+  | [ lr ] ->
+      Alcotest.(check bool) "symbolic proof incomplete" true
+        (String.starts_with ~prefix:"symbolic proof incomplete" lr.St.lr_how);
+      Alcotest.(check (list (triple string int int)))
+        "holds on every marking" [] lr.St.lr_violations;
+      Alcotest.(check (list string))
+        "reported as a sampled fallback"
+        [ "law \"qr\": symbolic proof incomplete, validated on markings only" ]
+        r.Analysis.Check.sampled_fallbacks
+  | _ -> Alcotest.fail "expected one law report"
+
+(* Soundness of the law prover: whenever [case_drifts] proves a drift
+   ([Proven] or [Drift k]) for a random effect over three int places,
+   every outcome of every firing from every marking in {0,1,2}^3 moves
+   the law by exactly that much. Firings that would drive a place
+   negative, or reach a [Pick] with no feasible branch, are skipped:
+   the executor fails on them too. *)
+let prop_case_drifts_sound =
+  let b = B.create "oracle" in
+  let places = Array.init 3 (fun i -> B.int_place b (Printf.sprintf "p%d" i)) in
+  let model = B.build b in
+  let open QCheck2.Gen in
+  let place = map (fun i -> places.(i)) (int_bound 2) in
+  let small = int_range (-2) 2 in
+  let iexpr =
+    oneof
+      [
+        map (fun k -> E.Int k) small;
+        map (fun p -> E.Mark p) place;
+        map2 (fun p k -> E.Add (E.Mark p, E.Int k)) place small;
+      ]
+  in
+  let cond =
+    let cmp =
+      map3
+        (fun p rel k -> E.Cmp (E.Mark p, rel, E.Int k))
+        place
+        (oneofl E.[ Eq; Ne; Lt; Ge ])
+        (int_bound 2)
+    in
+    oneof [ cmp; map (fun cs -> E.All cs) (list_size (int_range 1 2) cmp) ]
+  in
+  let op =
+    map3
+      (fun set p e -> if set then E.Set (p, e) else E.Inc (p, e))
+      bool place iexpr
+  in
+  let effect =
+    fix
+      (fun self depth ->
+        let ops = map (fun os -> E.Ops os) (list_size (int_range 1 3) op) in
+        if depth = 0 then ops
+        else
+          frequency
+            [
+              (2, ops);
+              ( 2,
+                map
+                  (fun es -> E.Seq es)
+                  (list_size (int_range 1 3) (self (depth - 1))) );
+              ( 2,
+                map3 (fun c a e -> E.If (c, a, e)) cond (self (depth - 1))
+                  (self (depth - 1)) );
+              ( 1,
+                map
+                  (fun bs -> E.Pick bs)
+                  (list_size (int_range 1 3) (pair cond (self (depth - 1)))) );
+            ])
+      2
+    (* A top-level sequence, so that later blocks read what a join
+       left behind. *)
+    |> list_size (int_range 2 3) |> map (fun es -> E.Seq es)
+  in
+  (* A law: sorted [(place index, nonzero coefficient)] terms. *)
+  let law =
+    list_size (int_range 1 3) (pair (map San.Place.index place) small)
+    |> map (fun ts ->
+           List.sort_uniq (fun (i, _) (j, _) -> Int.compare i j) ts
+           |> List.filter (fun (_, k) -> k <> 0))
+  in
+  let weigh terms m =
+    let v = M.int_snapshot m in
+    List.fold_left (fun s (i, k) -> s + (k * v.(i))) 0 terms
+  in
+  let markings =
+    List.init 27 (fun n ->
+        let m = San.Model.initial_marking model in
+        Array.iteri (fun i p -> M.set m p (n / [| 1; 3; 9 |].(i) mod 3)) places;
+        m)
+  in
+  QCheck2.Test.make ~name:"case_drifts sound against outcomes" ~count:2000
+    ~print:(fun (eff, terms) ->
+      Format.asprintf "%a@ law %s" E.pp eff
+        (String.concat " + "
+           (List.map (fun (i, k) -> Printf.sprintf "%d*p%d" k i) terms)))
+    (pair effect law)
+    (fun (eff, terms) ->
+      let expect =
+        match
+          (Analysis.Symbolic.case_drifts ~guard:(E.Const true) [| terms |] eff).(0)
+        with
+        | Analysis.Symbolic.Proven -> Some 0
+        | Analysis.Symbolic.Drift k -> Some k
+        | Analysis.Symbolic.Unproven _ -> None
+      in
+      match expect with
+      | None -> true
+      | Some k ->
+          List.for_all
+            (fun m ->
+              match E.outcomes eff (M.copy m) with
+              | outs ->
+                  List.for_all
+                    (fun (_, m') -> weigh terms m' - weigh terms m = k)
+                    outs
+              | exception (Invalid_argument _ | Failure _) -> true)
+            markings)
+
 (* --- ir dump determinism --- *)
 
 let test_ir_dump_deterministic () =
@@ -536,6 +702,8 @@ let () =
           Alcotest.test_case "eval and holds" `Quick test_eval_holds;
           Alcotest.test_case "ops order" `Quick test_apply_ops_order;
           Alcotest.test_case "pick outcomes" `Quick test_outcomes_pick;
+          Alcotest.test_case "pick branches fork independently" `Quick
+            test_outcomes_pick_independent;
           Alcotest.test_case "static reads/writes" `Quick
             test_static_reads_writes;
         ] );
@@ -570,6 +738,9 @@ let () =
             test_law_in_basis;
           Alcotest.test_case "proven symbolically" `Quick
             test_law_proven_symbolically;
+          Alcotest.test_case "join drops disagreeing places" `Quick
+            test_law_through_join_unproven;
+          QCheck_alcotest.to_alcotest prop_case_drifts_sound;
         ] );
       ( "ir dump",
         [
