@@ -824,9 +824,6 @@ let check_run config invariants strict ir_dump symmetry json =
      like any other pass. *)
   let report, doc = Analysis.Check.certificate ?orbits ?ir_dump:dump report in
   Format.printf "%a" Analysis.Check.pp report;
-  (match orbits with
-  | Some rep -> Format.printf "@.%s@." (Analysis.Orbit.describe rep)
-  | None -> ());
   if invariants then
     Format.printf "@.%a" Analysis.Structure.pp
       report.Analysis.Check.structure;
@@ -884,7 +881,9 @@ let mtta_cmd =
             Analysis.Orbit.analyse h.Itua.Model.model
               h.Itua.Model.composition
           in
-          Format.printf "%s@." (Analysis.Orbit.describe rep);
+          List.iter
+            (Format.printf "%a@." Analysis.Diagnostic.pp)
+            (Analysis.Orbit.diagnostics rep);
           (Some (Analysis.Orbit.canon rep), true)
     in
     let obs = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in

@@ -28,17 +28,24 @@
        case weights and effect terms — then normalizing commutative
        structure (integer [Add]/[Mul] chains, [All]/[Any] conjunct
        order, [Pick] branch order, independent [Ops] blocks; float
-       arithmetic is {e never} reassociated, so verified rates are
-       bit-identical) — must reproduce the model's activity multiset
-       exactly. Verified transpositions are the generator witnesses of
+       arithmetic is {e never} reassociated) — must reproduce the
+       model's activities exactly. Each activity's renamed shape is an
+       IR value (timing policy, distribution family and parameters,
+       guard, sorted reads, sorted [(weight, effect)] cases) compared
+       with its partner's by [Stdlib.compare]: float constants are
+       compared as floats, so two rates one ulp apart never share an
+       orbit ([compare] equates only [0.0] with [-0.0], and NaN with
+       NaN). Verified transpositions are the generator witnesses of
        diagnostic A017; since they share the representative, they
        generate the full symmetric group on the orbit.}}
 
     A transposition that fails to verify splits the orbit and yields an
-    A018 diagnostic naming the activity (and first differing component:
-    guard, rate, effect, ...) that breaks the symmetry — for the full
-    ITUA model that is the [on_host] identity coupling, reported
-    honestly instead of silently mis-lumped.
+    A018 diagnostic naming the activity, its first differing component
+    (timing, distribution, guard, reads or cases) and, on one line, the
+    first pair of differing sub-terms in it — for the full ITUA model
+    that is the [on_host] identity coupling, reported honestly instead
+    of silently mis-lumped. Nothing is printed for an activity that
+    verifies.
 
     {!canon} maps a state key to the representative of its orbit under
     the {e verified} group only: per family (deepest first), per orbit,
@@ -111,10 +118,6 @@ val canon :
     validation (running one anyway, as the [ctmc_exact] benchmark does,
     validates this module instead). *)
 
-val trivial : report -> bool
-(** No family has an orbit with two or more members — {!canon} is the
-    identity and lumping cannot shrink the chain. *)
-
 val check_canon :
   report ->
   (int array * float array -> int array * float array) ->
@@ -130,10 +133,8 @@ val diagnostics : report -> Diagnostic.t list
 (** The certificate as diagnostics: one A017 orbit report per analysed
     family (orbit classes + generator witnesses), one A018 per broken
     symmetry, each with the family's composition path as source.
-    Sorted by {!Diagnostic.compare}. *)
-
-val describe : report -> string
-(** Human-readable summary, one family per line plus break details. *)
+    Sorted by {!Diagnostic.compare}. This is the report's only text
+    rendering. *)
 
 val to_json : report -> Report.Json.t
 (** Deterministic JSON of the full report (families, orbits, witnesses,

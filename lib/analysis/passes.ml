@@ -24,16 +24,8 @@ type facts = {
 
 let space f = f.space
 
-let dist_reads (d : San.Activity.dist_ir) =
-  let r = San.Effect.rexpr_reads in
-  match d with
-  | DExp a | DDet a | DErlang (_, a) -> r a
-  | DUniform (a, b)
-  | DGamma (a, b)
-  | DWeibull (a, b)
-  | DLognormal (a, b)
-  | DNormal (a, b) ->
-      r a @ r b
+let dist_reads d =
+  List.concat_map San.Effect.rexpr_reads (snd (San.Activity.dist_params d))
 
 let gather (space : Space.t) =
   let model = space.Space.model in

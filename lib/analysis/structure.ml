@@ -130,30 +130,29 @@ let read_modes (space : Space.t) =
 
 (* {2 Rank}
 
-   Sparse rational forward elimination over the mode rows. Rows are
-   [(place index, coefficient)] lists, ascending, zero-free. *)
+   Fraction-free forward elimination over the mode rows. Rows are
+   [(place index, coefficient)] lists, ascending, zero-free. A row is
+   cleared against the pivot at its leading index by the integer
+   combination that cancels the lead, then divided by the gcd of its
+   entries. *)
 
-let row_sub_scaled r c p =
-  (* [r - c * p], both rows sorted by index. *)
-  let rec go r p =
-    match (r, p) with
+(* [la * a + lb * b] for sparse rows sorted by index; zero entries are
+   kept. *)
+let merge_y ~la a ~lb b =
+  let rec go a b =
+    match (a, b) with
     | [], [] -> []
-    | r, [] -> r
-    | [], (j, v) :: p -> (j, Rat.neg (Rat.mul c v)) :: go [] p
-    | (i, a) :: r', (j, v) :: p' ->
-        if i < j then (i, a) :: go r' p
-        else if j < i then (j, Rat.neg (Rat.mul c v)) :: go r p'
-        else
-          let x = Rat.sub a (Rat.mul c v) in
-          if Rat.is_zero x then go r' p' else (i, x) :: go r' p'
+    | (i, v) :: a', [] -> (i, la * v) :: go a' []
+    | [], (j, w) :: b' -> (j, lb * w) :: go [] b'
+    | (i, v) :: a', (j, w) :: b' ->
+        if i < j then (i, la * v) :: go a' b
+        else if j < i then (j, lb * w) :: go a b'
+        else (i, (la * v) + (lb * w)) :: go a' b'
   in
-  go r p
+  go a b
 
-let normalize_row = function
-  | [] -> []
-  | (_, lead) :: _ as row -> List.map (fun (i, x) -> (i, Rat.div x lead)) row
-
-(* One pivot row per independent row, keyed by its leading index. *)
+(* One pivot row (with its lead) per independent row, keyed by its
+   leading index. *)
 let rank rows =
   let pivots = Hashtbl.create 64 in
   let rec reduce row =
@@ -161,13 +160,17 @@ let rank rows =
     | [] -> ()
     | (j, c) :: _ -> (
         match Hashtbl.find_opt pivots j with
-        | Some prow -> reduce (row_sub_scaled row c prow)
-        | None -> Hashtbl.add pivots j (normalize_row row))
+        | None -> Hashtbl.add pivots j (c, row)
+        | Some (p, prow) ->
+            let g = igcd (abs p) (abs c) in
+            let row =
+              merge_y ~la:(p / g) row ~lb:(-c / g) prow
+              |> List.filter (fun (_, v) -> v <> 0)
+            in
+            let g = List.fold_left (fun g (_, v) -> igcd g (abs v)) 0 row in
+            reduce (List.map (fun (i, v) -> (i, v / g)) row))
   in
-  List.iter
-    (fun delta ->
-      reduce (List.map (fun (i, d) -> (i, Rat.of_int d)) delta))
-    rows;
+  List.iter reduce rows;
   Hashtbl.length pivots
 
 (* {2 Farkas' algorithm}
@@ -195,19 +198,6 @@ let normalize_frow r =
       c = Array.map (fun v -> v / g) r.c;
       y = List.map (fun (i, v) -> (i, v / g)) r.y;
     }
-
-let merge_y ~la a ~lb b =
-  let rec go a b =
-    match (a, b) with
-    | [], [] -> []
-    | (i, v) :: a', [] -> (i, la * v) :: go a' []
-    | [], (j, w) :: b' -> (j, lb * w) :: go [] b'
-    | (i, v) :: a', (j, w) :: b' ->
-        if i < j then (i, la * v) :: go a' b
-        else if j < i then (j, lb * w) :: go a b'
-        else (i, (la * v) + (lb * w)) :: go a' b'
-  in
-  go a b
 
 let farkas ~n_cols rows =
   let remaining = ref (List.init n_cols Fun.id) in

@@ -19,9 +19,9 @@
     {- {b P-semiflows}: minimal non-negative integer vectors [y] with
        [y . C = 0] (Farkas' algorithm) — weighted token conservation
        laws, each with its conserved value [y . M0];}
-    {- the {b rank} of [C] over the rationals by exact Gaussian
-       elimination ({!Rat}), and with it the dimension of the space of
-       P-invariants (mixed-sign ones included);}
+    {- the {b rank} of [C] over the rationals by exact fraction-free
+       integer elimination ({!rank}), and with it the dimension of the
+       space of P-invariants (mixed-sign ones included);}
     {- {b boundedness certificates}: a structural bound
        [y . M0 / y_p] for every place covered by a semiflow, plus the
        maximum over the space's markings (an exhaustion proof in
@@ -130,6 +130,12 @@ val analyse : ?laws:law list -> Space.t -> t
     markings serve only for [observed_max] and as a backstop when a
     law's symbolic proof is incomplete. Deterministic for a fixed
     space. *)
+
+val rank : (int * int) list list -> int
+(** The rank over the rationals of sparse integer rows, each a list of
+    [(column, coefficient)] with ascending columns and no zero
+    coefficient. Exact: rows are reduced by integer combinations and
+    divided by the gcd of their entries, never rounded. *)
 
 val covered : t -> int -> bool
 (** [covered t i]: int place [i] is conserved or bounded by the

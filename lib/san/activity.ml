@@ -24,6 +24,16 @@ let constant_dist ir =
   | DNormal (RConst mean, RConst stddev) -> Some (Dist.Normal { mean; stddev })
   | _ -> None
 
+let dist_params = function
+  | DExp r -> ("exponential", [ r ])
+  | DDet r -> ("deterministic", [ r ])
+  | DUniform (lo, hi) -> ("uniform", [ lo; hi ])
+  | DErlang (k, r) -> (Printf.sprintf "erlang(k=%d)" k, [ r ])
+  | DGamma (a, b) -> ("gamma", [ a; b ])
+  | DWeibull (a, b) -> ("weibull", [ a; b ])
+  | DLognormal (a, b) -> ("lognormal", [ a; b ])
+  | DNormal (a, b) -> ("normal", [ a; b ])
+
 (* All-constant parameters fold to one preallocated [Dist.t]; otherwise
    each parameter compiles via [Effect.rexpr_fn] and a fresh record is
    built per evaluation, exactly like the historical closures did. *)

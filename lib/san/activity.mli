@@ -49,6 +49,11 @@ val constant_dist : dist_ir -> Dist.t option
 (** [Some d] when every parameter is an [Effect.RConst]: the one
     distribution the activity samples in every marking. *)
 
+val dist_params : dist_ir -> string * Effect.rexpr list
+(** The distribution's family (["exponential"], ["erlang(k=3)"], ...;
+    an Erlang's stage count is part of it) and its parameters in
+    declaration order. *)
+
 val dist_fn : dist_ir -> Marking.t -> Dist.t
 (** Compile a declarative distribution to the closure form the executor
     samples from. Evaluates each parameter with {!Effect.rexpr_fn}, so

@@ -488,8 +488,15 @@ and pp_cond ppf = function
         cs
   | Not c -> Format.fprintf ppf "!%a" pp_cond c
 
+(* [%g] when it reads back as the same float, all 17 digits otherwise,
+   so two different constants never print alike. *)
+let pp_float ppf x =
+  let s = Printf.sprintf "%g" x in
+  Format.pp_print_string ppf
+    (if Float.equal (float_of_string s) x then s else Printf.sprintf "%.17g" x)
+
 let rec pp_fexpr ppf = function
-  | Flt x -> Format.fprintf ppf "%g" x
+  | Flt x -> pp_float ppf x
   | FMark p -> Format.pp_print_string ppf (Place.fname p)
   | OfInt e -> Format.fprintf ppf "float(%a)" pp_iexpr e
   | FAdd (a, b) -> Format.fprintf ppf "(%a +. %a)" pp_fexpr a pp_fexpr b
@@ -498,7 +505,7 @@ let rec pp_fexpr ppf = function
   | FDiv (a, b) -> Format.fprintf ppf "(%a /. %a)" pp_fexpr a pp_fexpr b
 
 let rec pp_rexpr ppf = function
-  | RConst x -> Format.fprintf ppf "%g" x
+  | RConst x -> pp_float ppf x
   | RExpr e -> pp_fexpr ppf e
   | RIf (c, a, b) ->
       Format.fprintf ppf "(if %a then %a else %a)" pp_cond c pp_rexpr a

@@ -180,7 +180,11 @@ val rexpr_fn : rexpr -> Marking.t -> float
 (** Compile a rate expression to a closure. [rexpr_fn r m = reval m r]
     bit-for-bit; [RConst] compiles to a constant function. *)
 
-(** {1 Pretty-printing} *)
+(** {1 Pretty-printing}
+
+    Float constants print with [%g] when that reads back as the same
+    float and with all 17 significant digits otherwise, so two different
+    constants never print alike. *)
 
 val pp_rel : Format.formatter -> rel -> unit
 val pp_iexpr : Format.formatter -> iexpr -> unit

@@ -2,7 +2,7 @@
    extraction, the compiled flat-array programs (pinned bit-identical
    against the interpreter, and compiled once per shared node), the
    exact A013-A015 diagnostics (one deliberately broken fixture per
-   code), exact-law span skipping, and Rat normalization edge cases. *)
+   code), exact-law span skipping, and the exact integer rank. *)
 
 module B = San.Model.Builder
 module M = San.Marking
@@ -661,38 +661,50 @@ let test_ir_dump_deterministic () =
   Alcotest.(check bool) "guard reads p" true
     (List.mem "p" churn.Analysis.Ir_dump.ad_guard_reads)
 
-(* --- Rat edge cases --- *)
+(* --- rank --- *)
 
-let rat = Alcotest.testable Analysis.Rat.pp Analysis.Rat.equal
+(* A dense integer vector as a sparse rank row: ascending columns, no
+   zero entries. *)
+let sparse v =
+  Array.to_list (Array.mapi (fun i x -> (i, x)) v)
+  |> List.filter (fun (_, x) -> x <> 0)
 
-let test_rat_normalization () =
-  let open Analysis.Rat in
-  Alcotest.check rat "negative denominator" (make (-1) 2) (make 2 (-4));
-  Alcotest.check rat "double negative" (make 1 2) (make (-3) (-6));
-  Alcotest.(check string) "printed normalized" "-1/2"
-    (to_string (make 3 (-6)));
-  Alcotest.(check string) "integer form" "4" (to_string (make 12 3));
-  Alcotest.check rat "zero normalizes" zero (make 0 (-7));
-  Alcotest.(check int) "sign of negative" (-1) (sign (make 1 (-3)));
-  Alcotest.(check bool) "equal is structural on normal forms" true
-    (equal (make 2 4) (make 1 2));
-  Alcotest.check rat "inv keeps den positive" (make (-2) 1) (inv (make 1 (-2)))
+let unit_rows n = List.init n (fun i -> Array.init n (fun j -> if i = j then 1 else 0))
 
-let test_rat_arithmetic_near_caps () =
-  let open Analysis.Rat in
-  (* Coefficient magnitudes near the Farkas enumeration caps (hundreds
-     of modes, unit deltas): sums over ~512 distinct prime-ish
-     denominators must stay exact on native ints. *)
-  let dens = List.init 512 (fun i -> (2 * i) + 3) in
-  let s = List.fold_left (fun acc d -> add acc (make 1 d)) zero dens in
-  let s' = List.fold_left (fun acc d -> sub acc (make 1 d)) s dens in
-  Alcotest.check rat "telescoping sum cancels exactly" zero s';
-  (* Cross-multiplication in [compare] must not overflow for the
-     magnitudes the incidence matrices produce. *)
-  let big = make 1_000_003 999_983 in
-  Alcotest.(check int) "compare exact near 1" 1 (compare big one);
-  Alcotest.(check int) "compare symmetric" (-1) (compare one big);
-  Alcotest.check rat "mul/div round-trips" big (div (mul big big) big)
+let test_rank_unit_diagonal () =
+  Alcotest.(check int) "no rows" 0 (St.rank []);
+  Alcotest.(check int) "unit diagonal has full rank" 7
+    (St.rank (List.map sparse (unit_rows 7)))
+
+(* Appending integer combinations of the rows never changes the rank,
+   and appending the unit diagonal always brings it to the column
+   count. *)
+let prop_rank_combinations =
+  let cols = 5 in
+  let open QCheck2.Gen in
+  let gen =
+    list_size (int_range 1 6) (array_size (return cols) (int_range (-3) 3))
+    >>= fun rows ->
+    list_size (int_range 1 4)
+      (array_size (return (List.length rows)) (int_range (-3) 3))
+    >|= fun combos -> (rows, combos)
+  in
+  let show v = String.concat " " (Array.to_list (Array.map string_of_int v)) in
+  QCheck2.Test.make ~name:"rank unchanged by appended combinations"
+    ~count:500
+    ~print:(fun (rows, combos) ->
+      "rows: " ^ String.concat "; " (List.map show rows) ^ " / combos: "
+      ^ String.concat "; " (List.map show combos))
+    gen
+    (fun (rows, combos) ->
+      let combine c =
+        Array.init cols (fun j ->
+            List.fold_left ( + ) 0
+              (List.mapi (fun i r -> c.(i) * r.(j)) rows))
+      in
+      let rank vs = St.rank (List.map sparse vs) in
+      rank rows = rank (rows @ List.map combine combos)
+      && rank (rows @ unit_rows cols) = cols)
 
 let () =
   Alcotest.run "effect"
@@ -747,10 +759,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick
             test_ir_dump_deterministic;
         ] );
-      ( "rat",
+      ( "rank",
         [
-          Alcotest.test_case "normalization" `Quick test_rat_normalization;
-          Alcotest.test_case "arithmetic near caps" `Quick
-            test_rat_arithmetic_near_caps;
+          Alcotest.test_case "unit diagonal" `Quick test_rank_unit_diagonal;
+          QCheck_alcotest.to_alcotest prop_rank_combinations;
         ] );
     ]
