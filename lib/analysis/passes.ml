@@ -127,9 +127,9 @@ let gather (space : Space.t) =
                        run would choose. *)
                     match
                       San.Effect.outcomes c.San.Activity.effect
-                        (San.Marking.copy m)
+                        (San.Marking.copy m) (fun _ _ -> ())
                     with
-                    | (_ : (float * San.Marking.t) list) -> ()
+                    | () -> ()
                     | exception Invalid_argument msg ->
                         if not (Hashtbl.mem negative (a.id, case)) then
                           Hashtbl.add negative (a.id, case) msg

@@ -41,7 +41,10 @@ let normalized_weights (a : San.Activity.t) m =
    into its feasible branches with uniform weights instead of drawing
    randomness. Consumes [m]. *)
 let case_outcomes (a : San.Activity.t) case m =
-  San.Effect.outcomes a.cases.(case).San.Activity.effect m
+  let outs = ref [] in
+  San.Effect.outcomes a.cases.(case).San.Activity.effect m (fun w m ->
+      outs := (w, m) :: !outs);
+  List.rev !outs
 
 (* Resolve a marking into its stable-marking distribution by eliminating
    chains of instantaneous firings: uniform choice among the enabled

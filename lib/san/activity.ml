@@ -81,7 +81,6 @@ type case = {
   case_weight : Marking.t -> float;
   weight_ir : Effect.rexpr;
   effect : Effect.t;
-  prog : Effect.prog;
 }
 
 type t = {
@@ -95,12 +94,7 @@ type t = {
 }
 
 let make_case ?(weight = Effect.RConst 1.0) effect =
-  {
-    case_weight = Effect.rexpr_fn weight;
-    weight_ir = weight;
-    effect;
-    prog = Effect.PSkip;
-  }
+  { case_weight = Effect.rexpr_fn weight; weight_ir = weight; effect }
 
 let is_instantaneous a =
   match a.timing with Instantaneous -> true | Timed _ -> false

@@ -80,12 +80,8 @@ type case = {
       (** Non-negative, marking-dependent; normalized over the activity's
           cases at firing time. *)
   effect : Effect.t;
-  prog : Effect.prog;
-      (** [effect] compiled by [Model.Builder] when the activity is
-          added, under the builder's per-build memo ({!Effect.compile_in}):
-          a node shared by several cases or activities compiles once and
-          they all hold the same program. The executor's hot path runs
-          this instead of interpreting [effect]. *)
+      (** Run by the executor through {!Effect.apply} and forked by
+          analytical exploration through {!Effect.outcomes}. *)
 }
 
 type t = {
@@ -106,10 +102,7 @@ type t = {
 }
 
 val make_case : ?weight:Effect.rexpr -> Effect.t -> case
-(** Build a case with the given weight (default [Effect.RConst 1.0]).
-    It does not compile the effect: [prog] is [Effect.PSkip] until the
-    case is passed to a [Model.Builder] activity declaration, which
-    compiles it. *)
+(** Build a case with the given weight (default [Effect.RConst 1.0]). *)
 
 val is_instantaneous : t -> bool
 

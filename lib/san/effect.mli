@@ -5,20 +5,13 @@
     branches, and uniform picks — that
 
     {ul
-    {- the executor compiles to flat arc/delta arrays applied without
-       closure dispatch ({!compile}, {!run_prog});}
+    {- the executor runs as they are ({!apply}), drawing from the
+       replication's stream at a [Pick];}
     {- structural analysis reads {e exactly} (symbolic incidence, no
        marking enumeration, no sampled modes);}
     {- analytical exploration enumerates without randomness: a [Pick]
        forks into its feasible branches with uniform weights
        ({!outcomes}).}} *)
-
-type ctx = { time : float; stream : Prng.Stream.t option }
-(** Firing context: current simulation time and, in simulation mode, the
-    replication's random stream, from which a [Pick] with several
-    feasible branches draws. Without a stream ([None]) such a [Pick]
-    raises [Failure]; analytical exploration uses {!outcomes}
-    instead. *)
 
 type rel = Eq | Ne | Lt | Le | Gt | Ge
 
@@ -87,23 +80,28 @@ val reval : Marking.t -> rexpr -> float
 (** Evaluate a rate expression; performs the same float operations in
     the same order as {!rexpr_fn}. *)
 
-val apply : ctx -> t -> Marking.t -> unit
-(** Interpret the effect on the marking: the reference semantics
-    {!run_prog} is tested against. [Pick] with zero feasible branches
-    and negative [Set] values raise. *)
+val apply : Prng.Stream.t -> t -> Marking.t -> unit
+(** [apply stream t m] runs the effect on the marking: the one semantics
+    the executor fires. A [Pick] with several feasible branches draws
+    one with [Prng.Stream.choose_list stream]. [Pick] with zero feasible
+    branches and negative [Set] values raise. *)
 
 exception Too_many_outcomes of int
 (** One application forked into more outcomes than the cap it
     carries. *)
 
-val outcomes : t -> Marking.t -> (float * Marking.t) list
-(** [outcomes t m] applies [t] analytically, forking at every [Pick] with
-    more than one feasible branch (uniform weights). The input marking is
-    consumed (it becomes one of the results); forked branches work on
+val outcomes : t -> Marking.t -> (float -> Marking.t -> unit) -> unit
+(** [outcomes t m f] applies [t] analytically, forking at every [Pick]
+    with more than one feasible branch (uniform weights), and calls
+    [f w m'] on each outcome as soon as it is complete. The walk is
+    depth-first: a [Pick] yields its second to last feasible branches,
+    in order, before its first, and a [Seq] runs its rest on each
+    outcome of its head in turn. Weights sum to 1. The input marking is
+    consumed (it becomes the last outcome); forked branches work on
     copies, taken before any branch writes, whose journals do not extend
-    the input's journal. Weights sum
-    to 1. Raises {!Too_many_outcomes} when the fork tree exceeds 4096
-    outcomes. *)
+    the input's journal. [f] may keep or change the marking it is given.
+    Raises {!Too_many_outcomes} once the fork tree exceeds 4096 outcomes,
+    possibly after [f] has seen some of them. *)
 
 (** {1 Static structure} *)
 
@@ -122,55 +120,7 @@ val static_reads : t -> int list
 val static_writes : t -> int list
 (** Sorted uids of places the effect can write. *)
 
-(** {1 Compilation} *)
-
-type cop =
-  | CAdd of Place.t * int
-  | CSet of Place.t * int
-  | CAddE of Place.t * iexpr
-  | CSetE of Place.t * iexpr
-  | CFSet of Place.fl * fexpr
-  | CFAdd of Place.fl * fexpr
-
-type pcond =
-  | KConst of bool
-  | KCmpc of Place.t * rel * int  (** [m(p) rel k] — the common guard *)
-  | KGen of cond
-
-type prog =
-  | PSkip
-  | PAddc of (Place.t * int) array
-      (** flat constant-increment arc array — the hot path *)
-  | POps of cop array
-  | PSeq of prog array
-  | PIf of pcond * prog * prog
-  | PPick of (pcond * prog) array
-
-val compile : t -> prog
-(** Compile a term on its own; constant expressions are folded and
-    all-constant-increment op lists become flat {!PAddc} arc arrays.
-    Equivalent to [compile_in (memo ()) t]. *)
-
-type memo
-(** A compilation memo. A term may share sub-terms (one node reachable
-    from several parents or several activities); under one memo each
-    distinct [Seq], [If] or [Pick] node compiles once and every
-    occurrence gets the same program. Lookup returns at once on a
-    physically equal node; a structurally equal copy also finds it.
-    [San.Model.Builder] owns one memo per build and drops it at
-    [build], so no table outlives a build or is shared between
-    domains. *)
-
-val memo : unit -> memo
-(** An empty memo. *)
-
-val compile_in : memo -> t -> prog
-(** [compile_in memo t] is [compile t] (structurally equal), reusing the
-    program of any node of [t] already compiled under [memo]. *)
-
-val run_prog : ctx -> prog -> Marking.t -> unit
-(** Execute a compiled program. Equivalent to {!apply} on the source term
-    (bit-identical marking trajectory and random-stream consumption). *)
+(** {1 Closures} *)
 
 val cond_fn : cond -> Marking.t -> bool
 (** Compile a guard condition to a predicate closure (for

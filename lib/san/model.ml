@@ -30,7 +30,7 @@ module Builder = struct
     names : (string, unit) Hashtbl.t;
     act_names : (string, unit) Hashtbl.t;
     mutable next_uid : int;
-    mutable memo : Effect.memo option;  (* [None] once built *)
+    mutable built : bool;
   }
 
   let create bname =
@@ -45,12 +45,11 @@ module Builder = struct
       names = Hashtbl.create 64;
       act_names = Hashtbl.create 64;
       next_uid = 0;
-      memo = Some (Effect.memo ());
+      built = false;
     }
 
   let check_fresh b what tbl name =
-    if Option.is_none b.memo then
-      invalid_arg "Model.Builder: builder already built";
+    if b.built then invalid_arg "Model.Builder: builder already built";
     if Hashtbl.mem tbl name then
       invalid_arg (Printf.sprintf "Model.Builder: duplicate %s %S" what name);
     Hashtbl.add tbl name ()
@@ -76,10 +75,9 @@ module Builder = struct
 
   (* The enabling predicate is a declarative guard, compiled to the
      [enabled] closure, and effects are [Effect.t] terms, so structural
-     analysis reads the activity exactly. Each case's effect compiles
-     here, under the build's memo: a node shared between activities
-     compiles once. A constant parameter or weight out of range is
-     rejected here rather than at its first sample. *)
+     analysis reads the activity exactly and the executor runs them as
+     they are. A constant parameter or weight out of range is rejected
+     here rather than at its first sample. *)
 
   let activity_ir b ~name ~timing ~guard ~reads cases =
     check_fresh b "activity" b.act_names name;
@@ -107,8 +105,6 @@ module Builder = struct
             reject "has case %d weight %g (must be finite and >= 0)" i w
         | _ -> ())
       cases;
-    (* [check_fresh] has rejected a built builder. *)
-    let memo = Option.get b.memo in
     let act =
       {
         Activity.id = b.n_acts;
@@ -117,12 +113,7 @@ module Builder = struct
         enabled = Effect.cond_fn guard;
         guard;
         reads;
-        cases =
-          Array.of_list
-            (List.map
-               (fun (c : Activity.case) ->
-                 { c with prog = Effect.compile_in memo c.effect })
-               cases);
+        cases = Array.of_list cases;
       }
     in
     b.n_acts <- b.n_acts + 1;
@@ -173,9 +164,8 @@ module Builder = struct
       [ Activity.make_case effect ]
 
   let build b =
-    if Option.is_none b.memo then
-      invalid_arg "Model.Builder.build: already built";
-    b.memo <- None;
+    if b.built then invalid_arg "Model.Builder.build: already built";
+    b.built <- true;
     let ints = Array.of_list (List.rev b.ints) in
     let floats = Array.of_list (List.rev b.floats) in
     let activities = Array.of_list (List.rev b.acts) in

@@ -70,7 +70,6 @@ type state = {
   model : San.Model.t;
   cfg : config;
   stream : Prng.Stream.t;
-  ctx_stream : Prng.Stream.t option;  (* [Some stream], allocated once *)
   prof : Obs.Profile.t option;
   mutable inst_count : int;  (* number of [inst_on] flags set *)
   (* Shared read-only tables of the model (see [San.Model] run tables). *)
@@ -154,15 +153,11 @@ let select_case st (a : San.Activity.t) =
     Prng.Stream.categorical st.stream weights
   end
 
-(* Fire [a] through case [c]; returns the list of changed place uids.
-   The case's program was compiled from its IR term at model-construction
-   time and matches [San.Effect.apply] bit for bit, stream draws
-   included (pinned by a test). *)
+(* Fire [a] through case [c]; returns the list of changed place uids. *)
 let fire st (a : San.Activity.t) case =
   let ws = st.ws in
   San.Marking.clear_journal ws.marking;
-  let ctx = { San.Effect.time = st.now; stream = st.ctx_stream } in
-  San.Effect.run_prog ctx a.cases.(case).San.Activity.prog ws.marking;
+  San.Effect.apply st.stream a.cases.(case).San.Activity.effect ws.marking;
   ws.firings.(a.id) <- ws.firings.(a.id) + 1;
   San.Marking.journal ws.marking
 
@@ -292,7 +287,6 @@ let make_state ~ws ~model ~cfg ~stream ~prof ~from_ =
     model;
     cfg;
     stream;
-    ctx_stream = Some stream;
     prof;
     inst_count;
     inst_ids = San.Model.instantaneous_ids model;
