@@ -840,7 +840,7 @@ let check_run config invariants strict ir_dump symmetry json =
 let check_cmd =
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Check the model: undeclared reads and writes, negative \
+       ~doc:"Check the model: undeclared closure-rate reads, negative \
              markings, dead activities and places, instantaneous loops and \
              ties, unused shared places, unbounded places, dead effects, \
              and declared-invariant violations. Exits nonzero if any \

@@ -76,7 +76,6 @@ let unused_shared_place = "A009-unused-shared-place"
 let unbounded_place = "A010-unbounded-place"
 let dead_effect = "A011-dead-effect"
 let invariant_violated = "A012-invariant-violated"
-let ir_mismatch = "A013-ir-declaration-mismatch"
 let dead_branch = "A014-dead-branch"
 let negative_capable = "A015-negative-capable-delta"
 let orbit_report = "A017-orbit-report"
@@ -86,7 +85,8 @@ let unsound_canon = "A019-unsound-canon"
 let catalogue =
   [
     ( undeclared_read,
-      "an activity function reads a place missing from its reads list" );
+      "a closure timing reads a place missing from its activity's reads \
+       list" );
     (negative_write, "an effect drives an int place negative");
     (dead_activity, "an activity is never enabled in any visited marking");
     (never_written_place, "no effect ever writes this place");
@@ -100,9 +100,6 @@ let catalogue =
       "no covering P-semiflow and exploration could not bound the place" );
     (dead_effect, "a fired activity never changes the marking");
     (invariant_violated, "an effect breaks a declared conservation law");
-    ( ir_mismatch,
-      "an activity's declared reads disagree with its guard or effect \
-       syntax (exact)" );
     ( dead_branch,
       "an If/Pick branch is statically dead under the dominating guards \
        (informational: guarded cascade helpers legitimately specialize)" );

@@ -50,9 +50,10 @@ val to_json : t -> Report.Json.t
 (** {2 Codes}
 
     One constant per diagnostic code, so passes and tests never spell
-    the strings twice. A002 and A016 are retired: their checks were
-    subsumed by A013 and by the removal of closure effects, and the
-    codes are never reused. *)
+    the strings twice. A002, A013 and A016 are retired, and the codes
+    are never reused: A002 was subsumed by A013, A016 went with the
+    closure effects, and A013 (declared reads against the IR) with the
+    builder completing every activity's reads from its IR. *)
 
 val undeclared_read : string
 val negative_write : string
@@ -65,7 +66,6 @@ val unused_shared_place : string
 val unbounded_place : string
 val dead_effect : string
 val invariant_violated : string
-val ir_mismatch : string
 val dead_branch : string
 val negative_capable : string
 val orbit_report : string

@@ -1,31 +1,19 @@
-type via = Enabled | Dist | Weight | Effect
-
-let via_index = function Enabled -> 0 | Dist -> 1 | Weight -> 2 | Effect -> 3
-
-let via_name = function
-  | Enabled -> "enabled"
-  | Dist -> "dist"
-  | Weight -> "weight"
-  | Effect -> "effect"
-
 type facts = {
   space : Space.t;
   n_acts : int;
   n_uids : int;
   act_name : string array;  (* activity id -> name *)
   place_name : string array;  (* place uid -> name *)
-  declared : Bytes.t array;  (* activity id -> declared-reads uid set *)
-  reads_by : Bytes.t array;  (* 4 * id + via_index -> read uid set *)
+  wakes : Bytes.t array;  (* activity id -> [reads] uid set *)
+  reads : Bytes.t array;  (* activity id -> uids its functions read *)
   writes : Bytes.t array;  (* activity id -> static write uid set *)
+  missing : (int * int) list;  (* activity id, uid a closure timing read *)
   ever_enabled : bool array;
   negative : (int * int * string) list;  (* activity id, case, message *)
   ties : string list list;  (* distinct simultaneous-enabled name sets *)
 }
 
 let space f = f.space
-
-let dist_reads d =
-  List.concat_map San.Effect.rexpr_reads (snd (San.Activity.dist_params d))
 
 let gather (space : Space.t) =
   let model = space.Space.model in
@@ -40,7 +28,7 @@ let gather (space : Space.t) =
     (fun p -> place_name.(San.Place.fuid p) <- San.Place.fname p)
     (San.Model.float_places model);
   let act_name = Array.map (fun (a : San.Activity.t) -> a.name) acts in
-  let declared =
+  let wakes =
     Array.map
       (fun (a : San.Activity.t) ->
         let b = Bytes.make n_uids '\000' in
@@ -48,10 +36,9 @@ let gather (space : Space.t) =
         b)
       acts
   in
-  let reads_by =
-    Array.init (4 * n_acts) (fun _ -> Bytes.make n_uids '\000')
-  in
+  let reads = Array.init n_acts (fun _ -> Bytes.make n_uids '\000') in
   let writes = Array.init n_acts (fun _ -> Bytes.make n_uids '\000') in
+  let missing = Hashtbl.create 8 in
   let ever_enabled = Array.make n_acts false in
   let negative = Hashtbl.create 8 in
   let ties = Hashtbl.create 8 in
@@ -59,26 +46,15 @@ let gather (space : Space.t) =
     List.iter (fun uid -> Bytes.set set uid '\001') uids
   in
   (* Reads and writes come from the IR syntax: a superset of what any
-     firing can touch, so liveness (A005/A006), composition coverage and
-     the undeclared-read checks are exact whether or not an activity is
-     ever enabled. Weights count only for activities with several cases:
-     a lone case's weight never changes the outcome. Only a closure
+     firing can touch, so liveness (A005/A006) and composition coverage
+     are exact whether or not an activity is ever enabled. Only a closure
      timing ([dist_ir = None]) is traced on the markings. *)
   Array.iter
     (fun (a : San.Activity.t) ->
-      let bits via = reads_by.((4 * a.id) + via_index via) in
-      record (bits Enabled) (San.Effect.cond_reads a.guard);
-      (match a.timing with
-      | San.Activity.Timed { dist_ir = Some d; _ } ->
-          record (bits Dist) (dist_reads d)
-      | San.Activity.Timed { dist_ir = None; _ } | San.Activity.Instantaneous
-        ->
-          ());
+      record reads.(a.id) (San.Activity.ir_reads a);
       Array.iter
         (fun (c : San.Activity.case) ->
-          if Array.length a.cases > 1 then
-            record (bits Weight) (San.Effect.rexpr_reads c.weight_ir);
-          record (bits Effect) (San.Effect.static_reads c.effect);
+          record reads.(a.id) (San.Effect.static_reads c.effect);
           record writes.(a.id) (San.Effect.static_writes c.effect))
         a.cases)
     acts;
@@ -100,10 +76,15 @@ let gather (space : Space.t) =
             ever_enabled.(a.id) <- true;
             (match a.timing with
             | San.Activity.Timed { dist; dist_ir = None; _ } ->
-                let (_ : Dist.t), reads =
+                let (_ : Dist.t), traced =
                   San.Marking.trace_reads m (fun () -> dist m)
                 in
-                record reads_by.((4 * a.id) + via_index Dist) reads
+                record reads.(a.id) traced;
+                List.iter
+                  (fun uid ->
+                    if Bytes.get wakes.(a.id) uid = '\000' then
+                      Hashtbl.replace missing (a.id, uid) ())
+                  traced
             | San.Activity.Timed { dist_ir = Some _; _ }
             | San.Activity.Instantaneous ->
                 ());
@@ -157,39 +138,26 @@ let gather (space : Space.t) =
     n_uids;
     act_name;
     place_name;
-    declared;
-    reads_by;
+    wakes;
+    reads;
     writes;
+    missing = Hashtbl.fold (fun k () acc -> k :: acc) missing [];
     ever_enabled;
     negative;
     ties;
   }
 
-let reads f id via uid =
-  Bytes.get f.reads_by.((4 * id) + via_index via) uid = '\001'
+let is_set bits id uid = Bytes.get bits.(id) uid = '\001'
 
-let is_declared f id uid = Bytes.get f.declared.(id) uid = '\001'
-
-(* Guard and effect reads are checked by A013; A001 covers the timing
-   and the weights, exactly for IR and traced for a closure timing. *)
-let undeclared_reads f =
-  let out = ref [] in
-  for id = 0 to f.n_acts - 1 do
-    List.iter
-      (fun via ->
-        for uid = 0 to f.n_uids - 1 do
-          if reads f id via uid && not (is_declared f id uid) then
-            out :=
-              Diagnostic.v ~code:Diagnostic.undeclared_read
-                ~severity:Diagnostic.Error
-                ~source:(Diagnostic.Activity f.act_name.(id))
-                (Printf.sprintf "%s reads undeclared place %S" (via_name via)
-                   f.place_name.(uid))
-              :: !out
-        done)
-      [ Dist; Weight ]
-  done;
-  !out
+(* Every IR read is in [reads] by construction ([San.Model.Builder]), so
+   only a closure timing can read a place outside it. *)
+let closure_reads f =
+  List.map
+    (fun (id, uid) ->
+      Diagnostic.v ~code:Diagnostic.undeclared_read ~severity:Diagnostic.Error
+        ~source:(Diagnostic.Activity f.act_name.(id))
+        (Printf.sprintf "dist reads undeclared place %S" f.place_name.(uid)))
+    f.missing
 
 let negative_writes f =
   List.map
@@ -199,105 +167,6 @@ let negative_writes f =
         (Printf.sprintf "case %d effect drives a marking negative (%s)" case
            msg))
     f.negative
-
-(* {2 A013: exact IR declaration checks}
-
-   The declared-reads contract is checked against the syntax tree
-   itself — exact, no sampling. Three findings:
-
-   - a guard reading an undeclared place is an {e Error}: the executor
-     re-evaluates [enabled] only when a declared read changes, so the
-     guard can go stale;
-   - effect reads beyond the declared list are one aggregated {e Info}
-     per activity: effect reads cannot cause missed wake-ups (effects
-     run at firing time), so per-place warnings would be noise;
-   - a write to a place some other activity reads without declaring is
-     an {e Error} (stale wake-up), computed from the static write sets. *)
-
-let ir_decls f =
-  let model = f.space.Space.model in
-  let acts = San.Model.activities model in
-  let out = ref [] in
-  Array.iter
-    (fun (a : San.Activity.t) ->
-      let id = a.San.Activity.id in
-      List.iter
-        (fun uid ->
-          if not (is_declared f id uid) then
-            out :=
-              Diagnostic.v ~code:Diagnostic.ir_mismatch
-                ~severity:Diagnostic.Error
-                ~source:(Diagnostic.Activity f.act_name.(id))
-                (Printf.sprintf
-                   "guard reads place %S, which is missing from the declared \
-                    reads list (exact: marking changes there cannot wake the \
-                    activity)"
-                   f.place_name.(uid))
-              :: !out)
-        (San.Effect.cond_reads a.guard);
-      let extra = Hashtbl.create 8 in
-      Array.iter
-        (fun (c : San.Activity.case) ->
-          List.iter
-            (fun uid ->
-              if not (is_declared f id uid) then Hashtbl.replace extra uid ())
-            (San.Effect.static_reads c.effect))
-        a.cases;
-      let extra =
-        Hashtbl.fold (fun uid () acc -> uid :: acc) extra []
-        |> List.sort Int.compare
-      in
-      (match extra with
-      | [] -> ()
-      | uids ->
-          let n = List.length uids in
-          let shown = List.filteri (fun k _ -> k < 12) uids in
-          let names =
-            String.concat ", "
-              (List.map (fun uid -> f.place_name.(uid)) shown)
-          in
-          let names =
-            if n > List.length shown then
-              Printf.sprintf "%s, ... and %d more" names
-                (n - List.length shown)
-            else names
-          in
-          out :=
-            Diagnostic.v ~code:Diagnostic.ir_mismatch
-              ~severity:Diagnostic.Info
-              ~source:(Diagnostic.Activity f.act_name.(id))
-              (Printf.sprintf
-                 "IR effects read %d place(s) beyond the declared reads \
-                  list: %s (exact; effect reads run at firing time and \
-                  cannot miss wake-ups)"
-                 n names)
-            :: !out);
-      (* Stale-wake-up writes, from the static write sets. *)
-      for uid = 0 to f.n_uids - 1 do
-        if Bytes.get f.writes.(id) uid = '\001' then begin
-          let readers = ref [] in
-          for r = f.n_acts - 1 downto 0 do
-            if
-              (not (is_declared f r uid))
-              && (reads f r Enabled uid || reads f r Dist uid
-                || reads f r Weight uid)
-            then readers := f.act_name.(r) :: !readers
-          done;
-          if !readers <> [] then
-            out :=
-              Diagnostic.v ~code:Diagnostic.ir_mismatch
-                ~severity:Diagnostic.Error
-                ~source:(Diagnostic.Activity f.act_name.(id))
-                (Printf.sprintf
-                   "IR effect writes %S, which %s read(s) without \
-                    declaring — this firing cannot wake them (exact)"
-                   f.place_name.(uid)
-                   (String.concat ", " !readers))
-              :: !out
-        end
-      done)
-    acts;
-  !out
 
 let liveness f =
   let severity =
@@ -327,12 +196,8 @@ let liveness f =
   let read = Bytes.make f.n_uids '\000' in
   for id = 0 to f.n_acts - 1 do
     for uid = 0 to f.n_uids - 1 do
-      if Bytes.get f.writes.(id) uid = '\001' then
-        Bytes.set written uid '\001';
-      if
-        reads f id Enabled uid || reads f id Dist uid
-        || reads f id Weight uid || reads f id Effect uid
-      then Bytes.set read uid '\001'
+      if is_set f.writes id uid then Bytes.set written uid '\001';
+      if is_set f.reads id uid then Bytes.set read uid '\001'
     done
   done;
   for uid = 0 to f.n_uids - 1 do
@@ -380,10 +245,8 @@ let instantaneous f =
 let composition f (root : Compose.info) =
   let model = f.space.Space.model in
   let touched id uid =
-    is_declared f id uid
-    || Bytes.get f.writes.(id) uid = '\001'
-    || reads f id Enabled uid || reads f id Dist uid
-    || reads f id Weight uid || reads f id Effect uid
+    is_set f.wakes id uid || is_set f.writes id uid
+    || is_set f.reads id uid
   in
   let out = ref [] in
   let rec subtree_ids (n : Compose.info) =
@@ -432,9 +295,8 @@ let composition f (root : Compose.info) =
 let all ?composition:tree f =
   List.concat
     [
-      undeclared_reads f;
+      closure_reads f;
       negative_writes f;
-      ir_decls f;
       liveness f;
       instantaneous f;
       (match tree with None -> [] | Some info -> composition f info);

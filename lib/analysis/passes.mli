@@ -1,14 +1,14 @@
 (** Checking passes over a marking space.
 
-    The passes share one {e facts sweep} ({!gather}). Guard reads,
-    timing and weight reads, effect reads and effect writes are read off
-    the IR syntax ({!San.Effect.cond_reads}, {!San.Effect.rexpr_reads},
-    {!San.Effect.static_reads}, {!San.Effect.static_writes}), so they
-    are exact for every activity, enabled or not. Only a closure timing
-    ([dist_ir = None]) is evaluated on every marking in the {!Space.t}
-    under {!San.Marking.trace_reads}. Both are accumulated into dense
-    per-activity bitsets (place uids are dense, so a set of places is a
-    [Bytes.t]). Each pass is then a pure scan over the facts.
+    The passes share one {e facts sweep} ({!gather}). Each activity's
+    reads ({!San.Activity.ir_reads} and {!San.Effect.static_reads}) and
+    writes ({!San.Effect.static_writes}) are read off the IR syntax, so
+    they are exact for every activity, enabled or not. Only a closure
+    timing ([dist_ir = None]) is evaluated on every marking in the
+    {!Space.t} under {!San.Marking.trace_reads}. Both are accumulated
+    into dense per-activity bitsets (place uids are dense, so a set of
+    places is a [Bytes.t]). Each pass is then a pure scan over the
+    facts.
 
     Effects are fired on scratch copies, for every case with positive
     weight, but only where the executor could actually fire them: timed
@@ -24,26 +24,17 @@ val gather : Space.t -> facts
 
 val space : facts -> Space.t
 
-val undeclared_reads : facts -> Diagnostic.t list
-(** [A001]: a firing distribution, or a case weight of an activity with
-    several cases, reads a place not in the activity's [reads] list —
-    the executor will miss wake-ups. Exact for IR rates and weights
-    (every branch counts, whether or not a marking takes it); traced on
-    the visited markings for a closure timing. Always [Error]. Guards
-    and effects are checked exactly by {!ir_decls}. *)
+val closure_reads : facts -> Diagnostic.t list
+(** [A001]: a closure timing read, on a visited marking where its
+    activity is enabled, a place not in the activity's [reads] list —
+    the executor will miss wake-ups. Always [Error]. Every IR guard,
+    distribution and weight read is in [reads] by construction
+    ([San.Model.Builder.build]), so only a closure timing can fire it. *)
 
 val negative_writes : facts -> Diagnostic.t list
 (** [A003]: an effect drove an int place negative ([Invalid_argument]
     from {!San.Marking.set}) on a visited marking where the executor
     could have fired it. Always [Error]. *)
-
-val ir_decls : facts -> Diagnostic.t list
-(** [A013]: exact declaration checking against the IR syntax. A guard
-    reading an undeclared place and an effect write that cannot wake a
-    reader that uses the place without declaring it (in its guard,
-    distribution or a weight) are [Error]s; effect reads beyond the
-    declared list are one aggregated [Info] per activity (firing-time
-    reads cannot miss wake-ups). *)
 
 val liveness : facts -> Diagnostic.t list
 (** [A004] dead activity (never enabled), [A005] never-written place,
@@ -60,7 +51,7 @@ val instantaneous : facts -> Diagnostic.t list
 
 val composition : facts -> Compose.info -> Diagnostic.t list
 (** [A009]: a place created at an {e internal} composition-tree node —
-    a shared place — is neither declared, read, nor written by any
+    a shared place — is neither in a [reads] list, read, nor written by any
     activity in that node's subtree. The sharing the composition
     promises never happens. [Warning]. Activities are attributed to
     the node that named them through {!Compose.Ctx.activity}. Only when

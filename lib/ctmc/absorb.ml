@@ -6,10 +6,11 @@ let absorbing_states c =
   in
   collect (n - 1) []
 
+let max_sweeps = 1_000_000
+
 (* Gauss-Seidel on x_i = b_i + sum_j (r_ij / E_i) x_j over transient
    states; absorbing states are fixed at [absorbing_value i]. *)
-let solve_first_step ?(tol = 1e-12) ?(max_iter = 1_000_000) c ~b
-    ~absorbing_value =
+let solve_first_step ?(tol = 1e-12) c ~b ~absorbing_value =
   let n = Explore.n_states c in
   let x = Array.make n 0.0 in
   for i = 0 to n - 1 do
@@ -17,7 +18,7 @@ let solve_first_step ?(tol = 1e-12) ?(max_iter = 1_000_000) c ~b
   done;
   let delta = ref infinity in
   let sweeps = ref 0 in
-  while !delta > tol && !sweeps < max_iter do
+  while !delta > tol && !sweeps < max_sweeps do
     incr sweeps;
     let d = ref 0.0 in
     for i = 0 to n - 1 do
@@ -39,7 +40,7 @@ let solve_first_step ?(tol = 1e-12) ?(max_iter = 1_000_000) c ~b
       (Printf.sprintf
          "Ctmc.Absorb: no convergence after %d sweeps (delta %g); is an \
           absorbing state reachable with probability 1?"
-         max_iter !delta);
+         max_sweeps !delta);
   x
 
 let from_initial c x =
@@ -47,21 +48,21 @@ let from_initial c x =
     (fun acc (i, p) -> acc +. (p *. x.(i)))
     0.0 (Explore.initial_dist c)
 
-let mean_time_to_absorption ?tol ?max_iter c =
+let mean_time_to_absorption ?tol c =
   if absorbing_states c = [] then
     failwith "Ctmc.Absorb: chain has no absorbing state";
   let x =
-    solve_first_step ?tol ?max_iter c
+    solve_first_step ?tol c
       ~b:(fun i -> 1.0 /. Explore.exit_rate c i)
       ~absorbing_value:(fun _ -> 0.0)
   in
   from_initial c x
 
-let absorption_probabilities ?tol ?max_iter c ~target =
+let absorption_probabilities ?tol c ~target =
   if absorbing_states c = [] then
     failwith "Ctmc.Absorb: chain has no absorbing state";
   let x =
-    solve_first_step ?tol ?max_iter c
+    solve_first_step ?tol c
       ~b:(fun _ -> 0.0)
       ~absorbing_value:(fun i -> if target i then 1.0 else 0.0)
   in

@@ -8,16 +8,14 @@
 
 val absorbing_states : Explore.t -> int list
 
-val mean_time_to_absorption :
-  ?tol:float -> ?max_iter:int -> Explore.t -> float
+val mean_time_to_absorption : ?tol:float -> Explore.t -> float
 (** Expected time until an absorbing state is reached, from the initial
     distribution. Raises [Failure] if the chain has no absorbing state
     reachable with probability 1 (detected as non-convergence) or if the
-    iteration does not converge within [max_iter] (default 1_000_000)
-    sweeps at tolerance [tol] (default 1e-12). *)
+    iteration does not converge within 1,000,000 sweeps at tolerance
+    [tol] (default 1e-12). *)
 
 val absorption_probabilities :
-  ?tol:float -> ?max_iter:int -> Explore.t -> target:(int -> bool) ->
-  float
+  ?tol:float -> Explore.t -> target:(int -> bool) -> float
 (** Probability that the chain is eventually absorbed in a state
     satisfying [target], from the initial distribution. *)

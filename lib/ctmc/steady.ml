@@ -4,8 +4,9 @@
    the L1-delta trajectory (sampled at power-of-two iterations plus the
    final one) goes to the convergence recorder — the solver's analogue
    of a CI-half-width-vs-reps curve. *)
-let distribution ?(tol = 1e-12) ?(max_iter = 1_000_000) ?obs ?convergence
-    ?profile c =
+let max_iter = 1_000_000
+
+let distribution ?(tol = 1e-12) ?obs ?convergence ?profile c =
   Transient.in_solve profile @@ fun () ->
   let lambda = Transient.uniform_rate ~factor:1.05 c in
   let n = Explore.n_states c in

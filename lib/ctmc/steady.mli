@@ -8,15 +8,14 @@
 
 val distribution :
   ?tol:float ->
-  ?max_iter:int ->
   ?obs:Obs.Registry.t ->
   ?convergence:Obs.Convergence.t ->
   ?profile:Obs.Profile.t ->
   Explore.t ->
   float array
 (** [distribution c] iterates until the L1 change per step falls below
-    [tol] (default 1e-12) or [max_iter] (default 1_000_000) steps.
-    Raises [Failure] if not converged.
+    [tol] (default 1e-12), for at most 1,000,000 steps. Raises
+    [Failure] if not converged.
 
     [obs] receives the iteration count, uniformization rate and final
     residual in scope ["ctmc"]; [convergence] receives the L1-delta

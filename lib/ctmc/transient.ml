@@ -22,9 +22,12 @@ let initial_vector c =
   List.iter (fun (i, p) -> v.(i) <- v.(i) +. p) (Explore.initial_dist c);
   v
 
+(* The truncated Poisson mass. *)
+let epsilon = 1e-12
+
 (* Log-space Poisson weights for mean [mu], truncated to cumulative mass
    >= 1 - epsilon.  Returns (kmax, weights.(0..kmax)). *)
-let poisson_weights ~mu ~epsilon =
+let poisson_weights ~mu =
   if mu = 0.0 then [| 1.0 |]
   else begin
     let log_w k =
@@ -60,14 +63,14 @@ let export_obs obs ~lambda ~steps =
       R.add (R.counter s "uniformization_steps") steps;
       R.set (R.gauge s "uniformization_lambda") lambda
 
-let probabilities ?(epsilon = 1e-12) ?obs ?profile c ~t =
+let probabilities ?obs ?profile c ~t =
   check_time t;
   in_solve profile @@ fun () ->
   let v0 = initial_vector c in
   if t = 0.0 then v0
   else begin
     let lambda = uniform_rate ~factor:1.02 c in
-    let weights = poisson_weights ~mu:(lambda *. t) ~epsilon in
+    let weights = poisson_weights ~mu:(lambda *. t) in
     export_obs obs ~lambda ~steps:(Array.length weights);
     let n = Array.length v0 in
     let result = Array.make n 0.0 in
@@ -87,14 +90,14 @@ let probabilities ?(epsilon = 1e-12) ?obs ?profile c ~t =
     result
   end
 
-let accumulated ?(epsilon = 1e-12) ?obs ?profile c ~t =
+let accumulated ?obs ?profile c ~t =
   check_time t;
   in_solve profile @@ fun () ->
   let n = Explore.n_states c in
   if t = 0.0 then Array.make n 0.0
   else begin
     let lambda = uniform_rate ~factor:1.02 c in
-    let weights = poisson_weights ~mu:(lambda *. t) ~epsilon in
+    let weights = poisson_weights ~mu:(lambda *. t) in
     export_obs obs ~lambda ~steps:(Array.length weights);
     (* L(t) = (1/lambda) sum_k (1 - sum_{j<=k} w_j) v_k, truncated where the
        survivor weight is below epsilon relative mass; the truncation error

@@ -2,8 +2,8 @@
 
     The chain is uniformized at rate Λ ≥ max exit rate into a DTMC
     P = I + Q/Λ, and π(t) = Σ_k pois(Λt, k) · π₀Pᵏ with the Poisson
-    weights computed in log space (stable for large Λt) and truncated at a
-    configurable mass tolerance.
+    weights computed in log space (stable for large Λt) and truncated
+    once the neglected Poisson mass is below 1e-12.
 
     Both solvers optionally report telemetry: [obs] receives the
     uniformization rate and the truncated Poisson support size (the
@@ -11,17 +11,14 @@
     attributes the whole solve to the [Ctmc_solve] phase. *)
 
 val probabilities :
-  ?epsilon:float ->
   ?obs:Obs.Registry.t ->
   ?profile:Obs.Profile.t ->
   Explore.t ->
   t:float ->
   float array
-(** [probabilities c ~t] is the state-probability vector at time [t].
-    [epsilon] (default 1e-12) bounds the truncated Poisson mass. *)
+(** [probabilities c ~t] is the state-probability vector at time [t]. *)
 
 val accumulated :
-  ?epsilon:float ->
   ?obs:Obs.Registry.t ->
   ?profile:Obs.Profile.t ->
   Explore.t ->

@@ -48,7 +48,6 @@ type t = {
   t0 : int64;  (* creation time: span timestamps are relative to it *)
   tid : int;
   record_spans : bool;
-  max_spans : int;
   mutable spans : span_rec list;  (* newest first *)
   mutable n_spans : int;
   mutable dropped_spans : int;
@@ -68,7 +67,9 @@ let allocated_words () =
 
 let max_stack = 64
 
-let make ~spans ~max_spans ~tid ~t0 =
+let max_spans = 200_000
+
+let make ~spans ~tid ~t0 =
   {
     self_ns = Array.make n_phases 0L;
     counts = Array.make n_phases 0;
@@ -79,7 +80,6 @@ let make ~spans ~max_spans ~tid ~t0 =
     t0;
     tid;
     record_spans = spans;
-    max_spans;
     spans = [];
     n_spans = 0;
     dropped_spans = 0;
@@ -90,11 +90,10 @@ let make ~spans ~max_spans ~tid ~t0 =
     gc_base_words = allocated_words ();
   }
 
-let create ?(spans = false) ?(max_spans = 200_000) () =
-  make ~spans ~max_spans ~tid:0 ~t0:(Clock.now_ns ())
+let create ?(spans = false) () = make ~spans ~tid:0 ~t0:(Clock.now_ns ())
 
 let fork ?(tid = 0) t =
-  make ~spans:t.record_spans ~max_spans:t.max_spans ~tid ~t0:t.t0
+  make ~spans:t.record_spans ~tid ~t0:t.t0
 
 let charge t now =
   if t.depth > 0 then begin
@@ -119,7 +118,7 @@ let leave t =
   charge t now;
   t.depth <- t.depth - 1;
   if t.record_spans then begin
-    if t.n_spans < t.max_spans then begin
+    if t.n_spans < max_spans then begin
       let start = t.starts.(t.depth) in
       t.spans <-
         {
@@ -164,7 +163,7 @@ let merge ~into src =
   into.dropped_spans <- into.dropped_spans + src.dropped_spans;
   if into.record_spans then begin
     (* Keep global caps: excess merged spans count as dropped. *)
-    let keep = Int.max 0 (into.max_spans - into.n_spans) in
+    let keep = Int.max 0 (max_spans - into.n_spans) in
     let taken = Int.min keep src.n_spans in
     let rec take n acc = function
       | s :: rest when n > 0 -> take (n - 1) (s :: acc) rest

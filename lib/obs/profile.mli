@@ -15,8 +15,8 @@
     iterations the same way.
 
     With [~spans:true] every completed phase interval is additionally
-    recorded as a span (start, duration, phase, tid), bounded by
-    [max_spans]; {!write_trace} renders them as Chrome trace-event JSON
+    recorded as a span (start, duration, phase, tid), at most 200,000
+    of them; {!write_trace} renders them as Chrome trace-event JSON
     lines ([chrome://tracing], Perfetto, speedscope) for flamegraph
     viewing.
 
@@ -46,10 +46,10 @@ val phase_name : phase -> string
 
 type t
 
-val create : ?spans:bool -> ?max_spans:int -> unit -> t
+val create : ?spans:bool -> unit -> t
 (** A fresh profiler; [spans] (default false) records per-interval
-    spans, at most [max_spans] (default 200_000) of them — further
-    spans are counted as dropped but self-times stay exact. *)
+    spans, at most 200,000 of them — further spans are counted as
+    dropped but self-times stay exact. *)
 
 val fork : ?tid:int -> t -> t
 (** A fresh profiler with the parent's configuration, for a worker

@@ -96,6 +96,24 @@ type t = {
 let make_case ?(weight = Effect.RConst 1.0) effect =
   { case_weight = Effect.rexpr_fn weight; weight_ir = weight; effect }
 
+(* A lone case's weight never changes the outcome, so only activities
+   with several cases read through their weights. *)
+let ir_reads a =
+  let params =
+    match a.timing with
+    | Timed { dist_ir = Some d; _ } -> snd (dist_params d)
+    | Timed { dist_ir = None; _ } | Instantaneous -> []
+  in
+  let weights =
+    if Array.length a.cases > 1 then
+      Array.fold_right (fun c acc -> c.weight_ir :: acc) a.cases []
+    else []
+  in
+  let guard = Effect.cond_reads a.guard in
+  match List.concat_map Effect.rexpr_reads (params @ weights) with
+  | [] -> guard
+  | more -> List.sort_uniq Int.compare (guard @ more)
+
 let is_instantaneous a =
   match a.timing with Instantaneous -> true | Timed _ -> false
 

@@ -22,6 +22,10 @@
        ITUA) whose rates depend on the marking.}
     {- An activity disabled by a marking change is aborted; if re-enabled
        later it samples a fresh delay (no age memory).}
+    {- An exponential whose rate evaluates to exactly 0 draws no delay and
+       does not fire; a change to one of its reads that makes the rate
+       positive schedules it. Under [Resample] a scheduled clock whose
+       rate drops to 0 is dropped; under [Keep] it is held.}
     {- When several instantaneous activities are enabled, the executor
        picks one uniformly at random, matching the "equally likely to fire
        first" convention used throughout the ITUA paper.}} *)
@@ -93,16 +97,25 @@ type t = {
           calls this instead of interpreting [guard]. *)
   guard : Effect.cond;  (** the enabling predicate *)
   reads : Place.any list;
-      (** Every place whose marking can influence [enabled], the firing
-          distribution, or the case weights. Omissions make the executor
-          miss wake-ups (except for an instantaneous activity's guard,
-          whose exact reads [Model] indexes as well); the model checker
-          ([Analysis.Check], diagnostics A001/A013) detects them. *)
+      (** The places whose changes wake the activity: the list the model
+          author passed, then, in uid order, every place of {!ir_reads}
+          it lacks. [Model.Builder] completes it, so it holds every place
+          the guard, a declarative distribution or a case weight reads;
+          the extra places an author lists are extra wake-ups. Only a
+          closure timing ([dist_ir = None]) can read a place outside it,
+          which the model checker ([Analysis.Check], A001) traces. *)
   cases : case array;
 }
 
 val make_case : ?weight:Effect.rexpr -> Effect.t -> case
 (** Build a case with the given weight (default [Effect.RConst 1.0]). *)
+
+val ir_reads : t -> int list
+(** Sorted uids of the places the activity's IR reads at evaluation
+    time: its guard ({!Effect.cond_reads}), its declarative distribution's
+    parameters ({!dist_params}) and, when it has several cases, their
+    weights. Every branch counts, taken or not. A closure timing
+    contributes nothing. *)
 
 val is_instantaneous : t -> bool
 

@@ -1,7 +1,8 @@
 (** GraphViz export of a SAN's structure.
 
-    The exported edges are the declared dependency arcs ([reads] lists),
-    which correspond to the input-arc structure of the net. Useful for eyeballing generated
+    The exported edges are the dependency arcs ([reads] lists, which the
+    builder completes from the IR), which correspond to the input-arc
+    structure of the net. Useful for eyeballing generated
     models, e.g. a small ITUA configuration. *)
 
 val to_dot : ?firings:(string * int) list -> Format.formatter -> Model.t -> unit

@@ -122,4 +122,3 @@ let float_snapshot m = Array.copy m.floats
 
 let equal a b = a.ints = b.ints && a.floats = b.floats
 
-let hash m = Hashtbl.hash (m.ints, m.floats)

@@ -42,9 +42,9 @@ val journal : t -> int list
 val trace_reads : t -> (unit -> 'a) -> 'a * int list
 (** [trace_reads m f] runs [f] while recording which places [f] reads
     through this marking (each uid once), and returns [f]'s result with
-    the read set. Used by the [analysis] library to detect activities
-    whose rate or case-weight closures read places missing from their
-    declared [reads] list. Not reentrant. *)
+    the read set. Used by the [analysis] library to detect a closure
+    rate that reads places missing from its activity's [reads] list.
+    Not reentrant. *)
 
 val int_snapshot : t -> int array
 val float_snapshot : t -> float array
@@ -52,4 +52,3 @@ val float_snapshot : t -> float array
     exploration and for invariant checks. *)
 
 val equal : t -> t -> bool
-val hash : t -> int

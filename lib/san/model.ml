@@ -168,7 +168,35 @@ module Builder = struct
     b.built <- true;
     let ints = Array.of_list (List.rev b.ints) in
     let floats = Array.of_list (List.rev b.floats) in
-    let activities = Array.of_list (List.rev b.acts) in
+    (* Complete each activity's [reads]: after the declared list, every
+       place its IR reads that the list lacks, in uid order. The
+       dependents table, the analysis and the model format all read this
+       one list, so an IR read can never miss a wake-up. The uid -> place
+       table is only built when some activity lacks a read. *)
+    let place_of_uid =
+      lazy
+        (let places =
+           Array.append
+             (Array.map (fun (p, _) -> Place.P p) ints)
+             (Array.map (fun (p, _) -> Place.F p) floats)
+         in
+         Array.sort
+           (fun p q -> Int.compare (Place.any_uid p) (Place.any_uid q))
+           places;
+         places)
+    in
+    let listed = Array.make b.next_uid false in
+    let complete (a : Activity.t) =
+      let mark v = List.iter (fun p -> listed.(Place.any_uid p) <- v) a.reads in
+      mark true;
+      let extra = List.filter (fun uid -> not listed.(uid)) (Activity.ir_reads a) in
+      mark false;
+      if extra = [] then a
+      else
+        let place_of_uid = Lazy.force place_of_uid in
+        { a with reads = a.reads @ List.map (Array.get place_of_uid) extra }
+    in
+    let activities = Array.of_list (List.rev_map complete b.acts) in
     let by_place_name = Hashtbl.create (Array.length ints) in
     Array.iter
       (fun (p, _) -> Hashtbl.replace by_place_name (Place.name p) (Place.P p))
@@ -186,38 +214,14 @@ module Builder = struct
            (fun (a : Activity.t) -> if pred a then Some a.id else None)
            (Array.to_list activities))
     in
-    (* Per activity, the places its guard reads that its [reads] does not
-       declare. An instantaneous activity also depends on them, so the
-       executor can track its enabledness through the dependents table
-       alone. A timed activity is never re-evaluated when they change, so
-       t = 0 scheduling must look at it whatever the initial marking (see
-       [initial_timed]). *)
-    let declared = Array.make b.next_uid false in
-    let undeclared =
-      Array.map
-        (fun (a : Activity.t) ->
-          let mark v =
-            List.iter (fun p -> declared.(Place.any_uid p) <- v) a.reads
-          in
-          mark true;
-          let extra =
-            List.filter
-              (fun uid -> not declared.(uid))
-              (Effect.cond_reads a.guard)
-          in
-          mark false;
-          extra)
-        activities
-    in
     let deps = Array.make b.next_uid [] in
     Array.iter
       (fun (a : Activity.t) ->
-        let guard_extra =
-          if Activity.is_instantaneous a then undeclared.(a.id) else []
-        in
         List.iter
-          (fun uid -> deps.(uid) <- a :: deps.(uid))
-          (List.map Place.any_uid a.reads @ guard_extra))
+          (fun p ->
+            let uid = Place.any_uid p in
+            deps.(uid) <- a :: deps.(uid))
+          a.reads)
       activities;
     let initial =
       Marking.create ~ints:(Array.length ints) ~floats:(Array.length floats)
@@ -239,8 +243,7 @@ module Builder = struct
         ids_where (fun a -> Activity.is_instantaneous a && a.enabled initial);
       initial_timed =
         ids_where (fun a ->
-            (not (Activity.is_instantaneous a))
-            && (a.enabled initial || undeclared.(a.id) <> []));
+            (not (Activity.is_instantaneous a)) && a.enabled initial);
     }
 end
 

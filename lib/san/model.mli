@@ -37,7 +37,12 @@ module Builder : sig
       {!Dist.validate}, an Erlang needs [k >= 1] and a constant case
       weight must be finite and [>= 0]; [Invalid_argument] otherwise. Timed activities default to
       the {!Activity.Resample} policy (see {!Activity.policy} for why
-      that is the safe default under marking-dependent rates). *)
+      that is the safe default under marking-dependent rates).
+
+      [~reads] lists extra wake-ups: places whose changes re-evaluate
+      the activity although nothing it evaluates reads them. The places
+      its IR reads need not be listed: {!build} appends them to the
+      activity's [reads] (see {!Activity.ir_reads}). *)
 
   val activity_ir :
     t ->
@@ -101,8 +106,9 @@ module Builder : sig
   (** The last closure builder: a single-case exponential activity whose
       rate is an opaque closure, so its timing has no declarative form
       ([dist_ir = None]). Serialization rejects it, orbit verification
-      treats it as a blocker and the model checker traces its reads
-      instead of reading them. It is kept only because the benchmark
+      treats it as a blocker, and {!build} cannot see what the closure
+      reads: [~reads] must list those places, and the model checker
+      traces them (A001). It is kept only because the benchmark
       harness's [two_state] fixture still builds with it; new code uses
       {!timed_exp_rate_ir}. *)
 
@@ -132,11 +138,12 @@ val initial_marking : t -> Marking.t
     template {!Builder.build} stores. *)
 
 val dependents : t -> int -> Activity.t list
-(** [dependents model uid] lists, in id order, the activities that
-    declared the place with uid [uid] in their [reads], and the
-    instantaneous activities whose guard reads it
-    ([Effect.cond_reads a.guard]) even if undeclared. A timed
-    activity's entries are its declared reads only. *)
+(** [dependents model uid] lists, in id order, the activities whose
+    [reads] hold the place with uid [uid]. {!Builder.build} completes
+    every [reads] with the activity's {!Activity.ir_reads}, so these are
+    all the activities whose guard, declarative distribution or case
+    weights read the place, taken branches or not, plus those that list
+    it as an extra wake-up. *)
 
 (** {2 Run tables}
 
@@ -146,9 +153,8 @@ val dependents : t -> int -> Activity.t list
 
 val dependents_table : t -> Activity.t array array
 (** Indexed by place uid ([0 .. n_places - 1]): entry [uid] is
-    [Array.of_list (dependents model uid)], guard reads of instantaneous
-    activities included. The executor re-evaluates exactly these
-    activities after a firing changes place [uid]. *)
+    [Array.of_list (dependents model uid)]. The executor re-evaluates
+    exactly these activities after a firing changes place [uid]. *)
 
 val instantaneous_ids : t -> int array
 (** Ids of the instantaneous activities, in increasing order. *)
@@ -169,13 +175,12 @@ val initial_instantaneous : t -> int array
     in increasing order. *)
 
 val initial_timed : t -> int array
-(** Ids, in increasing order, of the timed activities enabled in the
-    initial marking, plus every timed activity whose guard reads a place
-    outside its declared [reads]. The executor never re-evaluates the
-    latter after a marking change, so with them the list is exact for
-    t = 0 scheduling: once the initial instantaneous firings have
-    settled, every enabled timed activity that they have not already
-    scheduled is on it. *)
+(** Ids of the timed activities enabled in the initial marking, in
+    increasing order. A timed activity that the initial instantaneous
+    firings enable is woken by their propagation, because its guard's
+    reads are in its [reads]; so once those firings have settled, every
+    enabled timed activity that they have not already scheduled is on
+    this list. *)
 
 val all_exponential : t -> bool
 (** True when every timed activity's distribution is exponential in every

@@ -97,25 +97,31 @@ let[@inline] penter st ph =
 let[@inline] pleave st =
   match st.prof with None -> () | Some p -> Obs.Profile.leave p
 
-let sample_delay st (a : San.Activity.t) =
-  match a.timing with
-  | San.Activity.Instantaneous -> assert false
-  | San.Activity.Timed { dist; _ } ->
-      penter st Obs.Profile.Sample;
-      let d = Dist.sample (dist st.ws.marking) st.stream in
-      pleave st;
-      d
-
-let schedule st (a : San.Activity.t) =
-  let delay = sample_delay st a in
-  penter st Obs.Profile.Heap_push;
-  Event_heap.push st.ws.heap ~time:(st.now +. delay) ~act:a.id;
-  pleave st
-
 let cancel st id =
   penter st Obs.Profile.Heap_push;
   Event_heap.remove st.ws.heap id;
   pleave st
+
+(* Draw a completion time and (re)push it. An exponential whose rate is
+   exactly 0 has no completion time: it draws nothing and leaves (or
+   drops from) the heap, so it fires only once a change to one of its
+   reads gives it a positive rate, the way [Ctmc.Explore] skips a zero
+   rate. Any other invalid parameter still raises in [Dist.sample]. *)
+let schedule st (a : San.Activity.t) =
+  match a.timing with
+  | San.Activity.Instantaneous -> assert false
+  | San.Activity.Timed { dist; _ } -> (
+      penter st Obs.Profile.Sample;
+      match dist st.ws.marking with
+      | Dist.Exponential { rate } when rate = 0.0 ->
+          pleave st;
+          if Event_heap.mem st.ws.heap a.id then cancel st a.id
+      | d ->
+          let delay = Dist.sample d st.stream in
+          pleave st;
+          penter st Obs.Profile.Heap_push;
+          Event_heap.push st.ws.heap ~time:(st.now +. delay) ~act:a.id;
+          pleave st)
 
 (* Re-evaluate one activity after a marking change it depends on. An
    instantaneous activity only refreshes its enabled flag; a timed one
@@ -349,7 +355,8 @@ let exec ?workspace:ws ?metrics ?profile ?from_ ?cross ?check_invariants
       done
   | Some _ ->
       (* Checkpoints are taken at stable markings with every enabled timed
-         activity already scheduled in the copied heap: nothing to set up. *)
+         activity that has a completion time already scheduled in the
+         copied heap: nothing to set up. *)
       ());
   guard ();
   observer.Observer.on_init st.now marking;

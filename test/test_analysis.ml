@@ -52,7 +52,7 @@ let test_clean_gong () =
   Alcotest.(check (list string)) "no diagnostics" []
     (List.map (Format.asprintf "%a" D.pp) (diags r))
 
-(* --- A001: undeclared reads, one fixture per via --- *)
+(* --- A001: undeclared reads (only a closure timing can have them) --- *)
 
 let test_a001_dist () =
   let b = B.create "buggy_rate" in
@@ -72,8 +72,11 @@ let test_a001_dist () =
          && message_mentions ~needle:"\"speed\"" d)
        (with_code D.undeclared_read r))
 
+(* The builder completes [reads] with every IR read, so A001 has nothing
+   to report for a declarative weight: [bias] is appended to [choose]'s
+   reads and wakes it. *)
 let test_a001_weight () =
-  let b = B.create "buggy_weight" in
+  let b = B.create "ir_weight" in
   let bias = B.int_place b ~init:3 "bias" in
   let fired = B.int_place b "fired" in
   B.timed_dist_ir b ~name:"choose"
@@ -87,21 +90,20 @@ let test_a001_weight () =
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (fired, San.Effect.Int 1) ]);
     ];
-  let r = check (B.build b) in
-  Alcotest.(check bool) "weight violation reported" true
-    (List.exists
-       (fun (d : D.t) ->
-         d.D.severity = D.Error
-         && message_mentions ~needle:"weight" d
-         && message_mentions ~needle:"\"bias\"" d)
-       (with_code D.undeclared_read r))
+  let model = B.build b in
+  Alcotest.(check (list string)) "reads completed" [ "fired"; "bias" ]
+    (List.map San.Place.any_name
+       (San.Model.find_activity model "choose").San.Activity.reads);
+  Alcotest.(check (list string)) "no A001" []
+    (List.map (Format.asprintf "%a" D.pp)
+       (with_code D.undeclared_read (check model)))
 
-(* A001 reads IR rates and weights off the syntax, so it finds an
-   undeclared read in a branch no visited marking takes and in an
-   activity that is never enabled. [go] reads [hidden] only in the
-   [flag = 1] arm of its rate (or, with [~weight], of its first case's
-   weight), and [flag] stays 0. With [~dead], [go] needs [flag = 1] and
-   never fires. *)
+(* Reads are taken off the IR syntax, so a read in a branch no visited
+   marking takes, or of an activity that is never enabled, is completed
+   as well. [go] reads [hidden] only in the [flag = 1] arm of its rate
+   (or, with [~weight], of its first case's weight), and [flag] stays 0.
+   With [~dead], [go] needs [flag = 1] and never fires. Returns [go]'s
+   reads and the A001 report. *)
 let a001_exact ?(weight = false) ?(dead = false) () =
   let b = B.create "a001_exact" in
   let flag = B.int_place b "flag" in
@@ -132,37 +134,36 @@ let a001_exact ?(weight = false) ?(dead = false) () =
     ~guard:E.(Cmp (Mark n, Eq, Int 3))
     ~reads:[ San.Place.P n ]
     E.(Ops [ Set (n, Int 0) ]);
-  List.map (Format.asprintf "%a" D.pp)
-    (with_code D.undeclared_read (check (B.build b)))
+  let model = B.build b in
+  ( List.map San.Place.any_name
+      (San.Model.find_activity model "go").San.Activity.reads,
+    List.map (Format.asprintf "%a" D.pp)
+      (with_code D.undeclared_read (check model)) )
 
-let a001_on_hidden via =
-  [
-    Printf.sprintf
-      "[error] A001-undeclared-read activity \"go\": %s reads undeclared \
-       place \"hidden\""
-      via;
-  ]
+let completed_hidden = ([ "flag"; "n"; "hidden" ], [])
 
 let test_a001_untaken_branch () =
-  Alcotest.(check (list string)) "dist read in the untaken arm"
-    (a001_on_hidden "dist") (a001_exact ())
+  Alcotest.(check (pair (list string) (list string)))
+    "dist read in the untaken arm" completed_hidden (a001_exact ())
 
 let test_a001_untaken_weight () =
-  Alcotest.(check (list string)) "weight read in the untaken arm"
-    (a001_on_hidden "weight") (a001_exact ~weight:true ())
+  Alcotest.(check (pair (list string) (list string)))
+    "weight read in the untaken arm" completed_hidden
+    (a001_exact ~weight:true ())
 
 let test_a001_never_enabled () =
-  Alcotest.(check (list string)) "dist read of a dead activity"
-    (a001_on_hidden "dist") (a001_exact ~dead:true ())
+  Alcotest.(check (pair (list string) (list string)))
+    "dist read of a dead activity" completed_hidden
+    (a001_exact ~dead:true ())
 
-(* --- A013: undeclared writes (stale wake-up, writer side) --- *)
-
-let test_a013_rate_reader_write () =
+(* A closure rate is the one read the builder cannot see. [raise_flag]
+   writes [flag]; [consume]'s rate closure reads it without declaring
+   it, so the write cannot refresh [consume]: A001 reports it at the
+   reader. *)
+let test_a001_closure_reader_written () =
   let b = B.create "buggy_writer" in
   let flag = B.int_place b "flag" in
   let done_ = B.int_place b "done" in
-  (* [raise_flag] writes [flag]; [consume]'s rate closure reads it
-     without declaring it, so the write cannot refresh [consume]. *)
   B.timed_exp_rate_ir b ~name:"raise_flag"
     ~rate:(E.RConst 1.0)
     ~guard:E.(All [ Cmp (Mark flag, Eq, Int 0); Cmp (Mark done_, Eq, Int 0) ])
@@ -173,21 +174,13 @@ let test_a013_rate_reader_write () =
     ~guard:E.(Cmp (Mark done_, Eq, Int 0))
     ~reads:[ San.Place.P done_ ]
     E.(Ops [ Set (done_, Int 1) ]);
-  let r = check (B.build b) in
-  let writes =
-    List.filter
-      (fun d -> message_mentions ~needle:"effect writes" d)
-      (with_code D.ir_mismatch r)
-  in
-  match writes with
-  | [ d ] ->
-      Alcotest.(check bool) "error at the writer" true
-        (d.D.severity = D.Error && d.D.source = D.Activity "raise_flag");
-      Alcotest.(check bool) "names place and reader" true
-        (message_mentions ~needle:"\"flag\"" d
-        && message_mentions ~needle:"consume" d)
-  | ds -> Alcotest.failf "expected exactly one A013 write, got %d:\n%s"
-            (List.length ds) (pp_report r)
+  Alcotest.(check (list string)) "A001 at the reader, naming the place"
+    [
+      "[error] A001-undeclared-read activity \"consume\": dist reads \
+       undeclared place \"flag\"";
+    ]
+    (List.map (Format.asprintf "%a" D.pp)
+       (with_code D.undeclared_read (check (B.build b))))
 
 (* --- A003: negative-marking writes --- *)
 
@@ -678,13 +671,11 @@ let test_deterministic_json () =
 
 let test_exit_contract () =
   let b = B.create "buggy" in
-  let gate = B.int_place b ~init:1 "gate" in
-  let tokens = B.int_place b "tokens" in
-  (* Bug: the guard reads [gate] without declaring it. *)
-  B.timed_exp_rate_ir b ~name:"produce" ~rate:(E.RConst 1.0)
-    ~guard:E.(All [ Cmp (Mark gate, Eq, Int 1); Cmp (Mark tokens, Lt, Int 2) ])
-    ~reads:[ San.Place.P tokens ]
-    E.(Ops [ Inc (tokens, Int 1) ]);
+  let stock = B.int_place b "stock" in
+  (* Bug: enabled whatever the stock, so the effect underflows (A003). *)
+  B.timed_exp_rate_ir b ~name:"take" ~rate:(E.RConst 1.0)
+    ~guard:(E.Const true) ~reads:[]
+    E.(Ops [ Inc (stock, Int (-1)) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "has_errors" true (Analysis.Check.has_errors r);
   Alcotest.(check bool) "errors listed" true
@@ -727,10 +718,10 @@ let () =
           Alcotest.test_case "never-enabled activity" `Quick
             test_a001_never_enabled;
         ] );
-      ( "A013 undeclared writes",
+      ( "A001 traced rate reads",
         [
-          Alcotest.test_case "rate reader stale wake-up" `Quick
-            test_a013_rate_reader_write;
+          Alcotest.test_case "closure rate stale wake-up" `Quick
+            test_a001_closure_reader_written;
         ] );
       ( "A003 negative writes",
         [

@@ -1,6 +1,6 @@
 (* Tests for the effect IR: interpreter semantics, the order and cap of
    analytical outcomes, static read/write extraction, a pinned executor
-   run, linear sharing of the ITUA cascade, the exact A013-A015
+   run, linear sharing of the ITUA cascade, the exact A014-A015
    diagnostics (one deliberately broken fixture per code), exact-law
    span skipping, and the exact integer rank. *)
 
@@ -315,91 +315,6 @@ let test_cascade_nodes_linear () =
         Alcotest.failf "%d distinct effect nodes for %d hosts x slots" nodes
           hosts_x_slots)
     policies
-
-(* --- A013: declared-reads/writes vs IR, exact --- *)
-
-let test_a013_guard_read_undeclared () =
-  let b = B.create "a013-guard" in
-  let gate = B.int_place b ~init:1 "gate" in
-  let tokens = B.int_place b ~init:1 "tokens" in
-  (* Bug: the guard reads [gate] but declares only [tokens]. *)
-  B.timed_exp_rate_ir b ~name:"tick"
-    ~rate:(E.RConst 1.0)
-    ~guard:E.(All [ Cmp (Mark gate, Eq, Int 1); Cmp (Mark tokens, Gt, Int 0) ])
-    ~reads:[ San.Place.P tokens ]
-    E.(Ops [ Inc (tokens, Int (-1)) ]);
-  let r = Analysis.Check.run (B.build b) in
-  match
-    List.filter
-      (fun d -> d.D.severity = D.Error)
-      (with_code D.ir_mismatch r)
-  with
-  | [ d ] ->
-      Alcotest.(check bool) "names the place" true
-        (message_mentions ~needle:"\"gate\"" d);
-      Alcotest.(check bool) "says guard" true
-        (message_mentions ~needle:"guard reads" d)
-  | ds -> Alcotest.failf "expected one A013 error, got %d" (List.length ds)
-
-let test_a013_effect_reads_aggregated () =
-  let b = B.create "a013-effect" in
-  let src1 = B.int_place b ~init:2 "src1" in
-  let src2 = B.int_place b ~init:2 "src2" in
-  let dst = B.int_place b "dst" in
-  (* The effect reads src1/src2 without declaring them: one aggregated
-     Info, not two warnings. *)
-  B.timed_exp_rate_ir b ~name:"sum"
-    ~rate:(E.RConst 1.0)
-    ~guard:E.(Cmp (Mark dst, Eq, Int 0))
-    ~reads:[ San.Place.P dst ]
-    E.(Ops [ Set (dst, Add (Mark src1, Mark src2)) ]);
-  let r = Analysis.Check.run (B.build b) in
-  (match with_code D.ir_mismatch r with
-  | [ d ] ->
-      Alcotest.(check bool) "info severity" true (d.D.severity = D.Info);
-      Alcotest.(check bool) "aggregated count" true
-        (message_mentions ~needle:"2 place(s)" d)
-  | ds -> Alcotest.failf "expected one A013 info, got %d" (List.length ds));
-  (* Effect reads are A013's alone: A001 traces only rates and weights. *)
-  Alcotest.(check (list string)) "no A001 for effect reads" []
-    (List.map
-       (fun d -> d.D.message)
-       (with_code D.undeclared_read r))
-
-let test_a013_stale_wakeup_write () =
-  let b = B.create "a013-write" in
-  let sem = B.int_place b ~init:1 "sem" in
-  let work = B.int_place b ~init:1 "work" in
-  (* The writer flips [sem]; the reader's guard reads [sem] without
-     declaring it, so the write cannot wake it. *)
-  B.timed_exp_rate_ir b ~name:"writer"
-    ~rate:(E.RConst 1.0)
-    ~guard:E.(Cmp (Mark work, Gt, Int 0))
-    ~reads:[ San.Place.P work ]
-    E.(Ops [ Inc (work, Int (-1)); Set (sem, Int 0) ]);
-  B.timed_exp_rate_ir b ~name:"reader"
-    ~rate:(E.RConst 1.0)
-    ~guard:E.(Cmp (Mark sem, Eq, Int 1))
-    ~reads:[] (* bug: sem missing *)
-    E.Skip;
-  let r = Analysis.Check.run (B.build b) in
-  let errors =
-    List.filter
-      (fun d ->
-        d.D.severity = D.Error
-        && message_mentions ~needle:"effect writes" d)
-      (with_code D.ir_mismatch r)
-  in
-  match errors with
-  | [ d ] ->
-      Alcotest.(check bool) "names sem" true
-        (message_mentions ~needle:"\"sem\"" d);
-      Alcotest.(check bool) "names the reader" true
-        (message_mentions ~needle:"reader" d)
-  | ds ->
-      Alcotest.failf "expected one A013 stale-wake-up error, got %d: %s"
-        (List.length ds)
-        (String.concat "; " (List.map (fun d -> d.D.message) ds))
 
 (* --- A014: statically dead branch --- *)
 
@@ -730,15 +645,6 @@ let () =
             test_branching_run_pinned;
           Alcotest.test_case "cascade nodes linear" `Quick
             test_cascade_nodes_linear;
-        ] );
-      ( "A013",
-        [
-          Alcotest.test_case "guard read undeclared" `Quick
-            test_a013_guard_read_undeclared;
-          Alcotest.test_case "effect reads aggregated" `Quick
-            test_a013_effect_reads_aggregated;
-          Alcotest.test_case "stale wake-up write" `Quick
-            test_a013_stale_wakeup_write;
         ] );
       ( "A014",
         [ Alcotest.test_case "dead branch" `Quick test_a014_dead_branch ] );

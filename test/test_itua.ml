@@ -300,6 +300,109 @@ let test_no_attacks_no_byzantine () =
         Alcotest.failf "%s nonzero without attacks" r.name)
     (Sim.Runner.run ~seed:13L ~reps:50 spec)
 
+(* --- limit cases: exact zeros --- *)
+
+(* Firings, over [reps] runs to [horizon], of the activities whose name
+   ends in [suffix]. *)
+let firings_of ~suffix ~reps ~horizon params =
+  let h = Itua.Model.build params in
+  let model = h.Itua.Model.model in
+  let ends_with s =
+    let n = String.length s and k = String.length suffix in
+    n >= k && String.sub s (n - k) k = suffix
+  in
+  let count = ref 0 in
+  let observer =
+    {
+      Sim.Observer.nop with
+      on_fire =
+        (fun _ (a : San.Activity.t) _ _ -> if ends_with a.name then incr count);
+    }
+  in
+  let workspace = Sim.Executor.workspace model in
+  let config = Sim.Executor.config ~horizon () in
+  for seed = 1 to reps do
+    ignore
+      (Sim.Executor.run ~workspace ~model ~config
+         ~stream:(Prng.Stream.create ~seed:(Int64.of_int seed))
+         ~observer ()
+        : Sim.Executor.outcome)
+  done;
+  !count
+
+(* A zero host share leaves [attack_host] a rate of [0 + slope * spread],
+   and spread only grows once a host has been attacked: the exponential
+   rate is exactly 0 in every run, so it never fires. *)
+let test_zero_host_share () =
+  let p =
+    {
+      small_params with
+      Itua.Params.attack_share_host = 0.0;
+      attack_share_replica = 0.5;
+      attack_share_manager = 0.5;
+    }
+  in
+  Alcotest.(check (result unit string)) "valid" (Ok ()) (Itua.Params.validate p);
+  Alcotest.(check int) "attack_host never fires" 0
+    (firings_of ~suffix:".attack_host" ~reps:50 ~horizon:10.0 p);
+  Alcotest.(check bool) "manager attacks still fire" true
+    (firings_of ~suffix:".attack_mgmt" ~reps:50 ~horizon:10.0 p > 0)
+
+let test_zero_manager_share () =
+  let p =
+    {
+      small_params with
+      Itua.Params.attack_share_manager = 0.0;
+      attack_share_host = 0.85;
+    }
+  in
+  Alcotest.(check (result unit string)) "valid" (Ok ()) (Itua.Params.validate p);
+  Alcotest.(check int) "attack_mgmt never fires" 0
+    (firings_of ~suffix:".attack_mgmt" ~reps:50 ~horizon:10.0 p);
+  Alcotest.(check bool) "host attacks still fire" true
+    (firings_of ~suffix:".attack_host" ~reps:50 ~horizon:10.0 p > 0)
+
+(* The replica-only corner on the paper's 10x3x4x7 system: no host or
+   manager attacks, no false alarms, no replica detection and no
+   misbehaviour. Replicas then corrupt independently at
+   [replica_attack_rate], and an application is improper once 3 of its 7
+   replicas are, so its unreliability at [t] is P(Bin(7, 1 - e^(-lt)) >= 3). *)
+let test_replica_only_binomial () =
+  let p =
+    {
+      base_params with
+      Itua.Params.attack_share_host = 0.0;
+      attack_share_manager = 0.0;
+      attack_share_replica = 1.0;
+      false_alarm_rate_system = 0.0;
+      p_detect_replica = 0.0;
+      misbehave_rate = 0.0;
+    }
+  in
+  let t = 10.0 in
+  let q = 1.0 -. exp (-.Itua.Params.replica_attack_rate p *. t) in
+  let binom k = [| 1.0; 7.0; 21.0 |].(k) in
+  let below3 =
+    List.fold_left
+      (fun acc k ->
+        acc +. (binom k *. (q ** float_of_int k) *. ((1.0 -. q) ** float_of_int (7 - k))))
+      0.0 [ 0; 1; 2 ]
+  in
+  let exact = 1.0 -. below3 in
+  let h = Itua.Model.build p in
+  let spec =
+    Sim.Runner.spec ~model:h.Itua.Model.model ~horizon:t
+      [ Itua.Measures.unreliability h ~until:t ]
+  in
+  match Sim.Runner.run ~seed:20030622L ~reps:10_000 spec with
+  | [ r ] ->
+      let ci = r.Sim.Runner.ci in
+      if Float.abs (ci.Stats.Ci.mean -. exact) > 2.0 *. ci.Stats.Ci.half_width
+      then
+        Alcotest.failf "unreliability %g +- %g, exact %g" ci.Stats.Ci.mean
+          ci.Stats.Ci.half_width exact
+  | rs -> Alcotest.failf "expected one measure, got %d" (List.length rs)
+
 (* --- measures --- *)
 
 (* The unavailability and unreliability rewards call [unavailable] for
@@ -616,7 +719,7 @@ let test_tiny_config_matches_ctmc () =
         Itua.Measures.unavailability h ~until:5.0;
       ]
   in
-  match Sim.Runner.run ~seed:5L ~reps:20_000 spec with
+  match Sim.Runner.run ~seed:5L ~reps:10_000 spec with
   | [ ur; ua ] ->
       if not (Stats.Ci.contains ur.ci exact_ur) then
         Alcotest.failf "unreliability: CI %s misses exact %.5f"
@@ -1017,6 +1120,15 @@ let () =
             test_false_alarms_exclude_clean_domains;
           Alcotest.test_case "no attacks, no failures" `Quick
             test_no_attacks_no_byzantine;
+        ] );
+      ( "limit cases",
+        [
+          Alcotest.test_case "zero host attack share" `Quick
+            test_zero_host_share;
+          Alcotest.test_case "zero manager attack share" `Quick
+            test_zero_manager_share;
+          Alcotest.test_case "replica-only binomial" `Quick
+            test_replica_only_binomial;
         ] );
       ( "measures",
         [

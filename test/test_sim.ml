@@ -1476,7 +1476,8 @@ let test_workspace_other_model_rejected () =
 (* [San.Model.Builder.build] computes the instantaneous ids and the
    place -> dependents table once; every run reads them. They must
    agree with a derivation from scratch, both from the activities'
-   declared reads and through [San.Model.dependents]. *)
+   completed reads and through [San.Model.dependents], and every
+   activity's reads must hold its IR reads. *)
 let test_run_tables_match_dependents () =
   let models = Test_models.golden_models () in
   Alcotest.(check bool) "golden models found" true (List.length models >= 4);
@@ -1486,17 +1487,16 @@ let test_run_tables_match_dependents () =
       let table = San.Model.dependents_table model in
       Alcotest.(check int) (f ^ ": one row per place")
         (San.Model.n_places model) (Array.length table);
-      (* Declared reads, plus the undeclared guard reads of an
-         instantaneous activity. *)
-      let reads_of (a : San.Activity.t) =
-        let declared = List.map San.Place.any_uid a.reads in
-        if San.Activity.is_instantaneous a then
-          declared
-          @ List.filter
-              (fun uid -> not (List.mem uid declared))
-              (San.Effect.cond_reads a.guard)
-        else declared
-      in
+      let reads_of (a : San.Activity.t) = List.map San.Place.any_uid a.reads in
+      Array.iter
+        (fun (a : San.Activity.t) ->
+          List.iter
+            (fun uid ->
+              if not (List.mem uid (reads_of a)) then
+                Alcotest.failf "%s: %s reads uid %d outside its reads" f
+                  a.name uid)
+            (San.Activity.ir_reads a))
+        acts;
       Array.iteri
         (fun uid row ->
           let from_reads =
@@ -1662,10 +1662,11 @@ let test_undeclared_guard_read_fires () =
   Alcotest.(check int) "fired" 1
     (San.Marking.get outcome.Sim.Executor.final fired)
 
-(* The t = 0 template: the setup chain arms "go", whose guard reads the
-   undeclared place [armed], so propagation never wakes it; it is on the
-   template's timed list anyway and is scheduled after setup. "idle" is
-   disabled initially and declares its reads, so it is not on the list. *)
+(* The t = 0 template: the setup chain arms "go", whose guard reads
+   [armed] although "go" declares only [gone]. The builder appends
+   [armed] to its reads, so the setup's propagation wakes and schedules
+   it, and the template's timed list (the timed activities enabled in
+   the initial marking) is empty. *)
 let test_template_undeclared_timed_guard () =
   let b = San.Model.Builder.create "template" in
   let armed = San.Model.Builder.int_place b "armed" in
@@ -1690,13 +1691,132 @@ let test_template_undeclared_timed_guard () =
   let id name = (San.Model.find_activity model name).San.Activity.id in
   Alcotest.(check (array int)) "instantaneous enabled at t = 0"
     [| id "arm" |] (San.Model.initial_instantaneous model);
-  Alcotest.(check (array int)) "timed candidates" [| id "go" |]
+  Alcotest.(check (list string)) "arm wakes go" [ "arm"; "go" ]
+    (List.map
+       (fun (a : San.Activity.t) -> a.name)
+       (San.Model.dependents model (San.Place.uid armed)));
+  Alcotest.(check (array int)) "no timed candidates" [||]
     (San.Model.initial_timed model);
   let outcome =
     run_simple model ~horizon:100.0 ~seed:1 ~observer:Sim.Observer.nop
   in
   Alcotest.(check int) "go fired" 1
     (San.Marking.get outcome.Sim.Executor.final gone)
+
+(* A timed guard that reads a place missing from the declared [reads]
+   is woken when that place changes: "go" is disabled at t = 0, "tick"
+   enables it at t = 1, and it fires half a time unit later. *)
+let test_undeclared_timed_guard_wakes () =
+  let b = San.Model.Builder.create "timed_wake" in
+  let x = San.Model.Builder.int_place b "x" in
+  let fired = San.Model.Builder.int_place b "fired" in
+  San.Model.Builder.timed_dist_ir b ~name:"tick"
+    ~dist:San.(Activity.DDet (Effect.RConst 1.0))
+    ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0)) ~reads:[]
+    [ San.Activity.make_case San.Effect.(Ops [ Inc (x, Int 1) ]) ];
+  San.Model.Builder.timed_dist_ir b ~name:"go"
+    ~dist:San.(Activity.DDet (Effect.RConst 0.5))
+    ~guard:San.Effect.(All [ Cmp (Mark x, Ge, Int 1); Cmp (Mark fired, Eq, Int 0) ])
+    ~reads:[ San.Place.P fired ]
+    [ San.Activity.make_case San.Effect.(Ops [ Set (fired, Int 1) ]) ];
+  let model = San.Model.Builder.build b in
+  let go = San.Model.find_activity model "go" in
+  let fires = ref [] in
+  let observer =
+    {
+      Sim.Observer.nop with
+      on_fire = (fun t a _ _ -> if a == go then fires := t :: !fires);
+    }
+  in
+  let outcome = run_simple model ~horizon:4.0 ~seed:1 ~observer in
+  Alcotest.(check (list (float 0.0))) "fires once, at 1.5" [ 1.5 ] !fires;
+  Alcotest.(check int) "fired" 1
+    (San.Marking.get outcome.Sim.Executor.final fired)
+
+(* A rate read in a branch no run takes and a case-weight read are in
+   the dependents table although neither is declared: [go] reads
+   [hidden] only in the [flag = 1] arm of its rate, and [choose] weighs
+   its first case by [bias]. Each appended read follows the declared
+   ones. *)
+let test_ir_reads_in_dependents () =
+  let module E = San.Effect in
+  let b = San.Model.Builder.create "ir_reads" in
+  let flag = San.Model.Builder.int_place b "flag" in
+  let hidden = San.Model.Builder.int_place b ~init:1 "hidden" in
+  let bias = San.Model.Builder.int_place b ~init:3 "bias" in
+  let n = San.Model.Builder.int_place b "n" in
+  let step = E.(Ops [ Inc (n, Int 1) ]) in
+  San.Model.Builder.timed_dist_ir b ~name:"go"
+    ~dist:
+      (San.Activity.DExp
+         E.(
+           RIf
+             ( Cmp (Mark flag, Eq, Int 1),
+               RExpr (OfInt (Mark hidden)),
+               RConst 1.0 )))
+    ~guard:E.(Cmp (Mark n, Lt, Int 3))
+    ~reads:[ San.Place.P n ]
+    [ San.Activity.make_case step ];
+  San.Model.Builder.timed_dist_ir b ~name:"choose"
+    ~dist:(San.Activity.DExp (E.RConst 1.0))
+    ~guard:E.(Cmp (Mark n, Lt, Int 3))
+    ~reads:[]
+    San.Activity.
+      [ make_case ~weight:E.(RExpr (OfInt (Mark bias))) step; make_case step ];
+  let model = San.Model.Builder.build b in
+  let names ps = List.map San.Place.any_name ps in
+  let deps p =
+    List.map
+      (fun (a : San.Activity.t) -> a.name)
+      (San.Model.dependents model (San.Place.uid p))
+  in
+  Alcotest.(check (list string)) "untaken rate read" [ "go" ] (deps hidden);
+  Alcotest.(check (list string)) "weight read" [ "choose" ] (deps bias);
+  Alcotest.(check (list string)) "go's reads" [ "n"; "flag"; "hidden" ]
+    (names (San.Model.find_activity model "go").San.Activity.reads);
+  Alcotest.(check (list string)) "choose's reads" [ "bias"; "n" ]
+    (names (San.Model.find_activity model "choose").San.Activity.reads)
+
+(* An exponential whose rate is exactly 0 draws no delay and does not
+   fire: "go" (rate = [scale * x]) waits until "tick" sets [x] to 2 at
+   t = 1, and is then scheduled. A negative rate still raises. *)
+let test_zero_rate_waits () =
+  let build scale =
+    let b = San.Model.Builder.create "zero_rate" in
+    let x = San.Model.Builder.int_place b "x" in
+    let gone = San.Model.Builder.int_place b "gone" in
+    San.Model.Builder.timed_dist_ir b ~name:"tick"
+      ~dist:San.(Activity.DDet (Effect.RConst 1.0))
+      ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0)) ~reads:[]
+      [ San.Activity.make_case San.Effect.(Ops [ Set (x, Int 2) ]) ];
+    San.Model.Builder.timed_exp_rate_ir b ~name:"go"
+      ~rate:San.Effect.(RExpr (FMul (Flt scale, OfInt (Mark x))))
+      ~guard:San.Effect.(Cmp (Mark gone, Eq, Int 0)) ~reads:[]
+      San.Effect.(Ops [ Set (gone, Int 1) ]);
+    (San.Model.Builder.build b, gone)
+  in
+  let model, gone = build 1.0 in
+  let go = San.Model.find_activity model "go" in
+  for seed = 1 to 20 do
+    let fired_at = ref nan in
+    let observer =
+      {
+        Sim.Observer.nop with
+        on_fire = (fun t a _ _ -> if a == go then fired_at := t);
+      }
+    in
+    let outcome = run_simple model ~horizon:1e6 ~seed ~observer in
+    Alcotest.(check int) "go fired" 1
+      (San.Marking.get outcome.Sim.Executor.final gone);
+    if not (!fired_at > 1.0) then
+      Alcotest.failf "seed %d: go fired at %g, before its rate was positive"
+        seed !fired_at
+  done;
+  let model, _ = build (-1.0) in
+  Alcotest.(check bool) "negative rate raises" true
+    (match run_simple model ~horizon:2.0 ~seed:1 ~observer:Sim.Observer.nop with
+    | (_ : Sim.Executor.outcome) -> false
+    | exception Invalid_argument _ -> true)
 
 (* Two domains read the same model tables concurrently; the result must
    equal the one-domain run replication for replication. *)
@@ -1925,6 +2045,12 @@ let () =
             test_undeclared_guard_read_fires;
           Alcotest.test_case "template: undeclared timed guard" `Quick
             test_template_undeclared_timed_guard;
+          Alcotest.test_case "undeclared timed guard read wakes" `Quick
+            test_undeclared_timed_guard_wakes;
+          Alcotest.test_case "IR reads in dependents" `Quick
+            test_ir_reads_in_dependents;
+          Alcotest.test_case "zero exponential rate waits" `Quick
+            test_zero_rate_waits;
         ] );
       ( "rewards",
         [
