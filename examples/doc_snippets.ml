@@ -18,7 +18,7 @@ let _modeling_pair () =
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
     ~rate:San.Effect.(RExpr (FMul (Flt 0.1, OfInt (Mark working))))
     ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
-    ~reads:[ San.Place.P working ]
+    ~reads:[]
     San.Effect.(Ops [ Inc (working, Int (-1)) ]);
   let guard = San.Effect.(Cmp (Mark working, Gt, Int 0)) in
   let reads = [ San.Place.P working ] in
