@@ -24,7 +24,8 @@
        later it samples a fresh delay (no age memory).}
     {- An exponential whose rate evaluates to exactly 0 draws no delay and
        does not fire; a change to one of its reads that makes the rate
-       positive schedules it. Under [Resample] a scheduled clock whose
+       positive schedules it. A constant rate of 0 is accepted too, and
+       such an activity never fires. Under [Resample] a scheduled clock whose
        rate drops to 0 is dropped; under [Keep] it is held.}
     {- When several instantaneous activities are enabled, the executor
        picks one uniformly at random, matching the "equally likely to fire

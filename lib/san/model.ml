@@ -25,6 +25,7 @@ module Builder = struct
     mutable n_ints : int;
     mutable floats : (Place.fl * float) list;
     mutable n_floats : int;
+    mutable places : Place.any list;  (* reversed: a place's uid is its rank *)
     mutable acts : Activity.t list;
     mutable n_acts : int;
     names : (string, unit) Hashtbl.t;
@@ -40,6 +41,7 @@ module Builder = struct
       n_ints = 0;
       floats = [];
       n_floats = 0;
+      places = [];
       acts = [];
       n_acts = 0;
       names = Hashtbl.create 64;
@@ -63,6 +65,7 @@ module Builder = struct
     b.next_uid <- b.next_uid + 1;
     b.n_ints <- b.n_ints + 1;
     b.ints <- (p, init) :: b.ints;
+    b.places <- Place.P p :: b.places;
     p
 
   let float_place b ?(init = 0.0) name =
@@ -71,6 +74,7 @@ module Builder = struct
     b.next_uid <- b.next_uid + 1;
     b.n_floats <- b.n_floats + 1;
     b.floats <- (p, init) :: b.floats;
+    b.places <- Place.F p :: b.places;
     p
 
   (* The enabling predicate is a declarative guard, compiled to the
@@ -93,6 +97,10 @@ module Builder = struct
     | Activity.Timed { dist_ir = Some (Activity.DErlang (k, _)); _ } when k < 1
       ->
         reject "has an Erlang distribution with k = %d (must be >= 1)" k
+    | Activity.Timed { dist_ir = Some (Activity.DExp (Effect.RConst 0.0)); _ }
+      ->
+        (* Never fires, as a rate that evaluates to 0 (see [Activity]). *)
+        ()
     | Activity.Timed { dist_ir = Some d; _ } -> (
         match Option.map Dist.validate (Activity.constant_dist d) with
         | Some (Error msg) -> reject "has an invalid distribution: %s" msg
@@ -171,20 +179,8 @@ module Builder = struct
     (* Complete each activity's [reads]: after the declared list, every
        place its IR reads that the list lacks, in uid order. The
        dependents table, the analysis and the model format all read this
-       one list, so an IR read can never miss a wake-up. The uid -> place
-       table is only built when some activity lacks a read. *)
-    let place_of_uid =
-      lazy
-        (let places =
-           Array.append
-             (Array.map (fun (p, _) -> Place.P p) ints)
-             (Array.map (fun (p, _) -> Place.F p) floats)
-         in
-         Array.sort
-           (fun p q -> Int.compare (Place.any_uid p) (Place.any_uid q))
-           places;
-         places)
-    in
+       one list, so an IR read can never miss a wake-up. *)
+    let place_of_uid = Array.of_list (List.rev b.places) in
     let listed = Array.make b.next_uid false in
     let complete (a : Activity.t) =
       let mark v = List.iter (fun p -> listed.(Place.any_uid p) <- v) a.reads in
@@ -192,9 +188,7 @@ module Builder = struct
       let extra = List.filter (fun uid -> not listed.(uid)) (Activity.ir_reads a) in
       mark false;
       if extra = [] then a
-      else
-        let place_of_uid = Lazy.force place_of_uid in
-        { a with reads = a.reads @ List.map (Array.get place_of_uid) extra }
+      else { a with reads = a.reads @ List.map (Array.get place_of_uid) extra }
     in
     let activities = Array.of_list (List.rev_map complete b.acts) in
     let by_place_name = Hashtbl.create (Array.length ints) in

@@ -34,7 +34,8 @@ module Builder : sig
       the derived sampling closures are bit-identical to hand-written
       ones. Activity names must be unique, at least one case is
       required, an all-constant distribution must pass
-      {!Dist.validate}, an Erlang needs [k >= 1] and a constant case
+      {!Dist.validate} (except an exponential of constant rate 0, which
+      never fires: see {!Activity}), an Erlang needs [k >= 1] and a constant case
       weight must be finite and [>= 0]; [Invalid_argument] otherwise. Timed activities default to
       the {!Activity.Resample} policy (see {!Activity.policy} for why
       that is the safe default under marking-dependent rates).

@@ -719,7 +719,7 @@ let test_tiny_config_matches_ctmc () =
         Itua.Measures.unavailability h ~until:5.0;
       ]
   in
-  match Sim.Runner.run ~seed:5L ~reps:10_000 spec with
+  match Sim.Runner.run ~seed:5L ~reps:20_000 spec with
   | [ ur; ua ] ->
       if not (Stats.Ci.contains ur.ci exact_ur) then
         Alcotest.failf "unreliability: CI %s misses exact %.5f"

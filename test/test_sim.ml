@@ -1816,6 +1816,25 @@ let test_zero_rate_waits () =
   Alcotest.(check bool) "negative rate raises" true
     (match run_simple model ~horizon:2.0 ~seed:1 ~observer:Sim.Observer.nop with
     | (_ : Sim.Executor.outcome) -> false
+    | exception Invalid_argument _ -> true);
+  (* A constant rate follows the same rule: 0 builds and never fires, a
+     negative constant is rejected by the builder. *)
+  let build_const rate =
+    let b = San.Model.Builder.create "zero_const" in
+    let x = San.Model.Builder.int_place b "x" in
+    San.Model.Builder.timed_exp_rate_ir b ~name:"never"
+      ~rate:(San.Effect.RConst rate)
+      ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0)) ~reads:[]
+      San.Effect.(Ops [ Set (x, Int 1) ]);
+    (San.Model.Builder.build b, x)
+  in
+  let model, x = build_const 0.0 in
+  let outcome = run_simple model ~horizon:1e6 ~seed:1 ~observer:Sim.Observer.nop in
+  Alcotest.(check int) "constant 0 never fires" 0
+    (San.Marking.get outcome.Sim.Executor.final x);
+  Alcotest.(check bool) "constant negative rejected" true
+    (match build_const (-1.0) with
+    | _ -> false
     | exception Invalid_argument _ -> true)
 
 (* Two domains read the same model tables concurrently; the result must
