@@ -8,7 +8,7 @@
      structure  show the composed-model structure, optionally DOT export
      check      run every model-checking pass
      mtta       exact CTMC analysis of the minimal configuration
-     save       export the model as a versioned itua-model/1 JSON file
+     save       export the model as a versioned itua-model/2 JSON file
      load       validate a model file and report on it
      diff       structural diff between two model files
 
@@ -110,7 +110,7 @@ let params_term =
 
 let model_arg =
   Arg.(value & opt (some file) None & info [ "model" ] ~docv:"FILE"
-         ~doc:"Operate on the itua-model/1 file $(docv) (written by \
+         ~doc:"Operate on the itua-model/2 file $(docv) (written by \
                $(b,itua-sim save)) instead of building the model \
                in-process. The file must carry the \"params\" annotation; \
                the topology and rate flags are ignored in its favor.")
@@ -948,7 +948,7 @@ let structure_cmd =
 let save_cmd =
   let out_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:"Destination path of the itua-model/1 JSON document.")
+           ~doc:"Destination path of the itua-model/2 JSON document.")
   in
   let run params out =
     let p = params () in
@@ -965,7 +965,7 @@ let save_cmd =
   Cmd.v
     (Cmd.info "save"
        ~doc:"Export the configured ITUA model as a versioned, deterministic \
-             itua-model/1 JSON file (see doc/FORMAT.md). The parameter \
+             itua-model/2 JSON file (see doc/FORMAT.md). The parameter \
              block rides along as the \"params\" annotation, so \
              $(b,--model) can rebuild the measures around the file.")
     Term.(const run $ params_term $ out_arg)
@@ -973,7 +973,7 @@ let save_cmd =
 let load_cmd =
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-           ~doc:"An itua-model/1 file.")
+           ~doc:"An itua-model/2 file.")
   in
   let run file =
     match Serial.load file with

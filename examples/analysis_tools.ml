@@ -22,11 +22,9 @@ let build () =
   let state = San.Model.Builder.int_place b "state" in
   San.Model.Builder.timed_exp_rate_ir b ~name:"compromise" ~rate:(E.RConst 0.5)
     ~guard:(is_state state 0)
-    ~reads:[ San.Place.P state ]
     (set_state state 1);
   San.Model.Builder.timed_exp_cases_rate_ir b ~name:"respond"
     ~rate:(E.RConst 2.0) ~guard:(is_state state 1)
-    ~reads:[ San.Place.P state ]
     [ (0.92, set_state state 0); (0.08, set_state state 2) ];
   (San.Model.Builder.build b, state)
 
@@ -63,11 +61,9 @@ let () =
   let st = San.Model.Builder.int_place b "state" in
   San.Model.Builder.timed_exp_rate_ir b ~name:"compromise" ~rate:(E.RConst 0.5)
     ~guard:(is_state st 0)
-    ~reads:[ San.Place.P st ]
     (set_state st 1);
   San.Model.Builder.timed_exp_rate_ir b ~name:"respond" ~rate:(E.RConst 2.0)
     ~guard:(is_state st 1)
-    ~reads:[ San.Place.P st ]
     (set_state st 0);
   let repairable = San.Model.Builder.build b in
   let result =

@@ -18,13 +18,11 @@ let _modeling_pair () =
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
     ~rate:San.Effect.(RExpr (FMul (Flt 0.1, OfInt (Mark working))))
     ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
-    ~reads:[]
     San.Effect.(Ops [ Inc (working, Int (-1)) ]);
   let guard = San.Effect.(Cmp (Mark working, Gt, Int 0)) in
-  let reads = [ San.Place.P working ] in
   let convict = San.Effect.(Ops [ Inc (working, Int (-1)) ]) in
   San.Model.Builder.timed_exp_cases_rate_ir b ~name:"detect"
-    ~rate:(San.Effect.RConst 4.0) ~guard ~reads
+    ~rate:(San.Effect.RConst 4.0) ~guard
     [ (0.8, convict); (0.2, San.Effect.Skip) ];
   let model = San.Model.Builder.build b in
   let rewards =
@@ -213,7 +211,6 @@ let _analysis_closure_rate b =
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
     ~rate:(San.Effect.RConst 0.1)
     ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
-    ~reads:[ San.Place.P working ]
     San.Effect.(Ops [ Inc (working, Int (-1)) ])
 
 (* --- doc/FORMAT.md --- *)
@@ -241,12 +238,10 @@ let _format_mini () =
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
     ~rate:(San.Effect.RConst 0.2)
     ~guard:San.Effect.(Cmp (Mark up, Eq, Int 1))
-    ~reads:[ San.Place.P up ]
     San.Effect.(Ops [ Set (up, Int 0) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"repair"
     ~rate:(San.Effect.RConst 1.0)
     ~guard:San.Effect.(Cmp (Mark up, Eq, Int 0))
-    ~reads:[ San.Place.P up ]
     San.Effect.(Ops [ Set (up, Int 1) ]);
   print_string (Serial.emit (San.Model.Builder.build b))
 

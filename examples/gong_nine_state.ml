@@ -48,7 +48,6 @@ let build () =
       San.Model.Builder.timed_exp_rate_ir b ~name:label
         ~rate:(San.Effect.RConst rate)
         ~guard:San.Effect.(Cmp (Mark state, Eq, Int src))
-        ~reads:[ San.Place.P state ]
         San.Effect.(Ops [ Set (state, Int dst) ]))
     transitions;
   (San.Model.Builder.build b, state)

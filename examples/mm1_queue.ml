@@ -17,14 +17,12 @@ let build () =
   let blocked = San.Model.Builder.int_place b "blocked" in
   San.Model.Builder.timed_exp_rate_ir b ~name:"arrive" ~rate:(E.RConst lambda)
     ~guard:(E.Const true)
-    ~reads:[ San.Place.P customers ]
     (E.If
        ( E.Cmp (E.Mark customers, E.Lt, E.Int k),
          E.Ops [ E.Inc (customers, E.Int 1) ],
          E.Ops [ E.Inc (blocked, E.Int 1) ] ));
   San.Model.Builder.timed_exp_rate_ir b ~name:"serve" ~rate:(E.RConst mu)
     ~guard:(E.Cmp (E.Mark customers, E.Gt, E.Int 0))
-    ~reads:[ San.Place.P customers ]
     (E.Ops [ E.Inc (customers, E.Int (-1)); E.Inc (served, E.Int 1) ]);
   (San.Model.Builder.build b, customers, served, blocked)
 
@@ -76,11 +74,9 @@ let () =
   let c2 = San.Model.Builder.int_place b "customers" in
   San.Model.Builder.timed_exp_rate_ir b ~name:"arrive" ~rate:(E.RConst lambda)
     ~guard:(E.Cmp (E.Mark c2, E.Lt, E.Int k))
-    ~reads:[ San.Place.P c2 ]
     (E.Ops [ E.Inc (c2, E.Int 1) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"serve" ~rate:(E.RConst mu)
     ~guard:(E.Cmp (E.Mark c2, E.Gt, E.Int 0))
-    ~reads:[ San.Place.P c2 ]
     (E.Ops [ E.Inc (c2, E.Int (-1)) ]);
   let core = San.Model.Builder.build b in
   let chain = Ctmc.Explore.explore core in

@@ -18,11 +18,9 @@ let () =
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
     ~rate:(E.RExpr (E.FMul (E.Flt 0.1, E.OfInt (E.Mark working))))
     ~guard:(E.Cmp (E.Mark working, E.Gt, E.Int 0))
-    ~reads:[ San.Place.P working ]
     (E.Ops [ E.Inc (working, E.Int (-1)) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"repair" ~rate:(E.RConst 1.0)
     ~guard:(E.Cmp (E.Mark working, E.Lt, E.Int 2))
-    ~reads:[ San.Place.P working ]
     (E.Ops [ E.Inc (working, E.Int 1) ]);
   let model = San.Model.Builder.build b in
   Format.printf "%a@.@." San.Model.pp_summary model;

@@ -339,7 +339,6 @@ type shape = {
   timing : A.policy option;  (** [None]: instantaneous *)
   distribution : string * E.rexpr list;
   guard : E.cond;
-  reads : P.any list;
   cases : (E.rexpr * E.t) list;
 }
 
@@ -359,11 +358,6 @@ let shape_of sub (a : A.t) =
     timing;
     distribution;
     guard = n_cond (r_cond sub a.A.guard);
-    reads =
-      List.map
-        (function P.P p -> P.P (map_ip sub p) | P.F p -> P.F (map_fp sub p))
-        a.A.reads
-      |> List.sort_uniq Stdlib.compare;
     cases =
       Array.to_list a.A.cases
       |> List.map (fun (c : A.case) ->
@@ -437,8 +431,6 @@ let timing_name = function
   | Some A.Keep -> "timed/keep"
   | Some A.Resample -> "timed/resample"
 
-let pp_read ppf r = Format.pp_print_string ppf (P.any_name r)
-
 let pp_case ppf (w, t) = Format.fprintf ppf "w=%a; eff=%a" E.pp_rexpr w E.pp t
 
 let d_case (w, t) (w', t') = if same w w' then d_eff t t' else d_rexpr w w'
@@ -453,8 +445,6 @@ let shape_diff x y =
     ( "distribution",
       if fx <> fy then (fx, fy) else d_list d_rexpr E.pp_rexpr px py )
   else if not (same x.guard y.guard) then ("guard", d_cond x.guard y.guard)
-  else if not (same x.reads y.reads) then
-    ("reads", d_list (pair pp_read) pp_read x.reads y.reads)
   else ("cases", d_list d_case pp_case x.cases y.cases)
 
 (* ------------------------------------------------------------------ *)

@@ -31,7 +31,8 @@
        arithmetic is {e never} reassociated) — must reproduce the
        model's activities exactly. Each activity's renamed shape is an
        IR value (timing policy, distribution family and parameters,
-       guard, sorted reads, sorted [(weight, effect)] cases) compared
+       guard, sorted [(weight, effect)] cases; its reads are a function
+       of these, so they are not compared apart) compared
        with its partner's by [Stdlib.compare]: float constants are
        compared as floats, so two rates one ulp apart never share an
        orbit ([compare] equates only [0.0] with [-0.0], and NaN with
@@ -41,7 +42,7 @@
 
     A transposition that fails to verify splits the orbit and yields an
     A018 diagnostic naming the activity, its first differing component
-    (timing, distribution, guard, reads or cases) and, on one line, the
+    (timing, distribution, guard or cases) and, on one line, the
     first pair of differing sub-terms in it — for the full ITUA model
     that is the [on_host] identity coupling, reported honestly instead
     of silently mis-lumped. Nothing is printed for an activity that

@@ -52,9 +52,9 @@ module Ctx = struct
         (Printf.sprintf "Compose.Ctx.note: duplicate parameter %S" key);
     ctx.node.node_params <- (key, value) :: ctx.node.node_params
 
-  let timed_exp_rate_ir ctx ~name ?policy ~rate ~guard ~reads effect =
+  let timed_exp_rate_ir ctx ~name ?policy ?reads:_ ~rate ~guard effect =
     San.Model.Builder.timed_exp_rate_ir ctx.b ~name:(activity ctx name)
-      ?policy ~rate ~guard ~reads effect
+      ?policy ~rate ~guard effect
 
   let child ctx label kind =
     let node = make_node label kind in

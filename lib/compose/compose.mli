@@ -54,14 +54,16 @@ module Ctx : sig
     t ->
     name:string ->
     ?policy:San.Activity.policy ->
+    ?reads:San.Place.any list ->
     rate:San.Effect.rexpr ->
     guard:San.Effect.cond ->
-    reads:San.Place.any list ->
     San.Effect.t ->
     unit
   (** [San.Model.Builder.timed_exp_rate_ir (builder ctx)
-      ~name:(activity ctx name)]. Kept only for the benchmark harness's
-      fixture model; new code calls {!activity}. *)
+      ~name:(activity ctx name)]. [?reads] is ignored: the builder
+      derives the activity's reads. Both exist only for the benchmark
+      harness's [fleet] fixture, whose [~reads] list equals its guard's
+      reads; new code calls {!activity}. *)
 
   val note : t -> string -> string -> unit
   (** [note ctx key value] records a per-copy parameter on this node —

@@ -458,33 +458,6 @@ let build params =
     | Params.Host_exclusion -> exclude_host.(g)
   in
 
-  (* Dependency lists shared by many activities. *)
-  let all_attacked =
-    List.concat_map
-      (fun dp -> Array.to_list (Array.map (fun hp -> P.P hp.attacked) dp.hosts))
-      (Array.to_list domains)
-  in
-  let mgr_group_reads =
-    P.P mgrs_running :: P.P undetected
-    :: List.concat_map
-         (fun dp -> [ P.P dp.dom_mgrs_running; P.P dp.dom_mgrs_corrupt ])
-         (Array.to_list domains)
-  in
-  let placement_reads =
-    List.concat
-      [
-        List.concat_map
-          (fun ap -> [ P.P ap.to_start ])
-          (Array.to_list apps);
-        List.concat_map
-          (fun dp ->
-            P.P dp.excluded
-            :: (Array.to_list (Array.map (fun pl -> P.P pl) dp.has_app)
-               @ Array.to_list (Array.map (fun hp -> P.P hp.alive) dp.hosts)))
-          (Array.to_list domains);
-      ]
-  in
-
   (* IDS decision latency: Erlang with the configured stage count and
      mean 1/ids_decision_rate (exponential when stages = 1). *)
   let ids_latency_dist =
@@ -497,8 +470,8 @@ let build params =
             (float_of_int p.Params.ids_latency_stages
             *. p.Params.ids_decision_rate) )
   in
-  let ids_cases b ~name ~guard ~reads cases =
-    B.timed_dist_ir b ~name ~dist:ids_latency_dist ~guard ~reads
+  let ids_cases b ~name ~guard cases =
+    B.timed_dist_ir b ~name ~dist:ids_latency_dist ~guard
       (List.map
          (fun (w, eff) -> San.Activity.make_case ~weight:(E.RConst w) eff)
          cases)
@@ -568,9 +541,6 @@ let build params =
       Array.iteri
         (fun r sl ->
           let name = Compose.Ctx.activity slot_ctxs.(r) in
-          let slot_reads =
-            [ P.P sl.running; P.P sl.corrupt; P.P sl.convicted; P.P sl.on_host ]
-          in
           (* attack_rep: successful attack on the replica; faster when its
              host is corrupt. *)
           B.timed_exp_rate_ir b
@@ -582,7 +552,6 @@ let build params =
                    E.RConst (base *. p.Params.corruption_multiplier),
                    E.RConst (base *. 1.0) ))
             ~guard:(E.All [ pe sl.running 1; pe sl.corrupt 0; pe sl.convicted 0 ])
-            ~reads:(slot_reads @ all_attacked)
             (E.Seq
                [
                  E.Ops
@@ -597,7 +566,6 @@ let build params =
             ~name:(name "valid_ID")
             ~guard:
               (E.All [ pe sl.corrupt 1; pe sl.convicted 0; pe sl.id_missed 0 ])
-            ~reads:[ P.P sl.corrupt; P.P sl.convicted; P.P sl.id_missed ]
             [
               (p.Params.p_detect_replica, convict_e ~by_ids:true a sl);
               (1.0 -. p.Params.p_detect_replica, miss_e sl.id_missed);
@@ -618,11 +586,6 @@ let build params =
                          E.Lt,
                          E.Mark ap.replicas_running );
                    ])
-              ~reads:
-                [
-                  P.P sl.corrupt; P.P sl.convicted;
-                  P.P ap.rep_corr_undetected; P.P ap.replicas_running;
-                ]
               (convict_e ~by_ids:false a sl);
           (* false_ID: per the paper this activity is enabled only once
              the replica has been intruded — an additional, unconditional
@@ -634,7 +597,6 @@ let build params =
               ~name:(name "false_ID")
               ~rate:(E.RConst (Params.replica_false_alarm_rate p))
               ~guard:(E.All [ pe sl.corrupt 1; pe sl.convicted 0 ])
-              ~reads:[ P.P sl.corrupt; P.P sl.convicted ]
               (convict_e ~by_ids:true a sl);
           (* Response to a conviction.  Domain exclusion always convicts
              the domain that had the corrupt replica; host exclusion takes
@@ -653,7 +615,6 @@ let build params =
                      :: List.init nd (fun d ->
                             E.All [ on_host_in_domain sl d; dom_group_ok_c sk d ]));
                  ])
-            ~reads:(slot_reads @ mgr_group_reads)
             (match p.Params.policy with
             | Params.Domain_exclusion ->
                 dispatch_domain sl (fun d -> exclude_domain.(d))
@@ -675,7 +636,6 @@ let build params =
           (if p.Params.quorum_gates_recovery then
              E.All [ pgt ap.need_recovery 0; quorum_ok_c sk ]
            else pgt ap.need_recovery 0)
-        ~reads:(P.P ap.need_recovery :: mgr_group_reads)
         (E.Ops
            [ E.Inc (ap.need_recovery, E.Int (-1)); E.Inc (ap.to_start, E.Int 1) ]))
     app_nodes;
@@ -706,7 +666,6 @@ let build params =
                   pgt apps.(a).to_start 0;
                   E.Any (List.init nd (fun d -> domain_qualifies_c d a));
                 ])))
-    ~reads:placement_reads
     (E.Pick
        (List.init nd (fun d ->
             ( E.Any
@@ -744,7 +703,6 @@ let build params =
                   ( E.Flt (Params.host_spread_slope p),
                     E.FAdd (E.FMark dp.spread, E.FMark spread_sys) ) )))
       ~guard:(E.All [ pe hp.alive 1; pe hp.attacked 0 ])
-      ~reads:[ P.P hp.alive; P.P hp.attacked; P.F dp.spread; P.F spread_sys ]
       (let corrupt_as cls =
          E.Ops
            [ E.Set (hp.attacked, E.Int cls); E.Set (hp.ever_attacked, E.Int 1) ]
@@ -767,7 +725,6 @@ let build params =
            E.All
              (if p.Params.spread_outlives_host then base
               else base @ [ pe hp.alive 1 ]))
-        ~reads:[ P.P hp.ever_attacked; P.P hp.prop_dom_done; P.P hp.alive ]
         (E.Ops
            [
              E.FInc (dp.spread, E.Flt p.Params.spread_effect_domain);
@@ -782,7 +739,6 @@ let build params =
            E.All
              (if p.Params.spread_outlives_host then base
               else base @ [ pe hp.alive 1 ]))
-        ~reads:[ P.P hp.ever_attacked; P.P hp.prop_sys_done; P.P hp.alive ]
         (E.Ops
            [
              E.FInc (spread_sys, E.Flt p.Params.spread_effect_system);
@@ -801,11 +757,6 @@ let build params =
                  pe hp.host_id_missed 0;
                  pe hp.host_detected 0;
                ])
-          ~reads:
-            [
-              P.P hp.alive; P.P hp.attacked; P.P hp.host_id_missed;
-              P.P hp.host_detected;
-            ]
           [
             (prob, E.Ops [ E.Set (hp.host_detected, E.Int 1) ]);
             (1.0 -. prob, miss_e hp.host_id_missed);
@@ -828,11 +779,6 @@ let build params =
                pe hp.mgr_corrupt 0;
                pe hp.host_detected 0;
              ])
-        ~reads:
-          [
-            P.P hp.alive; P.P hp.attacked; P.P hp.mgr_corrupt;
-            P.P hp.host_detected;
-          ]
         (E.Ops [ E.Set (hp.host_detected, E.Int 1) ]);
     (* Response to a host-level detection requires a trustworthy local
        manager and domain manager group (Section 3.4). *)
@@ -846,9 +792,6 @@ let build params =
              pe hp.mgr_corrupt 0;
              dom_group_ok_c sk d;
            ])
-      ~reads:
-        ([ P.P hp.host_detected; P.P hp.alive; P.P hp.mgr_corrupt ]
-        @ mgr_group_reads)
       (respond_e g);
     (* attack_mgmt: attacks against the manager on this host. *)
     B.timed_exp_rate_ir b
@@ -867,11 +810,6 @@ let build params =
              pe hp.mgr_corrupt 0;
              pe hp.mgr_detected 0;
            ])
-      ~reads:
-        [
-          P.P hp.alive; P.P hp.attacked; P.P hp.mgr_running;
-          P.P hp.mgr_corrupt; P.P hp.mgr_detected;
-        ]
       (E.Ops
          [
            E.Set (hp.mgr_corrupt, E.Int 1);
@@ -889,11 +827,6 @@ let build params =
              pe hp.mgr_id_missed 0;
              pe hp.mgr_detected 0;
            ])
-      ~reads:
-        [
-          P.P hp.alive; P.P hp.mgr_corrupt; P.P hp.mgr_id_missed;
-          P.P hp.mgr_detected;
-        ]
       [
         ( p.Params.p_detect_manager,
           E.Ops
@@ -916,7 +849,6 @@ let build params =
              pe hp.alive 1;
              E.Any [ dom_group_ok_c sk d; quorum_ok_c sk ];
            ])
-      ~reads:([ P.P hp.mgr_detected; P.P hp.alive ] @ mgr_group_reads)
       (respond_e g)
   done;
 

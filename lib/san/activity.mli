@@ -15,11 +15,14 @@
     {ul
     {- An enabled timed activity keeps its sampled completion time while it
        remains enabled, unless its reactivation {!policy} says otherwise.}
-    {- [Resample] re-draws the completion time whenever a place in
-       {!reads} changes while the activity stays enabled. For exponential
-       distributions this yields exact competing-risk semantics under
-       marking-dependent rates, and is the right default for models (like
-       ITUA) whose rates depend on the marking.}
+    {- A change to a place in {!reads} (one that the guard, the
+       distribution or the case weights read; never one that only the
+       effect touches) wakes the activity. [Keep] then only re-checks
+       that it is still enabled; [Resample] also re-draws its completion
+       time. For exponential distributions [Resample] yields exact
+       competing-risk semantics under marking-dependent rates, and is the
+       right default for models (like ITUA) whose rates depend on the
+       marking.}
     {- An activity disabled by a marking change is aborted; if re-enabled
        later it samples a fresh delay (no age memory).}
     {- An exponential whose rate evaluates to exactly 0 draws no delay and
@@ -98,13 +101,13 @@ type t = {
           calls this instead of interpreting [guard]. *)
   guard : Effect.cond;  (** the enabling predicate *)
   reads : Place.any list;
-      (** The places whose changes wake the activity: the list the model
-          author passed, then, in uid order, every place of {!ir_reads}
-          it lacks. [Model.Builder] completes it, so it holds every place
-          the guard, a declarative distribution or a case weight reads;
-          the extra places an author lists are extra wake-ups. Only a
-          closure timing ([dist_ir = None]) can read a place outside it,
-          which the model checker ([Analysis.Check], A001) traces. *)
+      (** The places whose changes wake the activity: {!ir_reads}, in
+          uid order, which [Model.Builder] derives, so it holds exactly
+          the places the guard, a declarative distribution or a case
+          weight reads. A closure timing ([dist_ir = None]) adds the
+          places its builder's [~reads] lists; only such a closure can
+          read a place outside it, which the model checker
+          ([Analysis.Check], A001) traces. *)
   cases : case array;
 }
 

@@ -1,7 +1,7 @@
 (** GraphViz export of a SAN's structure.
 
     The exported edges are the dependency arcs ([reads] lists, which the
-    builder completes from the IR), which correspond to the input-arc
+    builder derives from the IR), which correspond to the input-arc
     structure of the net. Useful for eyeballing generated
     models, e.g. a small ITUA configuration. *)
 

@@ -83,7 +83,9 @@ module Builder = struct
      they are. A constant parameter or weight out of range is rejected
      here rather than at its first sample. *)
 
-  let activity_ir b ~name ~timing ~guard ~reads cases =
+  (* [wakes] is [timed_exp_ir]'s declared list; every other entry point
+     passes [[]] and [build] derives the activity's [reads]. *)
+  let add b ~name ~timing ~guard ~wakes cases =
     check_fresh b "activity" b.act_names name;
     let reject fmt =
       Printf.ksprintf
@@ -120,12 +122,15 @@ module Builder = struct
         timing;
         enabled = Effect.cond_fn guard;
         guard;
-        reads;
+        reads = wakes;
         cases = Array.of_list cases;
       }
     in
     b.n_acts <- b.n_acts + 1;
     b.acts <- act :: b.acts
+
+  let activity_ir b ~name ~timing ~guard cases =
+    add b ~name ~timing ~guard ~wakes:[] cases
 
   (* Fully-declarative entry points: the timing distribution and case
      weights are data, so the activity serializes. The derived closures
@@ -133,20 +138,19 @@ module Builder = struct
      hand-written closure, keeping trajectories bit-identical when a
      model is ported (or reloaded from disk). *)
 
-  let timed_dist_ir b ~name ?(policy = Activity.Resample) ~dist ~guard ~reads
-      cases =
+  let timed_dist_ir b ~name ?(policy = Activity.Resample) ~dist ~guard cases =
     activity_ir b ~name
       ~timing:
         (Activity.Timed
            { dist = Activity.dist_fn dist; policy; dist_ir = Some dist })
-      ~guard ~reads cases
+      ~guard cases
 
-  let timed_exp_rate_ir b ~name ?policy ~rate ~guard ~reads effect =
-    timed_dist_ir b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads
+  let timed_exp_rate_ir b ~name ?policy ~rate ~guard effect =
+    timed_dist_ir b ~name ?policy ~dist:(Activity.DExp rate) ~guard
       [ Activity.make_case effect ]
 
-  let timed_exp_cases_rate_ir b ~name ?policy ~rate ~guard ~reads cases =
-    timed_dist_ir b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads
+  let timed_exp_cases_rate_ir b ~name ?policy ~rate ~guard cases =
+    timed_dist_ir b ~name ?policy ~dist:(Activity.DExp rate) ~guard
       (List.map
          (fun (w, effect) ->
            Activity.make_case ~weight:(Effect.RConst w) effect)
@@ -156,7 +160,7 @@ module Builder = struct
      the activity cannot be serialized or orbit-verified. *)
   let timed_exp_ir b ~name ?(policy = Activity.Resample) ~rate ~guard ~reads
       effect =
-    activity_ir b ~name
+    add b ~name
       ~timing:
         (Activity.Timed
            {
@@ -164,11 +168,11 @@ module Builder = struct
              policy;
              dist_ir = None;
            })
-      ~guard ~reads
+      ~guard ~wakes:reads
       [ Activity.make_case effect ]
 
-  let instantaneous_ir b ~name ~guard ~reads effect =
-    activity_ir b ~name ~timing:Activity.Instantaneous ~guard ~reads
+  let instantaneous_ir b ~name ~guard effect =
+    activity_ir b ~name ~timing:Activity.Instantaneous ~guard
       [ Activity.make_case effect ]
 
   let build b =
@@ -176,21 +180,18 @@ module Builder = struct
     b.built <- true;
     let ints = Array.of_list (List.rev b.ints) in
     let floats = Array.of_list (List.rev b.floats) in
-    (* Complete each activity's [reads]: after the declared list, every
-       place its IR reads that the list lacks, in uid order. The
-       dependents table, the analysis and the model format all read this
-       one list, so an IR read can never miss a wake-up. *)
+    (* Each activity's [reads] is what its IR reads, in uid order (plus a
+       closure's declared list). The dependents table and the analysis
+       read this one list, so an IR read can never miss a wake-up. *)
     let place_of_uid = Array.of_list (List.rev b.places) in
-    let listed = Array.make b.next_uid false in
-    let complete (a : Activity.t) =
-      let mark v = List.iter (fun p -> listed.(Place.any_uid p) <- v) a.reads in
-      mark true;
-      let extra = List.filter (fun uid -> not listed.(uid)) (Activity.ir_reads a) in
-      mark false;
-      if extra = [] then a
-      else { a with reads = a.reads @ List.map (Array.get place_of_uid) extra }
+    let derive (a : Activity.t) =
+      let uids =
+        List.sort_uniq Int.compare
+          (List.map Place.any_uid a.reads @ Activity.ir_reads a)
+      in
+      { a with reads = List.map (Array.get place_of_uid) uids }
     in
-    let activities = Array.of_list (List.rev_map complete b.acts) in
+    let activities = Array.of_list (List.rev_map derive b.acts) in
     let by_place_name = Hashtbl.create (Array.length ints) in
     Array.iter
       (fun (p, _) -> Hashtbl.replace by_place_name (Place.name p) (Place.P p))

@@ -40,17 +40,16 @@ module Builder : sig
       the {!Activity.Resample} policy (see {!Activity.policy} for why
       that is the safe default under marking-dependent rates).
 
-      [~reads] lists extra wake-ups: places whose changes re-evaluate
-      the activity although nothing it evaluates reads them. The places
-      its IR reads need not be listed: {!build} appends them to the
-      activity's [reads] (see {!Activity.ir_reads}). *)
+      No entry point but {!timed_exp_ir} takes a read list: {!build}
+      sets each activity's [reads] to the places its guard,
+      distribution and case weights read ({!Activity.ir_reads}), in uid
+      order. *)
 
   val activity_ir :
     t ->
     name:string ->
     timing:Activity.timing ->
     guard:Effect.cond ->
-    reads:Place.any list ->
     Activity.case list ->
     unit
 
@@ -58,7 +57,6 @@ module Builder : sig
     t ->
     name:string ->
     guard:Effect.cond ->
-    reads:Place.any list ->
     Effect.t ->
     unit
 
@@ -68,7 +66,6 @@ module Builder : sig
     ?policy:Activity.policy ->
     dist:Activity.dist_ir ->
     guard:Effect.cond ->
-    reads:Place.any list ->
     Activity.case list ->
     unit
 
@@ -78,7 +75,6 @@ module Builder : sig
     ?policy:Activity.policy ->
     rate:Effect.rexpr ->
     guard:Effect.cond ->
-    reads:Place.any list ->
     Effect.t ->
     unit
   (** Single-case exponential activity with a declarative rate. *)
@@ -89,7 +85,6 @@ module Builder : sig
     ?policy:Activity.policy ->
     rate:Effect.rexpr ->
     guard:Effect.cond ->
-    reads:Place.any list ->
     (float * Effect.t) list ->
     unit
   (** Exponential activity with constant-probability cases; each weight
@@ -108,8 +103,8 @@ module Builder : sig
       rate is an opaque closure, so its timing has no declarative form
       ([dist_ir = None]). Serialization rejects it, orbit verification
       treats it as a blocker, and {!build} cannot see what the closure
-      reads: [~reads] must list those places, and the model checker
-      traces them (A001). It is kept only because the benchmark
+      reads: [~reads] must list those places ({!build} adds the guard's
+      reads, in uid order), and the model checker traces them (A001). It is kept only because the benchmark
       harness's [two_state] fixture still builds with it; new code uses
       {!timed_exp_rate_ir}. *)
 
@@ -140,11 +135,11 @@ val initial_marking : t -> Marking.t
 
 val dependents : t -> int -> Activity.t list
 (** [dependents model uid] lists, in id order, the activities whose
-    [reads] hold the place with uid [uid]. {!Builder.build} completes
-    every [reads] with the activity's {!Activity.ir_reads}, so these are
-    all the activities whose guard, declarative distribution or case
-    weights read the place, taken branches or not, plus those that list
-    it as an extra wake-up. *)
+    [reads] hold the place with uid [uid]. {!Builder.build} derives
+    every [reads] from the activity's {!Activity.ir_reads}, so these are
+    the activities whose guard, declarative distribution or case weights
+    read the place, taken branches or not (plus a [timed_exp_ir]
+    activity whose [~reads] lists it). *)
 
 (** {2 Run tables}
 

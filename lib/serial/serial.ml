@@ -1,6 +1,6 @@
 module J = Report.Json
 
-let schema = "itua-model/1"
+let schema = "itua-model/2"
 
 exception Unportable of string
 
@@ -152,8 +152,6 @@ let activity_json (a : San.Activity.t) =
       ("name", J.Str act);
       ("timing", timing_json ~act a.timing);
       ("guard", cond_json a.guard);
-      ( "reads",
-        J.Arr (List.map (fun p -> J.Str (San.Place.any_name p)) a.reads) );
       ("cases", J.Arr (Array.to_list (Array.map case_json a.cases)));
     ]
 
@@ -356,8 +354,6 @@ let p_op places at j =
       if t = "fset" then San.Effect.FSet (p, e) else San.Effect.FInc (p, e)
   | j -> J.fail at "cannot parse marking op %s" (J.short j)
 
-(* [{"checked": E}] parses to the bare IR, so older documents that carry
-   the tag keep loading; it is never emitted. *)
 let rec p_effect places at j =
   match j with
   | J.Str "skip" -> San.Effect.Skip
@@ -386,7 +382,6 @@ let rec p_effect places at j =
             J.fail at "expected a [condition, effect] pair, got %s" (J.short j)
       in
       San.Effect.Pick (J.get_list branch (J.key at "pick") v)
-  | J.Obj [ ("checked", v) ] -> p_effect places (J.key at "checked") v
   | j -> J.fail at "cannot parse effect %s" (J.short j)
 
 let p_dist places at j =
@@ -452,9 +447,8 @@ let p_activity b places at j =
   let name = J.field J.get_str at kvs "name" in
   let timing = J.field (p_timing places) at kvs "timing" in
   let guard = J.field (p_cond places) at kvs "guard" in
-  let reads = J.field (J.get_list (any_place_ref places)) at kvs "reads" in
   let cases = J.field (J.get_list (p_case places)) at kvs "cases" in
-  try San.Model.Builder.activity_ir b ~name ~timing ~guard ~reads cases
+  try San.Model.Builder.activity_ir b ~name ~timing ~guard cases
   with Invalid_argument msg -> J.fail at "%s" msg
 
 let p_composition model places at j =

@@ -1,4 +1,4 @@
-(** Versioned on-disk model format ([itua-model/1]) and structural diff.
+(** Versioned on-disk model format ([itua-model/2]) and structural diff.
 
     The declarative effect IR ({!San.Effect}) made effects comparable
     data; this module completes the round trip: a {!San.Model.t} whose
@@ -19,15 +19,16 @@
     {- A closure timing ([San.Model.Builder.timed_exp_ir]) is {e not}
        portable: {!to_json} raises {!Unportable} naming the offending
        activity. Every other builder is portable.}
-    {- An effect tagged [{"checked": e}] still parses as [e], so older
-       documents keep loading; the tag is never emitted.}
+    {- Activities carry no read list: the builder that loads a
+       document derives each activity's wake-ups from its guard,
+       distribution and weights, as it does for an in-code model.}
     {- The format reserves an optional per-place ["bound"] (declared
        capacity, informational — e.g. from a structural certificate);
        it round-trips through {!loaded.bounds} without affecting the
        model.}} *)
 
 val schema : string
-(** ["itua-model/1"]. *)
+(** ["itua-model/2"]. *)
 
 exception Unportable of string
 (** Raised by {!to_json}/{!emit} when the model contains a closure

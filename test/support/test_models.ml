@@ -6,12 +6,10 @@ let two_state ~lambda ~mu =
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
     ~rate:(San.Effect.RConst lambda)
     ~guard:San.Effect.(Cmp (Mark up, Eq, Int 1))
-    ~reads:[ San.Place.P up ]
     San.Effect.(Ops [ Set (up, Int 0) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"repair"
     ~rate:(San.Effect.RConst mu)
     ~guard:San.Effect.(Cmp (Mark up, Eq, Int 0))
-    ~reads:[ San.Place.P up ]
     San.Effect.(Ops [ Set (up, Int 1) ]);
   { ts_model = San.Model.Builder.build b; up }
 
@@ -27,12 +25,10 @@ let mm1k ~lambda ~mu ~k =
   San.Model.Builder.timed_exp_rate_ir b ~name:"arrive"
     ~rate:(San.Effect.RConst lambda)
     ~guard:San.Effect.(Cmp (Mark q_len, Lt, Int k))
-    ~reads:[ San.Place.P q_len ]
     San.Effect.(Ops [ Inc (q_len, Int 1) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"serve"
     ~rate:(San.Effect.RConst mu)
     ~guard:San.Effect.(Cmp (Mark q_len, Gt, Int 0))
-    ~reads:[ San.Place.P q_len ]
     San.Effect.(Ops [ Inc (q_len, Int (-1)) ]);
   { q_model = San.Model.Builder.build b; q_len }
 
@@ -50,12 +46,10 @@ let tandem ~r1 ~r2 =
   San.Model.Builder.timed_exp_rate_ir b ~name:"step1"
     ~rate:(San.Effect.RConst r1)
     ~guard:San.Effect.(Cmp (Mark stage, Eq, Int 0))
-    ~reads:[ San.Place.P stage ]
     San.Effect.(Ops [ Set (stage, Int 1) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"step2"
     ~rate:(San.Effect.RConst r2)
     ~guard:San.Effect.(Cmp (Mark stage, Eq, Int 1))
-    ~reads:[ San.Place.P stage ]
     San.Effect.(Ops [ Set (stage, Int 2) ]);
   { td_model = San.Model.Builder.build b; stage }
 
@@ -95,7 +89,6 @@ let gong () =
       San.Model.Builder.timed_exp_rate_ir b ~name:label
         ~rate:(San.Effect.RConst rate)
         ~guard:San.Effect.(Cmp (Mark g_state, Eq, Int src))
-        ~reads:[ San.Place.P g_state ]
         San.Effect.(Ops [ Set (g_state, Int dst) ]))
     gong_transitions;
   { g_model = San.Model.Builder.build b; g_state }

@@ -72,9 +72,9 @@ let test_a001_dist () =
          && message_mentions ~needle:"\"speed\"" d)
        (with_code D.undeclared_read r))
 
-(* The builder completes [reads] with every IR read, so A001 has nothing
-   to report for a declarative weight: [bias] is appended to [choose]'s
-   reads and wakes it. *)
+(* The builder derives [reads] from every IR read, so A001 has nothing
+   to report for a declarative weight: [bias] is in [choose]'s reads,
+   in uid order with its guard's [fired], and wakes it. *)
 let test_a001_weight () =
   let b = B.create "ir_weight" in
   let bias = B.int_place b ~init:3 "bias" in
@@ -82,7 +82,6 @@ let test_a001_weight () =
   B.timed_dist_ir b ~name:"choose"
     ~dist:(San.Activity.DExp (E.RConst 1.0))
     ~guard:E.(Cmp (Mark fired, Eq, Int 0))
-    ~reads:[ San.Place.P fired ]
     [
       San.Activity.make_case
         ~weight:E.(RExpr (OfInt (Mark bias)))
@@ -91,7 +90,7 @@ let test_a001_weight () =
         (San.Effect.Ops [ San.Effect.Set (fired, San.Effect.Int 1) ]);
     ];
   let model = B.build b in
-  Alcotest.(check (list string)) "reads completed" [ "fired"; "bias" ]
+  Alcotest.(check (list string)) "reads derived" [ "bias"; "fired" ]
     (List.map San.Place.any_name
        (San.Model.find_activity model "choose").San.Activity.reads);
   Alcotest.(check (list string)) "no A001" []
@@ -99,7 +98,7 @@ let test_a001_weight () =
        (with_code D.undeclared_read (check model)))
 
 (* Reads are taken off the IR syntax, so a read in a branch no visited
-   marking takes, or of an activity that is never enabled, is completed
+   marking takes, or of an activity that is never enabled, is derived
    as well. [go] reads [hidden] only in the [flag = 1] arm of its rate
    (or, with [~weight], of its first case's weight), and [flag] stays 0.
    With [~dead], [go] needs [flag = 1] and never fires. Returns [go]'s
@@ -128,11 +127,9 @@ let a001_exact ?(weight = false) ?(dead = false) () =
             Cmp (Mark n, Lt, Int 3);
             (if dead then Cmp (Mark flag, Eq, Int 1) else Const true);
           ])
-    ~reads:[ San.Place.P flag; San.Place.P n ]
     cases;
   B.timed_exp_rate_ir b ~name:"reset" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark n, Eq, Int 3))
-    ~reads:[ San.Place.P n ]
     E.(Ops [ Set (n, Int 0) ]);
   let model = B.build b in
   ( List.map San.Place.any_name
@@ -140,20 +137,20 @@ let a001_exact ?(weight = false) ?(dead = false) () =
     List.map (Format.asprintf "%a" D.pp)
       (with_code D.undeclared_read (check model)) )
 
-let completed_hidden = ([ "flag"; "n"; "hidden" ], [])
+let derived_hidden = ([ "flag"; "hidden"; "n" ], [])
 
 let test_a001_untaken_branch () =
   Alcotest.(check (pair (list string) (list string)))
-    "dist read in the untaken arm" completed_hidden (a001_exact ())
+    "dist read in the untaken arm" derived_hidden (a001_exact ())
 
 let test_a001_untaken_weight () =
   Alcotest.(check (pair (list string) (list string)))
-    "weight read in the untaken arm" completed_hidden
+    "weight read in the untaken arm" derived_hidden
     (a001_exact ~weight:true ())
 
 let test_a001_never_enabled () =
   Alcotest.(check (pair (list string) (list string)))
-    "dist read of a dead activity" completed_hidden
+    "dist read of a dead activity" derived_hidden
     (a001_exact ~dead:true ())
 
 (* A closure rate is the one read the builder cannot see. [raise_flag]
@@ -167,7 +164,6 @@ let test_a001_closure_reader_written () =
   B.timed_exp_rate_ir b ~name:"raise_flag"
     ~rate:(E.RConst 1.0)
     ~guard:E.(All [ Cmp (Mark flag, Eq, Int 0); Cmp (Mark done_, Eq, Int 0) ])
-    ~reads:[ San.Place.P flag; San.Place.P done_ ]
     E.(Ops [ Set (flag, Int 1) ]);
   B.timed_exp_ir b ~name:"consume"
     ~rate:(fun m -> float_of_int (1 + M.get m flag))
@@ -190,7 +186,6 @@ let test_a003_negative_write () =
   (* Enabled regardless of stock, so the effect underflows at 0. *)
   B.timed_exp_rate_ir b ~name:"take" ~rate:(E.RConst 1.0)
     ~guard:(E.Const true)
-    ~reads:[ San.Place.P stock ]
     E.(Ops [ Inc (stock, Int (-1)) ]);
   let r = check (B.build b) in
   match with_code D.negative_write r with
@@ -212,7 +207,6 @@ let test_a003_pick_branch () =
   let a = B.int_place b "a" in
   B.timed_exp_rate_ir b ~name:"step" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark c, Gt, Int 0))
-    ~reads:[ San.Place.P c ]
     E.(
       Pick
         [
@@ -239,12 +233,10 @@ let test_a004_dead_activity () =
   let lvl = B.int_place b "lvl" in
   B.timed_exp_rate_ir b ~name:"step" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark lvl, Lt, Int 3))
-    ~reads:[ San.Place.P lvl ]
     E.(Ops [ Inc (lvl, Int 1) ]);
   (* Dead: [lvl] never exceeds 3, so the guard never holds. *)
   B.timed_exp_rate_ir b ~name:"overflow" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark lvl, Gt, Int 7))
-    ~reads:[ San.Place.P lvl ]
     E.(Ops [ Set (lvl, Int 0) ]);
   let r = check (B.build b) in
   match with_code D.dead_activity r with
@@ -264,7 +256,6 @@ let test_a005_a006_dead_places () =
   B.timed_exp_rate_ir b ~name:"cycle"
     ~rate:E.(RExpr (OfInt (Mark speed)))
     ~guard:(E.Const true)
-    ~reads:[ San.Place.P lvl; San.Place.P speed ]
     E.(Ops [ Set (lvl, Sub (Int 1, Mark lvl)); Set (echo, Int 1) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "A005 on speed" true
@@ -286,7 +277,6 @@ let test_a007_instantaneous_loop () =
   (* Stays enabled after firing: the stabilization never terminates. *)
   B.instantaneous_ir b ~name:"spin"
     ~guard:E.(Cmp (Mark hot, Eq, Int 1))
-    ~reads:[ San.Place.P hot ]
     E.(Ops [ Set (hot, Int 1) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "falls back to sampling" true
@@ -307,11 +297,9 @@ let test_a008_instantaneous_tie () =
      flip a coin, which the modeler may not have intended. *)
   B.instantaneous_ir b ~name:"claim_a"
     ~guard:E.(Cmp (Mark pending, Eq, Int 1))
-    ~reads:[ San.Place.P pending ]
     E.(Ops [ Set (pending, Int 0); Set (a_won, Int 1) ]);
   B.instantaneous_ir b ~name:"claim_b"
     ~guard:E.(Cmp (Mark pending, Eq, Int 1))
-    ~reads:[ San.Place.P pending ]
     E.(Ops [ Set (pending, Int 0); Set (b_won, Int 1) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "exhaustive mode" true
@@ -335,13 +323,9 @@ let composed_fixture ~touch_shared () =
     Compose.replicate root "unit" ~n:2 (fun ctx i ->
         let tok = Compose.Ctx.int_place ctx ~init:1 "tok" in
         let touches = touch_shared && i = 0 in
-        let reads =
-          if touches then [ San.Place.P tok; San.Place.P shared ]
-          else [ San.Place.P tok ]
-        in
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"tick" ~rate:(E.RConst 1.0)
+        B.timed_exp_rate_ir (Compose.Ctx.builder ctx)
+          ~name:(Compose.Ctx.activity ctx "tick") ~rate:(E.RConst 1.0)
           ~guard:E.(Cmp (Mark tok, Eq, Int 1))
-          ~reads
           (E.Ops
              (E.Set (tok, E.Int 0)
              :: (if touches then [ E.Set (shared, E.Int 1) ] else []))))
@@ -443,11 +427,9 @@ let ring_fixture () =
   let c = B.int_place b "b" in
   B.timed_exp_rate_ir b ~name:"move_ab" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark a, Eq, Int 1))
-    ~reads:[ San.Place.P a ]
     E.(Ops [ Inc (a, Int (-1)); Inc (c, Int 1) ]);
   B.timed_exp_rate_ir b ~name:"move_ba" ~rate:(E.RConst 2.0)
     ~guard:E.(Cmp (Mark c, Eq, Int 1))
-    ~reads:[ San.Place.P c ]
     E.(Ops [ Inc (c, Int (-1)); Inc (a, Int 1) ]);
   (B.build b, a, c)
 
@@ -471,7 +453,6 @@ let test_a010_unbounded () =
   let pop = B.int_place b "births" in
   B.timed_exp_rate_ir b ~name:"arrive" ~rate:(E.RConst 1.0)
     ~guard:(E.Const true)
-    ~reads:[ San.Place.P pop ]
     E.(Ops [ Inc (pop, Int 1) ]);
   (* Exhaustive walking aborts at 40 states and falls back to sampling,
      which cannot bound [births]; no P-semiflow covers it either. *)
@@ -494,7 +475,6 @@ let test_fallback_names_outcome_cap () =
   let b = B.create "forks" in
   let bits = List.init 13 (fun i -> B.int_place b (Printf.sprintf "bit%d" i)) in
   B.timed_exp_rate_ir b ~name:"flip" ~rate:(E.RConst 1.0) ~guard:(E.Const true)
-    ~reads:[]
     (E.Seq
        (List.map
           (fun p ->
@@ -526,7 +506,6 @@ let test_a011_dead_effect () =
   let tick = B.int_place b "tick" in
   B.timed_exp_rate_ir b ~name:"advance" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark tick, Ge, Int 0))
-    ~reads:[ San.Place.P tick ]
     E.Skip;
   let r = check (B.build b) in
   match with_code D.dead_effect r with
@@ -544,7 +523,6 @@ let leaky_fixture () =
   (* Bug: [take] consumes from the pool without accounting in [used]. *)
   B.timed_exp_rate_ir b ~name:"take" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark pool, Gt, Int 0))
-    ~reads:[ San.Place.P pool ]
     E.(Ops [ Inc (pool, Int (-1)) ]);
   let law =
     { St.law_name = "pool-conserved"; law_terms = [ (pool, 1); (used, 1) ] }
@@ -572,7 +550,6 @@ let test_exit_code_strict () =
   let tick = B.int_place b "tick" in
   B.timed_exp_rate_ir b ~name:"advance" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark tick, Ge, Int 0))
-    ~reads:[ San.Place.P tick ]
     E.Skip;
   let r = check (B.build b) in
   Alcotest.(check bool) "warnings present" true
@@ -674,7 +651,7 @@ let test_exit_contract () =
   let stock = B.int_place b "stock" in
   (* Bug: enabled whatever the stock, so the effect underflows (A003). *)
   B.timed_exp_rate_ir b ~name:"take" ~rate:(E.RConst 1.0)
-    ~guard:(E.Const true) ~reads:[]
+    ~guard:(E.Const true)
     E.(Ops [ Inc (stock, Int (-1)) ]);
   let r = check (B.build b) in
   Alcotest.(check bool) "has_errors" true (Analysis.Check.has_errors r);

@@ -53,7 +53,6 @@ let test_sharing_by_capture () =
         San.Model.Builder.instantaneous_ir b
           ~name:(Compose.Ctx.activity ctx "go")
           ~guard:San.Effect.(Cmp (Mark started, Eq, Int 1))
-          ~reads:[ San.Place.P started ]
           San.Effect.(Ops [ Set (started, Int 0); Inc (shared, Int 1) ]))
   in
   let model = San.Model.Builder.build b in

@@ -55,7 +55,6 @@ let test_non_markovian_rejected () =
   San.Model.Builder.timed_dist_ir b ~name:"d"
     ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark p, Eq, Int 0))
-    ~reads:[ San.Place.P p ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (p, San.Effect.Int 1) ]);
@@ -72,7 +71,6 @@ let test_state_limit () =
   let p = San.Model.Builder.int_place b "n" in
   San.Model.Builder.timed_exp_rate_ir b ~name:"birth"
     ~rate:(San.Effect.RConst 1.0) ~guard:(San.Effect.Const true)
-    ~reads:[ San.Place.P p ]
     San.Effect.(Ops [ Inc (p, Int 1) ]);
   let model = San.Model.Builder.build b in
   Alcotest.(check bool) "raises Too_many_states" true
@@ -86,7 +84,6 @@ let test_vanishing_loop_detected () =
   let p = San.Model.Builder.int_place b ~init:1 "p" in
   San.Model.Builder.instantaneous_ir b ~name:"spin"
     ~guard:San.Effect.(Cmp (Mark p, Eq, Int 1))
-    ~reads:[ San.Place.P p ]
     San.Effect.(Ops [ Set (p, Int 1) ]);
   let model = San.Model.Builder.build b in
   Alcotest.(check bool) "raises Vanishing_loop" true
@@ -104,12 +101,10 @@ let branching_model () =
   San.Model.Builder.timed_exp_rate_ir b ~name:"pulse"
     ~rate:(San.Effect.RConst 1.0)
     ~guard:San.Effect.(Cmp (Mark fired, Eq, Int 0))
-    ~reads:[ San.Place.P fired ]
     San.Effect.(Ops [ Set (fired, Int 1) ]);
   San.Model.Builder.activity_ir b ~name:"classify"
     ~timing:San.Activity.Instantaneous
     ~guard:San.Effect.(All [ Cmp (Mark fired, Eq, Int 1); Cmp (Mark sort, Eq, Int 0) ])
-    ~reads:[ San.Place.P fired; San.Place.P sort ]
     [
       San.Activity.make_case ~weight:(San.Effect.RConst 0.25)
         (San.Effect.Ops [ San.Effect.Set (sort, San.Effect.Int 1) ]);
@@ -303,7 +298,6 @@ let test_mtta_repairable_detour () =
   let move name rate src dst =
     San.Model.Builder.timed_exp_rate_ir bld ~name ~rate:(San.Effect.RConst rate)
       ~guard:San.Effect.(Cmp (Mark st, Eq, Int src))
-      ~reads:[ San.Place.P st ]
       San.Effect.(Ops [ Set (st, Int dst) ])
   in
   move "go" a 0 1;
@@ -321,12 +315,10 @@ let test_absorption_probabilities () =
   San.Model.Builder.timed_exp_rate_ir bld ~name:"left"
     ~rate:(San.Effect.RConst 1.0)
     ~guard:San.Effect.(Cmp (Mark st, Eq, Int 1))
-    ~reads:[ San.Place.P st ]
     San.Effect.(Ops [ Set (st, Int 0) ]);
   San.Model.Builder.timed_exp_rate_ir bld ~name:"right"
     ~rate:(San.Effect.RConst 3.0)
     ~guard:San.Effect.(Cmp (Mark st, Eq, Int 1))
-    ~reads:[ San.Place.P st ]
     San.Effect.(Ops [ Set (st, Int 2) ]);
   let model = San.Model.Builder.build bld in
   let c = Ctmc.Explore.explore model in
@@ -453,7 +445,6 @@ let test_stream_sampling_effect_forks () =
   San.Model.Builder.timed_exp_rate_ir b ~name:"draw"
     ~rate:(San.Effect.RConst 1.0)
     ~guard:San.Effect.(Cmp (Mark p, Eq, Int 0))
-    ~reads:[ San.Place.P p ]
     San.Effect.(
       Pick
         (List.map
@@ -500,14 +491,14 @@ let ir_farm ?(rates = fun _ -> 1.0) ?note n =
         | None -> ()
         | Some f -> Compose.Ctx.note ctx "fail_rate" (f i));
         let up = Compose.Ctx.int_place ctx ~init:1 "up" in
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"fail"
+        San.Model.Builder.timed_exp_rate_ir (Compose.Ctx.builder ctx)
+          ~name:(Compose.Ctx.activity ctx "fail")
           ~rate:(E.RConst (rates i))
           ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 1))
-          ~reads:[ San.Place.P up ]
           (E.Ops [ E.Set (up, E.Int 0) ]);
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"repair" ~rate:(E.RConst 2.5)
+        San.Model.Builder.timed_exp_rate_ir (Compose.Ctx.builder ctx)
+          ~name:(Compose.Ctx.activity ctx "repair") ~rate:(E.RConst 2.5)
           ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 0))
-          ~reads:[ San.Place.P up ]
           (E.Ops [ E.Set (up, E.Int 1) ]);
         up)
   in
@@ -809,9 +800,9 @@ let test_symmetry_join_of_replicate () =
   let farm ctx label n =
     Compose.replicate ctx label ~n (fun ctx _ ->
         let up = Compose.Ctx.int_place ctx ~init:1 "up" in
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"toggle" ~rate:(E.RConst 1.0)
+        San.Model.Builder.timed_exp_rate_ir (Compose.Ctx.builder ctx)
+          ~name:(Compose.Ctx.activity ctx "toggle") ~rate:(E.RConst 1.0)
           ~guard:(E.Cmp (E.Mark up, E.Ge, E.Int 0))
-          ~reads:[ San.Place.P up ]
           (E.Ops [ E.Set (up, E.Sub (E.Int 1, E.Mark up)) ]))
   in
   let (_ : unit array) = Compose.join root "left" (fun ctx -> farm ctx "node" 3) in
@@ -847,14 +838,14 @@ let test_symmetry_nested_replicate () =
         Compose.replicate ctx "host" ~n:3 (fun ctx _ ->
             let up = Compose.Ctx.int_place ctx ~init:1 "up" in
             ups := up :: !ups;
-            Compose.Ctx.timed_exp_rate_ir ctx ~name:"fail" ~rate:(E.RConst 1.0)
+            San.Model.Builder.timed_exp_rate_ir (Compose.Ctx.builder ctx)
+              ~name:(Compose.Ctx.activity ctx "fail") ~rate:(E.RConst 1.0)
               ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 1))
-              ~reads:[ San.Place.P up ]
               (E.Ops [ E.Set (up, E.Int 0) ]);
-            Compose.Ctx.timed_exp_rate_ir ctx ~name:"repair"
+            San.Model.Builder.timed_exp_rate_ir (Compose.Ctx.builder ctx)
+              ~name:(Compose.Ctx.activity ctx "repair")
               ~rate:(E.RConst 2.5)
               ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 0))
-              ~reads:[ San.Place.P up ]
               (E.Ops [ E.Set (up, E.Int 1) ])))
   in
   let model = San.Model.Builder.build b in
@@ -923,9 +914,9 @@ let test_symmetry_detect_rejects_asymmetry () =
   let (_ : unit array) =
     Compose.replicate root "node" ~n:3 (fun ctx i ->
         let up = Compose.Ctx.int_place ctx ~init:(if i = 0 then 0 else 1) "up" in
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"toggle"
+        San.Model.Builder.timed_exp_rate_ir (Compose.Ctx.builder ctx)
+          ~name:(Compose.Ctx.activity ctx "toggle")
           ~rate:(San.Effect.RConst 1.0) ~guard:(San.Effect.Const true)
-          ~reads:[ San.Place.P up ]
           San.Effect.(Ops [ Set (up, Sub (Int 1, Mark up)) ]))
   in
   let model = San.Model.Builder.build b in

@@ -42,7 +42,7 @@ let outcomes eff m =
 
 let test_eval_holds () =
   let b, p, q = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) E.Skip;
   let _, m = marking b in
   Alcotest.(check int) "arith" 7 (E.eval m E.(Add (Mark p, Mul (Int 2, Int 2))));
   Alcotest.(check int) "sub" 3 (E.eval m E.(Sub (Mark p, Mark q)));
@@ -56,7 +56,7 @@ let test_eval_holds () =
 
 let test_apply_ops_order () =
   let b, p, q = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) E.Skip;
   let _, m = marking b in
   (* Ops run in order: the Inc sees the Set's value. *)
   E.apply (Prng.Stream.create ~seed:1L)
@@ -66,7 +66,7 @@ let test_apply_ops_order () =
 
 let test_outcomes_pick () =
   let b, p, _ = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) E.Skip;
   let _, m = marking b in
   let outs =
     outcomes
@@ -90,7 +90,7 @@ let test_outcomes_pick () =
    branch writes in place, so the others must copy it first. *)
 let test_outcomes_pick_independent () =
   let b, p, q = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) E.Skip;
   let _, m = marking b in
   let outs =
     outcomes
@@ -113,7 +113,7 @@ let test_outcomes_pick_independent () =
    that preceded the depth-first walk. *)
 let test_outcomes_order () =
   let b, p, q = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) E.Skip;
   let _, m = marking b in
   let eff =
     E.(
@@ -149,7 +149,7 @@ let test_outcomes_order () =
    it exactly, a thirteenth exceeds it. *)
 let test_outcomes_cap () =
   let b, p, _ = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) E.Skip;
   let model, _ = marking b in
   let flips n =
     E.Seq
@@ -171,7 +171,7 @@ let test_outcomes_cap () =
 
 let test_static_reads_writes () =
   let b, p, q = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) E.Skip;
   let _, _ = marking b in
   let eff = E.(Ops [ Inc (p, Mark q) ]) in
   Alcotest.(check (list int))
@@ -193,7 +193,6 @@ let branching_model () =
   B.timed_exp_cases_rate_ir b ~name:"churn"
     ~rate:E.(RExpr (FAdd (Flt 1.0, FMul (Flt 0.1, OfInt (Mark p)))))
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
-    ~reads:[ San.Place.P p; San.Place.P q ]
     [
       ( 2.0,
         E.(
@@ -216,7 +215,6 @@ let branching_model () =
   B.timed_exp_rate_ir b ~name:"refill"
     ~rate:(E.RConst 0.7)
     ~guard:E.(Cmp (Mark p, Lt, Int 5))
-    ~reads:[ San.Place.P p ]
     E.(Ops [ Inc (p, Int 1) ]);
   B.build b
 
@@ -324,7 +322,6 @@ let test_a014_dead_branch () =
   B.timed_exp_rate_ir b ~name:"tick"
     ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
-    ~reads:[ San.Place.P p ]
     (* The then-branch is statically unreachable. *)
     E.(If (Const false, Ops [ Set (p, Int 9) ], Ops [ Set (p, Int 0) ]));
   let r = Analysis.Check.run (B.build b) in
@@ -345,7 +342,6 @@ let test_a015_negative_capable () =
   B.timed_exp_rate_ir b ~name:"drain"
     ~rate:(E.RConst 1.0)
     ~guard:E.(All [ Cmp (Mark p, Eq, Int 0); Cmp (Mark tick, Gt, Int 0) ])
-    ~reads:[ San.Place.P p; San.Place.P tick ]
     E.(Ops [ Inc (p, Int (-1)) ]);
   let r = Analysis.Check.run (B.build b) in
   match with_code D.negative_capable r with
@@ -365,12 +361,10 @@ let test_law_in_basis () =
   B.timed_exp_rate_ir b ~name:"go"
     ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark here, Gt, Int 0))
-    ~reads:[ San.Place.P here; San.Place.P there ]
     E.(Ops [ Inc (here, Int (-1)); Inc (there, Int 1) ]);
   B.timed_exp_rate_ir b ~name:"back"
     ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark there, Gt, Int 0))
-    ~reads:[ San.Place.P here; San.Place.P there ]
     E.(Ops [ Inc (there, Int (-1)); Inc (here, Int 1) ]);
   let law =
     { St.law_name = "token"; law_terms = [ (here, 1); (there, 1) ] }
@@ -399,7 +393,6 @@ let test_law_proven_symbolically () =
   B.timed_exp_rate_ir b ~name:"shuffle"
     ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark x, Gt, Int 0))
-    ~reads:[ San.Place.P x; San.Place.P y; San.Place.P mode ]
     E.(
       If
         ( Cmp (Mark mode, Eq, Int 1),
@@ -430,7 +423,6 @@ let test_law_through_join_unproven () =
   B.timed_exp_rate_ir b ~name:"move"
     ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark r, Gt, Int 0))
-    ~reads:[ San.Place.P x; San.Place.P flag; San.Place.P r ]
     E.(
       Seq
         [

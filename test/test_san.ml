@@ -12,7 +12,7 @@ let build_pair () =
 let test_initial_marking () =
   let b, p, q = build_pair () in
   San.Model.Builder.instantaneous_ir b ~name:"noop" ~guard:(E.Const false)
-    ~reads:[] E.Skip;
+    E.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   Alcotest.(check int) "int init" 2 (San.Marking.get m p);
@@ -22,7 +22,7 @@ let test_initial_marking () =
 let test_marking_journal () =
   let b, p, q = build_pair () in
   San.Model.Builder.instantaneous_ir b ~name:"noop" ~guard:(E.Const false)
-    ~reads:[] E.Skip;
+    E.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   San.Marking.set m p 2;
@@ -42,7 +42,7 @@ let test_marking_journal () =
 let test_marking_negative_rejected () =
   let b, p, _ = build_pair () in
   San.Model.Builder.instantaneous_ir b ~name:"noop" ~guard:(E.Const false)
-    ~reads:[] E.Skip;
+    E.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   (match San.Marking.add m p (-2) with
@@ -56,7 +56,7 @@ let test_marking_negative_rejected () =
 let test_marking_copy_independent () =
   let b, p, q = build_pair () in
   San.Model.Builder.instantaneous_ir b ~name:"noop" ~guard:(E.Const false)
-    ~reads:[] E.Skip;
+    E.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   let m' = San.Marking.copy m in
@@ -79,7 +79,7 @@ let test_builder_duplicate_activity () =
   let b = San.Model.Builder.create "m" in
   let mk () =
     San.Model.Builder.instantaneous_ir b ~name:"a" ~guard:(E.Const false)
-      ~reads:[] E.Skip
+      E.Skip
   in
   mk ();
   Alcotest.(check bool) "duplicate activity rejected" true
@@ -90,7 +90,7 @@ let test_builder_no_cases () =
   Alcotest.(check bool) "zero cases rejected" true
     (match
        San.Model.Builder.activity_ir b ~name:"a"
-         ~timing:San.Activity.Instantaneous ~guard:(E.Const false) ~reads:[]
+         ~timing:San.Activity.Instantaneous ~guard:(E.Const false)
          []
      with
     | () -> false
@@ -104,10 +104,12 @@ let test_builder_negative_init () =
     | exception Invalid_argument _ -> true)
 
 let test_model_queries () =
-  let b, p, _q = build_pair () in
-  San.Model.Builder.timed_exp_rate_ir b ~name:"tick" ~rate:(E.RConst 1.0)
-    ~guard:(E.Const true)
-    ~reads:[ San.Place.P p ]
+  let b, p, q = build_pair () in
+  (* The rate reads [level], the guard [tokens]: [reads] lists both in
+     uid order, whatever order they appear in. *)
+  San.Model.Builder.timed_exp_rate_ir b ~name:"tick"
+    ~rate:(E.RExpr (E.FMark q))
+    ~guard:(E.Cmp (E.Mark p, E.Gt, E.Int 0))
     E.Skip;
   let model = San.Model.Builder.build b in
   Alcotest.(check int) "place count" 2 (San.Model.n_places model);
@@ -122,16 +124,21 @@ let test_model_queries () =
   let act = San.Model.find_activity model "tick" in
   Alcotest.(check string) "activity name" "tick" act.San.Activity.name;
   Alcotest.(check bool) "all exponential" true (San.Model.all_exponential model);
-  let deps = San.Model.dependents model (San.Place.uid p) in
-  Alcotest.(check int) "dependency index" 1 (List.length deps)
+  Alcotest.(check (list string)) "derived reads" [ "tokens"; "level" ]
+    (List.map San.Place.any_name act.San.Activity.reads);
+  List.iter
+    (fun uid ->
+      Alcotest.(check (list string)) "dependency index" [ "tick" ]
+        (List.map
+           (fun (a : San.Activity.t) -> a.name)
+           (San.Model.dependents model uid)))
+    [ San.Place.uid p; San.Place.fuid q ]
 
 let test_all_exponential_false () =
   let b = San.Model.Builder.create "m" in
-  let p = San.Model.Builder.int_place b "x" in
   San.Model.Builder.timed_dist_ir b ~name:"det"
     ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:(E.Const true)
-    ~reads:[ San.Place.P p ]
     [ San.Activity.make_case San.Effect.Skip ];
   let model = San.Model.Builder.build b in
   Alcotest.(check bool) "deterministic detected" false
@@ -150,10 +157,9 @@ let test_dot_export () =
   let b, p, _ = build_pair () in
   San.Model.Builder.timed_exp_rate_ir b ~name:"tick" ~rate:(E.RConst 1.0)
     ~guard:(E.Const true)
-    ~reads:[ San.Place.P p ]
     E.Skip;
-  San.Model.Builder.instantaneous_ir b ~name:"instant" ~guard:(E.Const false)
-    ~reads:[ San.Place.P p ]
+  San.Model.Builder.instantaneous_ir b ~name:"instant"
+    ~guard:(E.Cmp (E.Mark p, E.Lt, E.Int 0))
     E.Skip;
   let model = San.Model.Builder.build b in
   let dot =
@@ -163,7 +169,11 @@ let test_dot_export () =
     (fun needle ->
       if not (contains ~needle dot) then
         Alcotest.failf "dot output missing %S" needle)
-    [ "digraph"; "tokens"; "level"; "tick"; "instant"; "->" ];
+    [ "digraph"; "tokens"; "level"; "tick"; "instant";
+      "\"p_tokens\" -> \"a_instant\"" ];
+  (* An edge is a derived read: [tick] reads nothing. *)
+  if contains ~needle:"-> \"a_tick\"" dot then
+    Alcotest.fail "dot output has an edge into tick, which reads nothing";
   (* Firing-heat overlay: counted activities get a pen width and tooltip,
      uncounted ones render thin and grey. *)
   let heated =

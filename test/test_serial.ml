@@ -1,4 +1,4 @@
-(* Tests for the [itua-model/1] serializer (lib/serial): round trips,
+(* Tests for the [itua-model/2] serializer (lib/serial): round trips,
    committed golden files, malformed-input corpus, structural diff, and
    bit-identity of the loaded model (trajectories and analysis
    certificates) against the in-code one. *)
@@ -151,12 +151,12 @@ let expect_error name s subs () =
 
 let envelope places activities =
   Printf.sprintf
-    {|{"schema":"itua-model/1","name":"x","places":[%s],"activities":[%s]}|}
+    {|{"schema":"itua-model/2","name":"x","places":[%s],"activities":[%s]}|}
     places activities
 
 let act_with_effect eff =
   Printf.sprintf
-    {|{"name":"a","timing":{"type":"instantaneous"},"guard":true,"reads":[],"cases":[{"weight":1,"effect":%s}]}|}
+    {|{"name":"a","timing":{"type":"instantaneous"},"guard":true,"cases":[{"weight":1,"effect":%s}]}|}
     eff
 
 let malformed =
@@ -168,7 +168,7 @@ let malformed =
       {|{"schema":"itua-model/99","name":"x","places":[],"activities":[]}|},
       [ "$.schema"; "unsupported schema" ] );
     ( "missing name",
-      {|{"schema":"itua-model/1","places":[],"activities":[]}|},
+      {|{"schema":"itua-model/2","places":[],"activities":[]}|},
       [ {|missing field "name"|} ] );
     ( "bad place kind",
       envelope {|{"name":"p","kind":"complex"}|} "",
@@ -186,15 +186,21 @@ let malformed =
       [ "is an int place, expected a float place" ] );
     ( "missing guard",
       envelope {|{"name":"p","kind":"int"}|}
-        {|{"name":"a","timing":{"type":"instantaneous"},"reads":[],"cases":[{"weight":1,"effect":"skip"}]}|},
+        {|{"name":"a","timing":{"type":"instantaneous"},"cases":[{"weight":1,"effect":"skip"}]}|},
       [ "$.activities[0]"; {|missing field "guard"|} ] );
     ( "bad timing type",
       envelope ""
-        {|{"name":"a","timing":{"type":"sometimes"},"guard":true,"reads":[],"cases":[{"weight":1,"effect":"skip"}]}|},
+        {|{"name":"a","timing":{"type":"sometimes"},"guard":true,"cases":[{"weight":1,"effect":"skip"}]}|},
       [ "$.activities[0].timing" ] );
     ( "unknown composition place",
-      {|{"schema":"itua-model/1","name":"x","places":[],"activities":[],"composition":{"label":"root","places":["ghost"],"activities":[],"children":[]}}|},
+      {|{"schema":"itua-model/2","name":"x","places":[],"activities":[],"composition":{"label":"root","places":["ghost"],"activities":[],"children":[]}}|},
       [ "$.composition"; {|unknown place "ghost"|} ] );
+    (* Version 1 stored each activity's wake-ups; /2 derives them, so a
+       /1 document with extra wake-ups would load as another model. *)
+    ( "version 1 schema",
+      {|{"schema":"itua-model/1","name":"x","places":[{"name":"p","kind":"int"}],"activities":[{"name":"a","timing":{"type":"instantaneous"},"guard":false,"reads":["p"],"cases":[{"weight":1,"effect":"skip"}]}]}|},
+      [ "$.schema"; "unsupported schema"; {|"itua-model/1"|};
+        {|"itua-model/2"|} ] );
   ]
 
 (* --- rebinding a loaded model to the ITUA handles --- *)
@@ -584,12 +590,10 @@ let tiny ?(extra = false) ~init () =
   let p = B.int_place b ~init "p" in
   B.timed_exp_rate_ir b ~name:"go" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
-    ~reads:[ San.Place.P p ]
     E.(Ops [ Inc (p, Int (-1)) ]);
   if extra then
     B.timed_exp_rate_ir b ~name:"reset" ~rate:(E.RConst 0.5)
       ~guard:E.(Cmp (Mark p, Eq, Int 0))
-      ~reads:[ San.Place.P p ]
       E.(Ops [ Set (p, Int init) ]);
   B.build b
 
@@ -720,7 +724,6 @@ let test_unportable_aggregates () =
   B.timed_exp_rate_ir b ~name:"fine"
     ~rate:(E.RConst 0.5)
     ~guard:(E.Cmp (E.Mark q, E.Eq, E.Int 1))
-    ~reads:[ San.Place.P q ]
     (E.Ops [ E.Set (q, E.Int 0) ]);
   let m = B.build b in
   match Serial.to_json m with

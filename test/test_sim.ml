@@ -196,7 +196,6 @@ let clock_model ~period =
   San.Model.Builder.timed_dist_ir b ~name:"tick"
     ~dist:San.(Activity.DDet (Effect.RConst period))
     ~guard:(San.Effect.Const true)
-    ~reads:[]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (count, San.Effect.Int 1) ]);
@@ -239,7 +238,6 @@ let test_instantaneous_chain () =
   San.Model.Builder.timed_dist_ir b ~name:"pulse"
     ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark trigger, Eq, Int 0))
-    ~reads:[ San.Place.P trigger ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (trigger, San.Effect.Int 1) ]);
@@ -247,11 +245,9 @@ let test_instantaneous_chain () =
   San.Model.Builder.instantaneous_ir b ~name:"step1"
     ~guard:
       San.Effect.(All [ Cmp (Mark trigger, Eq, Int 1); Cmp (Mark s1, Eq, Int 0) ])
-    ~reads:[ San.Place.P trigger; San.Place.P s1 ]
     San.Effect.(Ops [ Set (s1, Int 1) ]);
   San.Model.Builder.instantaneous_ir b ~name:"step2"
     ~guard:San.Effect.(All [ Cmp (Mark s1, Eq, Int 1); Cmp (Mark s2, Eq, Int 0) ])
-    ~reads:[ San.Place.P s1; San.Place.P s2 ]
     San.Effect.(Ops [ Set (s2, Int 1) ]);
   let model = San.Model.Builder.build b in
   (* Observe that both instantaneous firings happen at exactly t=1. *)
@@ -276,7 +272,6 @@ let test_stabilization_divergence_detected () =
   (* Always-enabled instantaneous activity: a modeling bug. *)
   San.Model.Builder.instantaneous_ir b ~name:"spin"
     ~guard:San.Effect.(Cmp (Mark p, Eq, Int 1))
-    ~reads:[ San.Place.P p ]
     (* Net no change: stays enabled. *)
     San.Effect.(Ops [ Set (p, Int 1) ]);
   let model = San.Model.Builder.build b in
@@ -289,9 +284,11 @@ let test_stabilization_divergence_detected () =
     | (_ : Sim.Executor.outcome) -> false
     | exception Sim.Executor.Stabilization_diverged _ -> true)
 
-(* Reactivation policies: activity B (Det 2.0) depends on a place changed
-   by activity A at t=1.  Under Keep, B still fires at t=2; under
-   Resample, B's clock restarts at t=1 and fires at t=3. *)
+(* Reactivation policies: activity B (Det 2.0) reads, through its
+   distribution, a place changed by activity A at t=1 (both branches of
+   the delay are 2.0, so only the wake-up matters).  Under Keep, B still
+   fires at t=2; under Resample, B's clock restarts at t=1 and fires at
+   t=3. *)
 let policy_model ~policy =
   let b = San.Model.Builder.create "policy" in
   let kick = San.Model.Builder.int_place b "kick" in
@@ -299,15 +296,16 @@ let policy_model ~policy =
   San.Model.Builder.timed_dist_ir b ~name:"kicker"
     ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark kick, Eq, Int 0))
-    ~reads:[ San.Place.P kick ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (kick, San.Effect.Int 1) ]);
     ];
   San.Model.Builder.timed_dist_ir b ~name:"slow" ~policy
-    ~dist:San.(Activity.DDet (Effect.RConst 2.0))
+    ~dist:
+      San.(
+        Activity.DDet
+          Effect.(RIf (Cmp (Mark kick, Eq, Int 1), RConst 2.0, RConst 2.0)))
     ~guard:San.Effect.(Cmp (Mark done_, Eq, Int 0))
-    ~reads:[ San.Place.P kick; San.Place.P done_ ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (done_, San.Effect.Int 1) ]);
@@ -350,12 +348,10 @@ let test_no_double_scheduling_after_setup () =
   (* Instantaneous setup arms the timed activity at t = 0. *)
   San.Model.Builder.instantaneous_ir b ~name:"arm"
     ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 0))
-    ~reads:[ San.Place.P armed ]
     San.Effect.(Ops [ Set (armed, Int 1) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"fire"
     ~rate:(San.Effect.RConst 1.0)
     ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 1))
-    ~reads:[ San.Place.P armed; San.Place.P fires ]
     San.Effect.(Ops [ Inc (fires, Int 1) ]);
   let model = San.Model.Builder.build b in
   (* E[firings in 20h] = 20; with the double-scheduling bug it was 40.
@@ -383,7 +379,6 @@ let test_disabling_aborts () =
   San.Model.Builder.timed_dist_ir b ~name:"blocker"
     ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
-    ~reads:[ San.Place.P blocked ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (blocked, San.Effect.Int 1) ]);
@@ -391,7 +386,6 @@ let test_disabling_aborts () =
   San.Model.Builder.timed_dist_ir b ~name:"victim"
     ~dist:San.(Activity.DDet (Effect.RConst 2.0))
     ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
-    ~reads:[ San.Place.P blocked ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (fired, San.Effect.Int 1) ]);
@@ -591,7 +585,6 @@ let test_erlang_first_passage_distribution () =
   San.Model.Builder.timed_dist_ir b ~name:"go" ~policy:San.Activity.Keep
     ~dist:San.(Activity.DErlang (3, Effect.RConst 6.0))
     ~guard:San.Effect.(Cmp (Mark done_, Eq, Int 0))
-    ~reads:[ San.Place.P done_ ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (done_, San.Effect.Int 1) ]);
@@ -849,7 +842,6 @@ let test_metrics_cancellations_and_never_fired () =
   San.Model.Builder.timed_dist_ir b ~name:"blocker"
     ~dist:San.(Activity.DDet (Effect.RConst 1.0))
     ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
-    ~reads:[ San.Place.P blocked ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (blocked, San.Effect.Int 1) ]);
@@ -857,7 +849,6 @@ let test_metrics_cancellations_and_never_fired () =
   San.Model.Builder.timed_dist_ir b ~name:"victim"
     ~dist:San.(Activity.DDet (Effect.RConst 2.0))
     ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
-    ~reads:[ San.Place.P blocked ]
     [
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (fired, San.Effect.Int 1) ]);
@@ -1312,14 +1303,13 @@ let burst_model () =
   let b = San.Model.Builder.create "burst" in
   let buf = San.Model.Builder.int_place b "buf" in
   San.Model.Builder.timed_exp_rate_ir b ~name:"tick"
-    ~rate:(San.Effect.RConst 1.0) ~guard:(San.Effect.Const true) ~reads:[]
+    ~rate:(San.Effect.RConst 1.0) ~guard:(San.Effect.Const true)
     San.Effect.(Ops [ Inc (buf, Int 4) ]);
   List.iter
     (fun name ->
       let out = San.Model.Builder.int_place b name in
       San.Model.Builder.instantaneous_ir b ~name:("drain_" ^ name)
         ~guard:San.Effect.(Cmp (Mark buf, Gt, Int 0))
-        ~reads:[ San.Place.P buf ]
         San.Effect.(Ops [ Inc (buf, Int (-1)); Inc (out, Int 1) ]))
     [ "a"; "b" ];
   San.Model.Builder.build b
@@ -1479,8 +1469,21 @@ let test_workspace_other_model_rejected () =
    completed reads and through [San.Model.dependents], and every
    activity's reads must hold its IR reads. *)
 let test_run_tables_match_dependents () =
-  let models = Test_models.golden_models () in
-  Alcotest.(check bool) "golden models found" true (List.length models >= 4);
+  let goldens = Test_models.golden_models () in
+  Alcotest.(check bool) "golden models found" true (List.length goldens >= 4);
+  let itua (label, policy) =
+    ( "itua 10x3x4x7 " ^ label,
+      (Itua.Model.build { Itua.Params.default with Itua.Params.policy })
+        .Itua.Model.model )
+  in
+  let models =
+    goldens
+    @ List.map itua
+        [
+          ("domain", Itua.Params.Domain_exclusion);
+          ("host", Itua.Params.Host_exclusion);
+        ]
+  in
   List.iter
     (fun (f, model) ->
       let acts = San.Model.activities model in
@@ -1488,14 +1491,23 @@ let test_run_tables_match_dependents () =
       Alcotest.(check int) (f ^ ": one row per place")
         (San.Model.n_places model) (Array.length table);
       let reads_of (a : San.Activity.t) = List.map San.Place.any_uid a.reads in
+      (* [reads] is derived: exactly the IR reads, in uid order. Only a
+         closure timing's declared list may add to it. *)
       Array.iter
         (fun (a : San.Activity.t) ->
-          List.iter
-            (fun uid ->
-              if not (List.mem uid (reads_of a)) then
-                Alcotest.failf "%s: %s reads uid %d outside its reads" f
-                  a.name uid)
-            (San.Activity.ir_reads a))
+          match a.timing with
+          | San.Activity.Timed { dist_ir = None; _ } ->
+              List.iter
+                (fun uid ->
+                  if not (List.mem uid (reads_of a)) then
+                    Alcotest.failf "%s: %s reads uid %d outside its reads" f
+                      a.name uid)
+                (San.Activity.ir_reads a)
+          | San.Activity.Timed { dist_ir = Some _; _ }
+          | San.Activity.Instantaneous ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: %s reads = ir_reads" f a.name)
+                (San.Activity.ir_reads a) (reads_of a))
         acts;
       Array.iteri
         (fun uid row ->
@@ -1635,11 +1647,10 @@ let test_undeclared_guard_read_fires () =
   let fired = San.Model.Builder.int_place b "fired" in
   San.Model.Builder.timed_dist_ir b ~name:"tick"
     ~dist:San.(Activity.DDet (Effect.RConst 1.0))
-    ~guard:(San.Effect.Const true) ~reads:[]
+    ~guard:(San.Effect.Const true)
     [ San.Activity.make_case San.Effect.(Ops [ Inc (x, Int 1) ]) ];
   San.Model.Builder.instantaneous_ir b ~name:"react"
     ~guard:San.Effect.(All [ Cmp (Mark x, Ge, Int 2); Cmp (Mark fired, Eq, Int 0) ])
-    ~reads:[ San.Place.P fired ]
     San.Effect.(Ops [ Set (fired, Int 1) ]);
   let model = San.Model.Builder.build b in
   let react = San.Model.find_activity model "react" in
@@ -1673,19 +1684,16 @@ let test_template_undeclared_timed_guard () =
   let gone = San.Model.Builder.int_place b "gone" in
   San.Model.Builder.instantaneous_ir b ~name:"arm"
     ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 0))
-    ~reads:[ San.Place.P armed ]
     San.Effect.(Ops [ Set (armed, Int 1) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"go"
     ~rate:(San.Effect.RConst 1.0)
     ~guard:
       San.Effect.(
         All [ Cmp (Mark armed, Eq, Int 1); Cmp (Mark gone, Eq, Int 0) ])
-    ~reads:[ San.Place.P gone ]
     San.Effect.(Ops [ Set (gone, Int 1) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"idle"
     ~rate:(San.Effect.RConst 1.0)
     ~guard:San.Effect.(Cmp (Mark gone, Eq, Int 2))
-    ~reads:[ San.Place.P gone ]
     San.Effect.Skip;
   let model = San.Model.Builder.build b in
   let id name = (San.Model.find_activity model name).San.Activity.id in
@@ -1712,12 +1720,11 @@ let test_undeclared_timed_guard_wakes () =
   let fired = San.Model.Builder.int_place b "fired" in
   San.Model.Builder.timed_dist_ir b ~name:"tick"
     ~dist:San.(Activity.DDet (Effect.RConst 1.0))
-    ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0)) ~reads:[]
+    ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0))
     [ San.Activity.make_case San.Effect.(Ops [ Inc (x, Int 1) ]) ];
   San.Model.Builder.timed_dist_ir b ~name:"go"
     ~dist:San.(Activity.DDet (Effect.RConst 0.5))
     ~guard:San.Effect.(All [ Cmp (Mark x, Ge, Int 1); Cmp (Mark fired, Eq, Int 0) ])
-    ~reads:[ San.Place.P fired ]
     [ San.Activity.make_case San.Effect.(Ops [ Set (fired, Int 1) ]) ];
   let model = San.Model.Builder.build b in
   let go = San.Model.find_activity model "go" in
@@ -1734,10 +1741,10 @@ let test_undeclared_timed_guard_wakes () =
     (San.Marking.get outcome.Sim.Executor.final fired)
 
 (* A rate read in a branch no run takes and a case-weight read are in
-   the dependents table although neither is declared: [go] reads
-   [hidden] only in the [flag = 1] arm of its rate, and [choose] weighs
-   its first case by [bias]. Each appended read follows the declared
-   ones. *)
+   the dependents table: [go] reads [hidden] only in the [flag = 1] arm
+   of its rate, and [choose] weighs its first case by [bias]. Each
+   activity's [reads] is in uid order, whatever order the guard, rate
+   and weights read in. *)
 let test_ir_reads_in_dependents () =
   let module E = San.Effect in
   let b = San.Model.Builder.create "ir_reads" in
@@ -1755,12 +1762,10 @@ let test_ir_reads_in_dependents () =
                RExpr (OfInt (Mark hidden)),
                RConst 1.0 )))
     ~guard:E.(Cmp (Mark n, Lt, Int 3))
-    ~reads:[ San.Place.P n ]
     [ San.Activity.make_case step ];
   San.Model.Builder.timed_dist_ir b ~name:"choose"
     ~dist:(San.Activity.DExp (E.RConst 1.0))
     ~guard:E.(Cmp (Mark n, Lt, Int 3))
-    ~reads:[]
     San.Activity.
       [ make_case ~weight:E.(RExpr (OfInt (Mark bias))) step; make_case step ];
   let model = San.Model.Builder.build b in
@@ -1772,7 +1777,7 @@ let test_ir_reads_in_dependents () =
   in
   Alcotest.(check (list string)) "untaken rate read" [ "go" ] (deps hidden);
   Alcotest.(check (list string)) "weight read" [ "choose" ] (deps bias);
-  Alcotest.(check (list string)) "go's reads" [ "n"; "flag"; "hidden" ]
+  Alcotest.(check (list string)) "go's reads" [ "flag"; "hidden"; "n" ]
     (names (San.Model.find_activity model "go").San.Activity.reads);
   Alcotest.(check (list string)) "choose's reads" [ "bias"; "n" ]
     (names (San.Model.find_activity model "choose").San.Activity.reads)
@@ -1787,11 +1792,11 @@ let test_zero_rate_waits () =
     let gone = San.Model.Builder.int_place b "gone" in
     San.Model.Builder.timed_dist_ir b ~name:"tick"
       ~dist:San.(Activity.DDet (Effect.RConst 1.0))
-      ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0)) ~reads:[]
+      ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0))
       [ San.Activity.make_case San.Effect.(Ops [ Set (x, Int 2) ]) ];
     San.Model.Builder.timed_exp_rate_ir b ~name:"go"
       ~rate:San.Effect.(RExpr (FMul (Flt scale, OfInt (Mark x))))
-      ~guard:San.Effect.(Cmp (Mark gone, Eq, Int 0)) ~reads:[]
+      ~guard:San.Effect.(Cmp (Mark gone, Eq, Int 0))
       San.Effect.(Ops [ Set (gone, Int 1) ]);
     (San.Model.Builder.build b, gone)
   in
@@ -1824,7 +1829,7 @@ let test_zero_rate_waits () =
     let x = San.Model.Builder.int_place b "x" in
     San.Model.Builder.timed_exp_rate_ir b ~name:"never"
       ~rate:(San.Effect.RConst rate)
-      ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0)) ~reads:[]
+      ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0))
       San.Effect.(Ops [ Set (x, Int 1) ]);
     (San.Model.Builder.build b, x)
   in

@@ -10,7 +10,7 @@
       API. A snippet line containing `...` is a wildcard matching any
       number of lines.
    3. Every ```json fenced snippet under doc/ parses with Report.Json
-      (the parser behind the itua-model/1 and itua-analysis/1 formats),
+      (the parser behind the itua-model/2 and itua-analysis/1 formats),
       so documented JSON shapes cannot drift into invalid syntax.
       Snippets with a `...` elision line are skipped.
 
