@@ -104,9 +104,9 @@ module Builder : sig
       ([dist_ir = None]). Serialization rejects it, orbit verification
       treats it as a blocker, and {!build} cannot see what the closure
       reads: [~reads] must list those places ({!build} adds the guard's
-      reads, in uid order), and the model checker traces them (A001). It is kept only because the benchmark
-      harness's [two_state] fixture still builds with it; new code uses
-      {!timed_exp_rate_ir}. *)
+      reads, in uid order), and the model checker traces them (A001). It
+      is kept only because the benchmark harness's [two_state] fixture
+      still builds with it; new code uses {!timed_exp_rate_ir}. *)
 
   val build : t -> model
   (** Freezes the builder. The builder must not be reused afterwards. *)
