@@ -840,12 +840,11 @@ let check_run config invariants strict ir_dump symmetry json =
 let check_cmd =
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Check the model: undeclared closure-rate reads, negative \
-             markings, dead activities and places, instantaneous loops and \
-             ties, unused shared places, unbounded places, dead effects, \
-             and declared-invariant violations. Exits nonzero if any \
-             error-level diagnostic is reported ($(b,--strict) promotes \
-             warnings).")
+       ~doc:"Check the model: negative markings, dead activities and \
+             places, instantaneous loops and ties, unused shared places, \
+             unbounded places, dead effects, and declared-invariant \
+             violations. Exits nonzero if any error-level diagnostic is \
+             reported ($(b,--strict) promotes warnings).")
     Term.(
       const check_run $ config_term $ check_invariants_arg $ check_strict_arg
       $ check_ir_dump_arg $ check_symmetry_arg $ check_json_arg)

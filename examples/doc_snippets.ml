@@ -205,7 +205,6 @@ let _analysis_closure_rate b =
   San.Model.Builder.timed_exp_ir b ~name:"fail"
     ~rate:(fun _ -> 0.1)
     ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
-    ~reads:[ San.Place.P working ]
     San.Effect.(Ops [ Inc (working, Int (-1)) ]);
   (* declarative rate: guard, rate and delta are all data *)
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"

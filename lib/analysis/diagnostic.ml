@@ -65,7 +65,6 @@ let to_json d =
       ("message", Report.Json.Str d.message);
     ]
 
-let undeclared_read = "A001-undeclared-read"
 let negative_write = "A003-negative-write"
 let dead_activity = "A004-dead-activity"
 let never_written_place = "A005-never-written-place"
@@ -84,9 +83,6 @@ let unsound_canon = "A019-unsound-canon"
 
 let catalogue =
   [
-    ( undeclared_read,
-      "a closure timing reads a place missing from its activity's reads \
-       list" );
     (negative_write, "an effect drives an int place negative");
     (dead_activity, "an activity is never enabled in any visited marking");
     (never_written_place, "no effect ever writes this place");

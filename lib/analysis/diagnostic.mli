@@ -1,6 +1,6 @@
 (** Diagnostics emitted by the model checker.
 
-    Every finding carries a stable code (["A001-undeclared-read"], ...),
+    Every finding carries a stable code (["A003-negative-write"], ...),
     a severity, a source (the model element it is about), and a
     human-readable message. Codes are stable across releases so CI
     configurations and suppression lists can match on them; message
@@ -8,11 +8,11 @@
     minimal trigger and the usual fix. *)
 
 type severity = Error | Warning | Info
-(** [Error]: the model's observable behavior is wrong (stale wake-ups,
-    crashes, diverging stabilization). [Warning]: almost certainly a
-    modeling mistake, but behavior is well defined. [Info]: worth a
-    look; routinely legitimate (e.g. accumulator places that only
-    measures read). *)
+(** [Error]: the model's observable behavior is wrong (crashes,
+    diverging stabilization). [Warning]: almost certainly a modeling
+    mistake, but behavior is well defined. [Info]: worth a look;
+    routinely legitimate (e.g. accumulator places that only measures
+    read). *)
 
 (** The model element a diagnostic is about. *)
 type source =
@@ -42,7 +42,7 @@ val compare : t -> t -> int
     report order. *)
 
 val pp : Format.formatter -> t -> unit
-(** One line: [[error] A001-undeclared-read activity "x": ...]. *)
+(** One line: [[error] A003-negative-write activity "x": ...]. *)
 
 val to_json : t -> Report.Json.t
 (** Object with [code], [severity], [source_kind], [source], [message]. *)
@@ -50,12 +50,13 @@ val to_json : t -> Report.Json.t
 (** {2 Codes}
 
     One constant per diagnostic code, so passes and tests never spell
-    the strings twice. A002, A013 and A016 are retired, and the codes
-    are never reused: A002 was subsumed by A013, A016 went with the
-    closure effects, and A013 (declared reads against the IR) with the
-    builder completing every activity's reads from its IR. *)
+    the strings twice. A001, A002, A013 and A016 are retired, and the
+    codes are never reused: A002 was subsumed by A013, A016 went with
+    the closure effects, A013 (declared reads against the IR) with the
+    builder completing every activity's reads from its IR, and A001
+    (a closure rate's traced reads against its declared list) with the
+    builder making a closure timing read every place. *)
 
-val undeclared_read : string
 val negative_write : string
 val dead_activity : string
 val never_written_place : string

@@ -4,10 +4,8 @@ type facts = {
   n_uids : int;
   act_name : string array;  (* activity id -> name *)
   place_name : string array;  (* place uid -> name *)
-  wakes : Bytes.t array;  (* activity id -> [reads] uid set *)
   reads : Bytes.t array;  (* activity id -> uids its functions read *)
   writes : Bytes.t array;  (* activity id -> static write uid set *)
-  missing : (int * int) list;  (* activity id, uid a closure timing read *)
   ever_enabled : bool array;
   negative : (int * int * string) list;  (* activity id, case, message *)
   ties : string list list;  (* distinct simultaneous-enabled name sets *)
@@ -28,17 +26,8 @@ let gather (space : Space.t) =
     (fun p -> place_name.(San.Place.fuid p) <- San.Place.fname p)
     (San.Model.float_places model);
   let act_name = Array.map (fun (a : San.Activity.t) -> a.name) acts in
-  let wakes =
-    Array.map
-      (fun (a : San.Activity.t) ->
-        let b = Bytes.make n_uids '\000' in
-        List.iter (fun p -> Bytes.set b (San.Place.any_uid p) '\001') a.reads;
-        b)
-      acts
-  in
   let reads = Array.init n_acts (fun _ -> Bytes.make n_uids '\000') in
   let writes = Array.init n_acts (fun _ -> Bytes.make n_uids '\000') in
-  let missing = Hashtbl.create 8 in
   let ever_enabled = Array.make n_acts false in
   let negative = Hashtbl.create 8 in
   let ties = Hashtbl.create 8 in
@@ -47,11 +36,11 @@ let gather (space : Space.t) =
   in
   (* Reads and writes come from the IR syntax: a superset of what any
      firing can touch, so liveness (A005/A006) and composition coverage
-     are exact whether or not an activity is ever enabled. Only a closure
-     timing ([dist_ir = None]) is traced on the markings. *)
+     are exact whether or not an activity is ever enabled. [a.reads] is
+     [ir_reads], or every place for a closure timing. *)
   Array.iter
     (fun (a : San.Activity.t) ->
-      record reads.(a.id) (San.Activity.ir_reads a);
+      record reads.(a.id) (List.map San.Place.any_uid a.reads);
       Array.iter
         (fun (c : San.Activity.case) ->
           record reads.(a.id) (San.Effect.static_reads c.effect);
@@ -74,20 +63,6 @@ let gather (space : Space.t) =
         (fun (a : San.Activity.t) ->
           if a.enabled m then begin
             ever_enabled.(a.id) <- true;
-            (match a.timing with
-            | San.Activity.Timed { dist; dist_ir = None; _ } ->
-                let (_ : Dist.t), traced =
-                  San.Marking.trace_reads m (fun () -> dist m)
-                in
-                record reads.(a.id) traced;
-                List.iter
-                  (fun uid ->
-                    if Bytes.get wakes.(a.id) uid = '\000' then
-                      Hashtbl.replace missing (a.id, uid) ())
-                  traced
-            | San.Activity.Timed { dist_ir = Some _; _ }
-            | San.Activity.Instantaneous ->
-                ());
             let weights =
               if Array.length a.cases > 1 then
                 Array.map
@@ -138,26 +113,14 @@ let gather (space : Space.t) =
     n_uids;
     act_name;
     place_name;
-    wakes;
     reads;
     writes;
-    missing = Hashtbl.fold (fun k () acc -> k :: acc) missing [];
     ever_enabled;
     negative;
     ties;
   }
 
 let is_set bits id uid = Bytes.get bits.(id) uid = '\001'
-
-(* Every IR read is in [reads] by construction ([San.Model.Builder]), so
-   only a closure timing can read a place outside it. *)
-let closure_reads f =
-  List.map
-    (fun (id, uid) ->
-      Diagnostic.v ~code:Diagnostic.undeclared_read ~severity:Diagnostic.Error
-        ~source:(Diagnostic.Activity f.act_name.(id))
-        (Printf.sprintf "dist reads undeclared place %S" f.place_name.(uid)))
-    f.missing
 
 let negative_writes f =
   List.map
@@ -244,10 +207,7 @@ let instantaneous f =
 
 let composition f (root : Compose.info) =
   let model = f.space.Space.model in
-  let touched id uid =
-    is_set f.wakes id uid || is_set f.writes id uid
-    || is_set f.reads id uid
-  in
+  let touched id uid = is_set f.reads id uid || is_set f.writes id uid in
   let out = ref [] in
   let rec subtree_ids (n : Compose.info) =
     let own =
@@ -295,7 +255,6 @@ let composition f (root : Compose.info) =
 let all ?composition:tree f =
   List.concat
     [
-      closure_reads f;
       negative_writes f;
       liveness f;
       instantaneous f;

@@ -1,12 +1,11 @@
 (** Checking passes over a marking space.
 
     The passes share one {e facts sweep} ({!gather}). Each activity's
-    reads ({!San.Activity.ir_reads} and {!San.Effect.static_reads}) and
-    writes ({!San.Effect.static_writes}) are read off the IR syntax, so
-    they are exact for every activity, enabled or not. Only a closure
-    timing ([dist_ir = None]) is evaluated on every marking in the
-    {!Space.t} under {!San.Marking.trace_reads}. Both are accumulated
-    into dense per-activity bitsets (place uids are dense, so a set of
+    reads (its [reads] list and {!San.Effect.static_reads}) and writes
+    ({!San.Effect.static_writes}) are read off the IR syntax, so they
+    are exact for every activity, enabled or not; a closure timing
+    ([dist_ir = None]) reads every place. They are accumulated into
+    dense per-activity bitsets (place uids are dense, so a set of
     places is a [Bytes.t]). Each pass is then a pure scan over the
     facts.
 
@@ -23,13 +22,6 @@ val gather : Space.t -> facts
     fixed space. *)
 
 val space : facts -> Space.t
-
-val closure_reads : facts -> Diagnostic.t list
-(** [A001]: a closure timing read, on a visited marking where its
-    activity is enabled, a place not in the activity's [reads] list —
-    the executor will miss wake-ups. Always [Error]. Every IR guard,
-    distribution and weight read is in [reads] by construction
-    ([San.Model.Builder.build]), so only a closure timing can fire it. *)
 
 val negative_writes : facts -> Diagnostic.t list
 (** [A003]: an effect drove an int place negative ([Invalid_argument]
@@ -51,14 +43,14 @@ val instantaneous : facts -> Diagnostic.t list
 
 val composition : facts -> Compose.info -> Diagnostic.t list
 (** [A009]: a place created at an {e internal} composition-tree node —
-    a shared place — is neither in a [reads] list, read, nor written by any
-    activity in that node's subtree. The sharing the composition
-    promises never happens. [Warning]. Activities are attributed to
-    the node that named them through {!Compose.Ctx.activity}. Only when
-    a subtree records no activities at all — for example a composition
-    tree saved before its model named activities that way — is
-    attribution impossible, and the audit degrades to checking the
-    place against every activity in the model. *)
+    a shared place — is neither read nor written by any activity in that
+    node's subtree. The sharing the composition promises never happens.
+    [Warning]. Activities are attributed to the node that named them
+    through {!Compose.Ctx.activity}. Only when a subtree records no
+    activities at all — for example a composition tree saved before its
+    model named activities that way — is attribution impossible, and the
+    audit degrades to checking the place against every activity in the
+    model. *)
 
 val all : ?composition:Compose.info -> facts -> Diagnostic.t list
 (** Every pass, concatenated (the composition audit only when a tree is

@@ -16,8 +16,9 @@
     {- An enabled timed activity keeps its sampled completion time while it
        remains enabled, unless its reactivation {!policy} says otherwise.}
     {- A change to a place in {!reads} (one that the guard, the
-       distribution or the case weights read; never one that only the
-       effect touches) wakes the activity. [Keep] then only re-checks
+       distribution or the case weights read, never one that only the
+       effect touches; any place for a closure timing) wakes the
+       activity. [Keep] then only re-checks
        that it is still enabled; [Resample] also re-draws its completion
        time. For exponential distributions [Resample] yields exact
        competing-risk semantics under marking-dependent rates, and is the
@@ -101,13 +102,12 @@ type t = {
           calls this instead of interpreting [guard]. *)
   guard : Effect.cond;  (** the enabling predicate *)
   reads : Place.any list;
-      (** The places whose changes wake the activity: {!ir_reads}, in
-          uid order, which [Model.Builder] derives, so it holds exactly
+      (** The places whose changes wake the activity, derived by
+          [Model.Builder]: {!ir_reads}, in uid order, so it holds exactly
           the places the guard, a declarative distribution or a case
-          weight reads. A closure timing ([dist_ir = None]) adds the
-          places its builder's [~reads] lists; only such a closure can
-          read a place outside it, which the model checker
-          ([Analysis.Check], A001) traces. *)
+          weight reads. A closure timing ([dist_ir = None]), whose reads
+          cannot be seen, reads every place, in uid order, and wakes on
+          every marking change. *)
   cases : case array;
 }
 

@@ -195,7 +195,7 @@ let rec rexpr_reads_acc acc = function
 let rexpr_reads r = Uids.elements (rexpr_reads_acc Uids.empty r)
 
 (* An increment reads its target (Marking.add = get + set), a set does
-   not — matching what [Marking.trace_reads] observes. *)
+   not. *)
 let op_reads acc = function
   | Set (_, e) -> iexpr_reads acc e
   | Inc (p, e) -> iexpr_reads (Uids.add (Place.uid p) acc) e

@@ -114,8 +114,8 @@ val rexpr_reads : rexpr -> int list
 
 val static_reads : t -> int list
 (** Sorted uids of places the effect can read (guards, expressions, and
-    [Inc]/[FInc] targets — an increment reads its target, matching
-    {!Marking.trace_reads}). *)
+    [Inc]/[FInc] targets — an increment reads its target, as
+    {!Marking.add} does). *)
 
 val static_writes : t -> int list
 (** Sorted uids of places the effect can write. *)

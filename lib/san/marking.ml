@@ -3,9 +3,6 @@ type t = {
   floats : float array;
   mutable journal : int list;
   journalled : Bytes.t;  (* one flag per uid to dedupe journal entries *)
-  mutable tracing : bool;
-  mutable reads : int list;
-  read_flags : Bytes.t;
 }
 
 let create ~ints ~floats =
@@ -14,9 +11,6 @@ let create ~ints ~floats =
     floats = Array.make floats 0.0;
     journal = [];
     journalled = Bytes.make (ints + floats) '\000';
-    tracing = false;
-    reads = [];
-    read_flags = Bytes.make (ints + floats) '\000';
   }
 
 let copy m =
@@ -25,34 +19,7 @@ let copy m =
     floats = Array.copy m.floats;
     journal = [];
     journalled = Bytes.make (Bytes.length m.journalled) '\000';
-    tracing = false;
-    reads = [];
-    read_flags = Bytes.make (Bytes.length m.read_flags) '\000';
   }
-
-let record_read m uid =
-  if Bytes.get m.read_flags uid = '\000' then begin
-    Bytes.set m.read_flags uid '\001';
-    m.reads <- uid :: m.reads
-  end
-
-let trace_reads m f =
-  if m.tracing then invalid_arg "Marking.trace_reads: not reentrant";
-  m.tracing <- true;
-  m.reads <- [];
-  let result =
-    try f ()
-    with e ->
-      m.tracing <- false;
-      List.iter (fun uid -> Bytes.set m.read_flags uid '\000') m.reads;
-      m.reads <- [];
-      raise e
-  in
-  m.tracing <- false;
-  let reads = m.reads in
-  List.iter (fun uid -> Bytes.set m.read_flags uid '\000') reads;
-  m.reads <- [];
-  (result, reads)
 
 let record m uid =
   if Bytes.get m.journalled uid = '\000' then begin
@@ -60,9 +27,7 @@ let record m uid =
     m.journal <- uid :: m.journal
   end
 
-let get m p =
-  if m.tracing then record_read m (Place.uid p);
-  m.ints.(Place.index p)
+let get m p = m.ints.(Place.index p)
 
 let set m p v =
   if v < 0 then
@@ -76,9 +41,7 @@ let set m p v =
 
 let add m p d = set m p (get m p + d)
 
-let fget m p =
-  if m.tracing then record_read m (Place.fuid p);
-  m.floats.(Place.findex p)
+let fget m p = m.floats.(Place.findex p)
 
 let fset m p v =
   if m.floats.(Place.findex p) <> v then begin

@@ -39,13 +39,6 @@ val journal : t -> int list
 (** Uids of places changed since the last {!clear_journal}, most recent
     first, each at most once. *)
 
-val trace_reads : t -> (unit -> 'a) -> 'a * int list
-(** [trace_reads m f] runs [f] while recording which places [f] reads
-    through this marking (each uid once), and returns [f]'s result with
-    the read set. Used by the [analysis] library to detect a closure
-    rate that reads places missing from its activity's [reads] list.
-    Not reentrant. *)
-
 val int_snapshot : t -> int array
 val float_snapshot : t -> float array
 (** Copies of the raw state, used for hashing markings during state-space

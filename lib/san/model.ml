@@ -83,9 +83,7 @@ module Builder = struct
      they are. A constant parameter or weight out of range is rejected
      here rather than at its first sample. *)
 
-  (* [wakes] is [timed_exp_ir]'s declared list; every other entry point
-     passes [[]] and [build] derives the activity's [reads]. *)
-  let add b ~name ~timing ~guard ~wakes cases =
+  let activity_ir b ~name ~timing ~guard cases =
     check_fresh b "activity" b.act_names name;
     let reject fmt =
       Printf.ksprintf
@@ -122,15 +120,12 @@ module Builder = struct
         timing;
         enabled = Effect.cond_fn guard;
         guard;
-        reads = wakes;
+        reads = [];
         cases = Array.of_list cases;
       }
     in
     b.n_acts <- b.n_acts + 1;
     b.acts <- act :: b.acts
-
-  let activity_ir b ~name ~timing ~guard cases =
-    add b ~name ~timing ~guard ~wakes:[] cases
 
   (* Fully-declarative entry points: the timing distribution and case
      weights are data, so the activity serializes. The derived closures
@@ -157,10 +152,11 @@ module Builder = struct
          cases)
 
   (* The one closure-rate builder: its timing has no declarative form, so
-     the activity cannot be serialized or orbit-verified. *)
-  let timed_exp_ir b ~name ?(policy = Activity.Resample) ~rate ~guard ~reads
+     the activity cannot be serialized or orbit-verified, and [build]
+     makes it read every place. [?reads] is accepted and ignored. *)
+  let timed_exp_ir b ~name ?(policy = Activity.Resample) ?reads:_ ~rate ~guard
       effect =
-    add b ~name
+    activity_ir b ~name
       ~timing:
         (Activity.Timed
            {
@@ -168,8 +164,7 @@ module Builder = struct
              policy;
              dist_ir = None;
            })
-      ~guard ~wakes:reads
-      [ Activity.make_case effect ]
+      ~guard [ Activity.make_case effect ]
 
   let instantaneous_ir b ~name ~guard effect =
     activity_ir b ~name ~timing:Activity.Instantaneous ~guard
@@ -180,16 +175,20 @@ module Builder = struct
     b.built <- true;
     let ints = Array.of_list (List.rev b.ints) in
     let floats = Array.of_list (List.rev b.floats) in
-    (* Each activity's [reads] is what its IR reads, in uid order (plus a
-       closure's declared list). The dependents table and the analysis
-       read this one list, so an IR read can never miss a wake-up. *)
+    (* Each activity's [reads] is what its IR reads, in uid order; a
+       closure timing, whose reads no one can see, reads every place. The
+       dependents table and the analysis read this one list, so no read
+       can miss a wake-up. *)
     let place_of_uid = Array.of_list (List.rev b.places) in
+    let every_place = Array.to_list place_of_uid in
     let derive (a : Activity.t) =
-      let uids =
-        List.sort_uniq Int.compare
-          (List.map Place.any_uid a.reads @ Activity.ir_reads a)
+      let reads =
+        match a.timing with
+        | Activity.Timed { dist_ir = None; _ } -> every_place
+        | Activity.Timed { dist_ir = Some _; _ } | Activity.Instantaneous ->
+            List.map (Array.get place_of_uid) (Activity.ir_reads a)
       in
-      { a with reads = List.map (Array.get place_of_uid) uids }
+      { a with reads }
     in
     let activities = Array.of_list (List.rev_map derive b.acts) in
     let by_place_name = Hashtbl.create (Array.length ints) in

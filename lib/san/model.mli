@@ -40,10 +40,10 @@ module Builder : sig
       the {!Activity.Resample} policy (see {!Activity.policy} for why
       that is the safe default under marking-dependent rates).
 
-      No entry point but {!timed_exp_ir} takes a read list: {!build}
-      sets each activity's [reads] to the places its guard,
-      distribution and case weights read ({!Activity.ir_reads}), in uid
-      order. *)
+      No entry point uses a read list: {!build} sets each activity's
+      [reads] to the places its guard, distribution and case weights
+      read ({!Activity.ir_reads}), in uid order, and a closure timing's
+      ({!timed_exp_ir}) to every place. *)
 
   val activity_ir :
     t ->
@@ -94,19 +94,21 @@ module Builder : sig
     t ->
     name:string ->
     ?policy:Activity.policy ->
+    ?reads:Place.any list ->
     rate:(Marking.t -> float) ->
     guard:Effect.cond ->
-    reads:Place.any list ->
     Effect.t ->
     unit
   (** The last closure builder: a single-case exponential activity whose
       rate is an opaque closure, so its timing has no declarative form
-      ([dist_ir = None]). Serialization rejects it, orbit verification
-      treats it as a blocker, and {!build} cannot see what the closure
-      reads: [~reads] must list those places ({!build} adds the guard's
-      reads, in uid order), and the model checker traces them (A001). It
-      is kept only because the benchmark harness's [two_state] fixture
-      still builds with it; new code uses {!timed_exp_rate_ir}. *)
+      ([dist_ir = None]). Serialization rejects it and orbit
+      verification treats it as a blocker. {!build} cannot see what the
+      closure reads, so it sets the activity's [reads] to every place,
+      in uid order: the executor re-evaluates the activity after every
+      marking change, and no wake-up can be missed. [?reads] is ignored.
+      Both exist only for the benchmark harness's [two_state] fixture,
+      whose [~reads] list is its one place; new code uses
+      {!timed_exp_rate_ir}. *)
 
   val build : t -> model
   (** Freezes the builder. The builder must not be reused afterwards. *)
@@ -138,8 +140,8 @@ val dependents : t -> int -> Activity.t list
     [reads] hold the place with uid [uid]. {!Builder.build} derives
     every [reads] from the activity's {!Activity.ir_reads}, so these are
     the activities whose guard, declarative distribution or case weights
-    read the place, taken branches or not (plus a [timed_exp_ir]
-    activity whose [~reads] lists it). *)
+    read the place, taken branches or not, plus every {!Builder.timed_exp_ir}
+    activity, which reads every place. *)
 
 (** {2 Run tables}
 

@@ -52,30 +52,12 @@ let test_clean_gong () =
   Alcotest.(check (list string)) "no diagnostics" []
     (List.map (Format.asprintf "%a" D.pp) (diags r))
 
-(* --- A001: undeclared reads (only a closure timing can have them) --- *)
+(* --- derived reads --- *)
 
-let test_a001_dist () =
-  let b = B.create "buggy_rate" in
-  let speed = B.int_place b ~init:2 "speed" in
-  let tokens = B.int_place b "tokens" in
-  B.timed_exp_ir b ~name:"produce"
-    ~rate:(fun m -> float_of_int (1 + M.get m speed))
-    ~guard:E.(Cmp (Mark tokens, Lt, Int 5))
-    ~reads:[ San.Place.P tokens ]
-    E.(Ops [ Inc (tokens, Int 1) ]);
-  let r = check (B.build b) in
-  Alcotest.(check bool) "dist violation reported" true
-    (List.exists
-       (fun (d : D.t) ->
-         d.D.severity = D.Error
-         && message_mentions ~needle:"dist" d
-         && message_mentions ~needle:"\"speed\"" d)
-       (with_code D.undeclared_read r))
-
-(* The builder derives [reads] from every IR read, so A001 has nothing
-   to report for a declarative weight: [bias] is in [choose]'s reads,
-   in uid order with its guard's [fired], and wakes it. *)
-let test_a001_weight () =
+(* The builder derives [reads] from every IR read: [bias] is in
+   [choose]'s reads, in uid order with its guard's [fired], and wakes
+   it. *)
+let test_derived_weight () =
   let b = B.create "ir_weight" in
   let bias = B.int_place b ~init:3 "bias" in
   let fired = B.int_place b "fired" in
@@ -92,19 +74,16 @@ let test_a001_weight () =
   let model = B.build b in
   Alcotest.(check (list string)) "reads derived" [ "bias"; "fired" ]
     (List.map San.Place.any_name
-       (San.Model.find_activity model "choose").San.Activity.reads);
-  Alcotest.(check (list string)) "no A001" []
-    (List.map (Format.asprintf "%a" D.pp)
-       (with_code D.undeclared_read (check model)))
+       (San.Model.find_activity model "choose").San.Activity.reads)
 
 (* Reads are taken off the IR syntax, so a read in a branch no visited
    marking takes, or of an activity that is never enabled, is derived
    as well. [go] reads [hidden] only in the [flag = 1] arm of its rate
    (or, with [~weight], of its first case's weight), and [flag] stays 0.
    With [~dead], [go] needs [flag = 1] and never fires. Returns [go]'s
-   reads and the A001 report. *)
-let a001_exact ?(weight = false) ?(dead = false) () =
-  let b = B.create "a001_exact" in
+   reads. *)
+let derived_exact ?(weight = false) ?(dead = false) () =
+  let b = B.create "derived_exact" in
   let flag = B.int_place b "flag" in
   let hidden = B.int_place b ~init:1 "hidden" in
   let n = B.int_place b "n" in
@@ -131,34 +110,33 @@ let a001_exact ?(weight = false) ?(dead = false) () =
   B.timed_exp_rate_ir b ~name:"reset" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark n, Eq, Int 3))
     E.(Ops [ Set (n, Int 0) ]);
-  let model = B.build b in
-  ( List.map San.Place.any_name
-      (San.Model.find_activity model "go").San.Activity.reads,
-    List.map (Format.asprintf "%a" D.pp)
-      (with_code D.undeclared_read (check model)) )
+  List.map San.Place.any_name
+    (San.Model.find_activity (B.build b) "go").San.Activity.reads
 
-let derived_hidden = ([ "flag"; "hidden"; "n" ], [])
+let derived_hidden = [ "flag"; "hidden"; "n" ]
 
-let test_a001_untaken_branch () =
-  Alcotest.(check (pair (list string) (list string)))
-    "dist read in the untaken arm" derived_hidden (a001_exact ())
+let test_derived_untaken_branch () =
+  Alcotest.(check (list string))
+    "dist read in the untaken arm" derived_hidden (derived_exact ())
 
-let test_a001_untaken_weight () =
-  Alcotest.(check (pair (list string) (list string)))
+let test_derived_untaken_weight () =
+  Alcotest.(check (list string))
     "weight read in the untaken arm" derived_hidden
-    (a001_exact ~weight:true ())
+    (derived_exact ~weight:true ())
 
-let test_a001_never_enabled () =
-  Alcotest.(check (pair (list string) (list string)))
+let test_derived_never_enabled () =
+  Alcotest.(check (list string))
     "dist read of a dead activity" derived_hidden
-    (a001_exact ~dead:true ())
+    (derived_exact ~dead:true ())
 
-(* A closure rate is the one read the builder cannot see. [raise_flag]
-   writes [flag]; [consume]'s rate closure reads it without declaring
-   it, so the write cannot refresh [consume]: A001 reports it at the
-   reader. *)
-let test_a001_closure_reader_written () =
-  let b = B.create "buggy_writer" in
+(* --- a closure timing wakes on every marking change --- *)
+
+(* A closure rate is the one read the builder cannot see, so a closure
+   timing reads every place. [raise_flag] writes [flag]; [consume]'s
+   rate closure is 0 until [flag] is set, so [consume] fires only if
+   that write wakes it. *)
+let test_closure_rate_wakes () =
+  let b = B.create "closure_wake" in
   let flag = B.int_place b "flag" in
   let done_ = B.int_place b "done" in
   B.timed_exp_rate_ir b ~name:"raise_flag"
@@ -166,17 +144,26 @@ let test_a001_closure_reader_written () =
     ~guard:E.(All [ Cmp (Mark flag, Eq, Int 0); Cmp (Mark done_, Eq, Int 0) ])
     E.(Ops [ Set (flag, Int 1) ]);
   B.timed_exp_ir b ~name:"consume"
-    ~rate:(fun m -> float_of_int (1 + M.get m flag))
+    ~rate:(fun m -> if M.get m flag = 1 then 1.0 else 0.0)
     ~guard:E.(Cmp (Mark done_, Eq, Int 0))
-    ~reads:[ San.Place.P done_ ]
     E.(Ops [ Set (done_, Int 1) ]);
-  Alcotest.(check (list string)) "A001 at the reader, naming the place"
-    [
-      "[error] A001-undeclared-read activity \"consume\": dist reads \
-       undeclared place \"flag\"";
-    ]
-    (List.map (Format.asprintf "%a" D.pp)
-       (with_code D.undeclared_read (check (B.build b))))
+  let model = B.build b in
+  Alcotest.(check (list string)) "flag wakes consume"
+    [ "raise_flag"; "consume" ]
+    (List.map
+       (fun (a : San.Activity.t) -> a.name)
+       (San.Model.dependents model (San.Place.uid flag)));
+  let config = Sim.Executor.config ~horizon:50.0 () in
+  let fired = ref 0 in
+  for seed = 1 to 100 do
+    let outcome =
+      Sim.Executor.run ~model ~config
+        ~stream:(Prng.Stream.create ~seed:(Int64.of_int seed))
+        ~observer:Sim.Observer.nop ()
+    in
+    if M.get outcome.Sim.Executor.final done_ = 1 then incr fired
+  done;
+  Alcotest.(check int) "consume fires in every run" 100 !fired
 
 (* --- A003: negative-marking writes --- *)
 
@@ -668,10 +655,10 @@ let test_catalogue_covers_all_codes () =
       Alcotest.(check bool) (code ^ " catalogued") true
         (List.mem code catalogued))
     [
-      D.undeclared_read; D.negative_write;
-      D.dead_activity; D.never_written_place; D.never_read_place;
-      D.instantaneous_loop; D.instantaneous_tie; D.unused_shared_place;
-      D.unbounded_place; D.dead_effect; D.invariant_violated;
+      D.negative_write; D.dead_activity; D.never_written_place;
+      D.never_read_place; D.instantaneous_loop; D.instantaneous_tie;
+      D.unused_shared_place; D.unbounded_place; D.dead_effect;
+      D.invariant_violated;
     ]
 
 let () =
@@ -684,21 +671,19 @@ let () =
           Alcotest.test_case "gong, exhaustive, 9 markings" `Quick
             test_clean_gong;
         ] );
-      ( "A001 undeclared reads",
+      ( "derived reads",
         [
-          Alcotest.test_case "dist" `Quick test_a001_dist;
-          Alcotest.test_case "weight" `Quick test_a001_weight;
+          Alcotest.test_case "weight" `Quick test_derived_weight;
           Alcotest.test_case "dist in an untaken branch" `Quick
-            test_a001_untaken_branch;
+            test_derived_untaken_branch;
           Alcotest.test_case "weight in an untaken branch" `Quick
-            test_a001_untaken_weight;
+            test_derived_untaken_weight;
           Alcotest.test_case "never-enabled activity" `Quick
-            test_a001_never_enabled;
+            test_derived_never_enabled;
         ] );
-      ( "A001 traced rate reads",
+      ( "closure timing wake-up",
         [
-          Alcotest.test_case "closure rate stale wake-up" `Quick
-            test_a001_closure_reader_written;
+          Alcotest.test_case "closure rate wakes" `Quick test_closure_rate_wakes;
         ] );
       ( "A003 negative writes",
         [

@@ -724,7 +724,6 @@ let test_orbit_impure_degrades () =
           ~name:(Compose.Ctx.activity ctx "toggle")
           ~rate:(fun _ -> 1.0)
           ~guard:(San.Effect.Const true)
-          ~reads:[ San.Place.P up ]
           San.Effect.(Ops [ Set (up, Sub (Int 1, Mark up)) ]))
   in
   let model = San.Model.Builder.build b and info = Compose.info root in

@@ -553,6 +553,111 @@ let prop_case_drifts_sound =
               | exception (Invalid_argument _ | Failure _) -> true)
             markings)
 
+(* The closure compiler's contract ([Effect.cond_fn], [Effect.rexpr_fn]):
+   over random conditions and rate expressions on int and float places,
+   a compiled guard agrees with [holds] and a compiled rate with [reval]
+   bit for bit, on a random marking. Conditions reach every specialised
+   arm of [cond_fn] (each relation against a constant, [All] of 0 to 5
+   and [Any] of 0 to 4 terms); float constants include 0 and a negative,
+   so [FDiv] can yield infinities and NaN. *)
+let prop_closures_match_interpreter =
+  let b = B.create "closures" in
+  let ints = Array.init 3 (fun i -> B.int_place b (Printf.sprintf "p%d" i)) in
+  let floats =
+    Array.init 2 (fun i -> B.float_place b (Printf.sprintf "f%d" i))
+  in
+  let model = B.build b in
+  let open QCheck2.Gen in
+  let place = map (fun i -> ints.(i)) (int_bound 2) in
+  let fplace = map (fun i -> floats.(i)) (int_bound 1) in
+  let small = int_range (-2) 2 in
+  let flt = oneofl [ 0.0; 1.0; -0.5; 2.5; 0.1 ] in
+  let rel = oneofl E.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let rec iexpr d =
+    let leaf =
+      oneof [ map (fun k -> E.Int k) small; map (fun p -> E.Mark p) place ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = iexpr (d - 1) in
+      frequency
+        [
+          (2, leaf);
+          (1, map2 (fun a b -> E.Add (a, b)) sub sub);
+          (1, map2 (fun a b -> E.Sub (a, b)) sub sub);
+          (1, map2 (fun a b -> E.Mul (a, b)) sub sub);
+          (1, map (fun c -> E.Ind c) (cond (d - 1)));
+        ]
+  and cond d =
+    let leaf =
+      oneof
+        [
+          map (fun b -> E.Const b) bool;
+          map3 (fun p r k -> E.Cmp (E.Mark p, r, E.Int k)) place rel small;
+        ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = cond (d - 1) and arg = iexpr (d - 1) in
+      frequency
+        [
+          (2, leaf);
+          (2, map3 (fun a r b -> E.Cmp (a, r, b)) arg rel arg);
+          (1, map (fun cs -> E.All cs) (list_size (int_bound 5) sub));
+          (1, map (fun cs -> E.Any cs) (list_size (int_bound 4) sub));
+          (1, map (fun c -> E.Not c) sub);
+        ]
+  in
+  let rec fexpr d =
+    let leaf =
+      oneof
+        [
+          map (fun x -> E.Flt x) flt;
+          map (fun p -> E.FMark p) fplace;
+          map (fun e -> E.OfInt e) (iexpr 1);
+        ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = fexpr (d - 1) in
+      frequency
+        [
+          (2, leaf);
+          (1, map2 (fun a b -> E.FAdd (a, b)) sub sub);
+          (1, map2 (fun a b -> E.FSub (a, b)) sub sub);
+          (1, map2 (fun a b -> E.FMul (a, b)) sub sub);
+          (1, map2 (fun a b -> E.FDiv (a, b)) sub sub);
+        ]
+  in
+  let rec rexpr d =
+    let leaf =
+      oneof [ map (fun x -> E.RConst x) flt; map (fun e -> E.RExpr e) (fexpr 2) ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = rexpr (d - 1) in
+      frequency
+        [ (2, leaf); (1, map3 (fun c a b -> E.RIf (c, a, b)) (cond 2) sub sub) ]
+  in
+  let marking =
+    pair (list_repeat 3 (int_bound 2)) (list_repeat 2 flt)
+  in
+  QCheck2.Test.make ~name:"closures match interpreter" ~count:2000
+    ~print:(fun (c, r, (is, fs)) ->
+      Format.asprintf "%a@ %a@ ints [%s] floats [%s]" E.pp_cond c E.pp_rexpr
+        r
+        (String.concat "; " (List.map string_of_int is))
+        (String.concat "; " (List.map string_of_float fs)))
+    (triple (cond 3) (rexpr 2) marking)
+    (fun (c, r, (is, fs)) ->
+      let m = San.Model.initial_marking model in
+      List.iteri (fun i v -> M.set m ints.(i) v) is;
+      List.iteri (fun i v -> M.fset m floats.(i) v) fs;
+      E.cond_fn c m = E.holds m c
+      && Int64.equal
+           (Int64.bits_of_float (E.rexpr_fn r m))
+           (Int64.bits_of_float (E.reval m r)))
+
 (* --- ir dump determinism --- *)
 
 let test_ir_dump_deterministic () =
@@ -630,6 +735,7 @@ let () =
           Alcotest.test_case "outcomes cap boundary" `Quick test_outcomes_cap;
           Alcotest.test_case "static reads/writes" `Quick
             test_static_reads_writes;
+          QCheck_alcotest.to_alcotest prop_closures_match_interpreter;
         ] );
       ( "Effect.apply runs",
         [

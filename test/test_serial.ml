@@ -693,7 +693,6 @@ let test_unportable_closure () =
   B.timed_exp_ir b ~name:"opaque_rate"
     ~rate:(fun _ -> 1.0)
     ~guard:(E.Cmp (E.Mark p, E.Gt, E.Int 0))
-    ~reads:[ San.Place.P p ]
     (E.Ops [ E.Set (p, E.Int 0) ]);
   let m = B.build b in
   match Serial.to_json m with
@@ -713,12 +712,10 @@ let test_unportable_aggregates () =
   B.timed_exp_ir b ~name:"bad_rate"
     ~rate:(fun _ -> 1.0)
     ~guard:(E.Cmp (E.Mark p, E.Gt, E.Int 0))
-    ~reads:[ San.Place.P p ]
     (E.Ops [ E.Set (p, E.Int 0) ]);
   B.timed_exp_ir b ~name:"bad_timing"
     ~rate:(fun _ -> 2.0)
     ~guard:(E.Cmp (E.Mark q, E.Eq, E.Int 0))
-    ~reads:[ San.Place.P q ]
     (E.Ops [ E.Set (q, E.Int 1) ]);
   (* Fully declarative — must NOT be blamed. *)
   B.timed_exp_rate_ir b ~name:"fine"

@@ -1476,6 +1476,23 @@ let test_run_tables_match_dependents () =
       (Itua.Model.build { Itua.Params.default with Itua.Params.policy })
         .Itua.Model.model )
   in
+  (* A closure timing next to an IR activity, over int and float
+     places. *)
+  let closure =
+    let b = San.Model.Builder.create "closure" in
+    let up = San.Model.Builder.int_place b ~init:1 "up" in
+    let load = San.Model.Builder.float_place b ~init:0.5 "load" in
+    let (_ : San.Place.t) = San.Model.Builder.int_place b "idle" in
+    San.Model.Builder.timed_exp_ir b ~name:"fail"
+      ~rate:(fun m -> 1.0 +. San.Marking.fget m load)
+      ~guard:San.Effect.(Cmp (Mark up, Eq, Int 1))
+      San.Effect.(Ops [ Set (up, Int 0) ]);
+    San.Model.Builder.timed_exp_rate_ir b ~name:"repair"
+      ~rate:(San.Effect.RConst 2.0)
+      ~guard:San.Effect.(Cmp (Mark up, Eq, Int 0))
+      San.Effect.(Ops [ Set (up, Int 1) ]);
+    ("closure timing", San.Model.Builder.build b)
+  in
   let models =
     goldens
     @ List.map itua
@@ -1483,6 +1500,7 @@ let test_run_tables_match_dependents () =
           ("domain", Itua.Params.Domain_exclusion);
           ("host", Itua.Params.Host_exclusion);
         ]
+    @ [ closure ]
   in
   List.iter
     (fun (f, model) ->
@@ -1491,18 +1509,16 @@ let test_run_tables_match_dependents () =
       Alcotest.(check int) (f ^ ": one row per place")
         (San.Model.n_places model) (Array.length table);
       let reads_of (a : San.Activity.t) = List.map San.Place.any_uid a.reads in
-      (* [reads] is derived: exactly the IR reads, in uid order. Only a
-         closure timing's declared list may add to it. *)
+      (* [reads] is derived: exactly the IR reads, in uid order, or
+         every place, in uid order, for a closure timing. *)
       Array.iter
         (fun (a : San.Activity.t) ->
           match a.timing with
           | San.Activity.Timed { dist_ir = None; _ } ->
-              List.iter
-                (fun uid ->
-                  if not (List.mem uid (reads_of a)) then
-                    Alcotest.failf "%s: %s reads uid %d outside its reads" f
-                      a.name uid)
-                (San.Activity.ir_reads a)
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: %s reads every place" f a.name)
+                (List.init (San.Model.n_places model) Fun.id)
+                (reads_of a)
           | San.Activity.Timed { dist_ir = Some _; _ }
           | San.Activity.Instantaneous ->
               Alcotest.(check (list int))

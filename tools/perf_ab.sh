@@ -2,8 +2,9 @@
 # Same-machine A/B perf gate. Builds BASE (any git ref) in a temporary
 # worktree, then runs the benchmark harness on BASE and on this checkout
 # in alternating pairs of every workload in BENCHMARK.json (read with
-# jq), and judges the two sets of runs with `itua_bench compare` (bounds
-# from BENCHMARK.json). Run from anywhere inside the repository:
+# jq), each run as long as its run_seconds, and judges the two sets of
+# runs with `itua_bench compare` (bounds from BENCHMARK.json). Run from
+# anywhere inside the repository:
 #
 #   bash tools/perf_ab.sh origin/main
 #
@@ -17,6 +18,8 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 # Every workload BENCHMARK.json declares.
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
+# The run length the benchmark itself uses.
+seconds=$(jq -r .run_seconds BENCHMARK.json)
 work=$(mktemp -d)
 trap 'rm -rf "$work"; git worktree prune' EXIT
 git worktree add --quiet --detach "$work/base" "$base_ref"
@@ -24,7 +27,7 @@ git worktree add --quiet --detach "$work/base" "$base_ref"
 # One untraced run of workload $2 on checkout $1; its result records are
 # appended to $3. Build output goes to $work/build.log.
 bench() {
-  bash "$1/itua_bench/run.sh" --workload "$2" --seconds 1 --trace 0 \
+  bash "$1/itua_bench/run.sh" --workload "$2" --seconds "$seconds" --trace 0 \
     2>>"$work/build.log" | grep '^{' >>"$3"
 }
 
