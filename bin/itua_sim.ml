@@ -261,26 +261,6 @@ let render_progress (p : Sim.Runner.progress) =
 
 let finish_progress () = Printf.eprintf "\n%!"
 
-let policy_string = function
-  | Itua.Params.Domain_exclusion -> "domain"
-  | Itua.Params.Host_exclusion -> "host"
-
-(* The "params" object shared by the run --record-failures header and
-   the rare --json file. *)
-let params_json (p : Itua.Params.t) =
-  let module J = Report.Json in
-  J.Obj
-    [
-      ("num_domains", J.int p.num_domains);
-      ("hosts_per_domain", J.int p.hosts_per_domain);
-      ("num_apps", J.int p.num_apps);
-      ("num_reps", J.int p.num_reps);
-      ("policy", J.Str (policy_string p.policy));
-      ("corruption_multiplier", J.Num p.corruption_multiplier);
-      ("spread", J.Num p.spread_rate_domain);
-      ("rate_scale", J.Num p.rate_scale);
-    ]
-
 let run_cmd =
   let run config horizon reps seed cores telemetry progress rel_precision
       record_failures record_max dot_heat metrics_out trace_spans =
@@ -406,7 +386,7 @@ let run_cmd =
               ("matched_runs", J.int (T.matched_runs sink));
               ("record_max", J.int (Option.value record_max ~default:10));
               ("horizon", J.Num horizon);
-              ("params", params_json p);
+              ("params", Itua.Params.to_json p);
               ("occupancy", T.occupancy_to_json occupancy);
             ]
         in
@@ -578,7 +558,7 @@ let rare_cmd =
                 ("levels", J.int levels);
                 ("clones", J.int clones);
                 ("initial", J.int initial);
-                ("params", params_json p);
+                ("params", Itua.Params.to_json p);
                 ("stages", stages);
                 ("probability", J.Num est.Stats.Splitting.probability);
                 ( "ci_half_width",

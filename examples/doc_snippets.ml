@@ -172,7 +172,7 @@ let _analysis_certificate () =
   Format.printf "%a@." Analysis.Structure.pp report.Analysis.Check.structure;
   exit (Analysis.Check.exit_code report)
 
-let _analysis_orbit model root ~my_canon =
+let _analysis_orbit model root =
   let rep = Analysis.Orbit.analyse model (Compose.info root) in
   List.iter
     (fun d -> Format.printf "%a@." Analysis.Diagnostic.pp d)
@@ -182,9 +182,7 @@ let _analysis_orbit model root ~my_canon =
   let lumped =
     Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) ~audit:true model
   in
-  (* A019 probe: is a caller-supplied canon sound here? *)
-  let a019 = Analysis.Orbit.check_canon rep my_canon in
-  ignore (lumped, a019)
+  ignore lumped
 
 let _analysis_guard ~config ~stream ~observer () =
   let h = Itua.Model.build Itua.Params.default in

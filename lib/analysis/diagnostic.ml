@@ -79,7 +79,6 @@ let dead_branch = "A014-dead-branch"
 let negative_capable = "A015-negative-capable-delta"
 let orbit_report = "A017-orbit-report"
 let broken_symmetry = "A018-broken-symmetry"
-let unsound_canon = "A019-unsound-canon"
 
 let catalogue =
   [
@@ -108,7 +107,4 @@ let catalogue =
     ( broken_symmetry,
       "a Replicate family's copies are not exchangeable; names the \
        place, activity or rate that splits the orbit" );
-    ( unsound_canon,
-      "a caller-supplied canonicalization merges states the orbit \
-       refinement distinguishes (the quotient would be unsound)" );
   ]

@@ -50,12 +50,14 @@ val to_json : t -> Report.Json.t
 (** {2 Codes}
 
     One constant per diagnostic code, so passes and tests never spell
-    the strings twice. A001, A002, A013 and A016 are retired, and the
-    codes are never reused: A002 was subsumed by A013, A016 went with
-    the closure effects, A013 (declared reads against the IR) with the
-    builder completing every activity's reads from its IR, and A001
+    the strings twice. A001, A002, A013, A016 and A019 are retired, and
+    the codes are never reused: A002 was subsumed by A013, A016 went
+    with the closure effects, A013 (declared reads against the IR) with
+    the builder completing every activity's reads from its IR, A001
     (a closure rate's traced reads against its declared list) with the
-    builder making a closure timing read every place. *)
+    builder making a closure timing read every place, and A019 (a probe
+    of a caller-supplied canon) with {!Ctmc.Explore.explore}'s
+    [~audit:true], which checks such a canon on every state. *)
 
 val negative_write : string
 val dead_activity : string
@@ -71,7 +73,6 @@ val dead_branch : string
 val negative_capable : string
 val orbit_report : string
 val broken_symmetry : string
-val unsound_canon : string
 
 val catalogue : (string * string) list
 (** Every code with a one-line description, in code order. *)

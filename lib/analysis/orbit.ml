@@ -20,13 +20,7 @@ type family = {
   fa_breaks : break_ list;
 }
 
-type report = {
-  families : family list;
-  pure : bool;
-  blockers : string list;
-  n_int : int;
-  n_float : int;
-}
+type report = { families : family list; pure : bool; blockers : string list }
 
 let truncate n s = if String.length s <= n then s else String.sub s 0 n ^ "..."
 
@@ -131,24 +125,6 @@ let copy_slots copy =
       | P.F fp -> floats := P.findex fp :: !floats)
     (places_of copy);
   (Array.of_list (List.rev !ints), Array.of_list (List.rev !floats))
-
-(* ------------------------------------------------------------------ *)
-(* Per-copy parameter signature: every Ctx.note binding in the copy's
-   subtree, rendered relative to the copy root. The initial coloring of
-   the refinement — copies with different parameters never share an
-   orbit (and the first differing binding names the A018 reason). *)
-
-let rec params_nodes (n : Compose.info) =
-  List.map (fun (k, v) -> (n.Compose.path, k, v)) n.Compose.params
-  @ List.concat_map params_nodes n.Compose.children
-
-let params_sig (copy : Compose.info) =
-  let prefix = copy.Compose.path ^ "." in
-  List.map
-    (fun (p, k, v) ->
-      let rel = if p = copy.Compose.path then "" else strip_prefix prefix p in
-      Printf.sprintf "%s:%s=%s" rel k v)
-    (params_nodes copy)
 
 (* ------------------------------------------------------------------ *)
 (* Renaming: substitute place descriptors throughout an IR term. The
@@ -535,13 +511,6 @@ let sig_diff_reason pa pb (pl_a, acts_a) (pl_b, acts_b) =
   in
   Printf.sprintf "copy %s vs %s: %s" pa pb detail
 
-let params_diff_reason pa pb la lb =
-  match first_diff la lb with
-  | Some (x, y) ->
-      Printf.sprintf "copy %s vs %s: parameter differs (%s vs %s)" pa pb
-        (missing Fun.id x) (missing Fun.id y)
-  | None -> Printf.sprintf "copy %s vs %s: parameters differ" pa pb
-
 let analyse model (root : Compose.info) =
   let blockers = blockers_of model in
   let pure = blockers = [] in
@@ -572,7 +541,6 @@ let analyse model (root : Compose.info) =
             let ncopies = Array.length members in
             let sigs = Array.map (copy_signature m0) members in
             let slots = Array.map copy_slots members in
-            let prms = Array.map params_sig members in
             let orbits : (int * int list ref) list ref = ref [] in
             let witnesses = ref [] and breaks = ref [] in
             for c = 0 to ncopies - 1 do
@@ -591,10 +559,6 @@ let analyse model (root : Compose.info) =
                         fail
                           (sig_diff_reason members.(r).Compose.path
                              members.(c).Compose.path sigs.(r) sigs.(c))
-                      else if prms.(r) <> prms.(c) then
-                        fail
-                          (params_diff_reason members.(r).Compose.path
-                             members.(c).Compose.path prms.(r) prms.(c))
                       else begin
                         let sub =
                           transposition_sub int_by_index float_by_index
@@ -654,13 +618,7 @@ let analyse model (root : Compose.info) =
     List.rev !families
     |> List.stable_sort (fun a b -> Int.compare b.fa_depth a.fa_depth)
   in
-  {
-    families;
-    pure;
-    blockers;
-    n_int = Array.length ints;
-    n_float = Array.length floats;
-  }
+  { families; pure; blockers }
 
 (* ------------------------------------------------------------------ *)
 
@@ -691,41 +649,6 @@ let canon report (ints0, floats0) =
   (ints, floats)
 
 let members_str ms = String.concat "," (List.map string_of_int ms)
-
-let check_canon report f =
-  let out = ref [] in
-  List.iter
-    (fun fam ->
-      match fam.fa_orbits with
-      | [] | [ _ ] -> ()
-      | o0 :: rest ->
-          let bump o =
-            let ints = Array.make report.n_int 0 in
-            let floats = Array.make report.n_float 0.0 in
-            if Array.length o.ob_int_slots.(0) > 0 then
-              ints.(o.ob_int_slots.(0).(0)) <- 1
-            else if Array.length o.ob_float_slots.(0) > 0 then
-              floats.(o.ob_float_slots.(0).(0)) <- 1.0;
-            (ints, floats)
-          in
-          List.iter
-            (fun ok ->
-              let k0 = bump o0 and k1 = bump ok in
-              if k0 <> k1 && f k0 = f k1 then
-                out :=
-                  Diagnostic.v ~code:Diagnostic.unsound_canon
-                    ~severity:Diagnostic.Error
-                    ~source:(Diagnostic.Composition fam.fa_path)
-                    (Printf.sprintf
-                       "canonicalization merges copy %d (orbit {%s}) with copy %d (orbit {%s}): the orbit refinement distinguishes them, so the quotient would be unsound"
-                       (List.hd o0.ob_members)
-                       (members_str o0.ob_members)
-                       (List.hd ok.ob_members)
-                       (members_str ok.ob_members))
-                  :: !out)
-            rest)
-    report.families;
-  List.sort Diagnostic.compare !out
 
 (* ------------------------------------------------------------------ *)
 

@@ -16,10 +16,11 @@
 
     {ol
     {- {b Initial coloring.} Copies of a family are partitioned by
-       structural signature (relative place layout, kinds, initial
-       markings, relative activity names) and by
-       the per-copy parameters recorded with {!Compose.Ctx.note}. Copies
-       with different colors can never share an orbit.}
+       structural signature alone (relative place layout, kinds, initial
+       markings, relative activity names). Copies with different
+       signatures can never share an orbit. Everything else that tells
+       copies apart, a per-copy rate included, lives in the effect IR
+       and is found by the next step.}
     {- {b Refinement by certificate.} Within a color class, copy [c]
        joins the orbit of representative [r] iff the copy transposition
        [(r c)] is a verified automorphism: renaming every place of [r]
@@ -53,10 +54,10 @@
     the member sub-vectors are sorted — copies in different orbits are
     never mixed. Feed it to {!Ctmc.Explore.explore}'s [?canon]
     (optionally with [~audit:true], which cross-checks one-step
-    lumpability on every encountered state). {!check_canon} audits a
-    {e caller-supplied} canon against the computed orbits and returns
-    A019 errors when it merges states the refinement distinguishes —
-    e.g. a whole-family sort applied to a heterogeneous family. *)
+    lumpability on every encountered state). That audit is also the
+    check for a {e caller-supplied} canon: one that merges states the
+    refinement distinguishes (a whole-family sort applied to a
+    heterogeneous family, say) raises {!Ctmc.Explore.Unsound_canon}. *)
 
 (** One orbit of exchangeable copies within a family. *)
 type orbit = {
@@ -72,7 +73,7 @@ type break_ = {
   bk_copy_a : int;
   bk_copy_b : int;
   bk_reason : string;
-      (** names the place, activity, rate or parameter that splits the
+      (** names the place, activity or rate that splits the
           orbit *)
 }
 
@@ -98,10 +99,6 @@ type report = {
           all singletons *)
   blockers : string list;
       (** when not {!pure}: which activities block static reading *)
-  n_int : int;
-      (** length of the marking's int vector — {!check_canon} builds its
-          witness states from these sizes *)
-  n_float : int;
 }
 
 val analyse : San.Model.t -> Compose.info -> report
@@ -118,17 +115,6 @@ val canon :
     be fed to {!Ctmc.Explore.explore} without a lumped-vs-unlumped
     validation (running one anyway, as the [ctmc_exact] benchmark does,
     validates this module instead). *)
-
-val check_canon :
-  report ->
-  (int array * float array -> int array * float array) ->
-  Diagnostic.t list
-(** Audits a caller-supplied canonicalization against the computed
-    orbits: for every family with at least two orbits, a witness state
-    pair distinguished by the refinement (the same perturbation applied
-    to copies in different orbits) is passed through the canon; mapping
-    both to one representative yields an A019 error diagnostic. Returns
-    [[]] when no unsound merge is detected. *)
 
 val diagnostics : report -> Diagnostic.t list
 (** The certificate as diagnostics: one A017 orbit report per analysed

@@ -4,7 +4,6 @@ type node = {
   mutable children : node list;  (* reversed *)
   mutable node_places : San.Place.any list;  (* reversed *)
   mutable node_activities : string list;  (* reversed *)
-  mutable node_params : (string * string) list;  (* reversed *)
 }
 
 and kind = Root | Rep of int | Join_branch
@@ -13,14 +12,7 @@ module Ctx = struct
   type t = { b : San.Model.Builder.t; path : string list; node : node }
 
   let make_node label kind =
-    {
-      label;
-      kind;
-      children = [];
-      node_places = [];
-      node_activities = [];
-      node_params = [];
-    }
+    { label; kind; children = []; node_places = []; node_activities = [] }
 
   let root b name = { b; path = []; node = make_node name Root }
 
@@ -46,12 +38,6 @@ module Ctx = struct
     ctx.node.node_activities <- name :: ctx.node.node_activities;
     name
 
-  let note ctx key value =
-    if List.mem_assoc key ctx.node.node_params then
-      invalid_arg
-        (Printf.sprintf "Compose.Ctx.note: duplicate parameter %S" key);
-    ctx.node.node_params <- (key, value) :: ctx.node.node_params
-
   let timed_exp_rate_ir ctx ~name ?policy ?reads:_ ~rate ~guard effect =
     San.Model.Builder.timed_exp_rate_ir ctx.b ~name:(activity ctx name)
       ?policy ~rate ~guard effect
@@ -76,7 +62,6 @@ type info = {
   rep_copies : int option;
   places : San.Place.any list;
   activities : string list;
-  params : (string * string) list;
   children : info list;
 }
 
@@ -91,7 +76,6 @@ let info ctx =
       rep_copies = (match node.kind with Rep n -> Some n | _ -> None);
       places = List.rev node.node_places;
       activities = List.rev node.node_activities;
-      params = List.rev node.node_params;
       children = List.rev_map (of_node rev_path) node.children;
     }
   in

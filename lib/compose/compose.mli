@@ -64,14 +64,6 @@ module Ctx : sig
       derives the activity's reads. Both exist only for the benchmark
       harness's [fleet] fixture, whose [~reads] list equals its guard's
       reads; new code calls {!activity}. *)
-
-  val note : t -> string -> string -> unit
-  (** [note ctx key value] records a per-copy parameter on this node —
-      e.g. a heterogeneous copy's rate multiplier. Notes surface in
-      {!info} as {!info.params} (declaration order), where the symmetry
-      passes use them to explain why two copies of a Rep family are not
-      exchangeable. Raises [Invalid_argument] on a duplicate [key] for
-      the same node. *)
 end
 
 val replicate : Ctx.t -> string -> n:int -> (Ctx.t -> int -> 'a) -> 'a array
@@ -93,16 +85,15 @@ val structure : Ctx.t -> string
 (** Introspection snapshot of one composition-tree node: which places and
     activities were created {e at} this node (places at an internal node
     are that node's shared places), and the children below it. Consumed
-    by the [analysis] library's shared-place audit. *)
+    by the [analysis] library's shared-place audit. A node carries no
+    per-copy parameters: what tells two copies of a Rep apart is their
+    activities' effect IR, which the orbit pass compares. *)
 type info = {
   path : string;  (** dotted path, [""] for the root *)
   label : string;
   rep_copies : int option;  (** [Some n] on a Rep child *)
   places : San.Place.any list;  (** created via {!Ctx.int_place}/{!Ctx.float_place} *)
   activities : string list;  (** qualified names, declaration order *)
-  params : (string * string) list;
-      (** per-copy parameters recorded via {!Ctx.note}, declaration
-          order *)
   children : info list;
 }
 

@@ -367,7 +367,7 @@ let build params =
   let apps = Array.map (fun (_, _, ap) -> ap) app_nodes in
   let domain_nodes =
     Compose.join root "security_domains" (fun doms_ctx ->
-        Compose.replicate doms_ctx "domain" ~n:nd (fun d_ctx d ->
+        Compose.replicate doms_ctx "domain" ~n:nd (fun d_ctx _ ->
             let excluded = Compose.Ctx.int_place d_ctx "excluded" in
             let spread = Compose.Ctx.float_place d_ctx "attack_spread_domain" in
             let dom_mgrs_running =
@@ -381,15 +381,7 @@ let build params =
                   Compose.Ctx.int_place d_ctx (Printf.sprintf "has_app[%d]" a))
             in
             let host_nodes =
-              Compose.replicate d_ctx "host" ~n:nhosts (fun h_ctx h ->
-                  (* A heterogeneous fleet is declared per copy: the orbit
-                     pass reads these notes as the copies' coloring, so
-                     hosts split into partial orbits by multiplier instead
-                     of being silently assumed exchangeable. *)
-                  if Array.length p.Params.host_rate_multipliers <> 0 then
-                    Compose.Ctx.note h_ctx "host_rate_multiplier"
-                      (Report.Json.float_to_string
-                         (Params.host_rate_multiplier p ((d * nhosts) + h)));
+              Compose.replicate d_ctx "host" ~n:nhosts (fun h_ctx _ ->
                   ( h_ctx,
                     {
                       alive = Compose.Ctx.int_place h_ctx ~init:1 "alive";

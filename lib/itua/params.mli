@@ -112,11 +112,10 @@ type t = {
       (** per-host factors on the base host attack rate, indexed by global
           host id (domain-major, [num_hosts] entries) — a heterogeneous
           fleet in which some hosts are harder targets than others. [[||]]
-          (the default) means homogeneous (all 1.0). A non-empty array
-          makes the model builder record each host's multiplier as a
-          per-copy composition parameter ([Compose.Ctx.note]), so the
-          orbit pass ([Analysis.Orbit]) partitions hosts into partial
-          orbits by multiplier instead of assuming full exchangeability. *)
+          (the default) means homogeneous (all 1.0). The multiplier
+          reaches the model only as each host's attack rate in the
+          effect IR, which is where the orbit pass ([Analysis.Orbit])
+          sees that two hosts differ. *)
 }
 
 val default : t

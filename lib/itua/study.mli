@@ -52,10 +52,13 @@ val hetero_fleet_params : unit -> Params.t
 (** The heterogeneous validation configuration: 10 domains × 1 host,
     4 applications × 7 replicas, with five hosts at the baseline attack
     rate and five "soft" hosts at 2.5× ({!Params.t.host_rate_multipliers}
-    [= [|1;1;1;1;1;2.5;2.5;2.5;2.5;2.5|]]). The orbit pass partitions
-    this fleet into two partial orbits of five hosts each — the
-    configuration the [ctmc_exact] benchmark's heterogeneous lumping
-    check and [itua_sim check --symmetry] exercise. *)
+    [= [|1;1;1;1;1;2.5;2.5;2.5;2.5;2.5|]]). The benchmark harness's
+    [fleet] fixture (the [ctmc_exact] workload) takes its per-host rates
+    from these multipliers, and the orbit pass splits that fleet into
+    two partial orbits of five hosts each. The ITUA model built from
+    these parameters does not lump: the [on_host] host-id coupling
+    leaves every Replicate family in singleton orbits, as it does on the
+    homogeneous model. No [itua_sim] flag sets the multipliers. *)
 
 val sensitivity : ?config:config -> unit -> (string * Report.table) list
 (** Parameter-sensitivity sweeps on the Section 4.2 baseline, in the

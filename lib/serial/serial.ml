@@ -207,13 +207,8 @@ let rec info_json (n : Compose.info) =
         ( "places",
           J.Arr (List.map (fun p -> J.Str (San.Place.any_name p)) n.places) );
         ("activities", J.Arr (List.map (fun s -> J.Str s) n.activities));
-      ]
-    (* Per-copy parameters ([Compose.Ctx.note]); the key is omitted when
-       empty so parameter-free models keep their historical bytes. *)
-    @ (match n.params with
-      | [] -> []
-      | ps -> [ ("params", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) ps)) ])
-    @ [ ("children", J.Arr (List.map info_json n.children)) ])
+        ("children", J.Arr (List.map info_json n.children));
+      ])
 
 let to_json ?(bounds = []) ?composition ?(annotations = []) model =
   check_portable model;
@@ -458,9 +453,6 @@ let p_composition model places at j =
     | _ -> n
     | exception Not_found -> J.fail at "unknown activity %S" n
   in
-  let params at j =
-    List.map (fun (k, v) -> (k, J.get_str (J.key at k) v)) (J.get_obj at j)
-  in
   let rec node parent_path ~root at j =
     let kvs = J.get_obj at j in
     let label = J.field J.get_str at kvs "label" in
@@ -474,9 +466,6 @@ let p_composition model places at j =
       J.field (J.get_list (any_place_ref places)) at kvs "places"
     in
     let activities = J.field (J.get_list activity) at kvs "activities" in
-    let params =
-      Option.value (J.opt_field params at kvs "params") ~default:[]
-    in
     let children =
       J.field (J.get_list (node path ~root:false)) at kvs "children"
     in
@@ -486,7 +475,6 @@ let p_composition model places at j =
       rep_copies;
       places = node_places;
       activities;
-      params;
       children;
     }
   in

@@ -397,7 +397,7 @@ let test_hostile_model () =
   expect_located "Serial.parse"
     (fun j -> Serial.parse (J.to_string j))
     (mutations
-       ~optional:[ "init"; "bound"; "rep"; "params"; "else" ]
+       ~optional:[ "init"; "bound"; "rep"; "else" ]
        ~int_at:model_int_at doc
        (one_per_shape (nodes doc)))
 

@@ -1,4 +1,4 @@
-(* Docs gate: keeps the markdown honest. Three checks, all strict:
+(* Docs gate: keeps the markdown honest. Four checks, all strict:
 
    1. Every relative link and anchor in every *.md file of the repo
       resolves: the target file exists, and a #fragment names a real
@@ -13,6 +13,10 @@
       (the parser behind the itua-model/2 and itua-analysis/1 formats),
       so documented JSON shapes cannot drift into invalid syntax.
       Snippets with a `...` elision line are skipped.
+   4. doc/ANALYSIS.md documents exactly the live diagnostic codes: every
+      code of Analysis.Diagnostic.catalogue has a `### CODE ...` heading
+      there, not marked retired, and every other `### A0nn-...` heading
+      ends in `— retired`, so a retired code cannot linger as live.
 
    Usage: dune exec tools/check_docs.exe [ROOT]   (default ROOT = .)
    Exits nonzero listing every failure; CI runs it on every push. *)
@@ -81,6 +85,8 @@ let slug_of_heading text =
 type doc = {
   lines : string list;
   slugs : (string, unit) Hashtbl.t;
+  (* text of every heading outside code fences, without its #s *)
+  headings : string list;
   (* (line_number, target) of every markdown link outside code fences *)
   links : (int * string) list;
   (* ocaml fenced snippets: (first line number, lines) *)
@@ -111,6 +117,7 @@ let parse_markdown path =
   let lines = read_lines path in
   let slugs = Hashtbl.create 16 in
   let slug_counts = Hashtbl.create 16 in
+  let headings = ref [] in
   let links = ref [] in
   let snippets = ref [] in
   let json_snips = ref [] in
@@ -150,6 +157,7 @@ let parse_markdown path =
             while !i < String.length t && t.[!i] = '#' do incr i done;
             String.sub t !i (String.length t - !i)
           in
+          headings := trim text :: !headings;
           let s = slug_of_heading text in
           let n =
             match Hashtbl.find_opt slug_counts s with
@@ -168,6 +176,7 @@ let parse_markdown path =
   {
     lines;
     slugs;
+    headings = List.rev !headings;
     links = List.rev !links;
     ocaml_snippets = List.rev !snippets;
     json_snippets = List.rev !json_snips;
@@ -235,6 +244,34 @@ let snippet_found ~mirror snippet =
   in
   let rec from i = i <= n && (go i 0 || from (i + 1)) in
   from 0
+
+(* Check 4: the diagnostic catalogue against doc/ANALYSIS.md's code
+   headings. A heading names code [c] when its text is [c] or starts
+   with [c ^ " "]. *)
+let check_catalogue ~file =
+  let codes = List.map fst Analysis.Diagnostic.catalogue in
+  let headings = List.filter (starts_with "A0") (doc_of file).headings in
+  let names code h = h = code || starts_with (code ^ " ") h in
+  let ends_retired = String.ends_with ~suffix:"— retired" in
+  List.iter
+    (fun code ->
+      match List.find_opt (names code) headings with
+      | None -> fail file (Printf.sprintf "no heading for live code %s" code)
+      | Some h when ends_retired h ->
+          fail file (Printf.sprintf "live code %s is marked retired" code)
+      | Some _ -> ())
+    codes;
+  List.iter
+    (fun h ->
+      if
+        (not (List.exists (fun code -> names code h) codes))
+        && not (ends_retired h)
+      then
+        fail file
+          (Printf.sprintf
+             "heading \"%s\" names no catalogue code and is not marked retired"
+             h))
+    headings
 
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
@@ -306,11 +343,16 @@ let () =
           d.json_snippets
       end)
     md_files;
+  let analysis_md = Filename.concat root "doc/ANALYSIS.md" in
+  if Sys.file_exists analysis_md then check_catalogue ~file:analysis_md
+  else fail analysis_md "missing diagnostic catalogue";
   match List.rev !failures with
   | [] ->
       Printf.printf "docs check: %d markdown files, %d relative links, %d \
-                     ocaml snippets, %d json snippets — OK\n"
+                     ocaml snippets, %d json snippets, %d diagnostic codes \
+                     — OK\n"
         (List.length md_files) !links_checked !snippets_checked !json_checked
+        (List.length Analysis.Diagnostic.catalogue)
   | fs ->
       List.iter (fun f -> Printf.eprintf "%s\n" f) fs;
       Printf.eprintf "docs check: %d failure(s)\n" (List.length fs);
