@@ -159,12 +159,18 @@ let config_term = config_of params_term
 
 (* [check] and [mtta] report an unusable model file on stderr and exit
    2, like an invalid flag combination. *)
-let handles_or_exit config =
+let config_or_exit config =
   match config () with
-  | Ok (_, h) -> h
+  | Ok ph -> ph
   | Error e ->
       Format.eprintf "%s@." e;
       exit 2
+
+(* A model the engines cannot run (instantaneous activities that never
+   stabilize, an exploration past its bounds) is reported on one stderr
+   line and exits 1, like an error-level [check] diagnostic. *)
+let model_error fmt =
+  Format.kfprintf (fun _ -> exit 1) Format.err_formatter (fmt ^^ "@.")
 
 (* --- run --- *)
 
@@ -333,14 +339,19 @@ let run_cmd =
               metrics_out)
     in
     let results =
-      match rel_precision with
-      | None ->
-          Sim.Runner.run ~domains:cores ?metrics ?profile ?convergence
-            ?progress:progress_cb ?record ~seed ~reps spec
-      | Some prec ->
-          Sim.Runner.run_until ~domains:cores ?metrics ?profile ?convergence
-            ?progress:progress_cb ?record ~batch:(Int.min reps 500)
-            ~max_reps:reps ~rel_precision:prec ~seed spec
+      try
+        match rel_precision with
+        | None ->
+            Sim.Runner.run ~domains:cores ?metrics ?profile ?convergence
+              ?progress:progress_cb ?record ~seed ~reps spec
+        | Some prec ->
+            Sim.Runner.run_until ~domains:cores ?metrics ?profile
+              ?convergence ?progress:progress_cb ?record
+              ~batch:(Int.min reps 500) ~max_reps:reps ~rel_precision:prec
+              ~seed spec
+      with Sim.Executor.Stabilization_diverged msg ->
+        if progress then finish_progress ();
+        model_error "model does not stabilize: %s" msg
     in
     if progress then finish_progress ();
     let n_runs = (List.hd results).Sim.Runner.n_runs in
@@ -489,7 +500,10 @@ let rare_cmd =
         Ok
           (Itua.Study.rare_point ~config:study ~levels ~clones ~initial ~measure
              ~app ~handles ~params:p ~until:horizon ())
-      with Invalid_argument msg -> Error (`Msg msg)
+      with
+      | Invalid_argument msg -> Error (`Msg msg)
+      | Sim.Executor.Stabilization_diverged msg ->
+          model_error "model does not stabilize: %s" msg
     in
     let* r = r in
     let est = r.Sim.Splitting.estimate in
@@ -785,7 +799,7 @@ let check_symmetry_arg =
                the $(b,--json) document.")
 
 let check_run config invariants strict ir_dump symmetry json =
-  let h = handles_or_exit config in
+  let _, h = config_or_exit config in
   let report =
     Analysis.Check.run ~composition:h.Itua.Model.composition
       ~laws:(Itua.Invariant.conservation_laws h)
@@ -851,7 +865,7 @@ let mtta_cmd =
       $ multiplier_arg $ scale_arg)
   in
   let run config lump metrics_out =
-    let h = handles_or_exit config in
+    let p, h = config_or_exit config in
     let canon, audit =
       match lump with
       | `Off -> (None, false)
@@ -868,7 +882,10 @@ let mtta_cmd =
     let obs = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in
     let profile = Option.map (fun _ -> Obs.Profile.create ()) metrics_out in
     Format.printf
-      "Exact CTMC analysis of the 1-domain/1-host/1-app/1-replica system@.";
+      "Exact CTMC analysis of the %d-domain/%d-host/%d-app/%d-replica \
+       system@."
+      p.Itua.Params.num_domains p.Itua.Params.hosts_per_domain
+      p.Itua.Params.num_apps p.Itua.Params.num_reps;
     (match Ctmc.Explore.explore ?canon ~audit ?obs ?profile h.Itua.Model.model
      with
     | c ->
@@ -887,11 +904,17 @@ let mtta_cmd =
             Format.printf "  [metrics snapshot: %s]@." path
         | _ -> ())
     | exception Ctmc.Explore.Non_markovian msg ->
-        Format.eprintf "model is not Markovian: %s@." msg;
-        exit 1
+        model_error "model is not Markovian: %s" msg
     | exception Ctmc.Explore.Unsound_canon msg ->
-        Format.eprintf "lumping audit failed: %s@." msg;
-        exit 1)
+        model_error "lumping audit failed: %s" msg
+    | exception Ctmc.Explore.Vanishing_loop msg ->
+        model_error "model is not analysable: %s" msg
+    | exception Ctmc.Explore.Too_many_states n ->
+        model_error "state space exceeds %d states" n
+    | exception Ctmc.Walker.Too_wide n ->
+        model_error "one vanishing resolution visits more than %d markings" n
+    | exception San.Effect.Too_many_outcomes n ->
+        model_error "one firing forks into more than %d outcomes" n)
   in
   Cmd.v
     (Cmd.info "mtta"

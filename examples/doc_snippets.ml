@@ -16,7 +16,7 @@ let _modeling_pair () =
   let b = San.Model.Builder.create "pair" in
   let working = San.Model.Builder.int_place b ~init:2 "working" in
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
-    ~rate:San.Effect.(RExpr (FMul (Flt 0.1, OfInt (Mark working))))
+    ~rate:San.Effect.(FMul (RConst 0.1, OfInt (Mark working)))
     ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
     San.Effect.(Ops [ Inc (working, Int (-1)) ]);
   let guard = San.Effect.(Cmp (Mark working, Gt, Int 0)) in

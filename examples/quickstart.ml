@@ -16,7 +16,7 @@ let () =
   let b = San.Model.Builder.create "repairable_pair" in
   let working = San.Model.Builder.int_place b ~init:2 "working" in
   San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
-    ~rate:(E.RExpr (E.FMul (E.Flt 0.1, E.OfInt (E.Mark working))))
+    ~rate:(E.FMul (E.RConst 0.1, E.OfInt (E.Mark working)))
     ~guard:(E.Cmp (E.Mark working, E.Gt, E.Int 0))
     (E.Ops [ E.Inc (working, E.Int (-1)) ]);
   San.Model.Builder.timed_exp_rate_ir b ~name:"repair" ~rate:(E.RConst 1.0)

@@ -159,28 +159,23 @@ and r_cond sub (c : E.cond) : E.cond =
   | E.Any cs -> E.Any (List.map (r_cond sub) cs)
   | E.Not c -> E.Not (r_cond sub c)
 
-let rec r_fe sub (e : E.fexpr) : E.fexpr =
-  match e with
-  | E.Flt _ -> e
-  | E.FMark p -> E.FMark (map_fp sub p)
-  | E.OfInt i -> E.OfInt (r_ie sub i)
-  | E.FAdd (a, b) -> E.FAdd (r_fe sub a, r_fe sub b)
-  | E.FSub (a, b) -> E.FSub (r_fe sub a, r_fe sub b)
-  | E.FMul (a, b) -> E.FMul (r_fe sub a, r_fe sub b)
-  | E.FDiv (a, b) -> E.FDiv (r_fe sub a, r_fe sub b)
-
 let rec r_re sub (r : E.rexpr) : E.rexpr =
   match r with
   | E.RConst _ -> r
-  | E.RExpr f -> E.RExpr (r_fe sub f)
+  | E.FMark p -> E.FMark (map_fp sub p)
+  | E.OfInt i -> E.OfInt (r_ie sub i)
+  | E.FAdd (a, b) -> E.FAdd (r_re sub a, r_re sub b)
+  | E.FSub (a, b) -> E.FSub (r_re sub a, r_re sub b)
+  | E.FMul (a, b) -> E.FMul (r_re sub a, r_re sub b)
+  | E.FDiv (a, b) -> E.FDiv (r_re sub a, r_re sub b)
   | E.RIf (c, a, b) -> E.RIf (r_cond sub c, r_re sub a, r_re sub b)
 
 let r_op sub (op : E.op) : E.op =
   match op with
   | E.Set (p, e) -> E.Set (map_ip sub p, r_ie sub e)
   | E.Inc (p, e) -> E.Inc (map_ip sub p, r_ie sub e)
-  | E.FSet (p, e) -> E.FSet (map_fp sub p, r_fe sub e)
-  | E.FInc (p, e) -> E.FInc (map_fp sub p, r_fe sub e)
+  | E.FSet (p, e) -> E.FSet (map_fp sub p, r_re sub e)
+  | E.FInc (p, e) -> E.FInc (map_fp sub p, r_re sub e)
 
 let rec r_eff sub (t : E.t) : E.t =
   match t with
@@ -247,27 +242,22 @@ and n_cond (c : E.cond) : E.cond =
 
 let comm mk a b = if Stdlib.compare a b <= 0 then mk a b else mk b a
 
-let rec n_fe (e : E.fexpr) : E.fexpr =
-  match e with
-  | E.Flt _ | E.FMark _ -> e
-  | E.OfInt i -> E.OfInt (n_ie i)
-  | E.FAdd (a, b) -> comm (fun a b -> E.FAdd (a, b)) (n_fe a) (n_fe b)
-  | E.FMul (a, b) -> comm (fun a b -> E.FMul (a, b)) (n_fe a) (n_fe b)
-  | E.FSub (a, b) -> E.FSub (n_fe a, n_fe b)
-  | E.FDiv (a, b) -> E.FDiv (n_fe a, n_fe b)
-
 let rec n_re (r : E.rexpr) : E.rexpr =
   match r with
-  | E.RConst _ -> r
-  | E.RExpr f -> E.RExpr (n_fe f)
+  | E.RConst _ | E.FMark _ -> r
+  | E.OfInt i -> E.OfInt (n_ie i)
+  | E.FAdd (a, b) -> comm (fun a b -> E.FAdd (a, b)) (n_re a) (n_re b)
+  | E.FMul (a, b) -> comm (fun a b -> E.FMul (a, b)) (n_re a) (n_re b)
+  | E.FSub (a, b) -> E.FSub (n_re a, n_re b)
+  | E.FDiv (a, b) -> E.FDiv (n_re a, n_re b)
   | E.RIf (c, a, b) -> E.RIf (n_cond c, n_re a, n_re b)
 
 let n_op (op : E.op) : E.op =
   match op with
   | E.Set (p, e) -> E.Set (p, n_ie e)
   | E.Inc (p, e) -> E.Inc (p, n_ie e)
-  | E.FSet (p, e) -> E.FSet (p, n_fe e)
-  | E.FInc (p, e) -> E.FInc (p, n_fe e)
+  | E.FSet (p, e) -> E.FSet (p, n_re e)
+  | E.FInc (p, e) -> E.FInc (p, n_re e)
 
 let independent_ops ops =
   let rw op =

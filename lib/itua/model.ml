@@ -688,12 +688,11 @@ let build params =
     B.timed_exp_cases_rate_ir b
       ~name:(name "attack_host")
       ~rate:
-        (E.RExpr
-           (E.FAdd
-              ( E.Flt (Params.host_attack_rate_of p g),
-                E.FMul
-                  ( E.Flt (Params.host_spread_slope p),
-                    E.FAdd (E.FMark dp.spread, E.FMark spread_sys) ) )))
+        (E.FAdd
+           ( E.RConst (Params.host_attack_rate_of p g),
+             E.FMul
+               ( E.RConst (Params.host_spread_slope p),
+                 E.FAdd (E.FMark dp.spread, E.FMark spread_sys) ) ))
       ~guard:(E.All [ pe hp.alive 1; pe hp.attacked 0 ])
       (let corrupt_as cls =
          E.Ops
@@ -719,7 +718,7 @@ let build params =
               else base @ [ pe hp.alive 1 ]))
         (E.Ops
            [
-             E.FInc (dp.spread, E.Flt p.Params.spread_effect_domain);
+             E.FInc (dp.spread, E.RConst p.Params.spread_effect_domain);
              E.Set (hp.prop_dom_done, E.Int 1);
            ]);
     if p.Params.spread_rate_system > 0.0 then
@@ -733,7 +732,7 @@ let build params =
               else base @ [ pe hp.alive 1 ]))
         (E.Ops
            [
-             E.FInc (spread_sys, E.Flt p.Params.spread_effect_system);
+             E.FInc (spread_sys, E.RConst p.Params.spread_effect_system);
              E.Set (hp.prop_sys_done, E.Int 1);
            ]);
     (* Host-level IDS, one activity per attack class. *)

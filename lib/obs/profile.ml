@@ -183,8 +183,6 @@ let count t phase = t.counts.(phase_index phase)
 let attributed_seconds t =
   Clock.ns_to_s (Array.fold_left Int64.add 0L t.self_ns)
 
-let gc_minor_collections t = t.gc_minor
-let gc_major_collections t = t.gc_major
 let gc_allocated_words t = t.gc_words
 
 let export t ~into =

@@ -76,9 +76,6 @@ val attributed_seconds : t -> float
 (** Sum of every phase's self-time — at most the enclosing run's
     wall-clock time. *)
 
-val gc_minor_collections : t -> int
-val gc_major_collections : t -> int
-
 val gc_allocated_words : t -> float
 (** Words allocated (minor + major - promoted) across captures. *)
 

@@ -2,8 +2,6 @@ type t = { gen : Xoshiro256.t; seed : int64 }
 
 let create ~seed = { gen = Xoshiro256.of_seed seed; seed }
 
-let of_int_seed seed = create ~seed:(Int64.of_int seed)
-
 let substream root i =
   if i < 0 then invalid_arg "Stream.substream: negative index";
   let gen = Xoshiro256.copy root.gen in

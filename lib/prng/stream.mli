@@ -12,9 +12,6 @@ type t
 val create : seed:int64 -> t
 (** [create ~seed] builds the root stream for [seed]. *)
 
-val of_int_seed : int -> t
-(** [of_int_seed seed] is [create ~seed:(Int64.of_int seed)]. *)
-
 val substream : t -> int -> t
 (** [substream root i] is the [i]-th independent stream derived from
     [root]'s seed: the root generator state advanced by [i] jumps of 2^128

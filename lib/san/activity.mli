@@ -40,7 +40,7 @@ type policy =
   | Resample  (** re-draw whenever a dependency changes (see above) *)
 
 (** Declarative timing distribution: a {!Dist.t} shape whose parameters
-    are {!Effect.rexpr} rate expressions. This is the serializable
+    are {!Effect.rexpr} float expressions. This is the serializable
     counterpart of the [Marking.t -> Dist.t] closure; {!dist_fn}
     compiles it back to one (folding all-constant parameters into a
     single preallocated distribution record). *)
@@ -55,8 +55,10 @@ type dist_ir =
   | DNormal of Effect.rexpr * Effect.rexpr  (** mean, stddev *)
 
 val constant_dist : dist_ir -> Dist.t option
-(** [Some d] when every parameter is an [Effect.RConst]: the one
-    distribution the activity samples in every marking. *)
+(** [Some d] when every parameter is a literal ([Effect.RConst], a
+    literal's one spelling): the one distribution the activity samples
+    in every marking. A constant expression that is not a literal, such
+    as [FAdd (RConst 1., RConst 2.)], is evaluated at each sample. *)
 
 val dist_params : dist_ir -> string * Effect.rexpr list
 (** The distribution's family (["exponential"], ["erlang(k=3)"], ...;

@@ -15,25 +15,21 @@ and cond =
   | Any of cond list
   | Not of cond
 
-type fexpr =
-  | Flt of float
-  | FMark of Place.fl
-  | OfInt of iexpr
-  | FAdd of fexpr * fexpr
-  | FSub of fexpr * fexpr
-  | FMul of fexpr * fexpr
-  | FDiv of fexpr * fexpr
-
 type rexpr =
   | RConst of float
-  | RExpr of fexpr
+  | FMark of Place.fl
+  | OfInt of iexpr
+  | FAdd of rexpr * rexpr
+  | FSub of rexpr * rexpr
+  | FMul of rexpr * rexpr
+  | FDiv of rexpr * rexpr
   | RIf of cond * rexpr * rexpr
 
 type op =
   | Set of Place.t * iexpr
   | Inc of Place.t * iexpr
-  | FSet of Place.fl * fexpr
-  | FInc of Place.fl * fexpr
+  | FSet of Place.fl * rexpr
+  | FInc of Place.fl * rexpr
 
 type t =
   | Skip
@@ -75,25 +71,21 @@ and all_hold m = function [] -> true | c :: cs -> holds m c && all_hold m cs
 
 and any_holds m = function [] -> false | c :: cs -> holds m c || any_holds m cs
 
-let rec feval m = function
-  | Flt x -> x
-  | FMark p -> Marking.fget m p
-  | OfInt e -> float_of_int (eval m e)
-  | FAdd (a, b) -> feval m a +. feval m b
-  | FSub (a, b) -> feval m a -. feval m b
-  | FMul (a, b) -> feval m a *. feval m b
-  | FDiv (a, b) -> feval m a /. feval m b
-
 let rec reval m = function
   | RConst x -> x
-  | RExpr e -> feval m e
+  | FMark p -> Marking.fget m p
+  | OfInt e -> float_of_int (eval m e)
+  | FAdd (a, b) -> reval m a +. reval m b
+  | FSub (a, b) -> reval m a -. reval m b
+  | FMul (a, b) -> reval m a *. reval m b
+  | FDiv (a, b) -> reval m a /. reval m b
   | RIf (c, a, b) -> if holds m c then reval m a else reval m b
 
 let apply_op m = function
   | Set (p, e) -> Marking.set m p (eval m e)
   | Inc (p, e) -> Marking.add m p (eval m e)
-  | FSet (p, e) -> Marking.fset m p (feval m e)
-  | FInc (p, e) -> Marking.fadd m p (feval m e)
+  | FSet (p, e) -> Marking.fset m p (reval m e)
+  | FInc (p, e) -> Marking.fadd m p (reval m e)
 
 let feasible m branches =
   List.filter_map (fun (c, e) -> if holds m c then Some e else None) branches
@@ -177,18 +169,14 @@ and cond_reads_acc acc = function
   | All cs | Any cs -> List.fold_left cond_reads_acc acc cs
   | Not c -> cond_reads_acc acc c
 
-let rec fexpr_reads acc = function
-  | Flt _ -> acc
-  | FMark p -> Uids.add (Place.fuid p) acc
-  | OfInt e -> iexpr_reads acc e
-  | FAdd (a, b) | FSub (a, b) | FMul (a, b) | FDiv (a, b) ->
-      fexpr_reads (fexpr_reads acc a) b
-
 let cond_reads c = Uids.elements (cond_reads_acc Uids.empty c)
 
 let rec rexpr_reads_acc acc = function
   | RConst _ -> acc
-  | RExpr e -> fexpr_reads acc e
+  | FMark p -> Uids.add (Place.fuid p) acc
+  | OfInt e -> iexpr_reads acc e
+  | FAdd (a, b) | FSub (a, b) | FMul (a, b) | FDiv (a, b) ->
+      rexpr_reads_acc (rexpr_reads_acc acc a) b
   | RIf (c, a, b) ->
       rexpr_reads_acc (rexpr_reads_acc (cond_reads_acc acc c) a) b
 
@@ -199,8 +187,8 @@ let rexpr_reads r = Uids.elements (rexpr_reads_acc Uids.empty r)
 let op_reads acc = function
   | Set (_, e) -> iexpr_reads acc e
   | Inc (p, e) -> iexpr_reads (Uids.add (Place.uid p) acc) e
-  | FSet (_, e) -> fexpr_reads acc e
-  | FInc (p, e) -> fexpr_reads (Uids.add (Place.fuid p) acc) e
+  | FSet (_, e) -> rexpr_reads_acc acc e
+  | FInc (p, e) -> rexpr_reads_acc (Uids.add (Place.fuid p) acc) e
 
 let op_writes acc = function
   | Set (p, _) | Inc (p, _) -> Uids.add (Place.uid p) acc
@@ -265,15 +253,15 @@ let rec cond_fn c =
 
 (* Rate expressions compile the same way: constants become constant
    closures (the builder then folds them into preallocated [Dist.t]
-   records), branches reuse [cond_fn]. [rexpr_fn r m = reval m r]
-   bit-for-bit: both arms perform the identical float operations in the
-   identical order. *)
+   records), branches reuse [cond_fn], and arithmetic is interpreted by
+   [reval]. [rexpr_fn r m = reval m r] bit-for-bit: both perform the
+   identical float operations in the identical order. *)
 let rec rexpr_fn = function
   | RConst x -> fun _ -> x
-  | RExpr e -> fun m -> feval m e
   | RIf (c, a, b) ->
       let c = cond_fn c and a = rexpr_fn a and b = rexpr_fn b in
       fun m -> if c m then a m else b m
+  | e -> fun m -> reval m e
 
 (* Pretty-printing *)
 
@@ -320,18 +308,14 @@ let pp_float ppf x =
   Format.pp_print_string ppf
     (if Float.equal (float_of_string s) x then s else Printf.sprintf "%.17g" x)
 
-let rec pp_fexpr ppf = function
-  | Flt x -> pp_float ppf x
-  | FMark p -> Format.pp_print_string ppf (Place.fname p)
-  | OfInt e -> Format.fprintf ppf "float(%a)" pp_iexpr e
-  | FAdd (a, b) -> Format.fprintf ppf "(%a +. %a)" pp_fexpr a pp_fexpr b
-  | FSub (a, b) -> Format.fprintf ppf "(%a -. %a)" pp_fexpr a pp_fexpr b
-  | FMul (a, b) -> Format.fprintf ppf "(%a *. %a)" pp_fexpr a pp_fexpr b
-  | FDiv (a, b) -> Format.fprintf ppf "(%a /. %a)" pp_fexpr a pp_fexpr b
-
 let rec pp_rexpr ppf = function
   | RConst x -> pp_float ppf x
-  | RExpr e -> pp_fexpr ppf e
+  | FMark p -> Format.pp_print_string ppf (Place.fname p)
+  | OfInt e -> Format.fprintf ppf "float(%a)" pp_iexpr e
+  | FAdd (a, b) -> Format.fprintf ppf "(%a +. %a)" pp_rexpr a pp_rexpr b
+  | FSub (a, b) -> Format.fprintf ppf "(%a -. %a)" pp_rexpr a pp_rexpr b
+  | FMul (a, b) -> Format.fprintf ppf "(%a *. %a)" pp_rexpr a pp_rexpr b
+  | FDiv (a, b) -> Format.fprintf ppf "(%a /. %a)" pp_rexpr a pp_rexpr b
   | RIf (c, a, b) ->
       Format.fprintf ppf "(if %a then %a else %a)" pp_cond c pp_rexpr a
         pp_rexpr b
@@ -341,8 +325,8 @@ let pp_op ppf = function
   | Inc (p, Int k) when k < 0 ->
       Format.fprintf ppf "%s -= %d" (Place.name p) (-k)
   | Inc (p, e) -> Format.fprintf ppf "%s += %a" (Place.name p) pp_iexpr e
-  | FSet (p, e) -> Format.fprintf ppf "%s := %a" (Place.fname p) pp_fexpr e
-  | FInc (p, e) -> Format.fprintf ppf "%s += %a" (Place.fname p) pp_fexpr e
+  | FSet (p, e) -> Format.fprintf ppf "%s := %a" (Place.fname p) pp_rexpr e
+  | FInc (p, e) -> Format.fprintf ppf "%s += %a" (Place.fname p) pp_rexpr e
 
 let rec pp ppf = function
   | Skip -> Format.pp_print_string ppf "skip"

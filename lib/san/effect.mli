@@ -30,33 +30,29 @@ and cond =
   | Any of cond list  (** disjunction; [Any []] is false *)
   | Not of cond
 
-type fexpr =
-  | Flt of float
-  | FMark of Place.fl
-  | OfInt of iexpr
-  | FAdd of fexpr * fexpr
-  | FSub of fexpr * fexpr
-  | FMul of fexpr * fexpr
-  | FDiv of fexpr * fexpr
-
 type rexpr =
-  | RConst of float  (** a constant rate/weight/parameter *)
-  | RExpr of fexpr  (** a marking-dependent expression *)
+  | RConst of float  (** a literal *)
+  | FMark of Place.fl  (** current marking of a float place *)
+  | OfInt of iexpr  (** an integer expression, as a float *)
+  | FAdd of rexpr * rexpr
+  | FSub of rexpr * rexpr
+  | FMul of rexpr * rexpr
+  | FDiv of rexpr * rexpr
   | RIf of cond * rexpr * rexpr
       (** marking-dependent branch. Unlike an arithmetic encoding
           ([base * (1 + (mult-1)*ind)]), a branch keeps the exact float
           of each arm, so closure rates of the form
           [if c then base *. mult else base] port bit-identically. *)
-(** Declarative rate expression: the marking-dependent scalar feeding a
-    timing distribution's parameter or a case weight. This is the
-    serializable counterpart of the historical [Marking.t -> float]
-    closures. *)
+(** Float expression over the marking, the serializable counterpart of
+    a [Marking.t -> float] closure: a timing distribution's parameter, a
+    case weight or an [FSet]/[FInc] value. A literal has one spelling,
+    [RConst]; a branch may appear wherever an expression may. *)
 
 type op =
   | Set of Place.t * iexpr  (** [p := e]; raises if the value is negative *)
   | Inc of Place.t * iexpr  (** [p := p + e]; reads and writes [p] *)
-  | FSet of Place.fl * fexpr
-  | FInc of Place.fl * fexpr
+  | FSet of Place.fl * rexpr
+  | FInc of Place.fl * rexpr
 
 type t =
   | Skip
@@ -74,10 +70,9 @@ type t =
 
 val eval : Marking.t -> iexpr -> int
 val holds : Marking.t -> cond -> bool
-val feval : Marking.t -> fexpr -> float
 
 val reval : Marking.t -> rexpr -> float
-(** Evaluate a rate expression; performs the same float operations in
+(** Evaluate a float expression; performs the same float operations in
     the same order as {!rexpr_fn}. *)
 
 val apply : Prng.Stream.t -> t -> Marking.t -> unit
@@ -109,7 +104,7 @@ val cond_reads : cond -> int list
 (** Sorted uids of places the condition reads. *)
 
 val rexpr_reads : rexpr -> int list
-(** Sorted uids of (int and float) places the rate expression can
+(** Sorted uids of (int and float) places the float expression can
     read. *)
 
 val static_reads : t -> int list
@@ -127,8 +122,9 @@ val cond_fn : cond -> Marking.t -> bool
     [Activity.enabled]). *)
 
 val rexpr_fn : rexpr -> Marking.t -> float
-(** Compile a rate expression to a closure. [rexpr_fn r m = reval m r]
-    bit-for-bit; [RConst] compiles to a constant function. *)
+(** Compile a float expression to a closure. [rexpr_fn r m = reval m r]
+    bit-for-bit; [RConst] compiles to a constant function and [RIf] to
+    a compiled branch, every other node to [fun m -> reval m e]. *)
 
 (** {1 Pretty-printing}
 
@@ -139,7 +135,6 @@ val rexpr_fn : rexpr -> Marking.t -> float
 val pp_rel : Format.formatter -> rel -> unit
 val pp_iexpr : Format.formatter -> iexpr -> unit
 val pp_cond : Format.formatter -> cond -> unit
-val pp_fexpr : Format.formatter -> fexpr -> unit
 val pp_rexpr : Format.formatter -> rexpr -> unit
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

@@ -60,21 +60,14 @@ and cond_json = function
   | San.Effect.Any cs -> J.Arr (J.Str "any" :: List.map cond_json cs)
   | San.Effect.Not c -> J.Arr [ J.Str "not"; cond_json c ]
 
-let rec fexpr_json = function
-  | San.Effect.Flt x -> J.Num x
-  | San.Effect.FMark p -> J.Obj [ ("fmark", J.Str (San.Place.fname p)) ]
-  | San.Effect.OfInt e -> J.Arr [ J.Str "of_int"; iexpr_json e ]
-  | San.Effect.FAdd (a, b) -> J.Arr [ J.Str "+."; fexpr_json a; fexpr_json b ]
-  | San.Effect.FSub (a, b) -> J.Arr [ J.Str "-."; fexpr_json a; fexpr_json b ]
-  | San.Effect.FMul (a, b) -> J.Arr [ J.Str "*."; fexpr_json a; fexpr_json b ]
-  | San.Effect.FDiv (a, b) -> J.Arr [ J.Str "/."; fexpr_json a; fexpr_json b ]
-
-(* [RExpr (Flt x)] and [RConst x] both emit as a bare number and parse
-   back as [RConst x]; the two evaluate and compile identically, so the
-   normalization is invisible to simulation and analysis. *)
 let rec rexpr_json = function
   | San.Effect.RConst x -> J.Num x
-  | San.Effect.RExpr e -> fexpr_json e
+  | San.Effect.FMark p -> J.Obj [ ("fmark", J.Str (San.Place.fname p)) ]
+  | San.Effect.OfInt e -> J.Arr [ J.Str "of_int"; iexpr_json e ]
+  | San.Effect.FAdd (a, b) -> J.Arr [ J.Str "+."; rexpr_json a; rexpr_json b ]
+  | San.Effect.FSub (a, b) -> J.Arr [ J.Str "-."; rexpr_json a; rexpr_json b ]
+  | San.Effect.FMul (a, b) -> J.Arr [ J.Str "*."; rexpr_json a; rexpr_json b ]
+  | San.Effect.FDiv (a, b) -> J.Arr [ J.Str "/."; rexpr_json a; rexpr_json b ]
   | San.Effect.RIf (c, a, b) ->
       J.Arr [ J.Str "if"; cond_json c; rexpr_json a; rexpr_json b ]
 
@@ -84,9 +77,9 @@ let op_json = function
   | San.Effect.Inc (p, e) ->
       J.Arr [ J.Str "inc"; J.Str (San.Place.name p); iexpr_json e ]
   | San.Effect.FSet (p, e) ->
-      J.Arr [ J.Str "fset"; J.Str (San.Place.fname p); fexpr_json e ]
+      J.Arr [ J.Str "fset"; J.Str (San.Place.fname p); rexpr_json e ]
   | San.Effect.FInc (p, e) ->
-      J.Arr [ J.Str "finc"; J.Str (San.Place.fname p); fexpr_json e ]
+      J.Arr [ J.Str "finc"; J.Str (San.Place.fname p); rexpr_json e ]
 
 let rec effect_json = function
   | San.Effect.Skip -> J.Str "skip"
@@ -310,23 +303,6 @@ and p_cond places at j =
           p_iexpr places (J.idx at 2) b )
   | j -> J.fail at "cannot parse condition %s" (J.short j)
 
-let rec p_fexpr places at j =
-  match j with
-  | J.Num x -> San.Effect.Flt x
-  | J.Obj [ ("fmark", v) ] ->
-      San.Effect.FMark (float_place_ref places (J.key at "fmark") v)
-  | J.Arr [ J.Str "of_int"; e ] ->
-      San.Effect.OfInt (p_iexpr places (J.idx at 1) e)
-  | J.Arr [ J.Str (("+." | "-." | "*." | "/.") as t); a; b ] ->
-      let a = p_fexpr places (J.idx at 1) a
-      and b = p_fexpr places (J.idx at 2) b in
-      (match t with
-      | "+." -> San.Effect.FAdd (a, b)
-      | "-." -> San.Effect.FSub (a, b)
-      | "*." -> San.Effect.FMul (a, b)
-      | _ -> San.Effect.FDiv (a, b))
-  | j -> J.fail at "cannot parse float expression %s" (J.short j)
-
 let rec p_rexpr places at j =
   match j with
   | J.Num x -> San.Effect.RConst x
@@ -335,7 +311,19 @@ let rec p_rexpr places at j =
         ( p_cond places (J.idx at 1) c,
           p_rexpr places (J.idx at 2) a,
           p_rexpr places (J.idx at 3) b )
-  | j -> San.Effect.RExpr (p_fexpr places at j)
+  | J.Obj [ ("fmark", v) ] ->
+      San.Effect.FMark (float_place_ref places (J.key at "fmark") v)
+  | J.Arr [ J.Str "of_int"; e ] ->
+      San.Effect.OfInt (p_iexpr places (J.idx at 1) e)
+  | J.Arr [ J.Str (("+." | "-." | "*." | "/.") as t); a; b ] ->
+      let a = p_rexpr places (J.idx at 1) a
+      and b = p_rexpr places (J.idx at 2) b in
+      (match t with
+      | "+." -> San.Effect.FAdd (a, b)
+      | "-." -> San.Effect.FSub (a, b)
+      | "*." -> San.Effect.FMul (a, b)
+      | _ -> San.Effect.FDiv (a, b))
+  | j -> J.fail at "cannot parse float expression %s" (J.short j)
 
 let p_op places at j =
   match j with
@@ -345,7 +333,7 @@ let p_op places at j =
       if t = "set" then San.Effect.Set (p, e) else San.Effect.Inc (p, e)
   | J.Arr [ J.Str (("fset" | "finc") as t); n; e ] ->
       let p = float_place_ref places (J.idx at 1) n in
-      let e = p_fexpr places (J.idx at 2) e in
+      let e = p_rexpr places (J.idx at 2) e in
       if t = "fset" then San.Effect.FSet (p, e) else San.Effect.FInc (p, e)
   | j -> J.fail at "cannot parse marking op %s" (J.short j)
 

@@ -66,7 +66,7 @@ let test_derived_weight () =
     ~guard:E.(Cmp (Mark fired, Eq, Int 0))
     [
       San.Activity.make_case
-        ~weight:E.(RExpr (OfInt (Mark bias)))
+        ~weight:E.(OfInt (Mark bias))
         (San.Effect.Ops [ San.Effect.Set (fired, San.Effect.Int 1) ]);
       San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (fired, San.Effect.Int 1) ]);
@@ -88,7 +88,7 @@ let derived_exact ?(weight = false) ?(dead = false) () =
   let hidden = B.int_place b ~init:1 "hidden" in
   let n = B.int_place b "n" in
   let reads_hidden =
-    E.(RIf (Cmp (Mark flag, Eq, Int 1), RExpr (OfInt (Mark hidden)), RConst 1.0))
+    E.(RIf (Cmp (Mark flag, Eq, Int 1), OfInt (Mark hidden), RConst 1.0))
   in
   let step = E.(Ops [ Inc (n, Int 1) ]) in
   let rate, cases =
@@ -241,7 +241,7 @@ let test_a005_a006_dead_places () =
   (* Never read: only ever written. *)
   let echo = B.int_place b "echo" in
   B.timed_exp_rate_ir b ~name:"cycle"
-    ~rate:E.(RExpr (OfInt (Mark speed)))
+    ~rate:E.(OfInt (Mark speed))
     ~guard:(E.Const true)
     E.(Ops [ Set (lvl, Sub (Int 1, Mark lvl)); Set (echo, Int 1) ]);
   let r = check (B.build b) in

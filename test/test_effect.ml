@@ -191,7 +191,7 @@ let branching_model () =
   let q = B.int_place b "q" in
   let acc = B.float_place b "acc" in
   B.timed_exp_cases_rate_ir b ~name:"churn"
-    ~rate:E.(RExpr (FAdd (Flt 1.0, FMul (Flt 0.1, OfInt (Mark p)))))
+    ~rate:E.(FAdd (RConst 1.0, FMul (RConst 0.1, OfInt (Mark p))))
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
     [
       ( 2.0,
@@ -608,18 +608,20 @@ let prop_closures_match_interpreter =
           (1, map (fun c -> E.Not c) sub);
         ]
   in
-  let rec fexpr d =
+  (* One generator for every float node, so branches also sit inside
+     arithmetic and [rexpr_fn]'s interpreted arms are pinned on them. *)
+  let rec rexpr d =
     let leaf =
       oneof
         [
-          map (fun x -> E.Flt x) flt;
+          map (fun x -> E.RConst x) flt;
           map (fun p -> E.FMark p) fplace;
           map (fun e -> E.OfInt e) (iexpr 1);
         ]
     in
     if d = 0 then leaf
     else
-      let sub = fexpr (d - 1) in
+      let sub = rexpr (d - 1) in
       frequency
         [
           (2, leaf);
@@ -627,17 +629,8 @@ let prop_closures_match_interpreter =
           (1, map2 (fun a b -> E.FSub (a, b)) sub sub);
           (1, map2 (fun a b -> E.FMul (a, b)) sub sub);
           (1, map2 (fun a b -> E.FDiv (a, b)) sub sub);
+          (1, map3 (fun c a b -> E.RIf (c, a, b)) (cond 2) sub sub);
         ]
-  in
-  let rec rexpr d =
-    let leaf =
-      oneof [ map (fun x -> E.RConst x) flt; map (fun e -> E.RExpr e) (fexpr 2) ]
-    in
-    if d = 0 then leaf
-    else
-      let sub = rexpr (d - 1) in
-      frequency
-        [ (2, leaf); (1, map3 (fun c a b -> E.RIf (c, a, b)) (cond 2) sub sub) ]
   in
   let marking =
     pair (list_repeat 3 (int_bound 2)) (list_repeat 2 flt)
@@ -648,7 +641,7 @@ let prop_closures_match_interpreter =
         r
         (String.concat "; " (List.map string_of_int is))
         (String.concat "; " (List.map string_of_float fs)))
-    (triple (cond 3) (rexpr 2) marking)
+    (triple (cond 3) (rexpr 4) marking)
     (fun (c, r, (is, fs)) ->
       let m = San.Model.initial_marking model in
       List.iteri (fun i v -> M.set m ints.(i) v) is;

@@ -108,7 +108,7 @@ let test_model_queries () =
   (* The rate reads [level], the guard [tokens]: [reads] lists both in
      uid order, whatever order they appear in. *)
   San.Model.Builder.timed_exp_rate_ir b ~name:"tick"
-    ~rate:(E.RExpr (E.FMark q))
+    ~rate:(E.FMark q)
     ~guard:(E.Cmp (E.Mark p, E.Gt, E.Int 0))
     E.Skip;
   let model = San.Model.Builder.build b in

@@ -427,6 +427,42 @@ let test_hostile_constants () =
              ]) );
     ]
 
+(* A branch is a float expression like any other: nested inside
+   arithmetic or as an [finc] value it loads and re-emits byte for byte.
+   A branch without its else arm is a located parse error. *)
+let nested_if_doc ~rate ~inc =
+  Printf.sprintf
+    {|{"schema":"itua-model/2","name":"x","places":[{"name":"p","kind":"int","init":1},{"name":"x","kind":"float","init":0}],"activities":[{"name":"a","timing":{"type":"timed","policy":"resample","dist":{"kind":"exponential","rate":%s}},"guard":true,"cases":[{"weight":1,"effect":{"ops":[["finc","x",%s]]}}]}]}|}
+    rate inc
+
+let test_hostile_nested_if () =
+  let branch = {|["if",[">",{"mark":"p"},0],1.5,{"fmark":"x"}]|} in
+  let doc = nested_if_doc ~rate:({|["+.",1,|} ^ branch ^ "]") ~inc:branch in
+  Alcotest.(check string) "re-emits byte for byte" doc
+    (Serial.emit (parse_exn doc).Serial.model);
+  let short = {|["if",[">",{"mark":"p"},0],1.5]|} in
+  List.iter
+    (fun (what, doc, at) ->
+      match Serial.parse doc with
+      | Ok _ -> Alcotest.failf "%s: loaded" what
+      | Error e ->
+          if
+            not
+              (String.starts_with ~prefix:at e
+              && contains e "cannot parse float expression")
+          then Alcotest.failf "%s: error %S" what e)
+    [
+      ( "short rate branch",
+        nested_if_doc ~rate:short ~inc:"1",
+        "$.activities[0].timing.dist.rate" );
+      ( "short finc branch",
+        nested_if_doc ~rate:"1" ~inc:short,
+        "$.activities[0].cases[0].effect.ops[0][2]" );
+      ( "short branch in arithmetic",
+        nested_if_doc ~rate:({|["+.",1,|} ^ short ^ "]") ~inc:"1",
+        "$.activities[0].timing.dist.rate[2]" );
+    ]
+
 (* Byte-level fuzzing of the committed model files: a flipped byte, a
    spliced-in run of bytes from another file, or a truncation. The JSON
    reader must never raise, and the model decoder must turn whatever
@@ -685,6 +721,214 @@ let test_loaded_certificate_identical () =
     (cert ~composition:h.Itua.Model.composition h.Itua.Model.model)
     (cert ~composition:comp l.Serial.model)
 
+(* --- generated models: parse after emit is the identity on IR values --- *)
+
+(* Every expression is generated as a function of the model's places, so
+   each draw (and each shrink step) rebuilds its model with a fresh
+   builder. A literal distribution parameter or case weight is made
+   positive, as the builder requires; every other literal is free. *)
+let gen_model =
+  let open QCheck2.Gen in
+  let flt =
+    frequency
+      [
+        (3, float_range (-8.0) 8.0);
+        (1, map float_of_int (int_range (-3) 3));
+        (1, oneofl [ 0.1; 1e-300; 1e300; 5e-324; -0.0 ]);
+      ]
+  in
+  let rel = oneofl E.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  (* [lo] to [hi] draws of [g], applied to the same places. *)
+  let list lo hi g =
+    map
+      (fun fs env -> List.map (fun f -> f env) fs)
+      (list_size (int_range lo hi) g)
+  in
+  int_range 2 4 >>= fun ni ->
+  int_range 1 2 >>= fun nf ->
+  let ip = map (fun i (ips, _) -> ips.(i)) (int_bound (ni - 1)) in
+  let fp = map (fun i (_, fps) -> fps.(i)) (int_bound (nf - 1)) in
+  let rec iexpr d =
+    let leaf =
+      oneof
+        [
+          map (fun k _ -> E.Int k) (int_range (-3) 3);
+          map (fun p env -> E.Mark (p env)) ip;
+        ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = iexpr (d - 1) in
+      frequency
+        [
+          (2, leaf);
+          (1, map2 (fun a b env -> E.Add (a env, b env)) sub sub);
+          (1, map2 (fun a b env -> E.Sub (a env, b env)) sub sub);
+          (1, map2 (fun a b env -> E.Mul (a env, b env)) sub sub);
+          (1, map (fun c env -> E.Ind (c env)) (cond (d - 1)));
+        ]
+  and cond d =
+    let leaf =
+      oneof
+        [
+          map (fun b _ -> E.Const b) bool;
+          map3
+            (fun p r k env -> E.Cmp (E.Mark (p env), r, E.Int k))
+            ip rel (int_range 0 3);
+        ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = cond (d - 1) and arg = iexpr (d - 1) in
+      frequency
+        [
+          (2, leaf);
+          (1, map3 (fun a r b env -> E.Cmp (a env, r, b env)) arg rel arg);
+          (1, map (fun cs env -> E.All (cs env)) (list 0 3 sub));
+          (1, map (fun cs env -> E.Any (cs env)) (list 0 3 sub));
+          (1, map (fun c env -> E.Not (c env)) sub);
+        ]
+  in
+  let rec rexpr d =
+    let leaf =
+      oneof
+        [
+          map (fun x _ -> E.RConst x) flt;
+          map (fun p env -> E.FMark (p env)) fp;
+          map (fun e env -> E.OfInt (e env)) (iexpr 1);
+        ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = rexpr (d - 1) in
+      frequency
+        [
+          (2, leaf);
+          (1, map2 (fun a b env -> E.FAdd (a env, b env)) sub sub);
+          (1, map2 (fun a b env -> E.FSub (a env, b env)) sub sub);
+          (1, map2 (fun a b env -> E.FMul (a env, b env)) sub sub);
+          (1, map2 (fun a b env -> E.FDiv (a env, b env)) sub sub);
+          ( 1,
+            map3
+              (fun c a b env -> E.RIf (c env, a env, b env))
+              (cond 1) sub sub );
+        ]
+  in
+  let positive =
+    map
+      (fun r env ->
+        match r env with E.RConst x -> E.RConst (1.0 +. Float.abs x) | e -> e)
+      (rexpr 2)
+  in
+  let op =
+    oneof
+      [
+        map2 (fun p e env -> E.Set (p env, e env)) ip (iexpr 1);
+        map2 (fun p e env -> E.Inc (p env, e env)) ip (iexpr 1);
+        map2 (fun p e env -> E.FSet (p env, e env)) fp (rexpr 2);
+        map2 (fun p e env -> E.FInc (p env, e env)) fp (rexpr 2);
+      ]
+  in
+  let rec effect d =
+    let leaf =
+      oneof
+        [
+          pure (fun _ -> E.Skip);
+          map (fun ops env -> E.Ops (ops env)) (list 0 3 op);
+        ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = effect (d - 1) in
+      let branch = map2 (fun c e env -> (c env, e env)) (cond 1) sub in
+      frequency
+        [
+          (2, leaf);
+          ( 1,
+            map3
+              (fun c a b env -> E.If (c env, a env, b env))
+              (cond 1) sub sub );
+          (1, map (fun bs env -> E.Pick (bs env)) (list 1 3 branch));
+          (1, map (fun es env -> E.Seq (es env)) (list 0 3 sub));
+        ]
+  in
+  let dist =
+    oneof
+      [
+        map (fun r env -> San.Activity.DExp (r env)) positive;
+        map2
+          (fun k r env -> San.Activity.DErlang (k, r env))
+          (int_range 1 4) positive;
+      ]
+  in
+  let case =
+    map2
+      (fun w e env -> San.Activity.make_case ~weight:(w env) (e env))
+      positive (effect 2)
+  in
+  let activity =
+    quad
+      (oneofl San.Activity.[ Keep; Resample ])
+      dist (cond 2) (list 1 3 case)
+  in
+  map3
+    (fun iinit finit acts ->
+      let b = B.create "generated" in
+      let places make prefix inits =
+        Array.of_list
+          (List.mapi (fun i init -> make init (prefix ^ string_of_int i)) inits)
+      in
+      let env =
+        ( places (fun init -> B.int_place b ~init) "i" iinit,
+          places (fun init -> B.float_place b ~init) "f" finit )
+      in
+      List.iteri
+        (fun i (policy, dist, guard, cases) ->
+          B.timed_dist_ir b
+            ~name:("a" ^ string_of_int i)
+            ~policy ~dist:(dist env) ~guard:(guard env) (cases env))
+        acts;
+      B.build b)
+    (list_repeat ni (int_range 0 3))
+    (list_repeat nf flt)
+    (list_size (int_range 1 3) activity)
+
+(* The parts of an activity the IR defines, as one comparable value. *)
+let activity_ir (a : San.Activity.t) =
+  let timing =
+    match a.San.Activity.timing with
+    | San.Activity.Instantaneous -> None
+    | San.Activity.Timed { dist_ir; policy; _ } -> Some (dist_ir, policy)
+  in
+  ( a.San.Activity.name,
+    a.San.Activity.guard,
+    timing,
+    Array.map
+      (fun (c : San.Activity.case) -> (c.weight_ir, c.effect))
+      a.San.Activity.cases )
+
+let prop_generated_roundtrip =
+  QCheck2.Test.make ~name:"generated IR survives save/load as values"
+    ~count:500 ~print:Serial.emit gen_model (fun m ->
+      let doc = Serial.to_json m in
+      let s = J.to_string doc in
+      match Serial.parse s with
+      | Error e -> QCheck2.Test.fail_reportf "reload failed: %s" e
+      | Ok l ->
+          let m' = l.Serial.model in
+          let irs m = Array.map activity_ir (San.Model.activities m) in
+          if Stdlib.compare (irs m) (irs m') <> 0 then
+            QCheck2.Test.fail_reportf "reloaded IR differs";
+          let s' = Serial.emit m' in
+          if s' <> s then
+            QCheck2.Test.fail_reportf "second emission differs:@ %s" s';
+          (match Serial.Diff.diff doc (Serial.to_json m') with
+          | [] -> ()
+          | es ->
+              QCheck2.Test.fail_reportf "diff not empty:@ %a" Serial.Diff.pp
+                es);
+          true)
+
 (* --- portability gate --- *)
 
 let test_unportable_closure () =
@@ -753,6 +997,9 @@ let () =
             Alcotest.test_case "itua small" `Quick test_itua_roundtrip;
             Alcotest.test_case "bounds and annotations" `Quick
               test_bounds_annotations_roundtrip;
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| 20030622 |])
+              prop_generated_roundtrip;
           ] );
       ( "golden",
         List.map
@@ -783,6 +1030,8 @@ let () =
             test_hostile_trajectory_header;
           Alcotest.test_case "out-of-range constants" `Quick
             test_hostile_constants;
+          Alcotest.test_case "nested float branches" `Quick
+            test_hostile_nested_if;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 20030622 |])
             prop_byte_mutations;

@@ -1775,7 +1775,7 @@ let test_ir_reads_in_dependents () =
          E.(
            RIf
              ( Cmp (Mark flag, Eq, Int 1),
-               RExpr (OfInt (Mark hidden)),
+               OfInt (Mark hidden),
                RConst 1.0 )))
     ~guard:E.(Cmp (Mark n, Lt, Int 3))
     [ San.Activity.make_case step ];
@@ -1783,7 +1783,7 @@ let test_ir_reads_in_dependents () =
     ~dist:(San.Activity.DExp (E.RConst 1.0))
     ~guard:E.(Cmp (Mark n, Lt, Int 3))
     San.Activity.
-      [ make_case ~weight:E.(RExpr (OfInt (Mark bias))) step; make_case step ];
+      [ make_case ~weight:E.(OfInt (Mark bias)) step; make_case step ];
   let model = San.Model.Builder.build b in
   let names ps = List.map San.Place.any_name ps in
   let deps p =
@@ -1811,7 +1811,7 @@ let test_zero_rate_waits () =
       ~guard:San.Effect.(Cmp (Mark x, Eq, Int 0))
       [ San.Activity.make_case San.Effect.(Ops [ Set (x, Int 2) ]) ];
     San.Model.Builder.timed_exp_rate_ir b ~name:"go"
-      ~rate:San.Effect.(RExpr (FMul (Flt scale, OfInt (Mark x))))
+      ~rate:San.Effect.(FMul (RConst scale, OfInt (Mark x)))
       ~guard:San.Effect.(Cmp (Mark gone, Eq, Int 0))
       San.Effect.(Ops [ Set (gone, Int 1) ]);
     (San.Model.Builder.build b, gone)
